@@ -6,14 +6,15 @@ lexicographic (n, profile, permutation-or-pair-or-(candidate, voter)) order.
 Witnesses are replayable: :func:`replay_witness` re-derives the violation
 from the recorded configuration and the function alone.
 
-The profile stream may be partitioned across worker threads; per-chunk minima
-are merged in stream order, so the reported witness is identical for any
-worker count.
+Every checker except A first establishes that f is anonymous on the scope:
+a :class:`TabledFunction` is by construction, any other function must pass
+:func:`check_anonymity`.  An anonymous f is then scanned one sorted profile
+per anonymity class, anything else over every ordered profile.  The
+``workers`` keyword is accepted for compatibility and ignored.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import permutations
 from typing import Callable, Iterable
@@ -30,6 +31,7 @@ from .core import (
     remove_voter,
     tally,
 )
+from .rules import TabledFunction
 
 __all__ = [
     "AXIOM_IDS",
@@ -134,60 +136,29 @@ def _validate_scope(m: int, n_max: int) -> None:
         raise ValueError(f"voter bound must be >= 1, got {n_max}")
 
 
-def _memoized(f) -> Callable[[Profile], int]:
-    """Per-check evaluation cache.
+def _scans_classes(f, m: int, n_max: int) -> bool:
+    """Whether the checkers may scan one sorted profile per anonymity class.
 
-    Functions claiming anonymity are keyed by sorted ballots; the claim is
-    validated by check_anonymity (which never uses this cache), so the other
-    checkers may rely on it.
+    Only when f is anonymous on the scope: then every member of a failing
+    class fails the same way, and the sorted member, the lexicographic
+    minimum of its class, is the first failing profile in stream order.
     """
-    cache: dict[tuple[int, ...], int] = {}
-    by_class = bool(getattr(f, "claims_anonymous", False))
-
-    def evaluate(p: Profile) -> int:
-        key = tuple(sorted(p.ballots)) if by_class else p.ballots
-        try:
-            return cache[key]
-        except KeyError:
-            out = f.evaluate(p)
-            cache[key] = out
-            return out
-
-    return evaluate
+    return isinstance(f, TabledFunction) or check_anonymity(f, m, n_max).passed
 
 
 def _first_witness(
     m: int,
     n_max: int,
     per_profile: Callable[[Profile], Witness | None],
-    workers: int = 1,
+    canonical_only: bool = False,
     n_min: int = 1,
 ) -> Witness | None:
-    """First violation in (n, profile) stream order, identical for any worker
-    count: chunks are contiguous slices and their local minima merge in order."""
-    if workers <= 1:
-        for n in range(n_min, n_max + 1):
-            for p in enumerate_profiles(m, n):
-                w = per_profile(p)
-                if w is not None:
-                    return w
-        return None
-
-    def scan(chunk: list[Profile]) -> Witness | None:
-        for p in chunk:
+    """First violation in (n, profile) stream order."""
+    for n in range(n_min, n_max + 1):
+        for p in enumerate_profiles(m, n, canonical_only=canonical_only):
             w = per_profile(p)
             if w is not None:
                 return w
-        return None
-
-    for n in range(n_min, n_max + 1):
-        profiles = list(enumerate_profiles(m, n))
-        size = max(1, -(-len(profiles) // workers))
-        chunks = [profiles[i : i + size] for i in range(0, len(profiles), size)]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for w in pool.map(scan, chunks):
-                if w is not None:
-                    return w
     return None
 
 
@@ -203,7 +174,7 @@ def _sorting_permutation(p: Profile) -> VoterPermutation:
 def check_anonymity(f, m: int, n_max: int, workers: int = 1) -> AxiomReport:
     """f(P sigma) = f(P) for every voter permutation sigma; implemented as
     "f is constant on each anonymity class" by comparing against the sorted
-    representative.  Never trusts ``claims_anonymous``."""
+    representative."""
     _validate_scope(m, n_max)
 
     def per_profile(p: Profile) -> Witness | None:
@@ -222,7 +193,7 @@ def check_anonymity(f, m: int, n_max: int, workers: int = 1) -> AxiomReport:
             )
         return None
 
-    w = _first_witness(m, n_max, per_profile, workers)
+    w = _first_witness(m, n_max, per_profile)
     return AxiomReport("A", m, n_max, w is None, w)
 
 
@@ -230,14 +201,13 @@ def check_neutrality(f, m: int, n_max: int, workers: int = 1) -> AxiomReport:
     """f(tau P) = tau f(P) for all m! candidate permutations tau (no
     generator-only shortcut)."""
     _validate_scope(m, n_max)
-    evaluate = _memoized(f)
     taus = [CandidatePermutation(m, image) for image in permutations(range(1, m + 1))]
 
     def per_profile(p: Profile) -> Witness | None:
-        out = evaluate(p)
+        out = f.evaluate(p)
         for tau in taus:
             permuted = apply_candidate_permutation(p, tau)
-            actual = evaluate(permuted)
+            actual = f.evaluate(permuted)
             expected = tau.outcome(out)
             if actual != expected:
                 return Witness(
@@ -249,7 +219,7 @@ def check_neutrality(f, m: int, n_max: int, workers: int = 1) -> AxiomReport:
                 )
         return None
 
-    w = _first_witness(m, n_max, per_profile, workers)
+    w = _first_witness(m, n_max, per_profile, _scans_classes(f, m, n_max))
     return AxiomReport("N", m, n_max, w is None, w)
 
 
@@ -267,19 +237,18 @@ def check_duel_property(f, m: int, n_max: int, workers: int = 1) -> AxiomReport:
     """On any profile supported by at most two candidates i, j the outcome is
     i, j or a tie; no third party wins a duel they did not take part in."""
     _validate_scope(m, n_max)
-    evaluate = _memoized(f)
 
     def per_profile(p: Profile) -> Witness | None:
         support = tally(p).support()
         if len(support) > 2:
             return None
-        out = evaluate(p)
+        out = f.evaluate(p)
         for i, j in _duel_pairs(support, m):
             if out not in (0, i, j):
                 return Witness(profile=p, pair=(i, j), actual=out, note="outcome outside {0, i, j}")
         return None
 
-    w = _first_witness(m, n_max, per_profile, workers)
+    w = _first_witness(m, n_max, per_profile, _scans_classes(f, m, n_max))
     return AxiomReport("DP", m, n_max, w is None, w)
 
 
@@ -287,19 +256,18 @@ def check_pareto(f, m: int, n_max: int, workers: int = 1) -> AxiomReport:
     """Whenever exactly one candidate receives votes (everyone else abstains),
     that candidate must win."""
     _validate_scope(m, n_max)
-    evaluate = _memoized(f)
 
     def per_profile(p: Profile) -> Witness | None:
         support = tally(p).support()
         if len(support) != 1:
             return None
         k = support[0]
-        out = evaluate(p)
+        out = f.evaluate(p)
         if out != k:
             return Witness(profile=p, candidate=k, expected=k, actual=out)
         return None
 
-    w = _first_witness(m, n_max, per_profile, workers)
+    w = _first_witness(m, n_max, per_profile, _scans_classes(f, m, n_max))
     return AxiomReport("PO", m, n_max, w is None, w)
 
 
@@ -316,17 +284,16 @@ def check_rs(f, m: int, n_max: int, workers: int = 1) -> AxiomReport:
     _validate_scope(m, n_max)
     if n_max < 2:
         raise ValueError("the reduction axiom needs a voter bound of at least 2")
-    evaluate = _memoized(f)
 
     def per_profile(p: Profile) -> Witness | None:
-        lhs = evaluate(p)
-        reduced = Profile(m, tuple(evaluate(remove_voter(p, l)) for l in range(1, p.n + 1)))
-        rhs = evaluate(reduced)
+        lhs = f.evaluate(p)
+        reduced = reduce_profile(f, p)
+        rhs = f.evaluate(reduced)
         if lhs != rhs:
             return Witness(profile=p, related_profile=reduced, actual=lhs, expected=rhs)
         return None
 
-    w = _first_witness(m, n_max, per_profile, workers, n_min=2)
+    w = _first_witness(m, n_max, per_profile, _scans_classes(f, m, n_max), n_min=2)
     return AxiomReport("RS", m, n_max, w is None, w)
 
 
@@ -346,10 +313,9 @@ def check_positive_responsiveness(
     _validate_scope(m, n_max)
     if tie_upgrade not in PR_TIE_MODES:
         raise ValueError(f"tie_upgrade must be one of {PR_TIE_MODES}, got {tie_upgrade!r}")
-    evaluate = _memoized(f)
 
     def per_profile(p: Profile) -> Witness | None:
-        out = evaluate(p)
+        out = f.evaluate(p)
         if out == 0:
             targets = _tie_candidates(p, tie_upgrade)
             note = f"pr:tie:{tie_upgrade}"
@@ -361,7 +327,7 @@ def check_positive_responsiveness(
                 if p.ballots[l - 1] == k:
                     continue
                 upgraded = Profile(m, p.ballots[: l - 1] + (k,) + p.ballots[l:])
-                actual = evaluate(upgraded)
+                actual = f.evaluate(upgraded)
                 if actual != k:
                     return Witness(
                         profile=p,
@@ -374,7 +340,7 @@ def check_positive_responsiveness(
                     )
         return None
 
-    w = _first_witness(m, n_max, per_profile, workers)
+    w = _first_witness(m, n_max, per_profile, _scans_classes(f, m, n_max))
     return AxiomReport("PR", m, n_max, w is None, w)
 
 
@@ -383,11 +349,10 @@ def check_no_tied_winner(f, m: int, n_max: int, workers: int = 1) -> AxiomReport
     neither is the outcome.  Meaningful for functions already known anonymous
     and neutral (the caller enforces that precondition)."""
     _validate_scope(m, n_max)
-    evaluate = _memoized(f)
 
     def per_profile(p: Profile) -> Witness | None:
         counts = tally(p).counts
-        out = evaluate(p)
+        out = f.evaluate(p)
         if out == 0:
             return None
         for i in range(1, m + 1):
@@ -396,7 +361,7 @@ def check_no_tied_winner(f, m: int, n_max: int, workers: int = 1) -> AxiomReport
                     return Witness(profile=p, pair=(i, j), actual=out, note="tied pair won")
         return None
 
-    w = _first_witness(m, n_max, per_profile, workers)
+    w = _first_witness(m, n_max, per_profile, _scans_classes(f, m, n_max))
     return AxiomReport("NTW", m, n_max, w is None, w)
 
 

@@ -79,9 +79,9 @@ def cmd_check(args, parser) -> int:
     results = []
     for ax in axioms:
         if ax == "PR":
-            report = CHECKERS[ax](rule, args.m, args.n_max, tie_upgrade=tie, workers=args.workers)
+            report = CHECKERS[ax](rule, args.m, args.n_max, tie_upgrade=tie)
         else:
-            report = CHECKERS[ax](rule, args.m, args.n_max, workers=args.workers)
+            report = CHECKERS[ax](rule, args.m, args.n_max)
         results.append(report)
         if report.passed:
             print(f"{ax}: pass")
@@ -174,7 +174,7 @@ def cmd_verify_theorem(args, parser) -> int:
 
 
 def cmd_verify_independence(args, parser) -> int:
-    verdict = verify_independence(args.m, args.n_max, workers=args.workers)
+    verdict = verify_independence(args.m, args.n_max)
     for rule, fails in sorted(verdict.failures.items()):
         print(f"{rule}: fails {','.join(fails) if fails else '(none)'}")
     for note in verdict.mismatches:
@@ -199,8 +199,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--n-max", type=int, default=n_max_default,
                        help=f"voter bound (default {n_max_default})")
         p.add_argument("--workers", type=int, default=1,
-                       help="worker threads for axiom checking; results are "
-                            "identical for any count (default 1)")
+                       help="accepted for compatibility and ignored: checkers "
+                            "run in one thread (must be >= 1; default 1)")
         p.add_argument("--out", help="write the machine-readable report here")
 
     p_eval = sub.add_parser("eval", help="evaluate a rule on one profile")

@@ -235,7 +235,7 @@ def parse_profile(text: str) -> Profile:
     while lines and not lines[-1].strip():
         lines.pop()
     if len(lines) != 2:
-        raise ProfileParseError(f"expected 2 lines, found {len(lines)}", line=min(len(lines), 3))
+        raise ProfileParseError(f"expected 2 lines, found {len(lines)}", line=min(max(len(lines), 1), 3))
     header = lines[0].split()
     if len(header) != 2:
         raise ProfileParseError(f"expected 'm n', found {len(header)} tokens", line=1)

