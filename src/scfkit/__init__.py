@@ -34,11 +34,14 @@ from .rules import (
 )
 from .axioms import (
     AXIOM_IDS,
+    CHECK_MAX_COST,
     CHECKERS,
     PR_TIE_MODES,
     AxiomReport,
+    CheckInfeasibleError,
     Witness,
     check_anonymity,
+    check_cost,
     check_duel_property,
     check_no_tied_winner,
     check_neutrality,
@@ -83,7 +86,8 @@ __all__ = [
     "AXIOM_IDS", "PR_TIE_MODES", "Witness", "AxiomReport", "reduce_profile",
     "check_anonymity", "check_neutrality", "check_duel_property",
     "check_pareto", "check_rs", "check_positive_responsiveness",
-    "check_no_tied_winner", "replay_witness", "CHECKERS",
+    "check_no_tied_winner", "replay_witness", "CHECKERS", "CHECK_MAX_COST",
+    "CheckInfeasibleError", "check_cost",
     # search
     "SEARCH_AXIOMS", "SearchSpec", "SearchResult", "SearchInfeasibleError",
     "NeutralOrbit", "enumerate_functions", "neutral_orbits",

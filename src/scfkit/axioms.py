@@ -11,10 +11,15 @@ a :class:`TabledFunction` is by construction, any other function must pass
 :func:`check_anonymity`.  An anonymous f is then scanned one sorted profile
 per anonymity class, anything else over every ordered profile.  The
 ``workers`` keyword is accepted for compatibility and ignored.
+
+Before any scan, each checker estimates its cost (:func:`check_cost`) and
+refuses a scope above :data:`CHECK_MAX_COST` with a
+:class:`CheckInfeasibleError`, rather than running for hours.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import permutations
 from typing import Callable, Iterable
@@ -28,6 +33,7 @@ from .core import (
     canonicalize,
     enumerate_profiles,
     format_profile,
+    profile_count,
     remove_voter,
     tally,
 )
@@ -36,6 +42,10 @@ from .rules import TabledFunction
 __all__ = [
     "AXIOM_IDS",
     "PR_TIE_MODES",
+    "CHECK_MAX_COST",
+    "CheckInfeasibleError",
+    "check_cost",
+    "require_feasible",
     "Witness",
     "AxiomReport",
     "reduce_profile",
@@ -60,6 +70,19 @@ AXIOM_IDS = ("A", "N", "DP", "PO", "RS", "PR", "NTW")
 #            so it is kept only as the literal two-candidate reading.
 #   wins:    ties are unconstrained; only existing wins must be preserved.
 PR_TIE_MODES = ("leaders", "always", "wins")
+
+# The largest checker run accepted, in estimated evaluations of f (see
+# check_cost).  At roughly 5-15 us per evaluation, about half a minute.
+CHECK_MAX_COST = 2_000_000
+
+
+class CheckInfeasibleError(RuntimeError):
+    """A checker's estimated cost exceeds CHECK_MAX_COST; carries the
+    estimate so callers can report it."""
+
+    def __init__(self, message: str, cost: int):
+        self.cost = cost
+        super().__init__(message)
 
 
 @dataclass(frozen=True)
@@ -136,6 +159,50 @@ def _validate_scope(m: int, n_max: int) -> None:
         raise ValueError(f"voter bound must be >= 1, got {n_max}")
 
 
+def _evaluations_per_class(axiom: str, m: int, n: int) -> int:
+    """Evaluations of f one profile of n voters costs a checker other than A:
+    the profile itself plus each related profile."""
+    if axiom == "N":
+        return 1 + math.factorial(m)
+    if axiom == "RS":
+        return 2 + n
+    if axiom == "PR":
+        return 1 + m * n
+    return 1
+
+
+def check_cost(axiom: str, m: int, n_max: int, tabled: bool = False) -> int:
+    """Estimated evaluations of f by one checker at scope (m, n_max).
+
+    A scans every ordered profile.  The other checkers scan anonymity classes
+    times the evaluations per class, after an ordered anonymity pre-scan
+    unless f is a :class:`TabledFunction` (``tabled``).  A function that
+    fails anonymity is scanned over ordered profiles, which this estimate
+    undercounts by the class sizes.
+    """
+    _validate_scope(m, n_max)
+    ordered = sum(profile_count(m, n) for n in range(1, n_max + 1))
+    if axiom == "A":
+        return ordered
+    classes = sum(
+        profile_count(m, n, canonical_only=True) * _evaluations_per_class(axiom, m, n)
+        for n in range(1, n_max + 1)
+    )
+    return classes if tabled else ordered + classes
+
+
+def require_feasible(axiom: str, f, m: int, n_max: int) -> None:
+    """Raise :class:`CheckInfeasibleError` when checking ``axiom`` for f at
+    the scope is estimated to exceed :data:`CHECK_MAX_COST`."""
+    cost = check_cost(axiom, m, n_max, tabled=isinstance(f, TabledFunction))
+    if cost > CHECK_MAX_COST:
+        raise CheckInfeasibleError(
+            f"checking {axiom} at m={m}, n_max={n_max} needs about {cost} "
+            f"evaluations (> {CHECK_MAX_COST})",
+            cost=cost,
+        )
+
+
 def _scans_classes(f, m: int, n_max: int) -> bool:
     """Whether the checkers may scan one sorted profile per anonymity class.
 
@@ -176,6 +243,7 @@ def check_anonymity(f, m: int, n_max: int, workers: int = 1) -> AxiomReport:
     "f is constant on each anonymity class" by comparing against the sorted
     representative."""
     _validate_scope(m, n_max)
+    require_feasible("A", f, m, n_max)
 
     def per_profile(p: Profile) -> Witness | None:
         if p.is_canonical():
@@ -201,6 +269,7 @@ def check_neutrality(f, m: int, n_max: int, workers: int = 1) -> AxiomReport:
     """f(tau P) = tau f(P) for all m! candidate permutations tau (no
     generator-only shortcut)."""
     _validate_scope(m, n_max)
+    require_feasible("N", f, m, n_max)
     taus = [CandidatePermutation(m, image) for image in permutations(range(1, m + 1))]
 
     def per_profile(p: Profile) -> Witness | None:
@@ -237,6 +306,7 @@ def check_duel_property(f, m: int, n_max: int, workers: int = 1) -> AxiomReport:
     """On any profile supported by at most two candidates i, j the outcome is
     i, j or a tie; no third party wins a duel they did not take part in."""
     _validate_scope(m, n_max)
+    require_feasible("DP", f, m, n_max)
 
     def per_profile(p: Profile) -> Witness | None:
         support = tally(p).support()
@@ -256,6 +326,7 @@ def check_pareto(f, m: int, n_max: int, workers: int = 1) -> AxiomReport:
     """Whenever exactly one candidate receives votes (everyone else abstains),
     that candidate must win."""
     _validate_scope(m, n_max)
+    require_feasible("PO", f, m, n_max)
 
     def per_profile(p: Profile) -> Witness | None:
         support = tally(p).support()
@@ -284,6 +355,7 @@ def check_rs(f, m: int, n_max: int, workers: int = 1) -> AxiomReport:
     _validate_scope(m, n_max)
     if n_max < 2:
         raise ValueError("the reduction axiom needs a voter bound of at least 2")
+    require_feasible("RS", f, m, n_max)
 
     def per_profile(p: Profile) -> Witness | None:
         lhs = f.evaluate(p)
@@ -313,6 +385,7 @@ def check_positive_responsiveness(
     _validate_scope(m, n_max)
     if tie_upgrade not in PR_TIE_MODES:
         raise ValueError(f"tie_upgrade must be one of {PR_TIE_MODES}, got {tie_upgrade!r}")
+    require_feasible("PR", f, m, n_max)
 
     def per_profile(p: Profile) -> Witness | None:
         out = f.evaluate(p)
@@ -349,6 +422,7 @@ def check_no_tied_winner(f, m: int, n_max: int, workers: int = 1) -> AxiomReport
     neither is the outcome.  Meaningful for functions already known anonymous
     and neutral (the caller enforces that precondition)."""
     _validate_scope(m, n_max)
+    require_feasible("NTW", f, m, n_max)
 
     def per_profile(p: Profile) -> Witness | None:
         counts = tally(p).counts

@@ -9,6 +9,7 @@ stability follows from deterministic witness selection.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -16,7 +17,7 @@ from pathlib import Path
 from . import __version__
 from .core import ProfileParseError, parse_profile
 from .rules import RULES
-from .axioms import AXIOM_IDS, CHECKERS
+from .axioms import AXIOM_IDS, CHECKERS, CheckInfeasibleError, require_feasible
 from .search import (
     SEARCH_AXIOMS,
     SearchInfeasibleError,
@@ -72,10 +73,20 @@ def cmd_eval(args, parser) -> int:
     return EXIT_OK
 
 
+def _refuse(exc: Exception) -> int:
+    print(f"error: scope infeasible: {exc}", file=sys.stderr)
+    return EXIT_USAGE
+
+
 def cmd_check(args, parser) -> int:
     axioms = _parse_axioms(args.axioms, _CHECKABLE, parser)
     rule = RULES[args.rule]
     tie = _tie_mode(args)
+    try:
+        for ax in axioms:
+            require_feasible(ax, rule, args.m, args.n_max)
+    except CheckInfeasibleError as exc:
+        return _refuse(exc)
     results = []
     for ax in axioms:
         if ax == "PR":
@@ -120,8 +131,7 @@ def cmd_search(args, parser) -> int:
     try:
         result = enumerate_functions(spec)
     except SearchInfeasibleError as exc:
-        print(f"error: scope infeasible: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return _refuse(exc)
     print(f"solutions: {len(result.solutions)}")
     print(f"exhausted: {result.exhausted}")
     print(f"nodes_explored: {result.nodes_explored}")
@@ -161,9 +171,8 @@ def cmd_verify_theorem(args, parser) -> int:
         verdict = verify_theorem(
             args.m, args.n_max, include_dp=args.dp, max_nodes=args.max_nodes
         )
-    except SearchInfeasibleError as exc:
-        print(f"error: scope infeasible: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    except (SearchInfeasibleError, CheckInfeasibleError) as exc:
+        return _refuse(exc)
     for key, value in verdict.to_dict().items():
         print(f"{key}: {value}")
     if args.out:
@@ -174,7 +183,10 @@ def cmd_verify_theorem(args, parser) -> int:
 
 
 def cmd_verify_independence(args, parser) -> int:
-    verdict = verify_independence(args.m, args.n_max)
+    try:
+        verdict = verify_independence(args.m, args.n_max)
+    except CheckInfeasibleError as exc:
+        return _refuse(exc)
     for rule, fails in sorted(verdict.failures.items()):
         print(f"{rule}: fails {','.join(fails) if fails else '(none)'}")
     for note in verdict.mismatches:
@@ -243,8 +255,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# One parser per process: an ArgumentParser is a web of reference cycles, so
+# building one per call leaves garbage that only the cyclic collector frees.
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     if getattr(args, "workers", 1) < 1:
         parser.error("--workers must be >= 1")
@@ -252,6 +269,12 @@ def main(argv=None) -> int:
         parser.error("--m must be >= 2")
     if getattr(args, "n_max", 1) < 1:
         parser.error("--n-max must be >= 1")
+    if getattr(args, "max_nodes", None) is not None and args.max_nodes < 1:
+        parser.error("--max-nodes must be >= 1")
+    if getattr(args, "max_solutions", None) is not None and args.max_solutions < 1:
+        parser.error("--max-solutions must be >= 1")
+    if args.command == "verify-independence" and args.n_max < 3:
+        parser.error("verify-independence needs --n-max >= 3")
     return args.func(args, parser)
 
 

@@ -2,12 +2,29 @@
 
 Functions are represented as outcome tables over canonical (sorted) profiles
 up to a voter bound, so anonymity is structural rather than searched over.
-The backtracking engine assigns outcomes level by level (n = 1 upward,
-profiles lexicographic within a level, outcomes tried 0..m) and rejects a
-partial table as soon as a requested axiom is violated on fully-determined
-instances.  Reduction equations relate a level-n entry to another level-n
-entry through the (already fixed) level n-1 values; an equation whose other
-endpoint is still unassigned is deferred, never assumed.
+The engine fixes the table level by level (n = 1 upward).  Once the levels
+below n are fixed, every level-n constraint except PR is an equation between
+level-n cells:
+
+- N: with neutrality, each cell is a relabeling of its orbit's
+  representative, f(tau c) = tau f(c), and the representative may only take
+  outcomes its stabilizer fixes.  Without N every cell is its own orbit.
+- RS: f(c) = f(reduce(c)), where reduce(c) collects the (fixed) outcomes
+  of c's voter-deleted subprofiles, is a plain equality between two level-n
+  cells.
+
+These equations are merged with a union-find over orbit representatives
+whose links carry relabelings; a merge that closes a cycle restricts the
+root to the outcomes that cycle's relabeling fixes.  Each component then
+takes one value, whose image at every member cell must pass PO and DP.
+Components are assigned in order of their smallest cell index, trying the
+values 0..m there, so solutions come out in lexicographic order over the
+cell values; PR is checked on within-level upgrade edges as each component
+is assigned.
+
+A *node* is one value tried at one component's smallest cell.  A rejected
+node is a *prune*, counted once against the first axiom in the order PO,
+DP, N, RS, PR that excludes it.
 
 The checkers in :mod:`scfkit.axioms` stay the oracle: the engine's pruning
 logic is written independently, and verdict records replay every solution
@@ -147,161 +164,329 @@ def _leaders(ballots: tuple[int, ...], m: int) -> frozenset[int]:
     return frozenset(k for k in range(1, m + 1) if counts[k - 1] == top)
 
 
+def _orbits(
+    cells: list[tuple[int, ...]], m: int
+) -> list[tuple[int, dict[int, tuple[int, ...]], tuple[tuple[int, ...], ...], tuple[int, ...]]]:
+    """Candidate-relabeling orbits of ``cells`` (every canonical profile of
+    each level present), in index order of their representatives, which are
+    each orbit's first cell.
+
+    One ``(rep, labels, stabilizer, allowed)`` per orbit: ``labels`` maps each
+    member's index to a relabeling (an image tuple) sending the representative
+    onto it, the identity for the representative itself, and ``allowed`` holds
+    the outcomes fixed by every relabeling in the ``stabilizer``.
+    """
+    index = {c: i for i, c in enumerate(cells)}
+    taus = list(permutations(range(1, m + 1)))
+    claimed: set[int] = set()
+    orbits = []
+    for i, c in enumerate(cells):
+        if i in claimed:
+            continue
+        labels: dict[int, tuple[int, ...]] = {}
+        stabilizer: list[tuple[int, ...]] = []
+        for tau in taus:
+            j = index[_tau_class(tau, c)]
+            labels.setdefault(j, tau)
+            if j == i:
+                stabilizer.append(tau)
+        allowed = tuple(
+            o for o in range(m + 1) if all(_tau_value(tau, o) == o for tau in stabilizer)
+        )
+        orbits.append((i, labels, tuple(stabilizer), allowed))
+        claimed.update(labels)
+    return orbits
+
+
+# Outcome maps are tuples p over 0..m, p[v] the image of v; a candidate
+# relabeling with image tau is (0, *tau).
+
+
+def _compose(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
+    """Apply q, then p."""
+    return tuple(p[v] for v in q)
+
+
+def _inverse(p: tuple[int, ...]) -> tuple[int, ...]:
+    inv = [0] * len(p)
+    for v, w in enumerate(p):
+        inv[w] = v
+    return tuple(inv)
+
+
+def _find(parent: dict[int, int], link: dict[int, tuple[int, ...]], a: int) -> tuple[int, tuple[int, ...]]:
+    """The root of a's component and the map L with x_a = L[x_root].
+
+    ``link[a]`` maps x_parent(a) to x_a.  Iterative, with path compression.
+    """
+    path = []
+    while parent[a] != a:
+        path.append(a)
+        a = parent[a]
+    label = link[a]  # a root links to itself by the identity
+    for node in reversed(path):
+        label = _compose(link[node], label)
+        parent[node] = a
+        link[node] = label
+    return a, label
+
+
+def _union(
+    parent: dict[int, int],
+    link: dict[int, tuple[int, ...]],
+    a: int,
+    b: int,
+    rho: tuple[int, ...],
+    cycles: list[tuple[int, tuple[int, ...]]],
+) -> None:
+    """Merge the equation x_a = rho[x_b].  When a and b are already joined,
+    record (root, p): the root's value must be a fixed point of p."""
+    ra, la = _find(parent, link, a)
+    rb, lb = _find(parent, link, b)
+    p = _compose(_inverse(la), _compose(rho, lb))  # x_ra = p[x_rb]
+    if ra != rb:
+        parent[ra] = rb
+        link[ra] = p
+    else:
+        cycles.append((ra, p))
+
+
+def _merge(
+    nodes: list[int], equations: list[tuple[int, int, tuple[int, ...]]], m: int
+) -> list[tuple[list[tuple[int, tuple[int, ...]]], frozenset[int]]]:
+    """Components of the equations x_a = rho[x_b] over ``nodes`` (ascending),
+    in order of their smallest node.
+
+    Each component is its (node, L) pairs, x_node = L[x_root], and the root
+    values in 0..m that every cycle closed inside it allows.
+    """
+    identity = tuple(range(m + 1))
+    parent = {a: a for a in nodes}
+    link = {a: identity for a in nodes}
+    cycles: list[tuple[int, tuple[int, ...]]] = []
+    for a, b, rho in equations:
+        _union(parent, link, a, b, rho, cycles)
+    groups: dict[int, list[tuple[int, tuple[int, ...]]]] = {}
+    for a in nodes:
+        root, label = _find(parent, link, a)
+        groups.setdefault(root, []).append((a, label))
+    allowed = {root: set(identity) for root in groups}
+    for node, p in cycles:
+        # x_node = label[x_root] must be a fixed point of p
+        root, label = _find(parent, link, node)
+        allowed[root] &= {x for x in identity if p[label[x]] == label[x]}
+    return [(group, frozenset(allowed[root])) for root, group in groups.items()]
+
+
 class _Truncated(Exception):
     pass
 
 
+# A component: its cells, then per value v tried at its smallest cell the
+# axiom excluding v (None when allowed) and the (cell, outcome) pairs v implies.
+_Component = tuple[list[int], list[str | None], list[list[tuple[int, int]] | None]]
+
+
 class _Engine:
-    """Chronological backtracking over the table cells with per-assignment
-    consistency checks for the requested axioms."""
+    """Level-wise search: each level's equations are merged into
+    components, which then take one value each (see the module docstring)."""
 
     def __init__(self, spec: SearchSpec):
         self.spec = spec
         m, n_max = spec.m, spec.n_max
         self.m = m
-        self.cells = _cells(m, n_max)
-        self.index = {c: i for i, c in enumerate(self.cells)}
-        self.level = [len(c) for c in self.cells]
-        self.out: list[int | None] = [None] * len(self.cells)
+        self.cells = cells = _cells(m, n_max)
+        self.index = {c: i for i, c in enumerate(cells)}
+        self.out: list[int | None] = [None] * len(cells)
 
-        self.po_forced = [_pareto_forced(c) for c in self.cells] if "PO" in spec.axioms else None
-        self.dp_allowed = [_dp_allowed(c, m) for c in self.cells] if "DP" in spec.axioms else None
-
-        self.n_edges: list[list[tuple[int, tuple[int, ...]]]] | None = None
+        # Each cell's orbit representative, the map from the representative's
+        # value to the cell's, and each representative's member cells.  Without
+        # N every cell is its own orbit under the identity.
+        self.orbit = list(range(len(cells)))
+        self.label = [tuple(range(m + 1))] * len(cells)
+        self.members = {i: [i] for i in range(len(cells))}
+        self.fixed: dict[int, frozenset[int]] | None = None
         if "N" in spec.axioms:
-            taus = list(permutations(range(1, m + 1)))
-            self.n_edges = [
-                [(self.index[_tau_class(tau, c)], tau) for tau in taus] for c in self.cells
+            self.members = {}
+            self.fixed = {}
+            for rep, labels, _, allowed in _orbits(cells, m):
+                self.members[rep] = sorted(labels)
+                self.fixed[rep] = frozenset(allowed)
+                for j, tau in labels.items():
+                    self.orbit[j] = rep
+                    self.label[j] = (0, *tau)
+        self.reps: dict[int, list[int]] = {n: [] for n in range(1, n_max + 1)}
+        for rep in self.members:
+            self.reps[len(cells[rep])].append(rep)
+
+        self.po_forced = [_pareto_forced(c) for c in cells] if "PO" in spec.axioms else None
+        self.dp_allowed = [_dp_allowed(c, m) for c in cells] if "DP" in spec.axioms else None
+
+        # the voter-deleted subprofiles of each cell (c is sorted, so dropping
+        # one position keeps the key canonical)
+        self.subcells: list[tuple[int, ...]] | None = None
+        if "RS" in spec.axioms:
+            self.subcells = [
+                tuple(self.index[c[:l] + c[l + 1 :]] for l in range(len(c))) if len(c) > 1 else ()
+                for c in cells
             ]
 
-        self.pr_from: list[list[tuple[int, int]]] | None = None
-        self.pr_to: list[list[tuple[int, int]]] | None = None
-        self.cell_leaders: list[frozenset[int]] | None = None
+        # upgrade edges (source, target, k, whether a tie at source must become k)
+        self.pr_from: list[list[tuple[int, int, bool]]] | None = None
+        self.pr_to: list[list[tuple[int, int, bool]]] | None = None
         if "PR" in spec.axioms:
-            self.pr_from = [[] for _ in self.cells]
-            self.pr_to = [[] for _ in self.cells]
-            self.cell_leaders = [_leaders(c, m) for c in self.cells]
-            for i, c in enumerate(self.cells):
+            tie = spec.pr_tie_upgrade
+            self.pr_from = [[] for _ in cells]
+            self.pr_to = [[] for _ in cells]
+            for i, c in enumerate(cells):
+                leaders = _leaders(c, m)
                 for v in sorted(set(c)):
                     pos = c.index(v)
                     for k in range(1, m + 1):
                         if k == v:
                             continue
-                        dst = tuple(sorted(c[:pos] + (k,) + c[pos + 1 :]))
-                        j = self.index[dst]
-                        self.pr_from[i].append((j, k))
-                        self.pr_to[j].append((i, k))
-
-        # reduce maps per level, built lazily once the level below is fixed
-        self._rs_maps: dict[int, tuple[dict[int, int], dict[int, list[int]]]] = {}
+                        j = self.index[tuple(sorted(c[:pos] + (k,) + c[pos + 1 :]))]
+                        binds = tie == "always" or (tie == "leaders" and k in leaders)
+                        self.pr_from[i].append((j, k, binds))
+                        self.pr_to[j].append((i, k, binds))
 
         self.nodes = 0
         self.prunes: dict[str, int] = {ax: 0 for ax in sorted(spec.axioms)}
         self.solutions: list[TabledFunction] = []
         self.exhausted = True
 
-    # -- constraint machinery ------------------------------------------------
+    # -- one level's components ------------------------------------------------
 
-    def _rs_level_maps(self, n: int) -> tuple[dict[int, int], dict[int, list[int]]]:
-        """src -> reduced-class target (and its inverse) for level n, computed
-        from the level n-1 outcomes currently on the table."""
-        cached = self._rs_maps.get(n)
-        if cached is not None:
-            return cached
-        targets: dict[int, int] = {}
-        sources: dict[int, list[int]] = {}
-        for i, c in enumerate(self.cells):
-            if len(c) != n:
-                continue
-            # c is sorted, so dropping one position keeps the key canonical
-            reduced = tuple(sorted(self.out[self.index[c[:l] + c[l + 1 :]]] for l in range(n)))
-            j = self.index[reduced]
-            targets[i] = j
-            sources.setdefault(j, []).append(i)
-        self._rs_maps[n] = (targets, sources)
-        return targets, sources
+    def _components(self, n: int) -> list[_Component]:
+        """Level n's components, given the fixed levels below, in order of
+        their smallest cell."""
+        reps = self.reps[n]
+        equations = []
+        if self.subcells is not None and n >= 2:
+            out = self.out
+            for r in reps:
+                d = self.index[tuple(sorted(out[j] for j in self.subcells[r]))]
+                # f(r) = x_r and f(d) = label[d][x_orbit(d)].  With N the
+                # equations at r's other members are relabelings of this one.
+                equations.append((r, self.orbit[d], self.label[d]))
+        return [self._component(group, rs_allowed) for group, rs_allowed in _merge(reps, equations, self.m)]
 
-    def _violated(self, i: int, v: int) -> str | None:
-        """First requested axiom violated by out[i] = v, given the current
-        partial table (out[i] already holds v)."""
+    def _component(self, group: list[tuple[int, tuple[int, ...]]], rs_allowed: frozenset[int]) -> _Component:
+        """Values at the component's smallest cell, with what each implies.
+
+        ``group`` pairs each representative r with L, x_r = L[x_root], and
+        ``rs_allowed`` holds the root values the reduction cycles allow.
+        """
+        # x_root -> outcome at every member cell; the first is the smallest
+        maps = [(c, _compose(self.label[c], label)) for r, label in group for c in self.members[r]]
+        to_root = _inverse(maps[0][1])
+        reasons: list[str | None] = []
+        assignments: list[list[tuple[int, int]] | None] = []
+        for v in range(self.m + 1):
+            x = to_root[v]
+            values = [(c, f[x]) for c, f in maps]
+            reason = self._excluded(values, [(r, label[x]) for r, label in group], x in rs_allowed)
+            reasons.append(reason)
+            assignments.append(values if reason is None else None)
+        return [c for c, _ in maps], reasons, assignments
+
+    def _excluded(
+        self, values: list[tuple[int, int]], rep_values: list[tuple[int, int]], rs_ok: bool
+    ) -> str | None:
+        """The first axiom, in the order PO, DP, N, RS, that the implied
+        values break."""
         if self.po_forced is not None:
-            forced = self.po_forced[i]
-            if forced is not None and v != forced:
+            po = self.po_forced
+            if any(po[c] is not None and po[c] != w for c, w in values):
                 return "PO"
         if self.dp_allowed is not None:
-            allowed = self.dp_allowed[i]
-            if allowed is not None and v not in allowed:
+            dp = self.dp_allowed
+            if any(dp[c] is not None and w not in dp[c] for c, w in values):
                 return "DP"
-        if self.n_edges is not None:
-            for j, tau in self.n_edges[i]:
-                w = self.out[j]
-                if w is not None and w != _tau_value(tau, v):
-                    return "N"
-        if "RS" in self.spec.axioms and self.level[i] >= 2:
-            targets, sources = self._rs_level_maps(self.level[i])
-            t = self.out[targets[i]]
-            if t is not None and t != v:
-                return "RS"
-            for src in sources.get(i, ()):
-                s = self.out[src]
-                if s is not None and s != v:
-                    return "RS"
-        if self.pr_from is not None:
-            tie = self.spec.pr_tie_upgrade
-            for j, k in self.pr_from[i]:
-                w = self.out[j]
-                if w is None or w == k:
-                    continue
-                if v == k:
-                    return "PR"
-                if v == 0 and (tie == "always" or (tie == "leaders" and k in self.cell_leaders[i])):
-                    return "PR"
-            for j, k in self.pr_to[i]:
-                s = self.out[j]
-                if s is None or v == k:
-                    continue
-                if s == k:
-                    return "PR"
-                if s == 0 and (tie == "always" or (tie == "leaders" and k in self.cell_leaders[j])):
-                    return "PR"
+        if self.fixed is not None and any(w not in self.fixed[r] for r, w in rep_values):
+            return "N"
+        if not rs_ok:
+            return "RS"
         return None
+
+    def _pr_clash(self, i: int) -> bool:
+        """An upgrade edge at cell i with both ends assigned breaks PR."""
+        out = self.out
+        v = out[i]
+        for j, k, binds in self.pr_from[i]:
+            w = out[j]
+            if w is not None and w != k and (v == k or (v == 0 and binds)):
+                return True
+        for j, k, binds in self.pr_to[i]:
+            s = out[j]
+            if s is not None and v != k and (s == k or (s == 0 and binds)):
+                return True
+        return False
 
     # -- search --------------------------------------------------------------
 
     def run(self) -> None:
         try:
-            self._backtrack(0)
+            self._search()
         except _Truncated:
             self.exhausted = False
 
-    def _backtrack(self, i: int) -> None:
-        if i == len(self.cells):
-            table = {c: self.out[j] for j, c in enumerate(self.cells)}
-            self.solutions.append(TabledFunction(self.m, self.spec.n_max, table))
-            if self.spec.limit is not None and len(self.solutions) >= self.spec.limit:
-                raise _Truncated
-            return
-        for v in range(self.m + 1):
-            self.nodes += 1
-            if self.spec.max_nodes is not None and self.nodes > self.spec.max_nodes:
-                raise _Truncated
-            self.out[i] = v
-            # a fresh value below level L invalidates reduce maps above it
-            for n in list(self._rs_maps):
-                if n > self.level[i]:
-                    del self._rs_maps[n]
-            axiom = self._violated(i, v)
-            if axiom is None:
-                self._backtrack(i + 1)
-            else:
+    def _try(self, comp: _Component, v: int) -> str | None:
+        """Assign value v at the component's smallest cell, or return the
+        axiom that excludes it (leaving the component unassigned)."""
+        cells, reasons, assignments = comp
+        if reasons[v] is not None:
+            return reasons[v]
+        for i, w in assignments[v]:
+            self.out[i] = w
+        if self.pr_from is not None and any(self._pr_clash(i) for i in cells):
+            for i in cells:
+                self.out[i] = None
+            return "PR"
+        return None
+
+    def _search(self) -> None:
+        m, n_max, max_nodes = self.m, self.spec.n_max, self.spec.max_nodes
+        # one frame per component on the current branch: its level, that
+        # level's components, its position among them, the next value to try
+        stack = [[1, self._components(1), 0, 0]]
+        while stack:
+            frame = stack[-1]
+            n, comps, k, start = frame
+            comp = comps[k]
+            for i in comp[0]:
+                self.out[i] = None
+            for v in range(start, m + 1):
+                self.nodes += 1
+                if max_nodes is not None and self.nodes > max_nodes:
+                    raise _Truncated
+                axiom = self._try(comp, v)
+                if axiom is None:
+                    break
                 self.prunes[axiom] += 1
-            self.out[i] = None
+            else:
+                stack.pop()
+                continue
+            frame[3] = v + 1
+            if k + 1 < len(comps):
+                stack.append([n, comps, k + 1, 0])
+            elif n < n_max:
+                stack.append([n + 1, self._components(n + 1), 0, 0])
+            else:
+                self._emit()
+
+    def _emit(self) -> None:
+        table = {c: self.out[j] for j, c in enumerate(self.cells)}
+        self.solutions.append(TabledFunction(self.m, self.spec.n_max, table))
+        if self.spec.limit is not None and len(self.solutions) >= self.spec.limit:
+            raise _Truncated
 
 
 def enumerate_functions(spec: SearchSpec) -> SearchResult:
     """All anonymous functions on the bounded profile space satisfying the
-    requested axioms, by exhaustive backtracking; ``exhausted`` is False iff
-    a node or solution limit cut the search short."""
+    requested axioms, in lexicographic order of their cell values, by the
+    level-wise search; ``exhausted`` is False iff a node or solution limit cut
+    the search short."""
     cells = sum(profile_count(spec.m, n, canonical_only=True) for n in range(1, spec.n_max + 1))
     if cells > spec.max_cells:
         raise SearchInfeasibleError(
@@ -343,33 +528,15 @@ def neutral_orbits(m: int, n_max: int) -> list[NeutralOrbit]:
     """Orbits of canonical profiles under candidate relabelings, in
     (n, representative) order."""
     cells = _cells(m, n_max)
-    index = {c: i for i, c in enumerate(cells)}
-    taus = list(permutations(range(1, m + 1)))
-    claimed: set[int] = set()
-    orbits: list[NeutralOrbit] = []
-    for i, c in enumerate(cells):
-        if i in claimed:
-            continue
-        members: set[int] = set()
-        stabilizer: list[tuple[int, ...]] = []
-        for tau in taus:
-            j = index[_tau_class(tau, c)]
-            members.add(j)
-            if j == i:
-                stabilizer.append(tau)
-        allowed = tuple(
-            o for o in range(m + 1) if all(_tau_value(tau, o) == o for tau in stabilizer)
+    return [
+        NeutralOrbit(
+            representative=Profile(m, cells[rep]),
+            members=tuple(cells[j] for j in sorted(labels)),
+            stabilizer=stabilizer,
+            allowed_outcomes=allowed,
         )
-        orbits.append(
-            NeutralOrbit(
-                representative=Profile(m, c),
-                members=tuple(cells[j] for j in sorted(members)),
-                stabilizer=tuple(stabilizer),
-                allowed_outcomes=allowed,
-            )
-        )
-        claimed |= members
-    return orbits
+        for rep, labels, stabilizer, allowed in _orbits(cells, m)
+    ]
 
 
 def enumerate_neutral_functions(
@@ -381,23 +548,21 @@ def enumerate_neutral_functions(
     propagated to the whole orbit, so neutrality holds by construction and no
     two yielded tables are equal.
     """
-    orbits = neutral_orbits(m, n_max)
-    taus = list(permutations(range(1, m + 1)))
-    total = math.prod(len(o.allowed_outcomes) for o in orbits)
+    cells = _cells(m, n_max)
+    orbits = _orbits(cells, m)
+    total = math.prod(len(allowed) for *_, allowed in orbits)
     if max_functions is not None and total > max_functions:
         raise SearchInfeasibleError(
             f"{total} neutral functions exceed the cap of {max_functions}",
-            cells=len(_cells(m, n_max)),
+            cells=len(cells),
             tables=total,
         )
-    for choice in product(*(o.allowed_outcomes for o in orbits)):
-        table: dict[tuple[int, ...], int] = {}
-        for orbit, o in zip(orbits, choice):
-            rep = orbit.representative.ballots
-            for tau in taus:
-                key = _tau_class(tau, rep)
-                value = _tau_value(tau, o)
-                assert table.setdefault(key, value) == value, "orbit propagation clash"
+    for choice in product(*(allowed for *_, allowed in orbits)):
+        table = {
+            cells[j]: _tau_value(tau, o)
+            for (_, labels, _, _), o in zip(orbits, choice)
+            for j, tau in labels.items()
+        }
         yield TabledFunction(m, n_max, table)
 
 
@@ -437,6 +602,14 @@ def classify_profile(p: Profile) -> str:
 
 
 # -- verdicts ------------------------------------------------------------------
+
+
+def _orderings(ballots: tuple[int, ...]) -> int:
+    """Ordered profiles in the anonymity class of ``ballots``: n! / prod count_b!."""
+    count = math.factorial(len(ballots))
+    for b in set(ballots):
+        count //= math.factorial(ballots.count(b))
+    return count
 
 
 @dataclass(frozen=True)
@@ -480,7 +653,8 @@ def verify_theorem(
     """Search the axiom set {N, DP?, PO, RS} and verify the solution set is
     exactly majority rule's table; solutions are replayed through the
     independent checkers, and every profile is classified into exactly one of
-    the leader / dominating-tie / all-abstention cases."""
+    the leader / dominating-tie / all-abstention cases (one class at a time,
+    counted with its number of orderings)."""
     axioms = frozenset({"N", "PO", "RS"} | ({"DP"} if include_dp else set()))
     spec = SearchSpec(m=m, n_max=n_max, axioms=axioms, max_nodes=max_nodes)
     result = enumerate_functions(spec)
@@ -494,10 +668,12 @@ def verify_theorem(
         for ax in sorted(axioms)
     )
 
+    # the cases depend only on the counts, so each class stands for all its
+    # orderings
     case_counts = {"all_abstention": 0, "dominating_tie": 0, "leader": 0}
     partition_ok = True
     for n in range(1, n_max + 1):
-        for p in enumerate_profiles(m, n):
+        for p in enumerate_profiles(m, n, canonical_only=True):
             hits = [
                 name
                 for name, hit in (
@@ -510,7 +686,7 @@ def verify_theorem(
             if len(hits) != 1:
                 partition_ok = False
                 continue
-            case_counts[hits[0]] += 1
+            case_counts[hits[0]] += _orderings(p.ballots)
 
     return TheoremVerdict(
         m=m,

@@ -5,9 +5,12 @@ from hypothesis import given, strategies as st
 
 from scfkit import axioms
 from scfkit.axioms import (
+    CHECK_MAX_COST,
     CHECKERS,
     PR_TIE_MODES,
+    CheckInfeasibleError,
     check_anonymity,
+    check_cost,
     check_duel_property,
     check_no_tied_winner,
     check_neutrality,
@@ -16,6 +19,7 @@ from scfkit.axioms import (
     check_rs,
     reduce_profile,
     replay_witness,
+    require_feasible,
 )
 from scfkit.core import Profile, enumerate_profiles, tally
 from scfkit.rules import RULES, Rule, TabledFunction
@@ -375,3 +379,30 @@ class TestClassScan:
             mp.setattr(axioms, "_scans_classes", lambda f, m, n_max: False)
             ordered = _all_reports(t, t.m, t.n_max)
         assert by_class == ordered
+
+
+class TestFeasibility:
+    def test_infeasible_scope_is_refused_before_scanning(self):
+        # estimated only: 10! relabelings per class are never walked
+        cost = check_cost("N", 10, 3)
+        assert cost > CHECK_MAX_COST
+        with pytest.raises(CheckInfeasibleError) as err:
+            check_neutrality(MAJ, 10, 3)
+        assert err.value.cost == cost
+        assert str(cost) in str(err.value)
+
+    def test_cost_counts_ordered_profiles_for_anonymity(self):
+        assert check_cost("A", 3, 2) == 4 + 16
+        # classes times evaluations per class, plus the ordered pre-scan
+        assert check_cost("PO", 3, 2, tabled=True) == 4 + 10
+        assert check_cost("PO", 3, 2) == 4 + 10 + 4 + 16
+
+    @pytest.mark.parametrize("m,n_max", [(2, 5), (3, 4), (4, 3), (3, 6), (3, 7)])
+    def test_acceptance_and_benchmark_scopes_are_accepted(self, m, n_max):
+        for axiom in CHECKERS:
+            require_feasible(axiom, MAJ, m, n_max)
+
+    @pytest.mark.parametrize("m,n_max", [(2, 20), (3, 12), (5, 5)])
+    def test_theorem_replay_is_accepted_at_north_star_scopes(self, m, n_max):
+        for axiom in ("N", "DP", "PO", "RS"):
+            assert check_cost(axiom, m, n_max, tabled=True) <= CHECK_MAX_COST

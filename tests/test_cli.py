@@ -199,6 +199,27 @@ class TestUsage:
     def test_bad_m_exits_2(self):
         assert run(["check", "--rule", "maj", "--m", "1"]) == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["search", "--max-nodes", "0"],
+            ["search", "--max-solutions", "0"],
+            ["verify-theorem", "--max-nodes", "-1"],
+            ["verify-independence", "--n-max", "2"],
+        ],
+    )
+    def test_out_of_range_limits_exit_2(self, capsys, argv):
+        assert run(argv) == 2
+        last = capsys.readouterr().err.splitlines()[-1]
+        assert last.startswith("scfkit: error:") and argv[1] in last
+
+    def test_infeasible_check_scope_exits_2_with_estimate(self, capsys):
+        # estimated only: neutrality at m = 10 would walk 10! relabelings per class
+        assert run(["check", "--rule", "maj", "--m", "10", "--n-max", "3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "infeasible" in captured.err and "evaluations" in captured.err
+
     def test_emitted_profiles_reparse(self, tmp_path):
         # the witness profile embedded in a report is valid core text format
         out = tmp_path / "report.json"

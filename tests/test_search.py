@@ -1,6 +1,10 @@
-from itertools import permutations, product
+import gc
+import hashlib
+from functools import cache
+from itertools import combinations, permutations, product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from scfkit.axioms import (
     check_duel_property,
@@ -12,8 +16,10 @@ from scfkit.axioms import (
 from scfkit.core import Profile, enumerate_profiles, profile_count
 from scfkit.rules import RULES, TabledFunction
 from scfkit.search import (
+    SEARCH_AXIOMS,
     SearchInfeasibleError,
     SearchSpec,
+    _merge,
     classify_profile,
     enumerate_functions,
     enumerate_neutral_functions,
@@ -53,6 +59,57 @@ _CHECKER_BY_AXIOM = {
 
 def _passes_all(f, m, n_max, axioms):
     return all(_CHECKER_BY_AXIOM[ax](f, m, n_max).passed for ax in sorted(axioms))
+
+
+@cache
+def _brute_force_passes(m, n_max):
+    """Every complete table at the scope, and for each axiom the positions of
+    the tables its checker passes (RS is vacuous below two voters)."""
+    tables = list(_all_complete_tables(m, n_max))
+    passes = {
+        ax: {
+            i
+            for i, t in enumerate(tables)
+            if (ax == "RS" and n_max < 2) or checker(t, m, n_max).passed
+        }
+        for ax, checker in _CHECKER_BY_AXIOM.items()
+    }
+    return tables, passes
+
+
+# The five original subsets first, so their test ids stay put; then every
+# other subset of the search axioms at (2, 2), and all of them at (3, 1).
+_ORIGINAL_SUBSETS = [
+    {"N", "PO"}, {"N", "DP", "PO"}, {"N", "DP", "PO", "RS"}, {"PR"}, {"N", "PR"},
+]
+_ALL_SUBSETS = [set(c) for r in range(len(SEARCH_AXIOMS) + 1) for c in combinations(SEARCH_AXIOMS, r)]
+_SOUNDNESS_CASES = (
+    [(2, 2, axioms) for axioms in _ORIGINAL_SUBSETS]
+    + [(2, 2, axioms) for axioms in _ALL_SUBSETS if axioms not in _ORIGINAL_SUBSETS]
+    + [(3, 1, axioms) for axioms in _ALL_SUBSETS]
+)
+
+# sha256 of the concatenated to_text() of the ordered solution list, and its
+# length, as the chronological cell-by-cell backtracking engine emitted them
+# before the level-wise search replaced it.
+_GOLDEN = [
+    (2, 3, {"RS"}, "leaders", 22977,
+     "3465dc2dd8f64ad108be77eb963742820f2b5283d25e43426965752952f68371"),
+    (3, 2, {"PR", "RS"}, "leaders", 1224,
+     "fddf88137e00999283fd39eb81f07d62f00ec10d0d564b7f0ad14df7d7b59d65"),
+    (3, 2, {"PR", "RS"}, "always", 509,
+     "eb3d07170218fab61efa385cd21ed86ee047cfff3c2a5344c094a5c12fc9a41f"),
+    (3, 2, {"PR", "RS"}, "wins", 4610,
+     "9eaeceb01470ebb32cd440ea0c8288d5262ac774356eeca17c72521dc06aea4a"),
+    (3, 3, {"N", "PO", "RS"}, "leaders", 3,
+     "e68954fb2f8b63727183323a944a971da9195bca3025cf42d70e691c4648369f"),
+    (3, 5, {"N", "PO", "RS"}, "leaders", 21,
+     "b2f33b882b59bd05d55949a5cf970413016c9bcbce6b126c716a63b3ccf8408d"),
+    (4, 3, {"N", "PO", "RS"}, "leaders", 1,
+     "d4477016835a57cc347eee52222f34a79ece3262bfc66d0ba53849ea2db39e96"),
+    (2, 4, {"N", "PR"}, "leaders", 1,
+     "5680c1bcf98d0347e31c9bece9fb7f9eb288db4be581da682f97e4ace52c79aa"),
+]
 
 
 class TestSearchSpec:
@@ -142,16 +199,79 @@ class TestEnumerateFunctions:
         assert len(result.solutions) == 3 ** 3
 
     @pytest.mark.parametrize(
-        "axioms",
-        [{"N", "PO"}, {"N", "DP", "PO"}, {"N", "DP", "PO", "RS"}, {"PR"}, {"N", "PR"}],
+        "m,n_max,axioms",
+        _SOUNDNESS_CASES,
+        ids=[f"axioms{i}" for i in range(len(_SOUNDNESS_CASES))],
     )
-    def test_pruned_search_equals_brute_force_filter(self, axioms):
+    def test_pruned_search_equals_brute_force_filter(self, m, n_max, axioms):
+        tables, passes = _brute_force_passes(m, n_max)
         brute = [
-            t.table for t in _all_complete_tables(2, 2) if _passes_all(t, 2, 2, axioms)
+            t.table for i, t in enumerate(tables) if all(i in passes[ax] for ax in axioms)
         ]
-        result = enumerate_functions(SearchSpec(m=2, n_max=2, axioms=frozenset(axioms)))
+        result = enumerate_functions(SearchSpec(m=m, n_max=n_max, axioms=frozenset(axioms)))
         assert result.exhausted
         assert [s.table for s in result.solutions] == brute
+
+    @pytest.mark.parametrize("m,n_max,axioms,tie,count,digest", _GOLDEN)
+    def test_solution_lists_match_golden_digests(self, m, n_max, axioms, tie, count, digest):
+        result = enumerate_functions(
+            SearchSpec(m=m, n_max=n_max, axioms=frozenset(axioms), pr_tie_upgrade=tie)
+        )
+        assert result.exhausted
+        assert len(result.solutions) == count
+        text = "".join(s.to_text() for s in result.solutions)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    def test_reducibility_is_propagated_not_searched(self):
+        # chronological backtracking needed 12.8M nodes here
+        result = enumerate_functions(
+            SearchSpec(m=2, n_max=10, axioms=frozenset({"N", "DP", "PO", "RS"}), max_nodes=10_000)
+        )
+        assert result.exhausted
+        assert result.solutions == [_maj_table(2, 10)]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_merged_equations_have_the_brute_force_solutions(self, data):
+        # x_a = rho[x_b] over k nodes with candidate relabelings rho; cycles
+        # through relabeled roots are where a dropped label would show
+        m = data.draw(st.integers(2, 4))
+        k = data.draw(st.integers(1, 5))
+        relabelings = [(0, *tau) for tau in permutations(range(1, m + 1))]
+        equations = data.draw(
+            st.lists(
+                st.tuples(st.integers(0, k - 1), st.integers(0, k - 1), st.sampled_from(relabelings)),
+                max_size=7,
+            )
+        )
+        brute = {
+            xs
+            for xs in product(range(m + 1), repeat=k)
+            if all(xs[a] == rho[xs[b]] for a, b, rho in equations)
+        }
+        components = _merge(list(range(k)), equations, m)
+        assert sorted(a for group, _ in components for a, _ in group) == list(range(k))
+        firsts = [group[0][0] for group, _ in components]
+        assert firsts == sorted(firsts)
+        assert all(group[0][0] == min(a for a, _ in group) for group, _ in components)
+        merged = set()
+        for roots in product(*(sorted(allowed) for _, allowed in components)):
+            xs = [0] * k
+            for (group, _), x in zip(components, roots):
+                for a, label in group:
+                    xs[a] = label[x]
+            merged.add(tuple(xs))
+        assert merged == brute
+
+    def test_search_leaves_no_cyclic_garbage(self):
+        spec = SearchSpec(m=2, n_max=9, axioms=frozenset({"N", "DP", "PO", "RS"}))
+        gc.collect()
+        gc.disable()
+        try:
+            enumerate_functions(spec)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     @pytest.mark.parametrize("tie", ["leaders", "always", "wins"])
     def test_responsiveness_modes_agree_with_checker(self, tie):
@@ -257,6 +377,20 @@ class TestClassification:
             profile_count(2, n) for n in range(1, 4)
         )
 
+    @pytest.mark.parametrize("m,n_max", [(2, 4), (3, 3), (4, 2)])
+    def test_class_weighted_counts_equal_ordered_enumeration(self, m, n_max):
+        ordered = {"all_abstention": 0, "dominating_tie": 0, "leader": 0}
+        for n in range(1, n_max + 1):
+            for p in enumerate_profiles(m, n):
+                ordered[classify_profile(p)] += 1
+        assert verify_theorem(m, n_max).case_counts == ordered
+
+    def test_case_counts_at_three_candidates_seven_voters(self):
+        verdict = verify_theorem(3, 7)
+        assert verdict.case_counts == {
+            "all_abstention": 7, "dominating_tie": 5904, "leader": 15933,
+        }
+
 
 class TestVerdicts:
     def test_theorem_holds_with_duel_property(self):
@@ -271,6 +405,10 @@ class TestVerdicts:
 
     def test_theorem_holds_at_three_candidates(self):
         assert verify_theorem(3, 3).passed
+
+    def test_theorem_holds_at_ten_voters(self):
+        verdict = verify_theorem(2, 10)
+        assert verdict.passed and verdict.exhausted
 
     def test_duel_property_redundant_from_four_candidates(self):
         verdict = verify_theorem(4, 2, include_dp=False)
