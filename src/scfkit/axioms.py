@@ -14,7 +14,9 @@ per anonymity class, anything else over every ordered profile.  The
 
 Before any scan, each checker estimates its cost (:func:`check_cost`) and
 refuses a scope above :data:`CHECK_MAX_COST` with a
-:class:`CheckInfeasibleError`, rather than running for hours.
+:class:`CheckInfeasibleError`, rather than running for hours.  A function
+that fails the anonymity pre-scan is estimated again for the ordered scan
+before that scan starts.
 """
 
 from __future__ import annotations
@@ -171,30 +173,32 @@ def _evaluations_per_class(axiom: str, m: int, n: int) -> int:
     return 1
 
 
-def check_cost(axiom: str, m: int, n_max: int, tabled: bool = False) -> int:
+def check_cost(axiom: str, m: int, n_max: int, tabled: bool = False, ordered: bool = False) -> int:
     """Estimated evaluations of f by one checker at scope (m, n_max).
 
     A scans every ordered profile.  The other checkers scan anonymity classes
     times the evaluations per class, after an ordered anonymity pre-scan
-    unless f is a :class:`TabledFunction` (``tabled``).  A function that
-    fails anonymity is scanned over ordered profiles, which this estimate
-    undercounts by the class sizes.
+    unless f is a :class:`TabledFunction` (``tabled``).  With ``ordered``,
+    the estimate is instead that of the fallback scan of a function that
+    failed the pre-scan: every ordered profile times the evaluations per
+    profile.
     """
     _validate_scope(m, n_max)
-    ordered = sum(profile_count(m, n) for n in range(1, n_max + 1))
+    profiles = sum(profile_count(m, n) for n in range(1, n_max + 1))
     if axiom == "A":
-        return ordered
-    classes = sum(
-        profile_count(m, n, canonical_only=True) * _evaluations_per_class(axiom, m, n)
+        return profiles
+    scan = sum(
+        profile_count(m, n, canonical_only=not ordered) * _evaluations_per_class(axiom, m, n)
         for n in range(1, n_max + 1)
     )
-    return classes if tabled else ordered + classes
+    return scan if tabled or ordered else profiles + scan
 
 
-def require_feasible(axiom: str, f, m: int, n_max: int) -> None:
+def require_feasible(axiom: str, f, m: int, n_max: int, ordered: bool = False) -> None:
     """Raise :class:`CheckInfeasibleError` when checking ``axiom`` for f at
-    the scope is estimated to exceed :data:`CHECK_MAX_COST`."""
-    cost = check_cost(axiom, m, n_max, tabled=isinstance(f, TabledFunction))
+    the scope (or, with ``ordered``, its ordered fallback scan) is estimated
+    to exceed :data:`CHECK_MAX_COST`."""
+    cost = check_cost(axiom, m, n_max, tabled=isinstance(f, TabledFunction), ordered=ordered)
     if cost > CHECK_MAX_COST:
         raise CheckInfeasibleError(
             f"checking {axiom} at m={m}, n_max={n_max} needs about {cost} "
@@ -214,15 +218,22 @@ def _scans_classes(f, m: int, n_max: int) -> bool:
 
 
 def _first_witness(
+    axiom: str,
+    f,
     m: int,
     n_max: int,
     per_profile: Callable[[Profile], Witness | None],
-    canonical_only: bool = False,
     n_min: int = 1,
 ) -> Witness | None:
-    """First violation in (n, profile) stream order."""
+    """First violation in (n, profile) stream order, for a checker other
+    than A: over one sorted profile per class when f is anonymous on the
+    scope, else over every ordered profile once that scan is estimated
+    feasible."""
+    by_class = _scans_classes(f, m, n_max)
+    if not by_class:
+        require_feasible(axiom, f, m, n_max, ordered=True)
     for n in range(n_min, n_max + 1):
-        for p in enumerate_profiles(m, n, canonical_only=canonical_only):
+        for p in enumerate_profiles(m, n, canonical_only=by_class):
             w = per_profile(p)
             if w is not None:
                 return w
@@ -241,28 +252,36 @@ def _sorting_permutation(p: Profile) -> VoterPermutation:
 def check_anonymity(f, m: int, n_max: int, workers: int = 1) -> AxiomReport:
     """f(P sigma) = f(P) for every voter permutation sigma; implemented as
     "f is constant on each anonymity class" by comparing against the sorted
-    representative."""
+    representative.
+
+    f is evaluated once per non-canonical ordered profile.  The sorted
+    member's outcome is evaluated the first time its class needs it, after
+    that profile's own, and kept for the rest of the level.
+    """
     _validate_scope(m, n_max)
     require_feasible("A", f, m, n_max)
-
-    def per_profile(p: Profile) -> Witness | None:
-        if p.is_canonical():
-            return None
-        c = canonicalize(p)
-        actual = f.evaluate(p)
-        expected = f.evaluate(c)
-        if actual != expected:
-            return Witness(
-                profile=p,
-                related_profile=c,
-                permutation=_sorting_permutation(p).image,
-                actual=actual,
-                expected=expected,
-            )
-        return None
-
-    w = _first_witness(m, n_max, per_profile)
-    return AxiomReport("A", m, n_max, w is None, w)
+    evaluate = f.evaluate
+    for n in range(1, n_max + 1):
+        expected_of: dict[tuple[int, ...], int] = {}
+        for p in enumerate_profiles(m, n):
+            key = tuple(sorted(p.ballots))
+            if key == p.ballots:
+                continue
+            actual = evaluate(p)
+            if key in expected_of:
+                expected = expected_of[key]
+            else:
+                expected = expected_of[key] = evaluate(Profile._trusted(m, key))
+            if actual != expected:
+                w = Witness(
+                    profile=p,
+                    related_profile=canonicalize(p),
+                    permutation=_sorting_permutation(p).image,
+                    actual=actual,
+                    expected=expected,
+                )
+                return AxiomReport("A", m, n_max, False, w)
+    return AxiomReport("A", m, n_max, True)
 
 
 def check_neutrality(f, m: int, n_max: int, workers: int = 1) -> AxiomReport:
@@ -288,7 +307,7 @@ def check_neutrality(f, m: int, n_max: int, workers: int = 1) -> AxiomReport:
                 )
         return None
 
-    w = _first_witness(m, n_max, per_profile, _scans_classes(f, m, n_max))
+    w = _first_witness("N", f, m, n_max, per_profile)
     return AxiomReport("N", m, n_max, w is None, w)
 
 
@@ -318,7 +337,7 @@ def check_duel_property(f, m: int, n_max: int, workers: int = 1) -> AxiomReport:
                 return Witness(profile=p, pair=(i, j), actual=out, note="outcome outside {0, i, j}")
         return None
 
-    w = _first_witness(m, n_max, per_profile, _scans_classes(f, m, n_max))
+    w = _first_witness("DP", f, m, n_max, per_profile)
     return AxiomReport("DP", m, n_max, w is None, w)
 
 
@@ -338,12 +357,16 @@ def check_pareto(f, m: int, n_max: int, workers: int = 1) -> AxiomReport:
             return Witness(profile=p, candidate=k, expected=k, actual=out)
         return None
 
-    w = _first_witness(m, n_max, per_profile, _scans_classes(f, m, n_max))
+    w = _first_witness("PO", f, m, n_max, per_profile)
     return AxiomReport("PO", m, n_max, w is None, w)
 
 
 def reduce_profile(f, p: Profile) -> Profile:
-    """The profile of subsociety outcomes: ballot l is f with voter l removed."""
+    """The profile of subsociety outcomes: ballot l is f with voter l removed.
+
+    Its ballots are outcomes of f, not ballots of p, so it is validated like
+    any profile built from outside the library.
+    """
     if p.n < 2:
         raise ValueError("subsociety reduction needs at least 2 voters")
     return Profile(p.m, tuple(f.evaluate(remove_voter(p, l)) for l in range(1, p.n + 1)))
@@ -365,7 +388,7 @@ def check_rs(f, m: int, n_max: int, workers: int = 1) -> AxiomReport:
             return Witness(profile=p, related_profile=reduced, actual=lhs, expected=rhs)
         return None
 
-    w = _first_witness(m, n_max, per_profile, _scans_classes(f, m, n_max), n_min=2)
+    w = _first_witness("RS", f, m, n_max, per_profile, n_min=2)
     return AxiomReport("RS", m, n_max, w is None, w)
 
 
@@ -393,13 +416,16 @@ def check_positive_responsiveness(
             targets = _tie_candidates(p, tie_upgrade)
             note = f"pr:tie:{tie_upgrade}"
         else:
+            # an outcome of f becomes a ballot, so it is checked here
+            if not 0 < out <= m:
+                raise ValueError(f"outcome {out} outside [0, {m}]")
             targets = (out,)
             note = "pr:win"
         for k in targets:
             for l in range(1, p.n + 1):
                 if p.ballots[l - 1] == k:
                     continue
-                upgraded = Profile(m, p.ballots[: l - 1] + (k,) + p.ballots[l:])
+                upgraded = Profile._trusted(m, p.ballots[: l - 1] + (k,) + p.ballots[l:])
                 actual = f.evaluate(upgraded)
                 if actual != k:
                     return Witness(
@@ -413,7 +439,7 @@ def check_positive_responsiveness(
                     )
         return None
 
-    w = _first_witness(m, n_max, per_profile, _scans_classes(f, m, n_max))
+    w = _first_witness("PR", f, m, n_max, per_profile)
     return AxiomReport("PR", m, n_max, w is None, w)
 
 
@@ -435,7 +461,7 @@ def check_no_tied_winner(f, m: int, n_max: int, workers: int = 1) -> AxiomReport
                     return Witness(profile=p, pair=(i, j), actual=out, note="tied pair won")
         return None
 
-    w = _first_witness(m, n_max, per_profile, _scans_classes(f, m, n_max))
+    w = _first_witness("NTW", f, m, n_max, per_profile)
     return AxiomReport("NTW", m, n_max, w is None, w)
 
 

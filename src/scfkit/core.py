@@ -55,6 +55,10 @@ class Profile:
     ``m`` is explicit: two profiles with equal ballots but different ``m``
     are distinct values, because candidate relabelings quantify over all m
     candidates, including those receiving zero votes.
+
+    Construction validates m and every ballot.  Profiles the library derives
+    from valid ones (enumeration, voter removal, permutations, sorting) skip
+    that check through :meth:`_trusted`.
     """
 
     m: int
@@ -70,13 +74,20 @@ class Profile:
             if not 0 <= b <= self.m:
                 raise ValueError(f"ballot {b} outside [0, {self.m}]")
 
+    @classmethod
+    def _trusted(cls, m: int, ballots: tuple[int, ...]) -> "Profile":
+        """A profile built without validation, for ballots the library has
+        derived from a valid profile: a non-empty tuple over [0, m], m >= 2."""
+        p = object.__new__(cls)
+        fields = p.__dict__
+        fields["m"] = m
+        fields["ballots"] = ballots
+        return p
+
     @property
     def n(self) -> int:
         """Number of voters."""
         return len(self.ballots)
-
-    def is_canonical(self) -> bool:
-        return all(a <= b for a, b in zip(self.ballots, self.ballots[1:]))
 
 
 @dataclass(frozen=True)
@@ -176,14 +187,14 @@ def apply_voter_permutation(p: Profile, sigma: VoterPermutation) -> Profile:
     out = [0] * p.n
     for l in range(p.n):
         out[sigma.image[l] - 1] = p.ballots[l]
-    return Profile(p.m, tuple(out))
+    return Profile._trusted(p.m, tuple(out))
 
 
 def apply_candidate_permutation(p: Profile, tau: CandidatePermutation) -> Profile:
     """Relabel every ballot; abstentions are unchanged."""
     if tau.m != p.m:
         raise ValueError(f"permutation on {tau.m} candidates applied to m={p.m} profile")
-    return Profile(p.m, tuple(tau.outcome(b) for b in p.ballots))
+    return Profile._trusted(p.m, tuple(tau.outcome(b) for b in p.ballots))
 
 
 def apply_to_outcome(o: Outcome, tau: CandidatePermutation) -> Outcome:
@@ -199,12 +210,12 @@ def remove_voter(p: Profile, l: int) -> Profile:
         raise IndexError(f"voter index {l} outside [1, {p.n}]")
     if p.n == 1:
         raise ValueError("cannot remove the only voter")
-    return Profile(p.m, p.ballots[: l - 1] + p.ballots[l:])
+    return Profile._trusted(p.m, p.ballots[: l - 1] + p.ballots[l:])
 
 
 def canonicalize(p: Profile) -> Profile:
     """The sorted representative of p's anonymity class."""
-    return Profile(p.m, tuple(sorted(p.ballots)))
+    return Profile._trusted(p.m, tuple(sorted(p.ballots)))
 
 
 def enumerate_profiles(m: int, n: int, canonical_only: bool = False) -> Iterator[Profile]:
@@ -220,8 +231,9 @@ def enumerate_profiles(m: int, n: int, canonical_only: bool = False) -> Iterator
         raise ValueError(f"voter count must be >= 1, got {n}")
     values = range(m + 1)
     source = combinations_with_replacement(values, n) if canonical_only else product(values, repeat=n)
+    trusted = Profile._trusted
     for ballots in source:
-        yield Profile(m, ballots)
+        yield trusted(m, ballots)
 
 
 def profile_count(m: int, n: int, canonical_only: bool = False) -> int:

@@ -1,3 +1,4 @@
+import math
 from itertools import product
 
 import pytest
@@ -8,7 +9,9 @@ from scfkit.axioms import (
     CHECK_MAX_COST,
     CHECKERS,
     PR_TIE_MODES,
+    AxiomReport,
     CheckInfeasibleError,
+    Witness,
     check_anonymity,
     check_cost,
     check_duel_property,
@@ -22,7 +25,7 @@ from scfkit.axioms import (
     require_feasible,
 )
 from scfkit.core import Profile, enumerate_profiles, tally
-from scfkit.rules import RULES, Rule, TabledFunction
+from scfkit.rules import RULES, IncompleteTableError, Rule, TabledFunction
 
 MAJ = RULES["maj"]
 UC = RULES["uc"]
@@ -83,6 +86,113 @@ class TestAnonymity:
         assert w.profile.ballots == (1, 0)
         assert w.related_profile.ballots == (0, 1)
         assert (w.actual, w.expected) == (1, 0)
+
+
+class OrderedFunction:
+    """A function given by an explicit outcome per *ordered* profile, so
+    unlike a TabledFunction it may be anything but anonymous."""
+
+    def __init__(self, table: dict[tuple[int, ...], int]):
+        self.table = table
+
+    def evaluate(self, p: Profile) -> int:
+        return self.table[p.ballots]
+
+
+def _two_evaluation_anonymity(f, m, n_max) -> AxiomReport:
+    """Reference anonymity scan: every ordered profile that is not sorted is
+    compared with its sorted member, evaluating f on both each time."""
+    for n in range(1, n_max + 1):
+        for ballots in product(range(m + 1), repeat=n):
+            key = tuple(sorted(ballots))
+            if key == ballots:
+                continue
+            p, c = Profile(m, ballots), Profile(m, key)
+            actual = f.evaluate(p)
+            expected = f.evaluate(c)
+            if actual != expected:
+                # stable sort: voter l moves to the rank of (ballot, l)
+                order = sorted(range(n), key=lambda l: (ballots[l], l))
+                image = [0] * n
+                for rank, l in enumerate(order, start=1):
+                    image[l] = rank
+                w = Witness(
+                    profile=p,
+                    related_profile=c,
+                    permutation=tuple(image),
+                    actual=actual,
+                    expected=expected,
+                )
+                return AxiomReport("A", m, n_max, False, w)
+    return AxiomReport("A", m, n_max, True)
+
+
+@st.composite
+def ordered_functions(draw):
+    """Random functions over ordered profiles, and anonymous ones with one
+    ordered entry flipped."""
+    m, n_max = draw(st.sampled_from([(2, 3), (3, 2), (3, 3)]))
+    profiles = [b for n in range(1, n_max + 1) for b in product(range(m + 1), repeat=n)]
+    if draw(st.booleans()):
+        values = draw(st.lists(st.integers(0, m), min_size=len(profiles), max_size=len(profiles)))
+        return m, n_max, OrderedFunction(dict(zip(profiles, values)))
+    classes = sorted({tuple(sorted(b)) for b in profiles})
+    values = draw(st.lists(st.integers(0, m), min_size=len(classes), max_size=len(classes)))
+    by_class = dict(zip(classes, values))
+    table = {b: by_class[tuple(sorted(b))] for b in profiles}
+    flipped = draw(st.sampled_from(profiles))
+    table[flipped] = (table[flipped] + draw(st.integers(1, m))) % (m + 1)
+    return m, n_max, OrderedFunction(table)
+
+
+class TestAnonymityScan:
+    @given(ordered_functions())
+    def test_single_evaluation_scan_equals_two_evaluation_scan(self, case):
+        m, n_max, f = case
+        report = check_anonymity(f, m, n_max)
+        assert report.to_dict() == _two_evaluation_anonymity(f, m, n_max).to_dict()
+        if not report.passed:
+            assert replay_witness(f, report)
+
+    def test_evaluates_once_per_non_canonical_profile(self):
+        calls = []
+        counted = Rule("maj", lambda p: calls.append(p.ballots) or MAJ.evaluate(p))
+        m, n_max = 3, 4
+        check_anonymity(counted, m, n_max)
+        # every unsorted profile once, plus the sorted member of each class
+        # with more than one member
+        ordered = sum((m + 1) ** n for n in range(1, n_max + 1))
+        classes = sum(math.comb(n + m, m) for n in range(1, n_max + 1))
+        want = (ordered - classes) + (classes - (m + 1) * n_max)
+        assert len(calls) == want
+        unsorted = [b for b in calls if list(b) != sorted(b)]
+        assert len(unsorted) == len(set(unsorted)) == ordered - classes
+        # nothing is carried over to the next call
+        check_anonymity(counted, m, n_max)
+        assert len(calls) == 2 * want
+
+    def test_incomplete_table_raises_for_the_same_entry(self):
+        maj = TabledFunction.from_rule(MAJ, 2, 3)
+        # (1, 1) comes first among the classes, but its only member is sorted
+        # and never evaluated; (1, 2) is first needed by the profile (2, 1)
+        table = {k: v for k, v in maj.table.items() if k not in ((1, 1), (1, 2))}
+        t = TabledFunction(2, 3, table)
+        with pytest.raises(IncompleteTableError) as reference:
+            _two_evaluation_anonymity(t, 2, 3)
+        with pytest.raises(IncompleteTableError) as err:
+            check_anonymity(t, 2, 3)
+        assert err.value.ballots == reference.value.ballots == (1, 2)
+        # f(p) is evaluated before f(sorted p): with both missing, p is named
+        partial = OrderedFunction({b: 0 for b in product(range(3), repeat=2) if b not in ((0, 1), (1, 0))})
+        for scan in (_two_evaluation_anonymity, check_anonymity):
+            with pytest.raises(KeyError) as err:
+                scan(partial, 2, 2)
+            assert err.value.args == ((1, 0),)
+
+    def test_table_missing_only_single_member_classes_passes(self):
+        maj = TabledFunction.from_rule(MAJ, 2, 2)
+        t = TabledFunction(2, 2, {k: v for k, v in maj.table.items() if k != (1, 1)})
+        assert check_anonymity(t, 2, 2).passed
 
 
 class TestNeutrality:
@@ -240,6 +350,12 @@ class TestPositiveResponsiveness:
         with pytest.raises(ValueError):
             check_positive_responsiveness(MAJ, 2, 2, tie_upgrade="sometimes")
 
+    @pytest.mark.parametrize("outcome", [3, -1])
+    def test_rejects_an_outcome_that_cannot_be_a_ballot(self, outcome):
+        # a winning outcome is written into the upgraded profile as a ballot
+        with pytest.raises(ValueError):
+            check_positive_responsiveness(Rule("bad", lambda p: outcome), 2, 2)
+
 
 class TestNoTiedWinner:
     def test_majority_never_crowns_tied_candidates(self):
@@ -396,6 +512,27 @@ class TestFeasibility:
         # classes times evaluations per class, plus the ordered pre-scan
         assert check_cost("PO", 3, 2, tabled=True) == 4 + 10
         assert check_cost("PO", 3, 2) == 4 + 10 + 4 + 16
+
+    @pytest.mark.parametrize(
+        "checker,axiom,n_max,class_cost,ordered_cost",
+        [
+            (check_neutrality, "N", 9, 354_522, 2_446_668),
+            (check_positive_responsiveness, "PR", 8, 97_378, 2_097_152),
+        ],
+    )
+    def test_ordered_fallback_is_refused_before_scanning(self, checker, axiom, n_max, class_cost, ordered_cost):
+        # accepted as a class scan, but "last" fails A at n = 2, and every
+        # ordered profile would then cost the per-class evaluations
+        assert check_cost(axiom, 3, n_max) == class_cost <= CHECK_MAX_COST
+        assert check_cost(axiom, 3, n_max, ordered=True) == ordered_cost > CHECK_MAX_COST
+        calls = []
+        last = Rule("last", lambda p: calls.append(p) or p.ballots[-1])
+        with pytest.raises(CheckInfeasibleError) as err:
+            checker(last, 3, n_max)
+        assert err.value.cost == ordered_cost
+        assert str(ordered_cost) in str(err.value)
+        # only the anonymity pre-scan ran: (1, 0) against (0, 1)
+        assert len(calls) == 2
 
     @pytest.mark.parametrize("m,n_max", [(2, 5), (3, 4), (4, 3), (3, 6), (3, 7)])
     def test_acceptance_and_benchmark_scopes_are_accepted(self, m, n_max):

@@ -219,6 +219,48 @@ class TestProperties:
         assert smaller.n == p.n - 1
 
 
+def _assert_like_validated(p: Profile) -> None:
+    """p equals, and hashes like, the same profile built by validation."""
+    assert type(p.ballots) is tuple
+    built = Profile(p.m, tuple(p.ballots))
+    assert p == built and hash(p) == hash(built)
+    assert (p.m, p.n) == (built.m, built.n)
+
+
+class TestTrustedProfiles:
+    @pytest.mark.parametrize("m,n", [(2, 1), (2, 3), (3, 2), (4, 2)])
+    @pytest.mark.parametrize("canonical_only", [False, True])
+    def test_enumerated_profiles_match_validated_ones(self, m, n, canonical_only):
+        for p in enumerate_profiles(m, n, canonical_only=canonical_only):
+            _assert_like_validated(p)
+            assert p.m == m
+
+    @given(profiles_with_voter_perm())
+    def test_voter_permutation_output(self, case):
+        _assert_like_validated(apply_voter_permutation(*case))
+
+    @given(profiles_with_candidate_perm())
+    def test_candidate_permutation_output(self, case):
+        _assert_like_validated(apply_candidate_permutation(*case))
+
+    @given(profiles().filter(lambda p: p.n >= 2), st.data())
+    def test_remove_voter_output(self, p, data):
+        _assert_like_validated(remove_voter(p, data.draw(st.integers(1, p.n))))
+
+    @given(profiles())
+    def test_canonicalize_output(self, p):
+        _assert_like_validated(canonicalize(p))
+
+    def test_public_construction_still_validates(self):
+        for m, ballots in [(1, (0,)), (2, ()), (2, (3,)), (3, (1, -1)), (2, [1, 5])]:
+            with pytest.raises(ValueError):
+                Profile(m, ballots)
+        assert Profile(2, [1, 0]).ballots == (1, 0)
+        for text in ["1 1\n0\n", "2 0\n\n", "2 1\n3\n", "3 2\n1 -1\n"]:
+            with pytest.raises(ProfileParseError):
+                parse_profile(text)
+
+
 class TestTextFormat:
     def test_documented_example(self):
         p = parse_profile("3 3\n1 1 2")
