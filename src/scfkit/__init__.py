@@ -41,6 +41,7 @@ from .axioms import (
     CheckInfeasibleError,
     Witness,
     check_anonymity,
+    check_axioms,
     check_cost,
     check_duel_property,
     check_no_tied_winner,
@@ -84,7 +85,7 @@ __all__ = [
     "constant_zero", "RULES",
     # axioms
     "AXIOM_IDS", "PR_TIE_MODES", "Witness", "AxiomReport", "reduce_profile",
-    "check_anonymity", "check_neutrality", "check_duel_property",
+    "check_axioms", "check_anonymity", "check_neutrality", "check_duel_property",
     "check_pareto", "check_rs", "check_positive_responsiveness",
     "check_no_tied_winner", "replay_witness", "CHECKERS", "CHECK_MAX_COST",
     "CheckInfeasibleError", "check_cost",

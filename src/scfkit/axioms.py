@@ -6,21 +6,18 @@ lexicographic (n, profile, permutation-or-pair-or-(candidate, voter)) order.
 Witnesses are replayable: :func:`replay_witness` re-derives the violation
 from the recorded configuration and the function alone.
 
-Every checker except A first establishes that f is anonymous on the scope:
-a :class:`TabledFunction` is by construction, any other function must pass
-:func:`check_anonymity`.  An anonymous f is then scanned one sorted profile
-per anonymity class, anything else over every ordered profile.  The
-``workers`` keyword is accepted for compatibility and ignored.
-
-Before any scan, each checker estimates its cost (:func:`check_cost`) and
-refuses a scope above :data:`CHECK_MAX_COST` with a
-:class:`CheckInfeasibleError`, rather than running for hours.  A function
-that fails the anonymity pre-scan is estimated again for the ordered scan
-before that scan starts.
+Every checker is a call of :func:`check_axioms`, which checks any list of
+axioms and establishes anonymity once per call.  A scope estimated above
+:data:`CHECK_MAX_COST` (:func:`check_cost`) is refused with a
+:class:`CheckInfeasibleError` before f is evaluated, rather than running for
+hours.  An anonymous f is scanned one sorted profile per anonymity class,
+anything else over every ordered profile.  The ``workers`` keyword of the
+checkers is accepted for compatibility and ignored.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from itertools import permutations
@@ -39,7 +36,7 @@ from .core import (
     remove_voter,
     tally,
 )
-from .rules import TabledFunction
+from .rules import TabledFunction, _check_scope
 
 __all__ = [
     "AXIOM_IDS",
@@ -51,6 +48,7 @@ __all__ = [
     "Witness",
     "AxiomReport",
     "reduce_profile",
+    "check_axioms",
     "check_anonymity",
     "check_neutrality",
     "check_duel_property",
@@ -154,13 +152,6 @@ class AxiomReport:
         return doc
 
 
-def _validate_scope(m: int, n_max: int) -> None:
-    if m < 2:
-        raise ValueError(f"candidate count must be >= 2, got {m}")
-    if n_max < 1:
-        raise ValueError(f"voter bound must be >= 1, got {n_max}")
-
-
 def _evaluations_per_class(axiom: str, m: int, n: int) -> int:
     """Evaluations of f one profile of n voters costs a checker other than A:
     the profile itself plus each related profile."""
@@ -183,7 +174,7 @@ def check_cost(axiom: str, m: int, n_max: int, tabled: bool = False, ordered: bo
     failed the pre-scan: every ordered profile times the evaluations per
     profile.
     """
-    _validate_scope(m, n_max)
+    _check_scope(m, n_max)
     profiles = sum(profile_count(m, n) for n in range(1, n_max + 1))
     if axiom == "A":
         return profiles
@@ -207,34 +198,22 @@ def require_feasible(axiom: str, f, m: int, n_max: int, ordered: bool = False) -
         )
 
 
-def _scans_classes(f, m: int, n_max: int) -> bool:
-    """Whether the checkers may scan one sorted profile per anonymity class.
-
-    Only when f is anonymous on the scope: then every member of a failing
-    class fails the same way, and the sorted member, the lexicographic
-    minimum of its class, is the first failing profile in stream order.
-    """
-    return isinstance(f, TabledFunction) or check_anonymity(f, m, n_max).passed
+def _scans_classes(f, anonymity: Witness | None) -> bool:
+    """Whether f is anonymous on the scope, given the A scan's witness: then
+    every member of a failing class fails the same way, and the sorted
+    member, the lexicographic minimum of its class, is the first failing
+    profile in stream order, so one sorted profile per class is scanned."""
+    return isinstance(f, TabledFunction) or anonymity is None
 
 
 def _first_witness(
-    axiom: str,
-    f,
-    m: int,
-    n_max: int,
-    per_profile: Callable[[Profile], Witness | None],
-    n_min: int = 1,
+    witness_of: Callable, f, m: int, n_max: int, tie_upgrade: str, by_class: bool, n_min: int
 ) -> Witness | None:
-    """First violation in (n, profile) stream order, for a checker other
-    than A: over one sorted profile per class when f is anonymous on the
-    scope, else over every ordered profile once that scan is estimated
-    feasible."""
-    by_class = _scans_classes(f, m, n_max)
-    if not by_class:
-        require_feasible(axiom, f, m, n_max, ordered=True)
+    """First violation in (n, profile) stream order, over one sorted profile
+    per class or over every ordered profile."""
     for n in range(n_min, n_max + 1):
         for p in enumerate_profiles(m, n, canonical_only=by_class):
-            w = per_profile(p)
+            w = witness_of(f, p, tie_upgrade)
             if w is not None:
                 return w
     return None
@@ -249,17 +228,14 @@ def _sorting_permutation(p: Profile) -> VoterPermutation:
     return VoterPermutation(p.n, tuple(image))
 
 
-def check_anonymity(f, m: int, n_max: int, workers: int = 1) -> AxiomReport:
-    """f(P sigma) = f(P) for every voter permutation sigma; implemented as
-    "f is constant on each anonymity class" by comparing against the sorted
-    representative.
+def _anonymity_witness(f, m: int, n_max: int) -> Witness | None:
+    """The A scan: f must be constant on each anonymity class, so every
+    ordered profile is compared against its class's sorted member.
 
     f is evaluated once per non-canonical ordered profile.  The sorted
     member's outcome is evaluated the first time its class needs it, after
     that profile's own, and kept for the rest of the level.
     """
-    _validate_scope(m, n_max)
-    require_feasible("A", f, m, n_max)
     evaluate = f.evaluate
     for n in range(1, n_max + 1):
         expected_of: dict[tuple[int, ...], int] = {}
@@ -273,42 +249,37 @@ def check_anonymity(f, m: int, n_max: int, workers: int = 1) -> AxiomReport:
             else:
                 expected = expected_of[key] = evaluate(Profile._trusted(m, key))
             if actual != expected:
-                w = Witness(
+                return Witness(
                     profile=p,
                     related_profile=canonicalize(p),
                     permutation=_sorting_permutation(p).image,
                     actual=actual,
                     expected=expected,
                 )
-                return AxiomReport("A", m, n_max, False, w)
-    return AxiomReport("A", m, n_max, True)
+    return None
 
 
-def check_neutrality(f, m: int, n_max: int, workers: int = 1) -> AxiomReport:
-    """f(tau P) = tau f(P) for all m! candidate permutations tau (no
-    generator-only shortcut)."""
-    _validate_scope(m, n_max)
-    require_feasible("N", f, m, n_max)
-    taus = [CandidatePermutation(m, image) for image in permutations(range(1, m + 1))]
+@functools.lru_cache(maxsize=1)
+def _relabelings(m: int) -> tuple[CandidatePermutation, ...]:
+    """The m! candidate permutations, built once per m rather than per profile."""
+    return tuple(CandidatePermutation(m, image) for image in permutations(range(1, m + 1)))
 
-    def per_profile(p: Profile) -> Witness | None:
-        out = f.evaluate(p)
-        for tau in taus:
-            permuted = apply_candidate_permutation(p, tau)
-            actual = f.evaluate(permuted)
-            expected = tau.outcome(out)
-            if actual != expected:
-                return Witness(
-                    profile=p,
-                    related_profile=permuted,
-                    permutation=tau.image,
-                    actual=actual,
-                    expected=expected,
-                )
-        return None
 
-    w = _first_witness("N", f, m, n_max, per_profile)
-    return AxiomReport("N", m, n_max, w is None, w)
+def _neutrality(f, p: Profile, tie_upgrade: str) -> Witness | None:
+    out = f.evaluate(p)
+    for tau in _relabelings(p.m):
+        permuted = apply_candidate_permutation(p, tau)
+        actual = f.evaluate(permuted)
+        expected = tau.outcome(out)
+        if actual != expected:
+            return Witness(
+                profile=p,
+                related_profile=permuted,
+                permutation=tau.image,
+                actual=actual,
+                expected=expected,
+            )
+    return None
 
 
 def _duel_pairs(support: tuple[int, ...], m: int) -> Iterable[tuple[int, int]]:
@@ -321,44 +292,26 @@ def _duel_pairs(support: tuple[int, ...], m: int) -> Iterable[tuple[int, int]]:
                 yield (i, j)
 
 
-def check_duel_property(f, m: int, n_max: int, workers: int = 1) -> AxiomReport:
-    """On any profile supported by at most two candidates i, j the outcome is
-    i, j or a tie; no third party wins a duel they did not take part in."""
-    _validate_scope(m, n_max)
-    require_feasible("DP", f, m, n_max)
-
-    def per_profile(p: Profile) -> Witness | None:
-        support = tally(p).support()
-        if len(support) > 2:
-            return None
-        out = f.evaluate(p)
-        for i, j in _duel_pairs(support, m):
-            if out not in (0, i, j):
-                return Witness(profile=p, pair=(i, j), actual=out, note="outcome outside {0, i, j}")
+def _duel_property(f, p: Profile, tie_upgrade: str) -> Witness | None:
+    support = tally(p).support()
+    if len(support) > 2:
         return None
+    out = f.evaluate(p)
+    for i, j in _duel_pairs(support, p.m):
+        if out not in (0, i, j):
+            return Witness(profile=p, pair=(i, j), actual=out, note="outcome outside {0, i, j}")
+    return None
 
-    w = _first_witness("DP", f, m, n_max, per_profile)
-    return AxiomReport("DP", m, n_max, w is None, w)
 
-
-def check_pareto(f, m: int, n_max: int, workers: int = 1) -> AxiomReport:
-    """Whenever exactly one candidate receives votes (everyone else abstains),
-    that candidate must win."""
-    _validate_scope(m, n_max)
-    require_feasible("PO", f, m, n_max)
-
-    def per_profile(p: Profile) -> Witness | None:
-        support = tally(p).support()
-        if len(support) != 1:
-            return None
-        k = support[0]
-        out = f.evaluate(p)
-        if out != k:
-            return Witness(profile=p, candidate=k, expected=k, actual=out)
+def _pareto(f, p: Profile, tie_upgrade: str) -> Witness | None:
+    support = tally(p).support()
+    if len(support) != 1:
         return None
-
-    w = _first_witness("PO", f, m, n_max, per_profile)
-    return AxiomReport("PO", m, n_max, w is None, w)
+    k = support[0]
+    out = f.evaluate(p)
+    if out != k:
+        return Witness(profile=p, candidate=k, expected=k, actual=out)
+    return None
 
 
 def reduce_profile(f, p: Profile) -> Profile:
@@ -372,24 +325,13 @@ def reduce_profile(f, p: Profile) -> Profile:
     return Profile(p.m, tuple(f.evaluate(remove_voter(p, l)) for l in range(1, p.n + 1)))
 
 
-def check_rs(f, m: int, n_max: int, workers: int = 1) -> AxiomReport:
-    """Reducibility to subsocieties: the outcome on P equals the outcome on
-    the profile collecting f over all voter-deleted subprofiles."""
-    _validate_scope(m, n_max)
-    if n_max < 2:
-        raise ValueError("the reduction axiom needs a voter bound of at least 2")
-    require_feasible("RS", f, m, n_max)
-
-    def per_profile(p: Profile) -> Witness | None:
-        lhs = f.evaluate(p)
-        reduced = reduce_profile(f, p)
-        rhs = f.evaluate(reduced)
-        if lhs != rhs:
-            return Witness(profile=p, related_profile=reduced, actual=lhs, expected=rhs)
-        return None
-
-    w = _first_witness("RS", f, m, n_max, per_profile, n_min=2)
-    return AxiomReport("RS", m, n_max, w is None, w)
+def _reducibility(f, p: Profile, tie_upgrade: str) -> Witness | None:
+    lhs = f.evaluate(p)
+    reduced = reduce_profile(f, p)
+    rhs = f.evaluate(reduced)
+    if lhs != rhs:
+        return Witness(profile=p, related_profile=reduced, actual=lhs, expected=rhs)
+    return None
 
 
 def _tie_candidates(p: Profile, mode: str) -> tuple[int, ...]:
@@ -400,69 +342,137 @@ def _tie_candidates(p: Profile, mode: str) -> tuple[int, ...]:
     return ()
 
 
+def _responsiveness(f, p: Profile, tie_upgrade: str) -> Witness | None:
+    m = p.m
+    out = f.evaluate(p)
+    if out == 0:
+        targets = _tie_candidates(p, tie_upgrade)
+        note = f"pr:tie:{tie_upgrade}"
+    else:
+        # an outcome of f becomes a ballot, so it is checked here
+        if not 0 < out <= m:
+            raise ValueError(f"outcome {out} outside [0, {m}]")
+        targets = (out,)
+        note = "pr:win"
+    for k in targets:
+        for l in range(1, p.n + 1):
+            if p.ballots[l - 1] == k:
+                continue
+            upgraded = Profile._trusted(m, p.ballots[: l - 1] + (k,) + p.ballots[l:])
+            actual = f.evaluate(upgraded)
+            if actual != k:
+                return Witness(
+                    profile=p,
+                    related_profile=upgraded,
+                    candidate=k,
+                    voter=l,
+                    expected=k,
+                    actual=actual,
+                    note=note,
+                )
+    return None
+
+
+def _no_tied_winner(f, p: Profile, tie_upgrade: str) -> Witness | None:
+    counts = tally(p).counts
+    out = f.evaluate(p)
+    if out == 0:
+        return None
+    for i in range(1, p.m + 1):
+        for j in range(i + 1, p.m + 1):
+            if counts[i - 1] == counts[j - 1] and out in (i, j):
+                return Witness(profile=p, pair=(i, j), actual=out, note="tied pair won")
+    return None
+
+
+# axiom -> (a function of f, a profile and PR's tie mode returning the
+# profile's witness or None, the smallest voter count scanned)
+_SCANS = {
+    "N": (_neutrality, 1),
+    "DP": (_duel_property, 1),
+    "PO": (_pareto, 1),
+    "RS": (_reducibility, 2),
+    "PR": (_responsiveness, 1),
+    "NTW": (_no_tied_winner, 1),
+}
+
+
+def check_axioms(f, m: int, n_max: int, axioms: Iterable[str], tie_upgrade: str = "leaders") -> list[AxiomReport]:
+    """One report per axiom in ``axioms``, in that order; ``tie_upgrade`` is
+    PR's tie mode.
+
+    The scope is validated and every axiom estimated before f is evaluated.
+    Anonymity is established once: by the A scan, which is also the A report,
+    or by construction for a :class:`TabledFunction`.  When f is not
+    anonymous, every ordered fallback is estimated before any other scan.
+    """
+    axioms = list(axioms)
+    _check_scope(m, n_max)
+    for ax in axioms:
+        if ax not in AXIOM_IDS:
+            raise ValueError(f"unknown axiom id {ax!r}")
+    if "RS" in axioms and n_max < 2:
+        raise ValueError("the reduction axiom needs a voter bound of at least 2")
+    if "PR" in axioms and tie_upgrade not in PR_TIE_MODES:
+        raise ValueError(f"tie_upgrade must be one of {PR_TIE_MODES}, got {tie_upgrade!r}")
+    for ax in axioms:
+        require_feasible(ax, f, m, n_max)
+    others = [ax for ax in axioms if ax != "A"]
+    scan_anonymity = "A" in axioms or (others and not isinstance(f, TabledFunction))
+    anonymity = _anonymity_witness(f, m, n_max) if scan_anonymity else None
+    by_class = _scans_classes(f, anonymity)
+    if not by_class:
+        for ax in others:
+            require_feasible(ax, f, m, n_max, ordered=True)
+    witnesses = {"A": anonymity}
+    for ax in others:
+        witness_of, n_min = _SCANS[ax]
+        witnesses[ax] = _first_witness(witness_of, f, m, n_max, tie_upgrade, by_class, n_min)
+    return [AxiomReport(ax, m, n_max, witnesses[ax] is None, witnesses[ax]) for ax in axioms]
+
+
+def check_anonymity(f, m: int, n_max: int, workers: int = 1) -> AxiomReport:
+    """f(P sigma) = f(P) for every voter permutation sigma."""
+    return check_axioms(f, m, n_max, ["A"])[0]
+
+
+def check_neutrality(f, m: int, n_max: int, workers: int = 1) -> AxiomReport:
+    """f(tau P) = tau f(P) for all m! candidate permutations tau (no
+    generator-only shortcut)."""
+    return check_axioms(f, m, n_max, ["N"])[0]
+
+
+def check_duel_property(f, m: int, n_max: int, workers: int = 1) -> AxiomReport:
+    """On any profile supported by at most two candidates i, j the outcome is
+    i, j or a tie; no third party wins a duel they did not take part in."""
+    return check_axioms(f, m, n_max, ["DP"])[0]
+
+
+def check_pareto(f, m: int, n_max: int, workers: int = 1) -> AxiomReport:
+    """Whenever exactly one candidate receives votes (everyone else abstains),
+    that candidate must win."""
+    return check_axioms(f, m, n_max, ["PO"])[0]
+
+
+def check_rs(f, m: int, n_max: int, workers: int = 1) -> AxiomReport:
+    """Reducibility to subsocieties: the outcome on P equals the outcome on
+    the profile collecting f over all voter-deleted subprofiles."""
+    return check_axioms(f, m, n_max, ["RS"])[0]
+
+
 def check_positive_responsiveness(
     f, m: int, n_max: int, tie_upgrade: str = "leaders", workers: int = 1
 ) -> AxiomReport:
     """One ballot moves to candidate k, all others fixed: a win for k must be
     preserved, and (per ``tie_upgrade``) a tie must become a win for k."""
-    _validate_scope(m, n_max)
-    if tie_upgrade not in PR_TIE_MODES:
-        raise ValueError(f"tie_upgrade must be one of {PR_TIE_MODES}, got {tie_upgrade!r}")
-    require_feasible("PR", f, m, n_max)
-
-    def per_profile(p: Profile) -> Witness | None:
-        out = f.evaluate(p)
-        if out == 0:
-            targets = _tie_candidates(p, tie_upgrade)
-            note = f"pr:tie:{tie_upgrade}"
-        else:
-            # an outcome of f becomes a ballot, so it is checked here
-            if not 0 < out <= m:
-                raise ValueError(f"outcome {out} outside [0, {m}]")
-            targets = (out,)
-            note = "pr:win"
-        for k in targets:
-            for l in range(1, p.n + 1):
-                if p.ballots[l - 1] == k:
-                    continue
-                upgraded = Profile._trusted(m, p.ballots[: l - 1] + (k,) + p.ballots[l:])
-                actual = f.evaluate(upgraded)
-                if actual != k:
-                    return Witness(
-                        profile=p,
-                        related_profile=upgraded,
-                        candidate=k,
-                        voter=l,
-                        expected=k,
-                        actual=actual,
-                        note=note,
-                    )
-        return None
-
-    w = _first_witness("PR", f, m, n_max, per_profile)
-    return AxiomReport("PR", m, n_max, w is None, w)
+    return check_axioms(f, m, n_max, ["PR"], tie_upgrade)[0]
 
 
 def check_no_tied_winner(f, m: int, n_max: int, workers: int = 1) -> AxiomReport:
     """Tied candidates cannot win: whenever two candidates have equal counts,
     neither is the outcome.  Meaningful for functions already known anonymous
     and neutral (the caller enforces that precondition)."""
-    _validate_scope(m, n_max)
-    require_feasible("NTW", f, m, n_max)
-
-    def per_profile(p: Profile) -> Witness | None:
-        counts = tally(p).counts
-        out = f.evaluate(p)
-        if out == 0:
-            return None
-        for i in range(1, m + 1):
-            for j in range(i + 1, m + 1):
-                if counts[i - 1] == counts[j - 1] and out in (i, j):
-                    return Witness(profile=p, pair=(i, j), actual=out, note="tied pair won")
-        return None
-
-    w = _first_witness("NTW", f, m, n_max, per_profile)
-    return AxiomReport("NTW", m, n_max, w is None, w)
+    return check_axioms(f, m, n_max, ["NTW"])[0]
 
 
 def replay_witness(f, report: AxiomReport) -> bool:

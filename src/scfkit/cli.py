@@ -17,7 +17,7 @@ from pathlib import Path
 from . import __version__
 from .core import ProfileParseError, parse_profile
 from .rules import RULES
-from .axioms import AXIOM_IDS, CHECKERS, CheckInfeasibleError, require_feasible
+from .axioms import AXIOM_IDS, CHECKERS, CheckInfeasibleError, check_axioms
 from .search import (
     SEARCH_AXIOMS,
     SearchInfeasibleError,
@@ -80,25 +80,19 @@ def _refuse(exc: Exception) -> int:
 
 def cmd_check(args, parser) -> int:
     axioms = _parse_axioms(args.axioms, _CHECKABLE, parser)
-    rule = RULES[args.rule]
+    if "RS" in axioms and args.n_max < 2:
+        parser.error("--n-max must be >= 2 to check RS")
     tie = _tie_mode(args)
     try:
-        for ax in axioms:
-            require_feasible(ax, rule, args.m, args.n_max)
+        results = check_axioms(RULES[args.rule], args.m, args.n_max, axioms, tie)
     except CheckInfeasibleError as exc:
         return _refuse(exc)
-    results = []
-    for ax in axioms:
-        if ax == "PR":
-            report = CHECKERS[ax](rule, args.m, args.n_max, tie_upgrade=tie)
-        else:
-            report = CHECKERS[ax](rule, args.m, args.n_max)
-        results.append(report)
+    for report in results:
         if report.passed:
-            print(f"{ax}: pass")
+            print(f"{report.axiom}: pass")
         else:
             w = report.witness
-            print(f"{ax}: FAIL  profile [{' '.join(map(str, w.profile.ballots))}]"
+            print(f"{report.axiom}: FAIL  profile [{' '.join(map(str, w.profile.ballots))}]"
                   f" actual={w.actual}" + (f" expected={w.expected}" if w.expected is not None else ""))
     all_pass = all(r.passed for r in results)
     doc = {
@@ -273,6 +267,8 @@ def main(argv=None) -> int:
         parser.error("--max-nodes must be >= 1")
     if getattr(args, "max_solutions", None) is not None and args.max_solutions < 1:
         parser.error("--max-solutions must be >= 1")
+    if args.command == "verify-theorem" and args.n_max < 2:
+        parser.error("verify-theorem needs --n-max >= 2")
     if args.command == "verify-independence" and args.n_max < 3:
         parser.error("verify-independence needs --n-max >= 3")
     return args.func(args, parser)

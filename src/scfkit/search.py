@@ -39,8 +39,8 @@ from itertools import permutations, product
 from typing import Iterator
 
 from .core import Profile, enumerate_profiles, profile_count, tally
-from .rules import RULES, TabledFunction
-from .axioms import AxiomReport, CHECKERS, PR_TIE_MODES
+from .rules import RULES, TabledFunction, _check_scope
+from .axioms import AxiomReport, PR_TIE_MODES, check_axioms
 
 __all__ = [
     "SEARCH_AXIOMS",
@@ -89,10 +89,7 @@ class SearchSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "axioms", frozenset(self.axioms))
-        if self.m < 2:
-            raise ValueError(f"candidate count must be >= 2, got {self.m}")
-        if self.n_max < 1:
-            raise ValueError(f"voter bound must be >= 1, got {self.n_max}")
+        _check_scope(self.m, self.n_max)
         unknown = self.axioms - set(SEARCH_AXIOMS)
         if "A" in unknown:
             raise ValueError("anonymity is structural in table search; do not request it")
@@ -657,15 +654,15 @@ def verify_theorem(
     counted with its number of orderings)."""
     axioms = frozenset({"N", "PO", "RS"} | ({"DP"} if include_dp else set()))
     spec = SearchSpec(m=m, n_max=n_max, axioms=axioms, max_nodes=max_nodes)
+    if n_max < 2:
+        raise ValueError("the theorem needs a voter bound of at least 2")
     result = enumerate_functions(spec)
 
     maj_table = TabledFunction.from_rule(RULES["maj"], m, n_max)
     maj_match = len(result.solutions) == 1 and result.solutions[0] == maj_table
 
     replay_ok = all(
-        CHECKERS[ax](sol, m, n_max).passed
-        for sol in result.solutions
-        for ax in sorted(axioms)
+        report.passed for sol in result.solutions for report in check_axioms(sol, m, n_max, sorted(axioms))
     )
 
     # the cases depend only on the counts, so each class stands for all its
@@ -674,19 +671,12 @@ def verify_theorem(
     partition_ok = True
     for n in range(1, n_max + 1):
         for p in enumerate_profiles(m, n, canonical_only=True):
-            hits = [
-                name
-                for name, hit in (
-                    ("all_abstention", is_all_abstention(p)),
-                    ("dominating_tie", is_dominating_tie(p)),
-                    ("leader", is_leader_profile(p)),
-                )
-                if hit
-            ]
-            if len(hits) != 1:
+            try:
+                case = classify_profile(p)
+            except RuntimeError:  # p falls into no case or into several
                 partition_ok = False
                 continue
-            case_counts[hits[0]] += _orderings(p.ballots)
+            case_counts[case] += _orderings(p.ballots)
 
     return TheoremVerdict(
         m=m,
@@ -740,8 +730,7 @@ def verify_independence(m: int, n_max: int, workers: int = 1) -> IndependenceVer
     lex: profile (1, 2) under the 1<->2 swap; zero: the single-vote profile
     (1); uc: profile (1, 1, 2) whose subsociety reduction (0, 0, 1) wins.
     ``workers`` is accepted for compatibility and ignored."""
-    if m < 2:
-        raise ValueError(f"candidate count must be >= 2, got {m}")
+    _check_scope(m, 3)  # the voter bound is held to 3 just below
     if n_max < 3:
         raise ValueError("independence needs a voter bound of at least 3")
 
@@ -750,7 +739,7 @@ def verify_independence(m: int, n_max: int, workers: int = 1) -> IndependenceVer
     mismatches: list[str] = []
     for name, expected in _EXPECTED_FAILURES.items():
         rule = RULES[name]
-        by_axiom = {ax: CHECKERS[ax](rule, m, n_max) for ax in _INDEPENDENCE_AXIOMS}
+        by_axiom = dict(zip(_INDEPENDENCE_AXIOMS, check_axioms(rule, m, n_max, _INDEPENDENCE_AXIOMS)))
         reports[name] = by_axiom
         fails = tuple(ax for ax in _INDEPENDENCE_AXIOMS if not by_axiom[ax].passed)
         failures[name] = fails

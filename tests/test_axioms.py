@@ -13,6 +13,7 @@ from scfkit.axioms import (
     CheckInfeasibleError,
     Witness,
     check_anonymity,
+    check_axioms,
     check_cost,
     check_duel_property,
     check_no_tied_winner,
@@ -492,7 +493,7 @@ class TestClassScan:
     def test_class_scan_equals_ordered_scan(self, t):
         by_class = _all_reports(t, t.m, t.n_max)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(axioms, "_scans_classes", lambda f, m, n_max: False)
+            mp.setattr(axioms, "_scans_classes", lambda f, anonymity: False)
             ordered = _all_reports(t, t.m, t.n_max)
         assert by_class == ordered
 
@@ -543,3 +544,87 @@ class TestFeasibility:
     def test_theorem_replay_is_accepted_at_north_star_scopes(self, m, n_max):
         for axiom in ("N", "DP", "PO", "RS"):
             assert check_cost(axiom, m, n_max, tabled=True) <= CHECK_MAX_COST
+
+
+ALL_AXIOMS = ["A", "N", "DP", "PO", "RS", "PR", "NTW"]
+
+
+def _alone(f, m, n_max, ax, mode):
+    if ax == "PR":
+        return check_positive_responsiveness(f, m, n_max, tie_upgrade=mode)
+    if ax == "NTW":
+        return check_no_tied_winner(f, m, n_max)
+    return CHECKERS[ax](f, m, n_max)
+
+
+def _counting(rule):
+    """``rule`` plus the list of profiles it is evaluated on."""
+    calls = []
+    return Rule(rule.name, lambda p: calls.append(p.ballots) or rule.evaluate(p)), calls
+
+
+class TestCheckAxioms:
+    @given(
+        st.one_of(
+            complete_tables().map(lambda t: (t, t.m, t.n_max)),
+            st.sampled_from([(2, 3), (3, 2), (3, 3)]).map(lambda scope: (LAST, *scope)),
+        ),
+        st.sampled_from(PR_TIE_MODES),
+    )
+    def test_equals_the_individual_checkers(self, case, mode):
+        # random and near-majority tables, and a rule that fails anonymity,
+        # so both the class scan and the ordered fallback are compared
+        f, m, n_max = case
+        together = [r.to_dict() for r in check_axioms(f, m, n_max, ALL_AXIOMS, mode)]
+        assert together == [_alone(f, m, n_max, ax, mode).to_dict() for ax in ALL_AXIOMS]
+        backwards = check_axioms(f, m, n_max, reversed(ALL_AXIOMS), mode)
+        assert [r.to_dict() for r in backwards] == together[::-1]
+
+    def test_anonymity_is_scanned_once_per_call(self, monkeypatch):
+        levels = []
+        original = axioms.enumerate_profiles
+
+        def counting(m, n, canonical_only=False):
+            if not canonical_only:
+                levels.append(n)
+            return original(m, n, canonical_only=canonical_only)
+
+        monkeypatch.setattr(axioms, "enumerate_profiles", counting)
+        six = ["A", "N", "DP", "PO", "RS", "PR"]
+        assert all(r.passed for r in check_axioms(MAJ, 3, 3, six))
+        assert levels == [1, 2, 3]
+        # nothing carries over to the next call
+        check_axioms(MAJ, 3, 3, six)
+        assert levels == [1, 2, 3] * 2
+        # a table is anonymous by construction: scanned only for the A report
+        levels.clear()
+        table = TabledFunction.from_rule(MAJ, 3, 3)
+        check_axioms(table, 3, 3, ["N", "PO", "RS"])
+        assert levels == []
+        check_axioms(table, 3, 3, ["N", "A"])
+        assert levels == [1, 2, 3]
+
+    @pytest.mark.parametrize(
+        "m,n_max,requested,mode,error",
+        [
+            (2, 1, ["A", "PO", "RS"], "leaders", ValueError),
+            (2, 2, ["A", "PR"], "sometimes", ValueError),
+            (2, 2, ["A", "XX"], "leaders", ValueError),
+            (1, 2, ["A"], "leaders", ValueError),
+            (10, 3, ["A", "PO", "N"], "leaders", CheckInfeasibleError),
+        ],
+    )
+    def test_refuses_before_evaluating(self, m, n_max, requested, mode, error):
+        f, calls = _counting(MAJ)
+        with pytest.raises(error):
+            check_axioms(f, m, n_max, requested, mode)
+        assert calls == []
+
+    def test_every_ordered_fallback_is_refused_before_any_scan(self):
+        # PO's ordered fallback at (3, 9) is cheap, N's is not: PO is not
+        # scanned either, only the anonymity scan ran, (1, 0) against (0, 1)
+        f, calls = _counting(LAST)
+        with pytest.raises(CheckInfeasibleError) as err:
+            check_axioms(f, 3, 9, ["PO", "N"])
+        assert err.value.cost == check_cost("N", 3, 9, ordered=True)
+        assert calls == [(1, 0), (0, 1)]

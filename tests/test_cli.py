@@ -1,7 +1,9 @@
+import hashlib
 import json
 
 import pytest
 
+from scfkit import axioms
 from scfkit.cli import main
 from scfkit.core import parse_profile
 from scfkit.rules import RULES, TabledFunction
@@ -97,6 +99,20 @@ class TestCheck:
             assert code == 1
             reports.append(out.read_bytes())
         assert reports[0] == reports[1]
+
+    def test_six_axiom_check_scans_each_ordered_level_once(self, capsys, monkeypatch):
+        levels = []
+        original = axioms.enumerate_profiles
+
+        def counting(m, n, canonical_only=False):
+            if not canonical_only:
+                levels.append(n)
+            return original(m, n, canonical_only=canonical_only)
+
+        monkeypatch.setattr(axioms, "enumerate_profiles", counting)
+        assert run(["check", "--rule", "maj", "--m", "3", "--n-max", "3",
+                    "--axioms", "A,N,DP,PO,RS,PR"]) == 0
+        assert levels == [1, 2, 3]
 
 
 class TestSearch:
@@ -213,6 +229,22 @@ class TestUsage:
         last = capsys.readouterr().err.splitlines()[-1]
         assert last.startswith("scfkit: error:") and argv[1] in last
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check", "--rule", "maj", "--n-max", "1"],
+            ["check", "--rule", "maj", "--axioms", "RS", "--n-max", "1"],
+            ["verify-theorem", "--n-max", "1"],
+        ],
+    )
+    def test_voter_bound_one_is_refused_before_any_work(self, capsys, argv):
+        # the reduction axiom compares n voters with n - 1 of them
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        last = captured.err.splitlines()[-1]
+        assert last.startswith("scfkit: error:") and "--n-max" in last
+
     def test_infeasible_check_scope_exits_2_with_estimate(self, capsys):
         # estimated only: neutrality at m = 10 would walk 10! relabelings per class
         assert run(["check", "--rule", "maj", "--m", "10", "--n-max", "3"]) == 2
@@ -229,3 +261,46 @@ class TestUsage:
         witness = doc["results"][0]["witness"]
         assert parse_profile(witness["profile"]).ballots == (1, 1, 2)
         assert parse_profile(witness["related_profile"]).ballots == (0, 0, 1)
+
+
+# Exit code, sha256 of stdout and sha256 of the --out report of each command,
+# computed before every checker became a call of check_axioms; any change to
+# a report or to what the CLI prints shows up here.
+GOLDEN = [
+    ("check --rule maj --m 2 --n-max 4 --axioms A,N,DP,PO,RS,PR --pr-strict", 0, "8cb1ea8f35321a5ae2364b501e94794daad4761f27da8b4484a6e58e96eb9ee7", "274eb47459cfec739a2ef605590305df13a0b9f34314548acd1512f72c0f5f26"),
+    ("check --rule maj --m 2 --n-max 4 --axioms A,N,DP,PO,RS,PR --no-pr-strict", 0, "8cb1ea8f35321a5ae2364b501e94794daad4761f27da8b4484a6e58e96eb9ee7", "9c681c51f76b45b7b5812fc3711b996bb7761ec0e674383a39ffc9d5fcca2b1d"),
+    ("check --rule maj --m 3 --n-max 3 --axioms A,N,DP,PO,RS,PR --pr-strict", 0, "8cb1ea8f35321a5ae2364b501e94794daad4761f27da8b4484a6e58e96eb9ee7", "0de329c2f6979b2b503d88aa0ab06e6d66d9fb6eaf96d3b8298af36307f44ac4"),
+    ("check --rule maj --m 3 --n-max 3 --axioms A,N,DP,PO,RS,PR --no-pr-strict", 0, "8cb1ea8f35321a5ae2364b501e94794daad4761f27da8b4484a6e58e96eb9ee7", "45d24eb0a1dfb382ad60ff024e24cb74486a4e932f5c471898183d4bc78b5760"),
+    ("check --rule maj --m 4 --n-max 2 --axioms A,N,DP,PO,RS,PR --pr-strict", 0, "8cb1ea8f35321a5ae2364b501e94794daad4761f27da8b4484a6e58e96eb9ee7", "bffb491a1614e6d6457c9f06a8921c037d758fc44e321aeaa90c52615b9359d1"),
+    ("check --rule maj --m 4 --n-max 2 --axioms A,N,DP,PO,RS,PR --no-pr-strict", 0, "8cb1ea8f35321a5ae2364b501e94794daad4761f27da8b4484a6e58e96eb9ee7", "88ee7ceeb7e0ad30621478505374a3c62d82610f999d590e92d09e05639ad61e"),
+    ("check --rule uc --m 2 --n-max 4 --axioms A,N,DP,PO,RS,PR --pr-strict", 1, "e60bfd74d10f73451378000723ac1683897841969b9fc3e748d1dd341dd739e4", "801a598cd83686acca55b013952b77520c4e511d0ad1a99da7502364b5520b38"),
+    ("check --rule uc --m 2 --n-max 4 --axioms A,N,DP,PO,RS,PR --no-pr-strict", 1, "dd4211efe3b01cdae16636f64e8dfde6a56681a51cc116949e525cca88c68a22", "751967c46d230af2b8ec55c9c21b9639820298a829bd53c309c598c4d29551f1"),
+    ("check --rule uc --m 3 --n-max 3 --axioms A,N,DP,PO,RS,PR --pr-strict", 1, "e60bfd74d10f73451378000723ac1683897841969b9fc3e748d1dd341dd739e4", "4fa2a603fdeafe8a1f10d7cf0dd3b24fb070a264df9715f8c9ce4d9895389fc5"),
+    ("check --rule uc --m 3 --n-max 3 --axioms A,N,DP,PO,RS,PR --no-pr-strict", 1, "dd4211efe3b01cdae16636f64e8dfde6a56681a51cc116949e525cca88c68a22", "b74d977e3fd904306142c3765d4e230f56b98d93b3976f2f77ded4d09602914b"),
+    ("check --rule uc --m 4 --n-max 2 --axioms A,N,DP,PO,RS,PR --pr-strict", 0, "8cb1ea8f35321a5ae2364b501e94794daad4761f27da8b4484a6e58e96eb9ee7", "effbf107ab3573141337c8ee6a3b6ce01dafc279c5d696600a8a9f83715f08de"),
+    ("check --rule uc --m 4 --n-max 2 --axioms A,N,DP,PO,RS,PR --no-pr-strict", 0, "8cb1ea8f35321a5ae2364b501e94794daad4761f27da8b4484a6e58e96eb9ee7", "5af007c177024231493ba0e9b819bfb05ffc0a2b52f83bd938da0c8ad8bfd19a"),
+    ("check --rule lex --m 2 --n-max 4 --axioms A,N,DP,PO,RS,PR --pr-strict", 1, "4197cd1bced5d34f2b3aa516887fb85fd876684fc365dcf17d56d368215eb474", "6a73f1359d2d263a5bd6109da5f596cd11468a57a43ff944c2365bee98464024"),
+    ("check --rule lex --m 2 --n-max 4 --axioms A,N,DP,PO,RS,PR --no-pr-strict", 1, "4197cd1bced5d34f2b3aa516887fb85fd876684fc365dcf17d56d368215eb474", "2e4ca949197748637b8cdaf06558ea8a26a3b4b54df25d250053fff4f89e4dc2"),
+    ("check --rule lex --m 3 --n-max 3 --axioms A,N,DP,PO,RS,PR --pr-strict", 1, "4197cd1bced5d34f2b3aa516887fb85fd876684fc365dcf17d56d368215eb474", "22f6f6f59d1c883b33c5e5526f21b2740d7f5f2a10fd2251bb202e4d8c3cf1c4"),
+    ("check --rule lex --m 3 --n-max 3 --axioms A,N,DP,PO,RS,PR --no-pr-strict", 1, "4197cd1bced5d34f2b3aa516887fb85fd876684fc365dcf17d56d368215eb474", "0409169b919ffa9ba7de651fa4f7dc241f99b2663203b870ee9632b6e0f4c22d"),
+    ("check --rule lex --m 4 --n-max 2 --axioms A,N,DP,PO,RS,PR --pr-strict", 1, "4197cd1bced5d34f2b3aa516887fb85fd876684fc365dcf17d56d368215eb474", "75ec0c10dbe1d19997ea6857634b8faf9c2991da9d5c608780a767394ac7672e"),
+    ("check --rule lex --m 4 --n-max 2 --axioms A,N,DP,PO,RS,PR --no-pr-strict", 1, "4197cd1bced5d34f2b3aa516887fb85fd876684fc365dcf17d56d368215eb474", "c6681ec1ecf518c78e9bbb3de7c55ad76d827a2e6e99f0868353b91fef3ee05b"),
+    ("check --rule zero --m 2 --n-max 4 --axioms A,N,DP,PO,RS,PR --pr-strict", 1, "463ddb91a655244f072061a0b594ab566b98b5f726913aa9c91189d6fcc4f3df", "8938abb9044dcd1429ff0e6258e363070dbbe84a7e5ee7d029144a3e3573ceac"),
+    ("check --rule zero --m 2 --n-max 4 --axioms A,N,DP,PO,RS,PR --no-pr-strict", 1, "4980f93192458f74e089aa1fa2923920995a3a2b21c5578a872dd0fc377728f0", "41f7698b3a81bf3817e99e5ab783f4b29d740e33ece20efb11e8865bc34f76f6"),
+    ("check --rule zero --m 3 --n-max 3 --axioms A,N,DP,PO,RS,PR --pr-strict", 1, "463ddb91a655244f072061a0b594ab566b98b5f726913aa9c91189d6fcc4f3df", "dc73e5f3ed896ed2b56469e878e653e3a790d79ba4486d700ecb57b1b9ec8a05"),
+    ("check --rule zero --m 3 --n-max 3 --axioms A,N,DP,PO,RS,PR --no-pr-strict", 1, "4980f93192458f74e089aa1fa2923920995a3a2b21c5578a872dd0fc377728f0", "71ed56d41630125fddc11a61eb4b47e834aa14ab7f4373dc80667e385b5236bf"),
+    ("check --rule zero --m 4 --n-max 2 --axioms A,N,DP,PO,RS,PR --pr-strict", 1, "463ddb91a655244f072061a0b594ab566b98b5f726913aa9c91189d6fcc4f3df", "61e5c6bd38ebfaefae4a5d92fba9c0794b1f363f4aad3a5889ed206b42636b61"),
+    ("check --rule zero --m 4 --n-max 2 --axioms A,N,DP,PO,RS,PR --no-pr-strict", 1, "4980f93192458f74e089aa1fa2923920995a3a2b21c5578a872dd0fc377728f0", "5c83a02e362a013a0043aa8bcb11664ecb70d8ce7cdbd8b15c398edf179a3bb3"),
+    ("verify-theorem --m 2 --n-max 4", 0, "1300463b75b0fa5a3ce409559faaea5f78a41e8925ba5ddbc921023906936213", "a90208ea33682322d8a2a32512fbf20c82f9250c83069a4c10faede7d47b3471"),
+    ("verify-theorem --m 3 --n-max 3", 0, "bc4c90e66f978c3b0031cb089a015b227581ff5b62471ff31a65355e26528fda", "3379ae55c8a149ebae6a14164ee2330d7c7e11a265f5374039fc2568520b1454"),
+    ("verify-theorem --m 4 --n-max 2 --no-dp", 0, "d3477320265d7b1227bf1fa68abea9aa5d52df892faab888be0708e5410cc5ff", "700a40d8ce68ee69e398d5e16ca95a9046f75129a3f3216612d42f4d5c088d71"),
+    ("verify-independence --m 3 --n-max 3", 0, "09350925a94ff597fff5ade667fe44f6b60aa4dfde4bf5aa2e9a963659527144", "ee551d88943b2703f4f8d779c7ae10d0658d266812c3c8901ce852135ad7127c"),
+]
+
+
+@pytest.mark.parametrize("command,code,stdout_sha,report_sha", GOLDEN, ids=[row[0] for row in GOLDEN])
+def test_reports_and_stdout_are_byte_stable(capsys, tmp_path, command, code, stdout_sha, report_sha):
+    out = tmp_path / "report.json"
+    assert run(command.split() + ["--out", str(out)]) == code
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == stdout_sha
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == report_sha

@@ -6,6 +6,7 @@ from itertools import combinations, permutations, product
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from scfkit import search
 from scfkit.axioms import (
     check_duel_property,
     check_neutrality,
@@ -391,6 +392,20 @@ class TestClassification:
             "all_abstention": 7, "dominating_tie": 5904, "leader": 15933,
         }
 
+    @pytest.mark.parametrize("leader", [True, False])
+    def test_a_broken_partition_is_reported_not_raised(self, monkeypatch, leader):
+        # every profile a leader: the other cases overlap it; none a leader:
+        # the leader profiles fall into no case.  Either way they go uncounted.
+        correct = verify_theorem(2, 3).case_counts
+        monkeypatch.setattr(search, "is_leader_profile", lambda p: leader)
+        verdict = verify_theorem(2, 3)
+        assert not verdict.partition_ok and not verdict.passed
+        assert verdict.maj_match and verdict.replay_ok
+        if leader:
+            assert verdict.case_counts == {"all_abstention": 0, "dominating_tie": 0, "leader": correct["leader"]}
+        else:
+            assert verdict.case_counts == {**correct, "leader": 0}
+
 
 class TestVerdicts:
     def test_theorem_holds_with_duel_property(self):
@@ -440,6 +455,12 @@ class TestVerdicts:
     def test_independence_scope_validation(self):
         with pytest.raises(ValueError):
             verify_independence(2, 2)
+
+    def test_theorem_needs_two_voters_before_searching(self, monkeypatch):
+        # the replay checks RS, which compares n voters with n - 1 of them
+        monkeypatch.setattr(search, "enumerate_functions", lambda spec: pytest.fail("searched"))
+        with pytest.raises(ValueError, match="at least 2"):
+            verify_theorem(2, 1)
 
     def test_verdicts_serialize(self):
         doc = verify_theorem(2, 2).to_dict()
