@@ -177,7 +177,13 @@ def tally(p: Profile) -> Tally:
             abstentions += 1
         else:
             counts[b - 1] += 1
-    return Tally(p.m, tuple(counts), abstentions)
+    # built as in Profile._trusted, without the frozen __init__'s setattr calls
+    t = object.__new__(Tally)
+    fields = t.__dict__
+    fields["m"] = p.m
+    fields["counts"] = tuple(counts)
+    fields["abstentions"] = abstentions
+    return t
 
 
 def apply_voter_permutation(p: Profile, sigma: VoterPermutation) -> Profile:

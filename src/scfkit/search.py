@@ -8,7 +8,9 @@ level-n cells:
 
 - N: with neutrality, each cell is a relabeling of its orbit's
   representative, f(tau c) = tau f(c), and the representative may only take
-  outcomes its stabilizer fixes.  Without N every cell is its own orbit.
+  outcomes its stabilizer fixes.  Orbits come from count signatures: two
+  classes share one iff they share the voter count and the sorted candidate
+  counts.  Without N every cell is its own orbit.
 - RS: f(c) = f(reduce(c)), where reduce(c) collects the (fixed) outcomes
   of c's voter-deleted subprofiles, is a plain equality between two level-n
   cells.
@@ -26,6 +28,9 @@ A *node* is one value tried at one component's smallest cell.  A rejected
 node is a *prune*, counted once against the first axiom in the order PO,
 DP, N, RS, PR that excludes it.
 
+With N alone the engine streams every neutral table
+(:func:`enumerate_neutral_functions`).
+
 The checkers in :mod:`scfkit.axioms` stay the oracle: the engine's pruning
 logic is written independently, and verdict records replay every solution
 through the checkers.
@@ -35,7 +40,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import permutations, product
+from itertools import permutations
 from typing import Iterator
 
 from .core import Profile, enumerate_profiles, profile_count, tally
@@ -64,6 +69,9 @@ __all__ = [
 # Anonymity is built into the table representation and cannot be requested.
 SEARCH_AXIOMS = ("N", "DP", "PO", "RS", "PR")
 
+# Tables with more cells than this are refused before any search.
+_MAX_CELLS = 20_000
+
 
 class SearchInfeasibleError(RuntimeError):
     """The requested scope exceeds configured resource limits; carries an
@@ -84,7 +92,6 @@ class SearchSpec:
     axioms: frozenset[str]
     limit: int | None = None
     max_nodes: int | None = None
-    max_cells: int = 20_000
     pr_tie_upgrade: str = "leaders"
 
     def __post_init__(self):
@@ -121,14 +128,6 @@ def _cells(m: int, n_max: int) -> list[tuple[int, ...]]:
     return out
 
 
-def _tau_value(image: tuple[int, ...], v: int) -> int:
-    return 0 if v == 0 else image[v - 1]
-
-
-def _tau_class(image: tuple[int, ...], ballots: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(sorted(_tau_value(image, b) for b in ballots))
-
-
 def _support(ballots: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(sorted(set(b for b in ballots if b > 0)))
 
@@ -152,46 +151,50 @@ def _pareto_forced(ballots: tuple[int, ...]) -> int | None:
     return support[0] if len(support) == 1 else None
 
 
-def _leaders(ballots: tuple[int, ...], m: int) -> frozenset[int]:
+def _counts(ballots: tuple[int, ...], m: int) -> list[int]:
+    """Votes per candidate: ``counts[k - 1]`` is candidate k's."""
     counts = [0] * m
     for b in ballots:
         if b > 0:
             counts[b - 1] += 1
+    return counts
+
+
+def _leaders(ballots: tuple[int, ...], m: int) -> frozenset[int]:
+    counts = _counts(ballots, m)
     top = max(counts)
     return frozenset(k for k in range(1, m + 1) if counts[k - 1] == top)
 
 
-def _orbits(
-    cells: list[tuple[int, ...]], m: int
-) -> list[tuple[int, dict[int, tuple[int, ...]], tuple[tuple[int, ...], ...], tuple[int, ...]]]:
+def _orbits(cells: list[tuple[int, ...]], m: int) -> list[tuple[int, dict[int, tuple[int, ...]], tuple[int, ...]]]:
     """Candidate-relabeling orbits of ``cells`` (every canonical profile of
     each level present), in index order of their representatives, which are
     each orbit's first cell.
 
-    One ``(rep, labels, stabilizer, allowed)`` per orbit: ``labels`` maps each
-    member's index to a relabeling (an image tuple) sending the representative
-    onto it, the identity for the representative itself, and ``allowed`` holds
-    the outcomes fixed by every relabeling in the ``stabilizer``.
+    A relabeling sends a class onto another iff it carries each candidate's
+    count to its image, so an orbit is the cells with one voter count and one
+    sorted count vector.  One ``(rep, labels, allowed)`` per orbit:
+    ``labels`` maps each member's index to the lexicographically first
+    relabeling (an image tuple) sending the representative onto it, where
+    each candidate in turn takes the smallest unused candidate with its count
+    in the member.  ``allowed`` holds the outcomes the representative's
+    stabilizer fixes: abstention and each candidate whose count is unique.
     """
-    index = {c: i for i, c in enumerate(cells)}
-    taus = list(permutations(range(1, m + 1)))
-    claimed: set[int] = set()
-    orbits = []
+    groups: dict[tuple[int, tuple[int, ...]], list[tuple[int, list[int]]]] = {}
     for i, c in enumerate(cells):
-        if i in claimed:
-            continue
+        counts = _counts(c, m)
+        groups.setdefault((len(c), tuple(sorted(counts))), []).append((i, counts))
+    orbits = []
+    for members in groups.values():
+        rep, rep_counts = members[0]
         labels: dict[int, tuple[int, ...]] = {}
-        stabilizer: list[tuple[int, ...]] = []
-        for tau in taus:
-            j = index[_tau_class(tau, c)]
-            labels.setdefault(j, tau)
-            if j == i:
-                stabilizer.append(tau)
-        allowed = tuple(
-            o for o in range(m + 1) if all(_tau_value(tau, o) == o for tau in stabilizer)
-        )
-        orbits.append((i, labels, tuple(stabilizer), allowed))
-        claimed.update(labels)
+        for j, counts in members:
+            by_count: dict[int, list[int]] = {}  # each count's candidates, largest first
+            for k in range(m, 0, -1):
+                by_count.setdefault(counts[k - 1], []).append(k)
+            labels[j] = tuple(by_count[x].pop() for x in rep_counts)
+        allowed = (0, *(k for k in range(1, m + 1) if rep_counts.count(rep_counts[k - 1]) == 1))
+        orbits.append((rep, labels, allowed))
     return orbits
 
 
@@ -275,10 +278,6 @@ def _merge(
     return [(group, frozenset(allowed[root])) for root, group in groups.items()]
 
 
-class _Truncated(Exception):
-    pass
-
-
 # A component: its cells, then per value v tried at its smallest cell the
 # axiom excluding v (None when allowed) and the (cell, outcome) pairs v implies.
 _Component = tuple[list[int], list[str | None], list[list[tuple[int, int]] | None]]
@@ -306,7 +305,7 @@ class _Engine:
         if "N" in spec.axioms:
             self.members = {}
             self.fixed = {}
-            for rep, labels, _, allowed in _orbits(cells, m):
+            for rep, labels, allowed in _orbits(cells, m):
                 self.members[rep] = sorted(labels)
                 self.fixed[rep] = frozenset(allowed)
                 for j, tau in labels.items():
@@ -349,7 +348,6 @@ class _Engine:
 
         self.nodes = 0
         self.prunes: dict[str, int] = {ax: 0 for ax in sorted(spec.axioms)}
-        self.solutions: list[TabledFunction] = []
         self.exhausted = True
 
     # -- one level's components ------------------------------------------------
@@ -422,11 +420,15 @@ class _Engine:
 
     # -- search --------------------------------------------------------------
 
-    def run(self) -> None:
-        try:
-            self._search()
-        except _Truncated:
-            self.exhausted = False
+    def run(self) -> list[TabledFunction]:
+        """The solutions, up to the spec's limit (which clears ``exhausted``)."""
+        solutions = []
+        for solution in self._search():
+            solutions.append(solution)
+            if len(solutions) == self.spec.limit:
+                self.exhausted = False
+                break
+        return solutions
 
     def _try(self, comp: _Component, v: int) -> str | None:
         """Assign value v at the component's smallest cell, or return the
@@ -442,7 +444,8 @@ class _Engine:
             return "PR"
         return None
 
-    def _search(self) -> None:
+    def _search(self) -> Iterator[TabledFunction]:
+        """The solutions in order, until the node limit clears ``exhausted``."""
         m, n_max, max_nodes = self.m, self.spec.n_max, self.spec.max_nodes
         # one frame per component on the current branch: its level, that
         # level's components, its position among them, the next value to try
@@ -456,7 +459,8 @@ class _Engine:
             for v in range(start, m + 1):
                 self.nodes += 1
                 if max_nodes is not None and self.nodes > max_nodes:
-                    raise _Truncated
+                    self.exhausted = False
+                    return
                 axiom = self._try(comp, v)
                 if axiom is None:
                     break
@@ -470,13 +474,7 @@ class _Engine:
             elif n < n_max:
                 stack.append([n + 1, self._components(n + 1), 0, 0])
             else:
-                self._emit()
-
-    def _emit(self) -> None:
-        table = {c: self.out[j] for j, c in enumerate(self.cells)}
-        self.solutions.append(TabledFunction(self.m, self.spec.n_max, table))
-        if self.spec.limit is not None and len(self.solutions) >= self.spec.limit:
-            raise _Truncated
+                yield TabledFunction(m, n_max, {c: self.out[j] for j, c in enumerate(self.cells)})
 
 
 def enumerate_functions(spec: SearchSpec) -> SearchResult:
@@ -485,18 +483,18 @@ def enumerate_functions(spec: SearchSpec) -> SearchResult:
     level-wise search; ``exhausted`` is False iff a node or solution limit cut
     the search short."""
     cells = sum(profile_count(spec.m, n, canonical_only=True) for n in range(1, spec.n_max + 1))
-    if cells > spec.max_cells:
+    if cells > _MAX_CELLS:
         raise SearchInfeasibleError(
-            f"table would need {cells} cells (> {spec.max_cells}); "
+            f"table would need {cells} cells (> {_MAX_CELLS}); "
             f"raw space {spec.m + 1}^{cells} tables",
             cells=cells,
             tables=(spec.m + 1) ** cells,
         )
     engine = _Engine(spec)
-    engine.run()
+    solutions = engine.run()
     return SearchResult(
         spec=spec,
-        solutions=engine.solutions,
+        solutions=solutions,
         exhausted=engine.exhausted,
         nodes_explored=engine.nodes,
         prune_counts=engine.prunes,
@@ -525,14 +523,15 @@ def neutral_orbits(m: int, n_max: int) -> list[NeutralOrbit]:
     """Orbits of canonical profiles under candidate relabelings, in
     (n, representative) order."""
     cells = _cells(m, n_max)
+    taus = [(0, *tau) for tau in permutations(range(1, m + 1))]
     return [
         NeutralOrbit(
             representative=Profile(m, cells[rep]),
             members=tuple(cells[j] for j in sorted(labels)),
-            stabilizer=stabilizer,
+            stabilizer=tuple(t[1:] for t in taus if tuple(sorted(t[b] for b in cells[rep])) == cells[rep]),
             allowed_outcomes=allowed,
         )
-        for rep, labels, stabilizer, allowed in _orbits(cells, m)
+        for rep, labels, allowed in _orbits(cells, m)
     ]
 
 
@@ -541,26 +540,19 @@ def enumerate_neutral_functions(
 ) -> Iterator[TabledFunction]:
     """Every anonymous + neutral function on the bounded space, exactly once.
 
-    One outcome is chosen per orbit from its stabilizer-consistent set and
-    propagated to the whole orbit, so neutrality holds by construction and no
-    two yielded tables are equal.
+    This is the search with N alone, streamed in its lexicographic order: one
+    outcome is chosen per orbit from its stabilizer-consistent set and
+    propagated to the whole orbit, so no two yielded tables are equal.
     """
-    cells = _cells(m, n_max)
-    orbits = _orbits(cells, m)
-    total = math.prod(len(allowed) for *_, allowed in orbits)
+    engine = _Engine(SearchSpec(m=m, n_max=n_max, axioms=frozenset({"N"})))
+    total = math.prod(len(allowed) for allowed in engine.fixed.values())
     if max_functions is not None and total > max_functions:
         raise SearchInfeasibleError(
             f"{total} neutral functions exceed the cap of {max_functions}",
-            cells=len(cells),
+            cells=len(engine.cells),
             tables=total,
         )
-    for choice in product(*(allowed for *_, allowed in orbits)):
-        table = {
-            cells[j]: _tau_value(tau, o)
-            for (_, labels, _, _), o in zip(orbits, choice)
-            for j, tau in labels.items()
-        }
-        yield TabledFunction(m, n_max, table)
+    yield from engine._search()
 
 
 # -- profile classification (the two proof cases plus the empty profile) ------

@@ -1,3 +1,5 @@
+from dataclasses import FrozenInstanceError
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -5,6 +7,7 @@ from scfkit.core import (
     CandidatePermutation,
     Profile,
     ProfileParseError,
+    Tally,
     VoterPermutation,
     apply_candidate_permutation,
     apply_to_outcome,
@@ -79,6 +82,16 @@ class TestTypes:
         assert tally(Profile(3, (1, 1, 2))).leaders() == (1,)
         assert tally(Profile(3, (1, 2))).leaders() == (1, 2)
         assert tally(Profile(3, (0, 0))).leaders() == (1, 2, 3)
+
+    def test_tally_is_a_frozen_value(self):
+        t = tally(Profile(3, (3, 0, 3, 1)))
+        built = Tally(3, (1, 0, 2), 1)
+        assert type(t) is Tally
+        assert t == built and hash(t) == hash(built)
+        assert t != Tally(4, (1, 0, 2), 1)
+        with pytest.raises(FrozenInstanceError):
+            t.counts = (0, 0, 0)
+        assert t == built
 
 
 class TestOperations:

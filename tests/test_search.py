@@ -1,7 +1,7 @@
 import gc
 import hashlib
 from functools import cache
-from itertools import combinations, permutations, product
+from itertools import combinations, islice, permutations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -78,6 +78,44 @@ def _brute_force_passes(m, n_max):
     return tables, passes
 
 
+def _orbits_by_permutations(cells, m):
+    """Orbits found by applying all m! relabelings to each representative,
+    the walk the count-signature orbits replaced: per orbit, the first
+    relabeling in lexicographic order that reaches each member, and the
+    outcomes every relabeling fixing the representative fixes."""
+    index = {c: i for i, c in enumerate(cells)}
+    taus = list(permutations(range(1, m + 1)))
+    claimed = set()
+    orbits = []
+    for i, c in enumerate(cells):
+        if i in claimed:
+            continue
+        labels = {}
+        stabilizer = []
+        for tau in taus:
+            j = index[tuple(sorted(0 if b == 0 else tau[b - 1] for b in c))]
+            labels.setdefault(j, tau)
+            if j == i:
+                stabilizer.append(tau)
+        allowed = tuple(o for o in range(m + 1) if all(o == 0 or tau[o - 1] == o for tau in stabilizer))
+        orbits.append((i, labels, allowed))
+        claimed.update(labels)
+    return orbits
+
+
+def _neutral_tables_by_product(m, n_max):
+    """Neutral tables as the per-orbit product enumeration produced them
+    before the N-only search replaced it, in that order."""
+    cells = search._cells(m, n_max)
+    orbits = _orbits_by_permutations(cells, m)
+    for choice in product(*(allowed for *_, allowed in orbits)):
+        yield {
+            cells[j]: 0 if o == 0 else tau[o - 1]
+            for (_, labels, _), o in zip(orbits, choice)
+            for j, tau in labels.items()
+        }
+
+
 # The five original subsets first, so their test ids stay put; then every
 # other subset of the search axioms at (2, 2), and all of them at (3, 1).
 _ORIGINAL_SUBSETS = [
@@ -131,7 +169,8 @@ class TestSearchSpec:
     def test_infeasible_scope_is_refused_with_estimate(self):
         with pytest.raises(SearchInfeasibleError) as err:
             enumerate_functions(SearchSpec(m=8, n_max=8, axioms=frozenset({"N"})))
-        assert err.value.cells > 20_000
+        assert err.value.cells == 24309 and err.value.tables == 9 ** 24309
+        assert str(err.value) == "table would need 24309 cells (> 20000); raw space 9^24309 tables"
 
 
 class TestEnumerateFunctions:
@@ -148,6 +187,13 @@ class TestEnumerateFunctions:
         )
         assert result.exhausted
         assert result.solutions == [_maj_table(3, 3)]
+
+    def test_theorem_axioms_pin_majority_at_eight_candidates(self):
+        result = enumerate_functions(
+            SearchSpec(m=8, n_max=4, axioms=frozenset({"N", "DP", "PO", "RS"}))
+        )
+        assert result.exhausted
+        assert result.solutions == [_maj_table(8, 4)]
 
     def test_single_voter_level_is_forced(self):
         result = enumerate_functions(SearchSpec(m=2, n_max=1, axioms=frozenset({"N", "PO"})))
@@ -358,6 +404,33 @@ class TestNeutralOrbits:
         with pytest.raises(SearchInfeasibleError):
             list(enumerate_neutral_functions(3, 2, max_functions=5))
 
+    @pytest.mark.parametrize("n_max", [2, 4])
+    @pytest.mark.parametrize("m", range(2, 7))
+    def test_count_signature_orbits_equal_permutation_orbits(self, m, n_max):
+        cells = search._cells(m, n_max)
+        assert search._orbits(cells, m) == _orbits_by_permutations(cells, m)
+
+    @pytest.mark.parametrize("m,n_max", [(2, 3), (3, 3), (4, 2), (5, 2)])
+    def test_stabilizer_is_every_relabeling_fixing_the_representative(self, m, n_max):
+        for orbit in neutral_orbits(m, n_max):
+            rep = orbit.representative.ballots
+            assert orbit.stabilizer == tuple(
+                tau
+                for tau in permutations(range(1, m + 1))
+                if tuple(sorted(0 if b == 0 else tau[b - 1] for b in rep)) == rep
+            )
+
+    @pytest.mark.parametrize("m,n_max", [(2, 3), (3, 2), (3, 3), (4, 2)])
+    def test_neutral_tables_come_in_product_order(self, m, n_max):
+        yielded = [f.table for f in enumerate_neutral_functions(m, n_max)]
+        assert yielded == list(_neutral_tables_by_product(m, n_max))
+
+    def test_neutral_tables_stream(self):
+        # (2, 8) has about 2.5e33 neutral tables, so only a stream can return
+        first = list(islice(enumerate_neutral_functions(2, 8), 3))
+        assert len(first) == 3
+        assert set(first[0].table.values()) == {0}
+
 
 class TestClassification:
     def test_documented_cases(self):
@@ -424,6 +497,12 @@ class TestVerdicts:
     def test_theorem_holds_at_ten_voters(self):
         verdict = verify_theorem(2, 10)
         assert verdict.passed and verdict.exhausted
+
+    @pytest.mark.parametrize("m,n_max", [(2, 20), (3, 12), (5, 5)])
+    def test_theorem_holds_at_north_star_scopes(self, m, n_max):
+        verdict = verify_theorem(m, n_max)
+        assert verdict.passed and verdict.exhausted
+        assert verdict.solution_count == 1
 
     def test_duel_property_redundant_from_four_candidates(self):
         verdict = verify_theorem(4, 2, include_dp=False)
