@@ -7,11 +7,16 @@ Witnesses are replayable: :func:`replay_witness` re-derives the violation
 from the recorded configuration and the function alone.
 
 Every checker is a call of :func:`check_axioms`, which checks any list of
-axioms and establishes anonymity once per call.  A scope estimated above
+axioms and establishes anonymity once per call.  A call estimated above
 :data:`CHECK_MAX_COST` (:func:`check_cost`) is refused with a
 :class:`CheckInfeasibleError` before f is evaluated, rather than running for
 hours.  An anonymous f is scanned one sorted profile per anonymity class,
-anything else over every ordered profile.  The ``workers`` keyword of the
+anything else over every ordered profile.
+
+Neutrality is checked on two generators of the relabelings, the
+transposition (1 2) and the m-cycle; only a failure rescans with all m!
+relabelings, to report the same minimal witness.  Reducibility evaluates f
+once per distinct voter-deleted subprofile.  The ``workers`` keyword of the
 checkers is accepted for compatibility and ignored.
 """
 
@@ -20,8 +25,8 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from itertools import permutations
-from typing import Callable, Iterable
+from itertools import islice, permutations
+from typing import Callable, Iterable, Iterator
 
 from .core import (
     CandidatePermutation,
@@ -36,7 +41,7 @@ from .core import (
     remove_voter,
     tally,
 )
-from .rules import TabledFunction, _check_scope
+from .rules import IncompleteTableError, TabledFunction, _check_scope
 
 __all__ = [
     "AXIOM_IDS",
@@ -152,50 +157,71 @@ class AxiomReport:
         return doc
 
 
-def _evaluations_per_class(axiom: str, m: int, n: int) -> int:
-    """Evaluations of f one profile of n voters costs a checker other than A:
-    the profile itself plus each related profile."""
+def _evaluations_per_class(axiom: str, m: int, n: int, ordered: bool = False) -> int:
+    """Evaluations of f one scanned profile of n voters costs a checker other
+    than A: the profile itself plus each related profile.  A class scan
+    scans sorted profiles, the ordered fallback every ordered profile."""
     if axiom == "N":
-        return 1 + math.factorial(m)
+        return 1 + len(_generators(m))
     if axiom == "RS":
-        return 2 + n
+        # one subprofile per run of equal adjacent ballots
+        return 2 + (n if ordered else min(n, m + 1))
     if axiom == "PR":
         return 1 + m * n
     return 1
 
 
-def check_cost(axiom: str, m: int, n_max: int, tabled: bool = False, ordered: bool = False) -> int:
-    """Estimated evaluations of f by one checker at scope (m, n_max).
+def check_cost(
+    axioms: str | Iterable[str], m: int, n_max: int, tabled: bool = False, ordered: bool = False
+) -> int:
+    """Estimated evaluations of f by one :func:`check_axioms` call at scope
+    (m, n_max); ``axioms`` is one axiom id or a list of them.
 
-    A scans every ordered profile.  The other checkers scan anonymity classes
-    times the evaluations per class, after an ordered anonymity pre-scan
-    unless f is a :class:`TabledFunction` (``tabled``).  With ``ordered``,
-    the estimate is instead that of the fallback scan of a function that
-    failed the pre-scan: every ordered profile times the evaluations per
-    profile.
+    The A scan is counted once, at one evaluation per ordered profile: when
+    A is requested, or when another axiom is and f is not a
+    :class:`TabledFunction` (``tabled``), whose anonymity is built in.  Each
+    other axiom adds its class scan, anonymity classes times evaluations per
+    class.  With ``ordered``, the estimate is instead that of the fallback
+    scans of a function that failed the A scan: every ordered profile times
+    the evaluations per profile, summed over the axioms other than A.  A
+    failing N scan's rescan for its minimal witness is estimated when it
+    starts, not here.
     """
     _check_scope(m, n_max)
-    profiles = sum(profile_count(m, n) for n in range(1, n_max + 1))
-    if axiom == "A":
-        return profiles
-    scan = sum(
-        profile_count(m, n, canonical_only=not ordered) * _evaluations_per_class(axiom, m, n)
+    axioms = [axioms] if isinstance(axioms, str) else list(axioms)
+    others = [ax for ax in axioms if ax != "A"]
+    scans = sum(
+        profile_count(m, n, canonical_only=not ordered) * _evaluations_per_class(ax, m, n, ordered)
+        for ax in others
         for n in range(1, n_max + 1)
     )
-    return scan if tabled or ordered else profiles + scan
+    if ordered or not _scans_anonymity(axioms, tabled):
+        return scans
+    return scans + sum(profile_count(m, n) for n in range(1, n_max + 1))
 
 
-def require_feasible(axiom: str, f, m: int, n_max: int, ordered: bool = False) -> None:
-    """Raise :class:`CheckInfeasibleError` when checking ``axiom`` for f at
-    the scope (or, with ``ordered``, its ordered fallback scan) is estimated
-    to exceed :data:`CHECK_MAX_COST`."""
-    cost = check_cost(axiom, m, n_max, tabled=isinstance(f, TabledFunction), ordered=ordered)
+def _scans_anonymity(axioms: list[str], tabled: bool) -> bool:
+    """Whether a call runs the A scan: for the A report, or to establish
+    anonymity for another axiom when f is not a table."""
+    return "A" in axioms or (any(ax != "A" for ax in axioms) and not tabled)
+
+
+def _refuse_above(cost: int, task: str) -> None:
+    """Raise :class:`CheckInfeasibleError` when ``task`` is estimated at more
+    than :data:`CHECK_MAX_COST` evaluations."""
     if cost > CHECK_MAX_COST:
         raise CheckInfeasibleError(
-            f"checking {axiom} at m={m}, n_max={n_max} needs about {cost} "
-            f"evaluations (> {CHECK_MAX_COST})",
-            cost=cost,
+            f"{task} needs about {cost} evaluations (> {CHECK_MAX_COST})", cost=cost
         )
+
+
+def require_feasible(axioms: str | Iterable[str], f, m: int, n_max: int, ordered: bool = False) -> None:
+    """Raise :class:`CheckInfeasibleError` when checking ``axioms`` (one id
+    or a list) for f at the scope, or with ``ordered`` their ordered fallback
+    scans, is estimated to exceed :data:`CHECK_MAX_COST`."""
+    axioms = [axioms] if isinstance(axioms, str) else list(axioms)
+    cost = check_cost(axioms, m, n_max, tabled=isinstance(f, TabledFunction), ordered=ordered)
+    _refuse_above(cost, f"checking {','.join(axioms)} at m={m}, n_max={n_max}")
 
 
 def _scans_classes(f, anonymity: Witness | None) -> bool:
@@ -206,16 +232,19 @@ def _scans_classes(f, anonymity: Witness | None) -> bool:
     return isinstance(f, TabledFunction) or anonymity is None
 
 
-def _first_witness(
-    witness_of: Callable, f, m: int, n_max: int, tie_upgrade: str, by_class: bool, n_min: int
-) -> Witness | None:
-    """First violation in (n, profile) stream order, over one sorted profile
-    per class or over every ordered profile."""
+def _profiles(m: int, n_min: int, n_max: int, by_class: bool) -> Iterator[Profile]:
+    """The profiles of n_min..n_max voters in (n, profile) stream order: one
+    sorted profile per class, or every ordered profile."""
     for n in range(n_min, n_max + 1):
-        for p in enumerate_profiles(m, n, canonical_only=by_class):
-            w = witness_of(f, p, tie_upgrade)
-            if w is not None:
-                return w
+        yield from enumerate_profiles(m, n, canonical_only=by_class)
+
+
+def _first_witness(witness_of: Callable, f, profiles: Iterable[Profile], tie_upgrade: str) -> Witness | None:
+    """The first profile's witness, in stream order."""
+    for p in profiles:
+        w = witness_of(f, p, tie_upgrade)
+        if w is not None:
+            return w
     return None
 
 
@@ -265,9 +294,18 @@ def _relabelings(m: int) -> tuple[CandidatePermutation, ...]:
     return tuple(CandidatePermutation(m, image) for image in permutations(range(1, m + 1)))
 
 
-def _neutrality(f, p: Profile, tie_upgrade: str) -> Witness | None:
+@functools.lru_cache(maxsize=1)
+def _generators(m: int) -> tuple[CandidatePermutation, ...]:
+    """The transposition (1 2) and the m-cycle k -> k + 1 (m -> 1), which
+    generate every relabeling; at m = 2 they are the same swap."""
+    swap = CandidatePermutation.transposition(m, 1, 2)
+    return (swap,) if m == 2 else (swap, CandidatePermutation(m, tuple(range(2, m + 1)) + (1,)))
+
+
+def _relabeling_witness(f, p: Profile, relabelings: Iterable[CandidatePermutation]) -> Witness | None:
+    """The first tau in ``relabelings`` with f(tau p) != tau f(p)."""
     out = f.evaluate(p)
-    for tau in _relabelings(p.m):
+    for tau in relabelings:
         permuted = apply_candidate_permutation(p, tau)
         actual = f.evaluate(permuted)
         expected = tau.outcome(out)
@@ -280,6 +318,42 @@ def _neutrality(f, p: Profile, tie_upgrade: str) -> Witness | None:
                 expected=expected,
             )
     return None
+
+
+def _neutrality_witness(f, m: int, n_max: int, by_class: bool) -> Witness | None:
+    """N's scan: f(tau P) = tau f(P) for the two generators on every scanned
+    profile.
+
+    That suffices for every relabeling: the scope is closed under
+    relabeling, so equivariance under g and h gives it under gh.  (On a
+    class scan f is anonymous, so it also holds for every ordering of P.)
+    A failure, or an unassigned table entry, at profile Q starts the rescan
+    for the minimal witness.
+    """
+    generators = _generators(m)
+    for scanned, p in enumerate(_profiles(m, 1, n_max, by_class), start=1):
+        try:
+            if _relabeling_witness(f, p, generators) is None:
+                continue
+        except IncompleteTableError:
+            pass  # the rescan meets the same entry, or an earlier witness
+        return _minimal_relabeling_witness(f, m, n_max, by_class, scanned)
+    return None
+
+
+def _minimal_relabeling_witness(f, m: int, n_max: int, by_class: bool, stop: int) -> Witness:
+    """Rescan the first ``stop`` profiles with all m! relabelings in order,
+    as one scan over the full group meets them.  Profile ``stop`` fails
+    under that group (or needs the unassigned entry), so the full scan's
+    witness, or its error, comes at it at the latest.  Estimated first, and
+    refused like any scan."""
+    _refuse_above(stop * (1 + math.factorial(m)), f"rescanning N for its witness at m={m}, n_max={n_max}")
+    relabelings = _relabelings(m)
+    for p in islice(_profiles(m, 1, n_max, by_class), stop):
+        w = _relabeling_witness(f, p, relabelings)
+        if w is not None:
+            return w
+    raise RuntimeError("f fails N under a generator but under no relabeling: it is not deterministic")
 
 
 def _duel_pairs(support: tuple[int, ...], m: int) -> Iterable[tuple[int, int]]:
@@ -317,12 +391,23 @@ def _pareto(f, p: Profile, tie_upgrade: str) -> Witness | None:
 def reduce_profile(f, p: Profile) -> Profile:
     """The profile of subsociety outcomes: ballot l is f with voter l removed.
 
+    Removing either of two adjacent voters with equal ballots leaves the same
+    subprofile, so f is evaluated once per run of equal adjacent ballots: at
+    most min(n, m + 1) times on a sorted profile.  That holds within p, for
+    any f, anonymous or not.
+
     Its ballots are outcomes of f, not ballots of p, so it is validated like
     any profile built from outside the library.
     """
     if p.n < 2:
         raise ValueError("subsociety reduction needs at least 2 voters")
-    return Profile(p.m, tuple(f.evaluate(remove_voter(p, l)) for l in range(1, p.n + 1)))
+    ballots = p.ballots
+    reduced = []
+    for l in range(1, p.n + 1):
+        if l == 1 or ballots[l - 1] != ballots[l - 2]:
+            out = f.evaluate(remove_voter(p, l))
+        reduced.append(out)
+    return Profile(p.m, tuple(reduced))
 
 
 def _reducibility(f, p: Profile, tie_upgrade: str) -> Witness | None:
@@ -386,9 +471,9 @@ def _no_tied_winner(f, p: Profile, tie_upgrade: str) -> Witness | None:
 
 
 # axiom -> (a function of f, a profile and PR's tie mode returning the
-# profile's witness or None, the smallest voter count scanned)
+# profile's witness or None, the smallest voter count scanned); N has its
+# own scan, _neutrality_witness
 _SCANS = {
-    "N": (_neutrality, 1),
     "DP": (_duel_property, 1),
     "PO": (_pareto, 1),
     "RS": (_reducibility, 2),
@@ -401,10 +486,11 @@ def check_axioms(f, m: int, n_max: int, axioms: Iterable[str], tie_upgrade: str 
     """One report per axiom in ``axioms``, in that order; ``tie_upgrade`` is
     PR's tie mode.
 
-    The scope is validated and every axiom estimated before f is evaluated.
-    Anonymity is established once: by the A scan, which is also the A report,
-    or by construction for a :class:`TabledFunction`.  When f is not
-    anonymous, every ordered fallback is estimated before any other scan.
+    The scope is validated and the whole call estimated before f is
+    evaluated.  Anonymity is established once: by the A scan, which is also
+    the A report, or by construction for a :class:`TabledFunction`.  When f
+    is not anonymous, the ordered fallbacks of the other axioms are estimated
+    together before any of them is scanned.
     """
     axioms = list(axioms)
     _check_scope(m, n_max)
@@ -415,19 +501,20 @@ def check_axioms(f, m: int, n_max: int, axioms: Iterable[str], tie_upgrade: str 
         raise ValueError("the reduction axiom needs a voter bound of at least 2")
     if "PR" in axioms and tie_upgrade not in PR_TIE_MODES:
         raise ValueError(f"tie_upgrade must be one of {PR_TIE_MODES}, got {tie_upgrade!r}")
-    for ax in axioms:
-        require_feasible(ax, f, m, n_max)
+    require_feasible(axioms, f, m, n_max)
     others = [ax for ax in axioms if ax != "A"]
-    scan_anonymity = "A" in axioms or (others and not isinstance(f, TabledFunction))
-    anonymity = _anonymity_witness(f, m, n_max) if scan_anonymity else None
+    tabled = isinstance(f, TabledFunction)
+    anonymity = _anonymity_witness(f, m, n_max) if _scans_anonymity(axioms, tabled) else None
     by_class = _scans_classes(f, anonymity)
     if not by_class:
-        for ax in others:
-            require_feasible(ax, f, m, n_max, ordered=True)
+        require_feasible(others, f, m, n_max, ordered=True)
     witnesses = {"A": anonymity}
     for ax in others:
-        witness_of, n_min = _SCANS[ax]
-        witnesses[ax] = _first_witness(witness_of, f, m, n_max, tie_upgrade, by_class, n_min)
+        if ax == "N":
+            witnesses[ax] = _neutrality_witness(f, m, n_max, by_class)
+        else:
+            witness_of, n_min = _SCANS[ax]
+            witnesses[ax] = _first_witness(witness_of, f, _profiles(m, n_min, n_max, by_class), tie_upgrade)
     return [AxiomReport(ax, m, n_max, witnesses[ax] is None, witnesses[ax]) for ax in axioms]
 
 
@@ -437,8 +524,9 @@ def check_anonymity(f, m: int, n_max: int, workers: int = 1) -> AxiomReport:
 
 
 def check_neutrality(f, m: int, n_max: int, workers: int = 1) -> AxiomReport:
-    """f(tau P) = tau f(P) for all m! candidate permutations tau (no
-    generator-only shortcut)."""
+    """f(tau P) = tau f(P) for all m! candidate permutations tau, checked on
+    the transposition (1 2) and the m-cycle, which generate them; a failure
+    is rescanned with all m! to report the minimal witness."""
     return check_axioms(f, m, n_max, ["N"])[0]
 
 

@@ -35,8 +35,23 @@ EXIT_TRUNCATED = 3
 _CHECKABLE = tuple(ax for ax in AXIOM_IDS if ax in CHECKERS)
 
 
+def _to_json(value, indent: str = "") -> str:
+    """The text of ``json.dumps(value, indent=2, sort_keys=True)`` for a
+    document of string-keyed dicts, lists and scalars.  That call uses the
+    pure-Python encoder, whose closures leave reference cycles behind on
+    every report; this writer leaves none."""
+    inner = indent + "  "
+    if isinstance(value, dict) and value:
+        items = [f"{inner}{json.dumps(key)}: {_to_json(value[key], inner)}" for key in sorted(value)]
+        return "{\n" + ",\n".join(items) + "\n" + indent + "}"
+    if isinstance(value, (list, tuple)) and value:
+        items = [inner + _to_json(item, inner) for item in value]
+        return "[\n" + ",\n".join(items) + "\n" + indent + "]"
+    return json.dumps(value)
+
+
 def _write_json(path: str | Path, doc: dict) -> None:
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    Path(path).write_text(_to_json(doc) + "\n")
 
 
 def _parse_axioms(raw: str, allowed: tuple[str, ...], parser: argparse.ArgumentParser) -> list[str]:

@@ -1,8 +1,8 @@
 import math
-from itertools import product
+from itertools import permutations, product
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from scfkit import axioms
 from scfkit.axioms import (
@@ -500,13 +500,18 @@ class TestClassScan:
 
 class TestFeasibility:
     def test_infeasible_scope_is_refused_before_scanning(self):
-        # estimated only: 10! relabelings per class are never walked
-        cost = check_cost("N", 10, 3)
-        assert cost > CHECK_MAX_COST
+        # estimated only: the ordered anonymity pre-scan alone would walk
+        # 4^11 profiles at n = 11
+        cost = check_cost("N", 3, 11)
+        assert cost == 5_596_496 > CHECK_MAX_COST
+        f, calls = _counting(MAJ)
         with pytest.raises(CheckInfeasibleError) as err:
-            check_neutrality(MAJ, 10, 3)
+            check_neutrality(f, 3, 11)
         assert err.value.cost == cost
-        assert str(cost) in str(err.value)
+        assert str(err.value) == (
+            f"checking N at m=3, n_max=11 needs about {cost} evaluations (> {CHECK_MAX_COST})"
+        )
+        assert calls == []
 
     def test_cost_counts_ordered_profiles_for_anonymity(self):
         assert check_cost("A", 3, 2) == 4 + 16
@@ -517,7 +522,7 @@ class TestFeasibility:
     @pytest.mark.parametrize(
         "checker,axiom,n_max,class_cost,ordered_cost",
         [
-            (check_neutrality, "N", 9, 354_522, 2_446_668),
+            (check_neutrality, "N", 10, 1_401_100, 4_194_300),
             (check_positive_responsiveness, "PR", 8, 97_378, 2_097_152),
         ],
     )
@@ -611,7 +616,7 @@ class TestCheckAxioms:
             (2, 2, ["A", "PR"], "sometimes", ValueError),
             (2, 2, ["A", "XX"], "leaders", ValueError),
             (1, 2, ["A"], "leaders", ValueError),
-            (10, 3, ["A", "PO", "N"], "leaders", CheckInfeasibleError),
+            (3, 11, ["A", "PO", "N"], "leaders", CheckInfeasibleError),
         ],
     )
     def test_refuses_before_evaluating(self, m, n_max, requested, mode, error):
@@ -621,10 +626,215 @@ class TestCheckAxioms:
         assert calls == []
 
     def test_every_ordered_fallback_is_refused_before_any_scan(self):
-        # PO's ordered fallback at (3, 9) is cheap, N's is not: PO is not
+        # PO's ordered fallback at (3, 10) is cheap, N's is not: PO is not
         # scanned either, only the anonymity scan ran, (1, 0) against (0, 1)
         f, calls = _counting(LAST)
         with pytest.raises(CheckInfeasibleError) as err:
-            check_axioms(f, 3, 9, ["PO", "N"])
-        assert err.value.cost == check_cost("N", 3, 9, ordered=True)
+            check_axioms(f, 3, 10, ["PO", "N"])
+        assert check_cost("PO", 3, 10, ordered=True) <= CHECK_MAX_COST
+        assert err.value.cost == check_cost(["PO", "N"], 3, 10, ordered=True)
         assert calls == [(1, 0), (0, 1)]
+
+
+def _relabel(tau: tuple[int, ...], b: int) -> int:
+    return 0 if b == 0 else tau[b - 1]
+
+
+def _reference_scan(f, m, n_max, axiom) -> AxiomReport:
+    """N or RS as scanned before generators and run sharing: one sorted
+    profile per class when f is a table or anonymous, else every ordered
+    profile; every m! relabeling, identity first, and f on every
+    voter-deleted subprofile."""
+    by_class = isinstance(f, TabledFunction) or check_anonymity(f, m, n_max).passed
+    for n in range(1 if axiom == "N" else 2, n_max + 1):
+        for p in enumerate_profiles(m, n, canonical_only=by_class):
+            out = f.evaluate(p)
+            if axiom == "N":
+                for tau in permutations(range(1, m + 1)):
+                    permuted = Profile(m, tuple(_relabel(tau, b) for b in p.ballots))
+                    actual = f.evaluate(permuted)
+                    if actual != _relabel(tau, out):
+                        w = Witness(p, actual, _relabel(tau, out), permuted, permutation=tau)
+                        return AxiomReport("N", m, n_max, False, w)
+            else:
+                subprofiles = [Profile(m, p.ballots[:l] + p.ballots[l + 1 :]) for l in range(n)]
+                reduced = Profile(m, tuple(f.evaluate(q) for q in subprofiles))
+                expected = f.evaluate(reduced)
+                if out != expected:
+                    return AxiomReport("RS", m, n_max, False, Witness(p, out, expected, reduced))
+    return AxiomReport(axiom, m, n_max, True)
+
+
+def _outcome(scan):
+    """A scan's report, or the table entry it found unassigned."""
+    try:
+        return scan().to_dict()
+    except IncompleteTableError as exc:
+        return ("incomplete", exc.ballots)
+
+
+def _neutral_table(draw, m, n_max) -> dict[tuple[int, ...], int]:
+    """A random neutral table: one outcome per orbit, fixed by the orbit
+    representative's stabilizer, relabeled onto every member."""
+    relabelings = list(permutations(range(1, m + 1)))
+    table: dict[tuple[int, ...], int] = {}
+    for n in range(1, n_max + 1):
+        for p in enumerate_profiles(m, n, canonical_only=True):
+            if p.ballots in table:
+                continue
+            images = {tau: tuple(sorted(_relabel(tau, b) for b in p.ballots)) for tau in relabelings}
+            stabilizer = [tau for tau, image in images.items() if image == p.ballots]
+            fixed = [k for k in range(1, m + 1) if all(tau[k - 1] == k for tau in stabilizer)]
+            value = draw(st.sampled_from([0] + fixed))
+            for tau, image in images.items():
+                table[image] = _relabel(tau, value)
+    return table
+
+
+@st.composite
+def neutrality_cases(draw):
+    """Neutral tables, tables with one orbit relabeled or one cell changed,
+    lex, the non-anonymous last and neutral tables with one ordered profile
+    changed, at the small scopes; tables may lose a few entries."""
+    m, n_max = draw(st.sampled_from([(2, 3), (3, 2), (3, 3), (4, 2)]))
+    kind = draw(st.sampled_from(["neutral", "orbit", "cell", "lex", "last", "ordered"]))
+    if kind == "ordered":
+        # a neutral table read on ordered profiles, one of them changed
+        by_class = _neutral_table(draw, m, n_max)
+        profiles = [b for n in range(1, n_max + 1) for b in product(range(m + 1), repeat=n)]
+        table = {b: by_class[tuple(sorted(b))] for b in profiles}
+        flipped = draw(st.sampled_from(profiles))
+        table[flipped] = (table[flipped] + draw(st.integers(1, m))) % (m + 1)
+        return OrderedFunction(table), m, n_max
+    if kind in ("lex", "last"):
+        return {"lex": LEX, "last": LAST}[kind], m, n_max
+    table = _neutral_table(draw, m, n_max)
+    cells = sorted(table, key=lambda k: (len(k), k))
+    key = draw(st.sampled_from(cells))
+    if kind == "orbit":
+        rho = draw(st.permutations(range(1, m + 1)))
+        orbit = {tuple(sorted(_relabel(tau, b) for b in key)) for tau in permutations(range(1, m + 1))}
+        for member in orbit:
+            table[member] = _relabel(rho, table[member])
+    elif kind == "cell":
+        table[key] = (table[key] + draw(st.integers(1, m))) % (m + 1)
+    if draw(st.booleans()):
+        for missing in draw(st.lists(st.sampled_from(cells), min_size=1, max_size=2, unique=True)):
+            del table[missing]
+    return TabledFunction(m, n_max, table), m, n_max
+
+
+class TestGeneratorScans:
+    @settings(max_examples=200)
+    @given(neutrality_cases())
+    def test_equals_the_full_group_and_per_voter_scans(self, case):
+        # reports, witnesses and the entry an incomplete table misses are
+        # those of the m! relabeling scan and the per-voter reduction
+        f, m, n_max = case
+        for axiom in ("N", "RS"):
+            got = _outcome(lambda: check_axioms(f, m, n_max, [axiom])[0])
+            assert got == _outcome(lambda: _reference_scan(f, m, n_max, axiom))
+            if isinstance(got, dict) and not got["pass"]:
+                assert replay_witness(f, check_axioms(f, m, n_max, [axiom])[0])
+
+    @pytest.mark.parametrize("m", [3, 4])
+    def test_incomplete_tables_name_the_entry_the_full_scan_names(self, m):
+        # every single missing entry, in majority's table and in one where
+        # (1,) elects 2: with (2,) missing, the full scan fails at (1,) under
+        # the swap of 2 and 3 before it needs (2,), the generator scan needs
+        # (2,) first
+        maj = TabledFunction.from_rule(MAJ, m, 2)
+        for base in (maj.table, {**maj.table, (1,): 2}):
+            for missing in base:
+                t = TabledFunction(m, 2, {k: v for k, v in base.items() if k != missing})
+                for axiom in ("N", "RS"):
+                    got = _outcome(lambda: check_axioms(t, m, 2, [axiom])[0])
+                    assert got == _outcome(lambda: _reference_scan(t, m, 2, axiom)), (missing, axiom)
+
+    def test_evaluates_generators_and_one_subprofile_per_run(self):
+        calls = []
+        table = TabledFunction.from_rule(MAJ, 3, 4)
+        original = TabledFunction.evaluate
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(TabledFunction, "evaluate", lambda self, p: calls.append(p.ballots) or original(self, p))
+            check_neutrality(table, 3, 4)
+            classes = [p.ballots for n in range(1, 5) for p in enumerate_profiles(3, n, canonical_only=True)]
+            # each class, then its image under (1 2) and under the 3-cycle
+            assert len(calls) == 3 * len(classes)
+            assert calls[:3] == [(0,), (0,), (0,)] and calls[6:9] == [(2,), (1,), (3,)]
+            calls.clear()
+            check_rs(table, 3, 4)
+            runs = [1 + sum(a != b for a, b in zip(c, c[1:])) for c in classes if len(c) > 1]
+            assert len(calls) == sum(2 + r for r in runs)
+
+    def test_two_candidates_check_the_swap_once(self):
+        f, calls = _counting(MAJ)
+        check_neutrality(f, 2, 1)
+        # one voter: the anonymity scan has nothing to reorder
+        assert calls == [(0,), (0,), (1,), (2,), (2,), (1,)]
+
+    def test_lex_witness_is_the_swap_at_three_candidates(self):
+        report = check_neutrality(LEX, 3, 4)
+        w = report.witness
+        assert (w.profile.ballots, w.permutation, w.actual, w.expected) == ((1, 2), (2, 1, 3), 1, 2)
+        assert replay_witness(LEX, report)
+
+    def test_witness_rescan_is_refused_with_estimate(self):
+        # lex passes every class up to (1, 1) at m = 10; the swap fails at
+        # (1, 2), the 24th class, and its rescan would try 10! relabelings
+        f, calls = _counting(LEX)
+        with pytest.raises(CheckInfeasibleError) as err:
+            check_neutrality(f, 10, 3)
+        cost = 24 * (1 + math.factorial(10))
+        assert err.value.cost == cost
+        assert str(err.value) == (
+            f"rescanning N for its witness at m=10, n_max=3 needs about {cost} evaluations (> {CHECK_MAX_COST})"
+        )
+        assert calls[-2:] == [(1, 2), (2, 1)]
+
+
+class TestCallEstimate:
+    SIX = ["A", "N", "DP", "PO", "RS", "PR"]
+
+    def test_the_anonymity_scan_is_counted_once(self):
+        profiles = check_cost("A", 3, 10)
+        scans = sum(check_cost(ax, 3, 10, tabled=True) for ax in self.SIX[1:])
+        assert check_cost(self.SIX, 3, 10) == check_cost(self.SIX, 3, 10, tabled=True) == profiles + scans
+        assert check_cost(self.SIX[1:], 3, 10, tabled=True) == scans
+        assert check_cost(self.SIX, 3, 10) <= CHECK_MAX_COST < sum(check_cost(ax, 3, 10) for ax in self.SIX)
+
+    def test_ordered_fallbacks_are_refused_as_a_whole(self):
+        # each fallback alone is accepted, their sum is not
+        assert all(check_cost(ax, 2, 10, ordered=True) <= CHECK_MAX_COST for ax in self.SIX[1:])
+        cost = check_cost(self.SIX[1:], 2, 10, ordered=True)
+        assert cost == 3_144_351 > CHECK_MAX_COST
+        f, calls = _counting(LAST)
+        with pytest.raises(CheckInfeasibleError) as err:
+            check_axioms(f, 2, 10, self.SIX)
+        assert err.value.cost == cost
+        assert str(err.value) == (
+            f"checking N,DP,PO,RS,PR at m=2, n_max=10 needs about {cost} evaluations (> {CHECK_MAX_COST})"
+        )
+        assert calls == [(1, 0), (0, 1)]
+
+    @given(
+        st.one_of(
+            complete_tables().map(lambda t: (t, t.m, t.n_max)),
+            st.tuples(st.sampled_from([MAJ, LAST]), st.sampled_from([(2, 3), (3, 2), (3, 3), (4, 2)])).map(
+                lambda case: (case[0], *case[1])
+            ),
+        ),
+        st.lists(st.sampled_from(ALL_AXIOMS), min_size=1, unique=True),
+        st.sampled_from(PR_TIE_MODES),
+    )
+    def test_evaluations_never_exceed_the_estimate(self, case, requested, mode):
+        f, m, n_max = case
+        estimates, calls = [], []
+        refuse, evaluate = axioms._refuse_above, TabledFunction.evaluate
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(axioms, "_refuse_above", lambda cost, task: estimates.append(cost) or refuse(cost, task))
+            mp.setattr(TabledFunction, "evaluate", lambda self, p: calls.append(p) or evaluate(self, p))
+            if isinstance(f, Rule):
+                f, calls = _counting(f)
+            check_axioms(f, m, n_max, requested, mode)
+        assert len(calls) <= sum(estimates)

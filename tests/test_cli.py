@@ -1,10 +1,12 @@
+import gc
 import hashlib
 import json
 
 import pytest
+from hypothesis import given, strategies as st
 
 from scfkit import axioms
-from scfkit.cli import main
+from scfkit.cli import _to_json, main
 from scfkit.core import parse_profile
 from scfkit.rules import RULES, TabledFunction
 
@@ -246,11 +248,16 @@ class TestUsage:
         assert last.startswith("scfkit: error:") and "--n-max" in last
 
     def test_infeasible_check_scope_exits_2_with_estimate(self, capsys):
-        # estimated only: neutrality at m = 10 would walk 10! relabelings per class
-        assert run(["check", "--rule", "maj", "--m", "10", "--n-max", "3"]) == 2
+        # estimated only: the anonymity scan would walk 4^11 profiles at n = 11
+        assert run(["check", "--rule", "maj", "--m", "3", "--n-max", "11"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "infeasible" in captured.err and "evaluations" in captured.err
+
+    def test_many_candidates_are_checked_on_generators(self, capsys):
+        # neutrality costs two relabelings per class, not 10!
+        assert run(["check", "--rule", "maj", "--m", "10", "--n-max", "3"]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "result: pass"
 
     def test_emitted_profiles_reparse(self, tmp_path):
         # the witness profile embedded in a report is valid core text format
@@ -261,6 +268,30 @@ class TestUsage:
         witness = doc["results"][0]["witness"]
         assert parse_profile(witness["profile"]).ballots == (1, 1, 2)
         assert parse_profile(witness["related_profile"]).ballots == (0, 0, 1)
+
+
+json_documents = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda children: st.lists(children, max_size=4) | st.dictionaries(st.text(), children, max_size=4),
+    max_leaves=20,
+)
+
+
+class TestReportWriter:
+    @given(json_documents)
+    def test_writes_the_bytes_of_the_indenting_encoder(self, doc):
+        assert _to_json(doc) == json.dumps(doc, indent=2, sort_keys=True)
+
+    def test_writing_a_report_leaves_no_cyclic_garbage(self, tmp_path):
+        argv = ["verify-independence", "--m", "3", "--n-max", "3", "--out", str(tmp_path / "report.json")]
+        run(argv)  # warm-up: first-call caches are built once per process
+        gc.collect()
+        gc.disable()
+        try:
+            run(argv)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 # Exit code, sha256 of stdout and sha256 of the --out report of each command,

@@ -504,6 +504,13 @@ class TestVerdicts:
         assert verdict.passed and verdict.exhausted
         assert verdict.solution_count == 1
 
+    @pytest.mark.parametrize("m,n_max", [(7, 5), (8, 4), (8, 5), (10, 4)])
+    def test_theorem_holds_at_many_candidates(self, m, n_max):
+        # the neutrality replay costs two relabelings per class, not m!
+        verdict = verify_theorem(m, n_max)
+        assert verdict.passed and verdict.exhausted
+        assert verdict.solution_count == 1
+
     def test_duel_property_redundant_from_four_candidates(self):
         verdict = verify_theorem(4, 2, include_dp=False)
         assert verdict.passed
