@@ -328,10 +328,17 @@ def _neutrality_witness(f, m: int, n_max: int, by_class: bool) -> Witness | None
     relabeling, so equivariance under g and h gives it under gh.  (On a
     class scan f is anonymous, so it also holds for every ordering of P.)
     A failure, or an unassigned table entry, at profile Q starts the rescan
-    for the minimal witness.
+    for the minimal witness.  At m = 2 the swap is the only relabeling
+    besides the identity, so the first failure is that witness and an
+    unassigned entry raises as the full scan would.
     """
     generators = _generators(m)
     for scanned, p in enumerate(_profiles(m, 1, n_max, by_class), start=1):
+        if m == 2:
+            w = _relabeling_witness(f, p, generators)
+            if w is not None:
+                return w
+            continue
         try:
             if _relabeling_witness(f, p, generators) is None:
                 continue

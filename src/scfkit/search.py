@@ -2,9 +2,11 @@
 
 Functions are represented as outcome tables over canonical (sorted) profiles
 up to a voter bound, so anonymity is structural rather than searched over.
-The engine fixes the table level by level (n = 1 upward).  Once the levels
-below n are fixed, every level-n constraint except PR is an equation between
-level-n cells:
+Inside the engine a cell is its count vector (abstentions, then each
+candidate's votes), which determines the class; every per-cell fact the
+search uses is read off it.  The engine fixes the table level by level
+(n = 1 upward).  Once the levels below n are fixed, every level-n
+constraint except PR is an equation between level-n cells:
 
 - N: with neutrality, each cell is a relabeling of its orbit's
   representative, f(tau c) = tau f(c), and the representative may only take
@@ -13,16 +15,20 @@ level-n cells:
   counts.  Without N every cell is its own orbit.
 - RS: f(c) = f(reduce(c)), where reduce(c) collects the (fixed) outcomes
   of c's voter-deleted subprofiles, is a plain equality between two level-n
-  cells.
+  cells.  Deleting any of the c_b voters with ballot b leaves one subcell,
+  so reduce(c) is a count sum: c_b copies of that subcell's outcome per
+  ballot value b present, at most m + 1 lookups per cell.
 
 These equations are merged with a union-find over orbit representatives
 whose links carry relabelings; a merge that closes a cycle restricts the
 root to the outcomes that cycle's relabeling fixes.  Each component then
-takes one value, whose image at every member cell must pass PO and DP.
+takes one value, whose image at every member cell must pass PO and DP
+(DP never constrains at m = 2, where every outcome lies in the one duel
+pair).
 Components are assigned in order of their smallest cell index, trying the
 values 0..m there, so solutions come out in lexicographic order over the
-cell values; PR is checked on within-level upgrade edges as each component
-is assigned.
+cell values; PR is checked on within-level upgrade edges, one ballot moved
+between two counts, as each component is assigned.
 
 A *node* is one value tried at one component's smallest cell.  A rejected
 node is a *prune*, counted once against the first axiom in the order PO,
@@ -128,72 +134,41 @@ def _cells(m: int, n_max: int) -> list[tuple[int, ...]]:
     return out
 
 
-def _support(ballots: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(sorted(set(b for b in ballots if b > 0)))
+def _count_vectors(cells: list[tuple[int, ...]], m: int) -> list[tuple[int, ...]]:
+    """Each cell's count vector: ``c[0]`` abstentions, ``c[k]`` candidate k's
+    votes.  It determines the class, so the engine works on it throughout."""
+    values = range(m + 1)
+    return [tuple(map(c.count, values)) for c in cells]
 
 
-def _dp_allowed(ballots: tuple[int, ...], m: int) -> frozenset[int] | None:
-    """Outcomes the duel property permits on this class, or None when it does
-    not constrain (support of three or more candidates)."""
-    support = _support(ballots)
-    if len(support) > 2:
-        return None
-    allowed = set(range(m + 1))
-    for i in range(1, m + 1):
-        for j in range(i + 1, m + 1):
-            if all(k in (i, j) for k in support):
-                allowed &= {0, i, j}
-    return frozenset(allowed)
-
-
-def _pareto_forced(ballots: tuple[int, ...]) -> int | None:
-    support = _support(ballots)
-    return support[0] if len(support) == 1 else None
-
-
-def _counts(ballots: tuple[int, ...], m: int) -> list[int]:
-    """Votes per candidate: ``counts[k - 1]`` is candidate k's."""
-    counts = [0] * m
-    for b in ballots:
-        if b > 0:
-            counts[b - 1] += 1
-    return counts
-
-
-def _leaders(ballots: tuple[int, ...], m: int) -> frozenset[int]:
-    counts = _counts(ballots, m)
-    top = max(counts)
-    return frozenset(k for k in range(1, m + 1) if counts[k - 1] == top)
-
-
-def _orbits(cells: list[tuple[int, ...]], m: int) -> list[tuple[int, dict[int, tuple[int, ...]], tuple[int, ...]]]:
-    """Candidate-relabeling orbits of ``cells`` (every canonical profile of
-    each level present), in index order of their representatives, which are
-    each orbit's first cell.
+def _orbits(counts: list[tuple[int, ...]], m: int) -> list[tuple[int, dict[int, tuple[int, ...]], tuple[int, ...]]]:
+    """Candidate-relabeling orbits of the cells with count vectors ``counts``
+    (every canonical profile of each level present), in index order of their
+    representatives, which are each orbit's first cell.
 
     A relabeling sends a class onto another iff it carries each candidate's
-    count to its image, so an orbit is the cells with one voter count and one
-    sorted count vector.  One ``(rep, labels, allowed)`` per orbit:
-    ``labels`` maps each member's index to the lexicographically first
+    count to its image, so an orbit is the cells with one abstention count and
+    one sorted candidate-count vector.  One ``(rep, labels, allowed)`` per
+    orbit: ``labels`` maps each member's index to the lexicographically first
     relabeling (an image tuple) sending the representative onto it, where
     each candidate in turn takes the smallest unused candidate with its count
     in the member.  ``allowed`` holds the outcomes the representative's
     stabilizer fixes: abstention and each candidate whose count is unique.
     """
-    groups: dict[tuple[int, tuple[int, ...]], list[tuple[int, list[int]]]] = {}
-    for i, c in enumerate(cells):
-        counts = _counts(c, m)
-        groups.setdefault((len(c), tuple(sorted(counts))), []).append((i, counts))
+    groups: dict[tuple[int, tuple[int, ...]], list[int]] = {}
+    for i, c in enumerate(counts):
+        groups.setdefault((c[0], tuple(sorted(c[1:]))), []).append(i)
     orbits = []
     for members in groups.values():
-        rep, rep_counts = members[0]
+        rep = members[0]
+        votes = counts[rep][1:]
         labels: dict[int, tuple[int, ...]] = {}
-        for j, counts in members:
+        for j in members:
             by_count: dict[int, list[int]] = {}  # each count's candidates, largest first
             for k in range(m, 0, -1):
-                by_count.setdefault(counts[k - 1], []).append(k)
-            labels[j] = tuple(by_count[x].pop() for x in rep_counts)
-        allowed = (0, *(k for k in range(1, m + 1) if rep_counts.count(rep_counts[k - 1]) == 1))
+                by_count.setdefault(counts[j][k], []).append(k)
+            labels[j] = tuple(by_count[x].pop() for x in votes)
+        allowed = (0, *(k for k in range(1, m + 1) if votes.count(votes[k - 1]) == 1))
         orbits.append((rep, labels, allowed))
     return orbits
 
@@ -292,7 +267,8 @@ class _Engine:
         m, n_max = spec.m, spec.n_max
         self.m = m
         self.cells = cells = _cells(m, n_max)
-        self.index = {c: i for i, c in enumerate(cells)}
+        counts = _count_vectors(cells, m)
+        self.index = index = {c: i for i, c in enumerate(counts)}
         self.out: list[int | None] = [None] * len(cells)
 
         # Each cell's orbit representative, the map from the representative's
@@ -305,7 +281,7 @@ class _Engine:
         if "N" in spec.axioms:
             self.members = {}
             self.fixed = {}
-            for rep, labels, allowed in _orbits(cells, m):
+            for rep, labels, allowed in _orbits(counts, m):
                 self.members[rep] = sorted(labels)
                 self.fixed[rep] = frozenset(allowed)
                 for j, tau in labels.items():
@@ -315,36 +291,47 @@ class _Engine:
         for rep in self.members:
             self.reps[len(cells[rep])].append(rep)
 
-        self.po_forced = [_pareto_forced(c) for c in cells] if "PO" in spec.axioms else None
-        self.dp_allowed = [_dp_allowed(c, m) for c in cells] if "DP" in spec.axioms else None
+        candidates = range(1, m + 1)
+        supports = [[k for k in candidates if c[k]] for c in counts]
+        # PO forces the one candidate that gets votes.  DP: a class whose votes
+        # go to at most two candidates is a duel of every pair holding them, so
+        # its outcome is 0 or in its support; at m = 2 the one pair holds every
+        # outcome and DP never constrains.
+        self.po_forced = [s[0] if len(s) == 1 else None for s in supports] if "PO" in spec.axioms else None
+        self.dp_allowed = (
+            [frozenset((0, *s)) if len(s) <= 2 else None for s in supports]
+            if "DP" in spec.axioms and m > 2
+            else None
+        )
 
-        # the voter-deleted subprofiles of each cell (c is sorted, so dropping
-        # one position keeps the key canonical)
-        self.subcells: list[tuple[int, ...]] | None = None
-        if "RS" in spec.axioms:
-            self.subcells = [
-                tuple(self.index[c[:l] + c[l + 1 :]] for l in range(len(c))) if len(c) > 1 else ()
-                for c in cells
-            ]
-
-        # upgrade edges (source, target, k, whether a tie at source must become k)
-        self.pr_from: list[list[tuple[int, int, bool]]] | None = None
-        self.pr_to: list[list[tuple[int, int, bool]]] | None = None
-        if "PR" in spec.axioms:
-            tie = spec.pr_tie_upgrade
-            self.pr_from = [[] for _ in cells]
-            self.pr_to = [[] for _ in cells]
-            for i, c in enumerate(cells):
-                leaders = _leaders(c, m)
-                for v in sorted(set(c)):
-                    pos = c.index(v)
-                    for k in range(1, m + 1):
+        # RS: deleting one of c[b] voters with ballot b leaves c with b's count
+        # one lower, so each cell keeps (subcell, multiplicity) per ballot
+        # value present.  PR: an upgrade moves one ballot v to candidate k != v;
+        # each edge (source, target, k, whether a tie at source must become k)
+        # is kept at both ends.
+        rs, pr = "RS" in spec.axioms, "PR" in spec.axioms
+        self.subcells: list[list[tuple[int, int]]] | None = [[] for _ in cells] if rs else None
+        self.pr_edges: list[list[tuple[int, int, int, bool]]] | None = [[] for _ in cells] if pr else None
+        tie = spec.pr_tie_upgrade
+        for i, c in enumerate(counts):
+            top = max(c[1:])
+            for v in range(m + 1):
+                if not c[v]:
+                    continue
+                moved = list(c)
+                moved[v] -= 1
+                if rs and sum(c) > 1:
+                    self.subcells[i].append((index[tuple(moved)], c[v]))
+                if pr:
+                    for k in candidates:
                         if k == v:
                             continue
-                        j = self.index[tuple(sorted(c[:pos] + (k,) + c[pos + 1 :]))]
-                        binds = tie == "always" or (tie == "leaders" and k in leaders)
-                        self.pr_from[i].append((j, k, binds))
-                        self.pr_to[j].append((i, k, binds))
+                        moved[k] += 1
+                        j = index[tuple(moved)]
+                        moved[k] -= 1
+                        edge = (i, j, k, tie == "always" or (tie == "leaders" and c[k] == top))
+                        self.pr_edges[i].append(edge)
+                        self.pr_edges[j].append(edge)
 
         self.nodes = 0
         self.prunes: dict[str, int] = {ax: 0 for ax in sorted(spec.axioms)}
@@ -358,13 +345,20 @@ class _Engine:
         reps = self.reps[n]
         equations = []
         if self.subcells is not None and n >= 2:
-            out = self.out
             for r in reps:
-                d = self.index[tuple(sorted(out[j] for j in self.subcells[r]))]
+                d = self._reduced(r)
                 # f(r) = x_r and f(d) = label[d][x_orbit(d)].  With N the
                 # equations at r's other members are relabelings of this one.
                 equations.append((r, self.orbit[d], self.label[d]))
         return [self._component(group, rs_allowed) for group, rs_allowed in _merge(reps, equations, self.m)]
+
+    def _reduced(self, i: int) -> int:
+        """The cell of reduce(i), once the level below is fixed: a count sum,
+        each subcell's outcome as often as deleting a voter gives it."""
+        reduced = [0] * (self.m + 1)
+        for j, times in self.subcells[i]:
+            reduced[self.out[j]] += times
+        return self.index[tuple(reduced)]
 
     def _component(self, group: list[tuple[int, tuple[int, ...]]], rs_allowed: frozenset[int]) -> _Component:
         """Values at the component's smallest cell, with what each implies.
@@ -407,14 +401,9 @@ class _Engine:
     def _pr_clash(self, i: int) -> bool:
         """An upgrade edge at cell i with both ends assigned breaks PR."""
         out = self.out
-        v = out[i]
-        for j, k, binds in self.pr_from[i]:
-            w = out[j]
-            if w is not None and w != k and (v == k or (v == 0 and binds)):
-                return True
-        for j, k, binds in self.pr_to[i]:
-            s = out[j]
-            if s is not None and v != k and (s == k or (s == 0 and binds)):
+        for s, t, k, binds in self.pr_edges[i]:
+            w = out[t]
+            if w is not None and w != k and (out[s] == k or (out[s] == 0 and binds)):
                 return True
         return False
 
@@ -438,7 +427,7 @@ class _Engine:
             return reasons[v]
         for i, w in assignments[v]:
             self.out[i] = w
-        if self.pr_from is not None and any(self._pr_clash(i) for i in cells):
+        if self.pr_edges is not None and any(self._pr_clash(i) for i in cells):
             for i in cells:
                 self.out[i] = None
             return "PR"
@@ -531,7 +520,7 @@ def neutral_orbits(m: int, n_max: int) -> list[NeutralOrbit]:
             stabilizer=tuple(t[1:] for t in taus if tuple(sorted(t[b] for b in cells[rep])) == cells[rep]),
             allowed_outcomes=allowed,
         )
-        for rep, labels, allowed in _orbits(cells, m)
+        for rep, labels, allowed in _orbits(_count_vectors(cells, m), m)
     ]
 
 

@@ -134,7 +134,7 @@ def test_criterion_6_pruning_soundness_against_brute_force():
         cells.extend(p.ballots for p in enumerate_profiles(m, n, canonical_only=True))
 
     # the independent side: every complete table, filtered by the checkers
-    passing = {"N": [], "DP": [], "PO": [], "RS": []}
+    passing = {"N": set(), "DP": set(), "PO": set(), "RS": set()}
     checker_of = {
         "N": check_neutrality,
         "DP": check_duel_property,
@@ -147,7 +147,7 @@ def test_criterion_6_pruning_soundness_against_brute_force():
         all_tables.append(t)
         for axiom, checker in checker_of.items():
             if checker(t, m, n_max).passed:
-                passing[axiom].append(id(t))
+                passing[axiom].add(id(t))
 
     for axioms in [{"N", "PO"}, {"N", "DP", "PO"}, {"N", "DP", "PO", "RS"}]:
         survivors = [

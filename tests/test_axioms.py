@@ -773,6 +773,22 @@ class TestGeneratorScans:
         # one voter: the anonymity scan has nothing to reorder
         assert calls == [(0,), (0,), (1,), (2,), (2,), (1,)]
 
+    def test_two_candidate_failure_needs_no_rescan(self):
+        # at m = 2 the swap is the only relabeling besides the identity, so
+        # the generator scan's first failure is the witness: f is evaluated
+        # on each class and its swap up to lex's witness (1, 2), and no more
+        calls = []
+        table = TabledFunction.from_rule(LEX, 2, 3)
+        original = TabledFunction.evaluate
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(TabledFunction, "evaluate", lambda self, p: calls.append(p.ballots) or original(self, p))
+            report = check_neutrality(table, 2, 3)
+        classes = [p.ballots for n in range(1, 4) for p in enumerate_profiles(2, n, canonical_only=True)]
+        scanned = classes[: classes.index((1, 2)) + 1]
+        assert calls == [b for c in scanned for b in (c, tuple(3 - x if x else 0 for x in c))]
+        w = report.witness
+        assert (w.profile.ballots, w.permutation, w.actual, w.expected) == ((1, 2), (2, 1), 1, 2)
+
     def test_lex_witness_is_the_swap_at_three_candidates(self):
         report = check_neutrality(LEX, 3, 4)
         w = report.witness

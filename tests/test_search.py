@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from scfkit import search
 from scfkit.axioms import (
+    PR_TIE_MODES,
     check_duel_property,
     check_neutrality,
     check_pareto,
@@ -114,6 +115,57 @@ def _neutral_tables_by_product(m, n_max):
             for (_, labels, _), o in zip(orbits, choice)
             for j, tau in labels.items()
         }
+
+
+# Tuple-built references for the count-vector engine, written as the engine
+# built each fact from sorted ballot tuples before it worked on count vectors.
+
+
+def _support(c):
+    return tuple(sorted(set(b for b in c if b > 0)))
+
+
+def _po_forced_by_support(c):
+    support = _support(c)
+    return support[0] if len(support) == 1 else None
+
+
+def _dp_allowed_by_pairs(c, m):
+    """Every outcome allowed by each pair the class is a duel of (all of them
+    when its support has three or more candidates)."""
+    support = _support(c)
+    allowed = set(range(m + 1))
+    if len(support) <= 2:
+        for i, j in combinations(range(1, m + 1), 2):
+            if all(k in (i, j) for k in support):
+                allowed &= {0, i, j}
+    return allowed
+
+
+def _reduced_by_deletion(c, outcome):
+    return tuple(sorted(outcome[c[:l] + c[l + 1 :]] for l in range(len(c))))
+
+
+def _pr_targets_by_replacement(c, m, tie):
+    """(target, k, binds) for each upgrade of one ballot v of c to k != v."""
+    counts = [c.count(k) for k in range(1, m + 1)]
+    leaders = {k for k in range(1, m + 1) if counts[k - 1] == max(counts)}
+    targets = []
+    for v in sorted(set(c)):
+        pos = c.index(v)
+        for k in range(1, m + 1):
+            if k != v:
+                binds = tie == "always" or (tie == "leaders" and k in leaders)
+                targets.append((tuple(sorted(c[:pos] + (k,) + c[pos + 1 :])), k, binds))
+    return targets
+
+
+def _engine(m, n_max, tie="leaders"):
+    spec = SearchSpec(m=m, n_max=n_max, axioms=frozenset(SEARCH_AXIOMS), pr_tie_upgrade=tie)
+    return search._Engine(spec)
+
+
+_ENGINE_SCOPES = [(m, n_max) for m in range(2, 6) for n_max in range(2, 5)]
 
 
 # The five original subsets first, so their test ids stay put; then every
@@ -352,6 +404,54 @@ class TestEnumerateFunctions:
         assert [s.table for s in with_rs.solutions] == filtered
 
 
+class TestCountVectorEngine:
+    """Every per-cell fact the engine reads off count vectors equals its
+    construction from sorted ballot tuples."""
+
+    @pytest.mark.parametrize("m,n_max", _ENGINE_SCOPES)
+    def test_pareto_and_duel_sets_equal_the_support_builds(self, m, n_max):
+        engine = _engine(m, n_max)
+        for i, c in enumerate(engine.cells):
+            assert engine.po_forced[i] == _po_forced_by_support(c), c
+            dp = None if engine.dp_allowed is None else engine.dp_allowed[i]
+            assert (set(range(m + 1)) if dp is None else dp) == _dp_allowed_by_pairs(c, m), c
+
+    def test_duel_property_never_constrains_two_candidates(self):
+        # every outcome lies in {0, 1, 2}, the only duel pair's allowed set
+        tables, passes = _brute_force_passes(2, 2)
+        assert passes["DP"] == set(range(len(tables)))
+        assert _engine(2, 4).dp_allowed is None
+
+    @settings(max_examples=20, deadline=None)
+    @given(data=st.data())
+    @pytest.mark.parametrize("m,n_max", _ENGINE_SCOPES)
+    def test_reduced_cell_equals_the_deletion_build(self, m, n_max, data):
+        engine = _engine(m, n_max)
+        cells = engine.cells
+        engine.out = data.draw(st.lists(st.integers(0, m), min_size=len(cells), max_size=len(cells)))
+        outcome = dict(zip(cells, engine.out))
+        for i, c in enumerate(cells):
+            if len(c) > 1:
+                assert cells[engine._reduced(i)] == _reduced_by_deletion(c, outcome), c
+                assert len(engine.subcells[i]) <= m + 1
+
+    @pytest.mark.parametrize("tie", PR_TIE_MODES)
+    @pytest.mark.parametrize("m,n_max", _ENGINE_SCOPES)
+    def test_upgrade_edges_equal_the_replacement_build(self, m, n_max, tie):
+        engine = _engine(m, n_max, tie)
+        cells = engine.cells
+        index = {c: i for i, c in enumerate(cells)}
+        expected = [[] for _ in cells]
+        for i, c in enumerate(cells):
+            for target, k, binds in _pr_targets_by_replacement(c, m, tie):
+                edge = (i, index[target], k, binds)
+                expected[i].append(edge)
+                expected[index[target]].append(edge)
+        for i, c in enumerate(cells):
+            assert sorted(engine.pr_edges[i]) == sorted(expected[i]), c
+            assert sum(s == i for s, *_ in engine.pr_edges[i]) <= (m + 1) * m
+
+
 class TestNeutralOrbits:
     def test_single_voter_orbits_at_m2(self):
         orbits = neutral_orbits(2, 1)
@@ -408,7 +508,7 @@ class TestNeutralOrbits:
     @pytest.mark.parametrize("m", range(2, 7))
     def test_count_signature_orbits_equal_permutation_orbits(self, m, n_max):
         cells = search._cells(m, n_max)
-        assert search._orbits(cells, m) == _orbits_by_permutations(cells, m)
+        assert search._orbits(search._count_vectors(cells, m), m) == _orbits_by_permutations(cells, m)
 
     @pytest.mark.parametrize("m,n_max", [(2, 3), (3, 3), (4, 2), (5, 2)])
     def test_stabilizer_is_every_relabeling_fixing_the_representative(self, m, n_max):
