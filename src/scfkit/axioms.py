@@ -38,7 +38,6 @@ from .core import (
     enumerate_profiles,
     format_profile,
     profile_count,
-    remove_voter,
     tally,
 )
 from .rules import IncompleteTableError, TabledFunction, _check_scope
@@ -378,6 +377,8 @@ def _duel_property(f, p: Profile, tie_upgrade: str) -> Witness | None:
     if len(support) > 2:
         return None
     out = f.evaluate(p)
+    if out == 0 or out in support:
+        return None  # every duel pair holds the support
     for i, j in _duel_pairs(support, p.m):
         if out not in (0, i, j):
             return Witness(profile=p, pair=(i, j), actual=out, note="outcome outside {0, i, j}")
@@ -403,18 +404,24 @@ def reduce_profile(f, p: Profile) -> Profile:
     most min(n, m + 1) times on a sorted profile.  That holds within p, for
     any f, anonymous or not.
 
-    Its ballots are outcomes of f, not ballots of p, so it is validated like
-    any profile built from outside the library.
+    Its ballots are outcomes of f, not ballots of p, so each run's outcome is
+    range-checked once all are known; an outcome outside [0, m] raises as the
+    validating constructor does, for the first such ballot.
     """
-    if p.n < 2:
+    m, ballots = p.m, p.ballots
+    if len(ballots) < 2:
         raise ValueError("subsociety reduction needs at least 2 voters")
-    ballots = p.ballots
+    evaluate, trusted = f.evaluate, Profile._trusted
     reduced = []
-    for l in range(1, p.n + 1):
-        if l == 1 or ballots[l - 1] != ballots[l - 2]:
-            out = f.evaluate(remove_voter(p, l))
+    outcomes = []  # one per run, in ballot order
+    for l, b in enumerate(ballots):
+        if l == 0 or b != ballots[l - 1]:
+            out = evaluate(trusted(m, ballots[:l] + ballots[l + 1 :]))
+            outcomes.append(out)
         reduced.append(out)
-    return Profile(p.m, tuple(reduced))
+    if all(0 <= out <= m for out in outcomes):
+        return trusted(m, tuple(reduced))
+    return Profile(m, tuple(reduced))
 
 
 def _reducibility(f, p: Profile, tie_upgrade: str) -> Witness | None:

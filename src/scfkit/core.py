@@ -200,7 +200,7 @@ def apply_candidate_permutation(p: Profile, tau: CandidatePermutation) -> Profil
     """Relabel every ballot; abstentions are unchanged."""
     if tau.m != p.m:
         raise ValueError(f"permutation on {tau.m} candidates applied to m={p.m} profile")
-    return Profile._trusted(p.m, tuple(tau.outcome(b) for b in p.ballots))
+    return Profile._trusted(p.m, tuple(map((0, *tau.image).__getitem__, p.ballots)))
 
 
 def apply_to_outcome(o: Outcome, tau: CandidatePermutation) -> Outcome:

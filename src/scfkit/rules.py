@@ -134,13 +134,31 @@ class TabledFunction:
             _check_entry(self.m, self.n_max, key, out)
 
     @classmethod
+    def _trusted(cls, m: int, n_max: int, table: dict[tuple[int, ...], int]) -> "TabledFunction":
+        """A table built without validation, for tables the library has built
+        itself: m >= 2, n_max >= 1, canonical keys of 1..n_max ballots over
+        [0, m] and outcomes in [0, m]."""
+        t = object.__new__(cls)
+        fields = t.__dict__
+        fields["m"] = m
+        fields["n_max"] = n_max
+        fields["table"] = table
+        return t
+
+    @classmethod
     def from_rule(cls, rule, m: int, n_max: int) -> "TabledFunction":
-        """Tabulate any social choice function over canonical profiles."""
+        """Tabulate any social choice function over canonical profiles.  The
+        keys are canonical by construction; the outcomes are range-checked
+        once every profile has been evaluated."""
+        _check_scope(m, n_max)
         table = {}
         for n in range(1, n_max + 1):
             for p in enumerate_profiles(m, n, canonical_only=True):
                 table[p.ballots] = rule.evaluate(p)
-        return cls(m, n_max, table)
+        for key, out in table.items():
+            if not 0 <= out <= m:
+                _check_entry(m, n_max, key, out)
+        return cls._trusted(m, n_max, table)
 
     def is_complete(self) -> bool:
         from .core import profile_count
@@ -151,8 +169,8 @@ class TabledFunction:
     def evaluate(self, p: Profile) -> Outcome:
         if p.m != self.m:
             raise ValueError(f"profile has m={p.m}, table has m={self.m}")
-        if p.n > self.n_max:
-            raise ValueError(f"profile has {p.n} voters, table bound is {self.n_max}")
+        if len(p.ballots) > self.n_max:
+            raise ValueError(f"profile has {len(p.ballots)} voters, table bound is {self.n_max}")
         key = tuple(sorted(p.ballots))
         try:
             return self.table[key]

@@ -46,7 +46,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import combinations_with_replacement, permutations
 from typing import Iterator
 
 from .core import Profile, enumerate_profiles, profile_count, tally
@@ -128,9 +128,11 @@ class SearchResult:
 
 
 def _cells(m: int, n_max: int) -> list[tuple[int, ...]]:
+    """The canonical (sorted) ballot tuples of 1..n_max voters, in (n,
+    ballots) order."""
     out: list[tuple[int, ...]] = []
     for n in range(1, n_max + 1):
-        out.extend(p.ballots for p in enumerate_profiles(m, n, canonical_only=True))
+        out.extend(combinations_with_replacement(range(m + 1), n))
     return out
 
 
@@ -463,7 +465,8 @@ class _Engine:
             elif n < n_max:
                 stack.append([n + 1, self._components(n + 1), 0, 0])
             else:
-                yield TabledFunction(m, n_max, {c: self.out[j] for j, c in enumerate(self.cells)})
+                # canonical keys, values in 0..m: nothing to validate
+                yield TabledFunction._trusted(m, n_max, dict(zip(self.cells, self.out)))
 
 
 def enumerate_functions(spec: SearchSpec) -> SearchResult:
@@ -548,16 +551,14 @@ def enumerate_neutral_functions(
 
 
 def is_all_abstention(p: Profile) -> bool:
-    return all(b == 0 for b in p.ballots)
+    return not any(p.ballots)
 
 
 def is_leader_profile(p: Profile) -> bool:
-    """Some candidate has strictly more votes than every other candidate."""
+    """Some candidate has strictly more votes than every other candidate:
+    the top count is held once (m >= 2, so nobody voting is a tie)."""
     counts = tally(p).counts
-    for k in range(1, p.m + 1):
-        if all(counts[k - 1] > counts[j - 1] for j in range(1, p.m + 1) if j != k):
-            return True
-    return False
+    return counts.count(max(counts)) == 1
 
 
 def is_dominating_tie(p: Profile) -> bool:

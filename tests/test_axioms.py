@@ -25,7 +25,7 @@ from scfkit.axioms import (
     replay_witness,
     require_feasible,
 )
-from scfkit.core import Profile, enumerate_profiles, tally
+from scfkit.core import Profile, enumerate_profiles, remove_voter, tally
 from scfkit.rules import RULES, IncompleteTableError, Rule, TabledFunction
 
 MAJ = RULES["maj"]
@@ -52,6 +52,25 @@ THIRD_PARTY = Rule("third", _third_party)
 LAST = Rule("last", lambda p: p.ballots[-1])
 
 
+def _per_voter_reduction(f, p: Profile) -> Profile:
+    """reduce_profile as written before run sharing: f on every voter-deleted
+    subprofile, collected by the validating constructor."""
+    return Profile(p.m, tuple(f.evaluate(remove_voter(p, l)) for l in range(1, p.n + 1)))
+
+
+def _reduction_outcome(reduce, outcomes: dict[tuple[int, ...], int], p: Profile):
+    """``reduce`` applied to the function given by ``outcomes`` on p: the
+    reduced profile or the error's type and text, and the profiles f was
+    evaluated on."""
+    calls = []
+    f = Rule("drawn", lambda q: calls.append(q.ballots) or outcomes[q.ballots])
+    try:
+        result = reduce(f, p)
+    except ValueError as exc:
+        result = (type(exc).__name__, str(exc))
+    return result, calls
+
+
 class TestReduceProfile:
     def test_uc_reduction_collects_subsociety_outcomes(self):
         assert reduce_profile(UC, Profile(2, (1, 1, 2))).ballots == (0, 0, 1)
@@ -63,6 +82,35 @@ class TestReduceProfile:
     def test_needs_two_voters(self):
         with pytest.raises(ValueError):
             reduce_profile(MAJ, Profile(2, (1,)))
+
+    @settings(max_examples=300)
+    @given(st.data())
+    def test_equals_the_per_voter_reduction(self, data):
+        # sorted and ordered profiles, outcomes in and out of [0, m]: the same
+        # profile or error text, and f on each subprofile once per run of
+        # equal adjacent ones, in voter order
+        m = data.draw(st.integers(2, 4))
+        ballots = data.draw(st.lists(st.integers(0, m), min_size=2, max_size=7))
+        if data.draw(st.booleans()):
+            ballots.sort()
+        p = Profile(m, tuple(ballots))
+        outcomes = {}
+        for l in range(p.n):
+            sub = p.ballots[:l] + p.ballots[l + 1 :]
+            if sub not in outcomes:
+                outcomes[sub] = data.draw(st.integers(0, m) | st.sampled_from([-1, m + 1]))
+        got, got_calls = _reduction_outcome(reduce_profile, outcomes, p)
+        want, want_calls = _reduction_outcome(_per_voter_reduction, outcomes, p)
+        assert got == want
+        assert got_calls == [q for i, q in enumerate(want_calls) if i == 0 or q != want_calls[i - 1]]
+
+    def test_an_out_of_range_outcome_raises_after_every_evaluation(self):
+        # (1, 1, 2, 3) has the runs 1 1 | 2 | 3; the second and third outcomes
+        # are out of range, and the first of them is named
+        outcomes = {(1, 2, 3): 1, (1, 1, 3): 4, (1, 1, 2): -1}
+        got, calls = _reduction_outcome(reduce_profile, outcomes, Profile(3, (1, 1, 2, 3)))
+        assert got == ("ValueError", "ballot 4 outside [0, 3]")
+        assert calls == [(1, 2, 3), (1, 1, 3), (1, 1, 2)]
 
 
 class TestAnonymity:
@@ -229,6 +277,38 @@ class TestDuelProperty:
         # with two candidates every outcome belongs to the only pair
         assert check_duel_property(LEX, 2, 3).passed
         assert check_duel_property(DICTATOR, 2, 2).passed
+
+    @settings(max_examples=200)
+    @given(st.data())
+    def test_reports_equal_the_full_pair_scan(self, data):
+        # near-majority and random tables: the same pass or first pair
+        m, n_max = data.draw(st.sampled_from([(3, 3), (4, 2)]))
+        table = dict(TabledFunction.from_rule(MAJ, m, n_max).table)
+        cells = sorted(table, key=lambda k: (len(k), k))
+        changed = cells if data.draw(st.integers(0, 3)) == 0 else data.draw(
+            st.lists(st.sampled_from(cells), max_size=3, unique=True)
+        )
+        for key in changed:
+            table[key] = data.draw(st.integers(0, m))
+        f = TabledFunction(m, n_max, table)
+        assert check_duel_property(f, m, n_max).to_dict() == _full_pair_scan(f, m, n_max).to_dict()
+
+
+def _full_pair_scan(f, m: int, n_max: int) -> AxiomReport:
+    """DP as scanned before the early return: on each class with at most two
+    supported candidates, every pair holding the support, in order."""
+    for n in range(1, n_max + 1):
+        for p in enumerate_profiles(m, n, canonical_only=True):
+            support = set(tally(p).support())
+            if len(support) > 2:
+                continue
+            out = f.evaluate(p)
+            for i in range(1, m + 1):
+                for j in range(i + 1, m + 1):
+                    if support <= {i, j} and out not in (0, i, j):
+                        w = Witness(profile=p, pair=(i, j), actual=out, note="outcome outside {0, i, j}")
+                        return AxiomReport("DP", m, n_max, False, w)
+    return AxiomReport("DP", m, n_max, True)
 
 
 class TestPareto:

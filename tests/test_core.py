@@ -1,4 +1,5 @@
 from dataclasses import FrozenInstanceError
+from itertools import permutations
 
 import pytest
 from hypothesis import given, strategies as st
@@ -140,6 +141,19 @@ class TestOperations:
         p = Profile(3, (3, 1))
         tau = CandidatePermutation(3, (2, 3, 1))
         assert apply_candidate_permutation(p, tau).ballots == (1, 2)
+
+    @pytest.mark.parametrize("m", [2, 3, 4, 5])
+    def test_candidate_permutation_relabels_each_ballot_by_outcome(self, m):
+        # every relabeling, on every ballot value, alone, in pairs and all
+        # together in both orders
+        values = range(m + 1)
+        cases = [(b,) for b in values] + [(a, b) for a in values for b in values]
+        cases += [tuple(values), tuple(reversed(values))]
+        for image in permutations(range(1, m + 1)):
+            tau = CandidatePermutation(m, image)
+            for ballots in cases:
+                got = apply_candidate_permutation(Profile(m, ballots), tau)
+                assert got == Profile(m, tuple(tau.outcome(b) for b in ballots))
 
     def test_candidate_permutation_m_mismatch(self):
         with pytest.raises(ValueError):

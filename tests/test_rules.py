@@ -5,6 +5,7 @@ from scfkit.core import Profile, canonicalize, enumerate_profiles
 from scfkit.rules import (
     RULES,
     IncompleteTableError,
+    Rule,
     TabledFunction,
     TableParseError,
     constant_zero,
@@ -138,6 +139,29 @@ class TestTabledFunction:
         for n in (1, 2):
             for p in enumerate_profiles(2, n):
                 assert t.evaluate(p) == majority_rule(p)
+
+    @pytest.mark.parametrize("bad", [-1, 4])
+    def test_from_rule_names_the_first_out_of_range_outcome(self, bad):
+        # the message of the validating constructor, raised once every class
+        # has been evaluated
+        calls = []
+
+        def fn(p):
+            calls.append(p.ballots)
+            return bad if p.ballots in ((1, 2), (3, 3)) else 0
+
+        with pytest.raises(ValueError) as err:
+            TabledFunction.from_rule(Rule("bad", fn), 3, 2)
+        assert str(err.value) == f"outcome {bad} for (1, 2) outside [0, 3]"
+        assert calls == [p.ballots for n in (1, 2) for p in enumerate_profiles(3, n, canonical_only=True)]
+
+    def test_from_rule_checks_the_scope(self):
+        for m, n_max, message in [
+            (1, 2, "candidate count must be >= 2, got 1"),
+            (2, 0, "voter bound must be >= 1, got 0"),
+        ]:
+            with pytest.raises(ValueError, match=message):
+                TabledFunction.from_rule(RULES["maj"], m, n_max)
 
     def test_validation(self):
         with pytest.raises(ValueError):

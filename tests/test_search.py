@@ -321,6 +321,15 @@ class TestEnumerateFunctions:
         text = "".join(s.to_text() for s in result.solutions)
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
+    @pytest.mark.parametrize("m,n_max,axioms,tie", [case[:4] for case in _GOLDEN])
+    def test_solutions_equal_their_validated_tables(self, m, n_max, axioms, tie):
+        # the engine's tables skip validation; the constructor accepts each
+        # one as it is
+        spec = SearchSpec(m=m, n_max=n_max, axioms=frozenset(axioms), pr_tie_upgrade=tie)
+        for sol in enumerate_functions(spec).solutions:
+            validated = TabledFunction(m, n_max, dict(sol.table))
+            assert sol == validated and sol.to_text() == validated.to_text()
+
     def test_reducibility_is_propagated_not_searched(self):
         # chronological backtracking needed 12.8M nodes here
         result = enumerate_functions(
@@ -544,6 +553,15 @@ class TestClassification:
             for p in enumerate_profiles(m, n):
                 flags = [is_all_abstention(p), is_dominating_tie(p), is_leader_profile(p)]
                 assert sum(flags) == 1, p.ballots
+
+    @pytest.mark.parametrize("m", [2, 3, 4, 5])
+    def test_leader_test_equals_the_pairwise_definition(self, m):
+        # some candidate beats every other, on every class up to five voters
+        for n in range(1, 6):
+            for p in enumerate_profiles(m, n, canonical_only=True):
+                c = [p.ballots.count(k) for k in range(1, m + 1)]
+                beats_all = any(all(c[k] > c[j] for j in range(m) if j != k) for k in range(m))
+                assert is_leader_profile(p) == beats_all, p.ballots
 
     def test_case_counts_cover_the_space(self):
         verdict = verify_theorem(2, 3)
