@@ -79,6 +79,11 @@ PR_TIE_MODES = ("leaders", "always", "wins")
 # check_cost).  At roughly 5-15 us per evaluation, about half a minute.
 CHECK_MAX_COST = 2_000_000
 
+# check_cost stops summing once its estimate passes this: a larger estimate
+# is a lower bound, and a refusal prints this bound instead.  Far larger
+# scopes would otherwise take longer to estimate than to refuse.
+_COST_CAP = 10**9
+
 
 class CheckInfeasibleError(RuntimeError):
     """A checker's estimated cost exceeds CHECK_MAX_COST; carries the
@@ -161,7 +166,7 @@ def _evaluations_per_class(axiom: str, m: int, n: int, ordered: bool = False) ->
     than A: the profile itself plus each related profile.  A class scan
     scans sorted profiles, the ordered fallback every ordered profile."""
     if axiom == "N":
-        return 1 + len(_generators(m))
+        return 2 if m == 2 else 3  # 1 + len(_generators(m)), without building an m-cycle
     if axiom == "RS":
         # one subprofile per run of equal adjacent ballots
         return 2 + (n if ordered else min(n, m + 1))
@@ -185,18 +190,23 @@ def check_cost(
     the evaluations per profile, summed over the axioms other than A.  A
     failing N scan's rescan for its minimal witness is estimated when it
     starts, not here.
+
+    Levels are summed from n = 1 up, and the sum stops at the first level
+    where it passes ``_COST_CAP``; past that, the estimate is a lower bound.
     """
     _check_scope(m, n_max)
     axioms = [axioms] if isinstance(axioms, str) else list(axioms)
     others = [ax for ax in axioms if ax != "A"]
-    scans = sum(
-        profile_count(m, n, canonical_only=not ordered) * _evaluations_per_class(ax, m, n, ordered)
-        for ax in others
-        for n in range(1, n_max + 1)
-    )
-    if ordered or not _scans_anonymity(axioms, tabled):
-        return scans
-    return scans + sum(profile_count(m, n) for n in range(1, n_max + 1))
+    anonymity = not ordered and _scans_anonymity(axioms, tabled)
+    cost = 0
+    for n in range(1, n_max + 1):
+        classes = profile_count(m, n, canonical_only=not ordered)
+        cost += sum(classes * _evaluations_per_class(ax, m, n, ordered) for ax in others)
+        if anonymity:
+            cost += profile_count(m, n)
+        if cost > _COST_CAP:
+            break
+    return cost
 
 
 def _scans_anonymity(axioms: list[str], tabled: bool) -> bool:
@@ -209,9 +219,8 @@ def _refuse_above(cost: int, task: str) -> None:
     """Raise :class:`CheckInfeasibleError` when ``task`` is estimated at more
     than :data:`CHECK_MAX_COST` evaluations."""
     if cost > CHECK_MAX_COST:
-        raise CheckInfeasibleError(
-            f"{task} needs about {cost} evaluations (> {CHECK_MAX_COST})", cost=cost
-        )
+        about = f"about {cost}" if cost <= _COST_CAP else f"over {_COST_CAP}"
+        raise CheckInfeasibleError(f"{task} needs {about} evaluations (> {CHECK_MAX_COST})", cost=cost)
 
 
 def require_feasible(axioms: str | Iterable[str], f, m: int, n_max: int, ordered: bool = False) -> None:

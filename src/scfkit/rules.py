@@ -79,8 +79,10 @@ RULES: dict[str, Rule] = {
 
 
 class IncompleteTableError(LookupError):
-    """Evaluation hit an unassigned table entry (distinct from argument errors
-    so the search engine can defer rather than fail)."""
+    """Evaluation hit an unassigned table entry.  Distinct from argument
+    errors so that N's generator scan (``axioms._neutrality_witness``) can
+    catch it and rescan for the minimal witness, which meets the same entry
+    or an earlier violation."""
 
     def __init__(self, ballots: tuple[int, ...]):
         self.ballots = ballots

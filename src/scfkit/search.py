@@ -19,12 +19,13 @@ constraint except PR is an equation between level-n cells:
   so reduce(c) is a count sum: c_b copies of that subcell's outcome per
   ballot value b present, at most m + 1 lookups per cell.
 
-These equations are merged with a union-find over orbit representatives
-whose links carry relabelings; a merge that closes a cycle restricts the
-root to the outcomes that cycle's relabeling fixes.  Each component then
-takes one value, whose image at every member cell must pass PO and DP
-(DP never constrains at m = 2, where every outcome lies in the one duel
-pair).
+So each orbit representative r has one equation, x_r = rho[x_s] with s
+the representative of reduce(r)'s orbit: a successor map.  A walk along
+successors joins the first resolved representative's component or closes
+a cycle, which restricts its new root to the outcomes the relabeling
+composed around it fixes.  Each component then takes one value, whose
+image at every member cell must pass PO and DP (DP never constrains at
+m = 2, where every outcome lies in the one duel pair).
 Components are assigned in order of their smallest cell index, trying the
 values 0..m there, so solutions come out in lexicographic order over the
 cell values; PR is checked on within-level upgrade edges, one ballot moved
@@ -35,7 +36,8 @@ node is a *prune*, counted once against the first axiom in the order PO,
 DP, N, RS, PR that excludes it.
 
 With N alone the engine streams every neutral table
-(:func:`enumerate_neutral_functions`).
+(:func:`enumerate_neutral_functions`).  Every engine refuses a table of more
+than 20,000 cells before building any of them.
 
 The checkers in :mod:`scfkit.axioms` stay the oracle: the engine's pruning
 logic is written independently, and verdict records replay every solution
@@ -47,9 +49,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations_with_replacement, permutations
-from typing import Iterator
+from typing import Callable, Iterator
 
-from .core import Profile, enumerate_profiles, profile_count, tally
+from .core import Profile, enumerate_profiles, tally
 from .rules import RULES, TabledFunction, _check_scope
 from .axioms import AxiomReport, PR_TIE_MODES, check_axioms
 
@@ -81,12 +83,20 @@ _MAX_CELLS = 20_000
 
 class SearchInfeasibleError(RuntimeError):
     """The requested scope exceeds configured resource limits; carries an
-    estimate so callers can report it."""
+    estimate so callers can report it.  ``tables`` may be passed as a
+    function, called when the attribute is first read: a raw space of
+    (m + 1)^cells tables can have millions of digits."""
 
-    def __init__(self, message: str, cells: int, tables: int):
+    def __init__(self, message: str, cells: int, tables: int | Callable[[], int]):
         self.cells = cells
-        self.tables = tables
+        self._tables = tables
         super().__init__(message)
+
+    @property
+    def tables(self) -> int:
+        if callable(self._tables):
+            self._tables = self._tables()
+        return self._tables
 
 
 @dataclass(frozen=True)
@@ -191,68 +201,53 @@ def _inverse(p: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(inv)
 
 
-def _find(parent: dict[int, int], link: dict[int, tuple[int, ...]], a: int) -> tuple[int, tuple[int, ...]]:
-    """The root of a's component and the map L with x_a = L[x_root].
-
-    ``link[a]`` maps x_parent(a) to x_a.  Iterative, with path compression.
-    """
-    path = []
-    while parent[a] != a:
-        path.append(a)
-        a = parent[a]
-    label = link[a]  # a root links to itself by the identity
-    for node in reversed(path):
-        label = _compose(link[node], label)
-        parent[node] = a
-        link[node] = label
-    return a, label
-
-
-def _union(
-    parent: dict[int, int],
-    link: dict[int, tuple[int, ...]],
-    a: int,
-    b: int,
-    rho: tuple[int, ...],
-    cycles: list[tuple[int, tuple[int, ...]]],
-) -> None:
-    """Merge the equation x_a = rho[x_b].  When a and b are already joined,
-    record (root, p): the root's value must be a fixed point of p."""
-    ra, la = _find(parent, link, a)
-    rb, lb = _find(parent, link, b)
-    p = _compose(_inverse(la), _compose(rho, lb))  # x_ra = p[x_rb]
-    if ra != rb:
-        parent[ra] = rb
-        link[ra] = p
-    else:
-        cycles.append((ra, p))
-
-
 def _merge(
-    nodes: list[int], equations: list[tuple[int, int, tuple[int, ...]]], m: int
+    nodes: list[int], successor: dict[int, tuple[int, tuple[int, ...]]] | None, m: int
 ) -> list[tuple[list[tuple[int, tuple[int, ...]]], frozenset[int]]]:
-    """Components of the equations x_a = rho[x_b] over ``nodes`` (ascending),
-    in order of their smallest node.
+    """Components of the equations x_a = rho[x_b], ``successor[a] = (b,
+    rho)`` for each of ``nodes`` (ascending), in order of their smallest
+    node; without ``successor`` every node is its own component.
 
-    Each component is its (node, L) pairs, x_node = L[x_root], and the root
-    values in 0..m that every cycle closed inside it allows.
+    Each component is its (node, L) pairs, ascending, x_node = L[x_root],
+    and the root values in 0..m its one cycle allows: the fixed points of
+    the relabeling composed around it.  A walk from each unresolved node,
+    the smallest left, follows successors to a resolved node, whose
+    component it joins, or around a cycle, rooted at its largest node.
     """
     identity = tuple(range(m + 1))
-    parent = {a: a for a in nodes}
-    link = {a: identity for a in nodes}
-    cycles: list[tuple[int, tuple[int, ...]]] = []
-    for a, b, rho in equations:
-        _union(parent, link, a, b, rho, cycles)
-    groups: dict[int, list[tuple[int, tuple[int, ...]]]] = {}
+    if successor is None:
+        return [([(a, identity)], frozenset(identity)) for a in nodes]
+    component: dict[int, int | None] = {}  # None while on the current walk
+    label: dict[int, tuple[int, ...]] = {}
+    roots: list[int] = []
     for a in nodes:
-        root, label = _find(parent, link, a)
-        groups.setdefault(root, []).append((a, label))
-    allowed = {root: set(identity) for root in groups}
-    for node, p in cycles:
-        # x_node = label[x_root] must be a fixed point of p
-        root, label = _find(parent, link, node)
-        allowed[root] &= {x for x in identity if p[label[x]] == label[x]}
-    return [(group, frozenset(allowed[root])) for root, group in groups.items()]
+        walk = []
+        while a not in component:
+            component[a] = None
+            walk.append(a)
+            a = successor[a][0]
+        if component[a] is None:
+            # Rooted at its largest node, the cycle leaves out the equation
+            # a merge in ascending order closes it with, so a value the
+            # cycle excludes implies the values, and the prune, it did there.
+            cycle = walk[walk.index(a) :]
+            k = cycle.index(max(cycle))
+            a = cycle[k]
+            walk[-len(cycle) :] = cycle[k + 1 :] + cycle[:k]  # the root's successor on to it
+            component[a], label[a] = len(roots), identity
+            roots.append(a)
+        for b in reversed(walk):
+            succ, rho = successor[b]
+            component[b], label[b] = component[a], _compose(rho, label[succ])
+    groups: list[list[tuple[int, tuple[int, ...]]]] = [[] for _ in roots]
+    for a in nodes:
+        groups[component[a]].append((a, label[a]))
+    allowed = []
+    for root in roots:
+        succ, rho = successor[root]
+        around = _compose(rho, label[succ])  # x_root = around[x_root]
+        allowed.append(frozenset(x for x in identity if around[x] == x))
+    return list(zip(groups, allowed))
 
 
 # A component: its cells, then per value v tried at its smallest cell the
@@ -267,6 +262,13 @@ class _Engine:
     def __init__(self, spec: SearchSpec):
         self.spec = spec
         m, n_max = spec.m, spec.n_max
+        cells = math.comb(n_max + m + 1, m + 1) - 1  # the classes of 1..n_max voters
+        if cells > _MAX_CELLS:
+            raise SearchInfeasibleError(
+                f"table would need {cells} cells (> {_MAX_CELLS}); raw space {m + 1}^{cells} tables",
+                cells=cells,
+                tables=lambda: (m + 1) ** cells,
+            )
         self.m = m
         self.cells = cells = _cells(m, n_max)
         counts = _count_vectors(cells, m)
@@ -345,14 +347,15 @@ class _Engine:
         """Level n's components, given the fixed levels below, in order of
         their smallest cell."""
         reps = self.reps[n]
-        equations = []
+        successor = None
         if self.subcells is not None and n >= 2:
+            successor = {}
             for r in reps:
                 d = self._reduced(r)
                 # f(r) = x_r and f(d) = label[d][x_orbit(d)].  With N the
                 # equations at r's other members are relabelings of this one.
-                equations.append((r, self.orbit[d], self.label[d]))
-        return [self._component(group, rs_allowed) for group, rs_allowed in _merge(reps, equations, self.m)]
+                successor[r] = (self.orbit[d], self.label[d])
+        return [self._component(group, rs_allowed) for group, rs_allowed in _merge(reps, successor, self.m)]
 
     def _reduced(self, i: int) -> int:
         """The cell of reduce(i), once the level below is fixed: a count sum,
@@ -474,14 +477,6 @@ def enumerate_functions(spec: SearchSpec) -> SearchResult:
     requested axioms, in lexicographic order of their cell values, by the
     level-wise search; ``exhausted`` is False iff a node or solution limit cut
     the search short."""
-    cells = sum(profile_count(spec.m, n, canonical_only=True) for n in range(1, spec.n_max + 1))
-    if cells > _MAX_CELLS:
-        raise SearchInfeasibleError(
-            f"table would need {cells} cells (> {_MAX_CELLS}); "
-            f"raw space {spec.m + 1}^{cells} tables",
-            cells=cells,
-            tables=(spec.m + 1) ** cells,
-        )
     engine = _Engine(spec)
     solutions = engine.run()
     return SearchResult(

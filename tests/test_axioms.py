@@ -593,6 +593,25 @@ class TestFeasibility:
         )
         assert calls == []
 
+    @pytest.mark.parametrize("m", range(2, 9))
+    def test_neutrality_costs_the_profile_and_each_generator(self, m):
+        # counted without building the generators, whose m-cycle has m entries
+        assert axioms._evaluations_per_class("N", m, 3) == 1 + len(axioms._generators(m))
+
+    def test_estimate_stops_past_the_cap(self):
+        # summing every level of 3^n up to n = 100,000 would take seconds,
+        # and the sum has too many digits to print
+        cost = check_cost("A", 2, 100_000)
+        assert cost == sum(3**n for n in range(1, 20)) > axioms._COST_CAP > sum(3**n for n in range(1, 19))
+        f, calls = _counting(MAJ)
+        with pytest.raises(CheckInfeasibleError) as err:
+            check_axioms(f, 2, 100_000, ["A"])
+        assert err.value.cost == cost
+        assert str(err.value) == (
+            f"checking A at m=2, n_max=100000 needs over {axioms._COST_CAP} evaluations (> {CHECK_MAX_COST})"
+        )
+        assert calls == []
+
     def test_cost_counts_ordered_profiles_for_anonymity(self):
         assert check_cost("A", 3, 2) == 4 + 16
         # classes times evaluations per class, plus the ordered pre-scan

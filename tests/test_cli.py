@@ -1,10 +1,15 @@
 import gc
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
+import scfkit
 from scfkit import axioms
 from scfkit.cli import _to_json, main
 from scfkit.core import parse_profile
@@ -253,6 +258,28 @@ class TestUsage:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "infeasible" in captured.err and "evaluations" in captured.err
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            "search --m 2 --n-max 800",
+            "verify-theorem --m 2 --n-max 800",
+            "check --rule maj --m 2 --n-max 100000",
+            "check --rule maj --m 2 --n-max 20000",
+            "verify-independence --m 2 --n-max 10000",
+            "check --rule maj --m 2000 --n-max 2000",
+        ],
+    )
+    def test_huge_scopes_are_refused_at_once(self, command):
+        # estimating these must not take longer than refusing them, nor
+        # print an estimate too long for str()
+        env = {**os.environ, "PYTHONPATH": str(Path(scfkit.__file__).parents[1])}
+        done = subprocess.run(
+            [sys.executable, "-m", "scfkit", *command.split()], capture_output=True, text=True, env=env, timeout=30
+        )
+        assert done.returncode == 2
+        assert done.stdout == ""
+        assert done.stderr.startswith("error: scope infeasible: ") and "Traceback" not in done.stderr
 
     def test_many_candidates_are_checked_on_generators(self, capsys):
         # neutrality costs two relabelings per class, not 10!

@@ -117,6 +117,73 @@ def _neutral_tables_by_product(m, n_max):
         }
 
 
+# The union-find that merged each level's equations before the successor
+# walk replaced it, kept as the walk's reference.
+
+
+def _uf_find(parent, link, a):
+    """The root of a's component and the map L with x_a = L[x_root]."""
+    path = []
+    while parent[a] != a:
+        path.append(a)
+        a = parent[a]
+    label = link[a]
+    for node in reversed(path):
+        label = search._compose(link[node], label)
+        parent[node] = a
+        link[node] = label
+    return a, label
+
+
+def _uf_union(parent, link, a, b, rho, cycles):
+    """Merge x_a = rho[x_b]; a closed cycle records (root, p), x_root = p[x_root]."""
+    ra, la = _uf_find(parent, link, a)
+    rb, lb = _uf_find(parent, link, b)
+    p = search._compose(search._inverse(la), search._compose(rho, lb))
+    if ra != rb:
+        parent[ra] = rb
+        link[ra] = p
+    else:
+        cycles.append((ra, p))
+
+
+def _uf_merge(nodes, equations, m):
+    """Components of the equations (a, b, rho), x_a = rho[x_b], in order of
+    their smallest node: (node, L) pairs and the allowed root values."""
+    identity = tuple(range(m + 1))
+    parent = {a: a for a in nodes}
+    link = {a: identity for a in nodes}
+    cycles = []
+    for a, b, rho in equations:
+        _uf_union(parent, link, a, b, rho, cycles)
+    groups = {}
+    for a in nodes:
+        root, label = _uf_find(parent, link, a)
+        groups.setdefault(root, []).append((a, label))
+    allowed = {root: set(identity) for root in groups}
+    for node, p in cycles:
+        root, label = _uf_find(parent, link, node)
+        allowed[root] &= {x for x in identity if p[label[x]] == label[x]}
+    return [(group, frozenset(allowed[root])) for root, group in groups.items()]
+
+
+def _uf_components(engine, n):
+    """``engine._components(n)`` with the level's equations merged by the
+    union-find."""
+    reps = engine.reps[n]
+    equations = []
+    if engine.subcells is not None and n >= 2:
+        for r in reps:
+            d = engine._reduced(r)
+            equations.append((r, engine.orbit[d], engine.label[d]))
+    return [engine._component(group, allowed) for group, allowed in _uf_merge(reps, equations, engine.m)]
+
+
+@cache
+def _rs_engine(m, n_max, axioms, tie):
+    return search._Engine(SearchSpec(m=m, n_max=n_max, axioms=axioms, pr_tie_upgrade=tie))
+
+
 # Tuple-built references for the count-vector engine, written as the engine
 # built each fact from sorted ballot tuples before it worked on count vectors.
 
@@ -341,23 +408,21 @@ class TestEnumerateFunctions:
     @settings(max_examples=300, deadline=None)
     @given(st.data())
     def test_merged_equations_have_the_brute_force_solutions(self, data):
-        # x_a = rho[x_b] over k nodes with candidate relabelings rho; cycles
+        # x_a = rho[x_b], one successor b per node a with a candidate
+        # relabeling rho, as each level's reductions give them; cycles
         # through relabeled roots are where a dropped label would show
         m = data.draw(st.integers(2, 4))
         k = data.draw(st.integers(1, 5))
         relabelings = [(0, *tau) for tau in permutations(range(1, m + 1))]
-        equations = data.draw(
-            st.lists(
-                st.tuples(st.integers(0, k - 1), st.integers(0, k - 1), st.sampled_from(relabelings)),
-                max_size=7,
-            )
+        successors = data.draw(
+            st.lists(st.tuples(st.integers(0, k - 1), st.sampled_from(relabelings)), min_size=k, max_size=k)
         )
         brute = {
             xs
             for xs in product(range(m + 1), repeat=k)
-            if all(xs[a] == rho[xs[b]] for a, b, rho in equations)
+            if all(xs[a] == rho[xs[b]] for a, (b, rho) in enumerate(successors))
         }
-        components = _merge(list(range(k)), equations, m)
+        components = _merge(list(range(k)), dict(enumerate(successors)), m)
         assert sorted(a for group, _ in components for a, _ in group) == list(range(k))
         firsts = [group[0][0] for group, _ in components]
         assert firsts == sorted(firsts)
@@ -370,6 +435,24 @@ class TestEnumerateFunctions:
                     xs[a] = label[x]
             merged.add(tuple(xs))
         assert merged == brute
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(2, 5),
+        st.integers(2, 4),
+        st.sets(st.sampled_from(["N", "DP", "PO", "PR"])),
+        st.sampled_from(PR_TIE_MODES),
+        st.randoms(use_true_random=False),
+    )
+    def test_components_equal_the_union_find_merge(self, m, n_max, others, tie, rnd):
+        # any outcomes below each level: the reductions, and so the
+        # successors, are whatever those outcomes make them; drawn
+        # uniformly, so that chains of distinct relabelings are common
+        engine = _rs_engine(m, n_max, frozenset(others | {"RS"}), tie)
+        engine.out = [rnd.randint(0, m) for _ in engine.cells]
+        for n in range(1, n_max + 1):
+            # each component's cells, and per value its reason and assignment
+            assert engine._components(n) == _uf_components(engine, n)
 
     def test_search_leaves_no_cyclic_garbage(self):
         spec = SearchSpec(m=2, n_max=9, axioms=frozenset({"N", "DP", "PO", "RS"}))
@@ -508,6 +591,13 @@ class TestNeutralOrbits:
                     new_key = tuple(sorted(0 if b == 0 else tau[b - 1] for b in key))
                     conjugated[new_key] = 0 if out == 0 else tau[out - 1]
                 assert tuple(sorted(conjugated.items())) in seen
+
+    def test_cell_limit_is_enforced(self):
+        # the same refusal as the search's, before any cell is built
+        with pytest.raises(SearchInfeasibleError) as err:
+            next(enumerate_neutral_functions(8, 8))
+        assert err.value.cells == 24309
+        assert str(err.value) == "table would need 24309 cells (> 20000); raw space 9^24309 tables"
 
     def test_function_cap_is_enforced(self):
         with pytest.raises(SearchInfeasibleError):
