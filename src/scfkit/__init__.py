@@ -13,6 +13,7 @@ from .core import (
     apply_candidate_permutation,
     apply_to_outcome,
     apply_voter_permutation,
+    ballot_counts,
     canonicalize,
     enumerate_profiles,
     format_profile,
@@ -75,7 +76,7 @@ __all__ = [
     "__version__",
     # core
     "Outcome", "Profile", "Tally", "CandidatePermutation", "VoterPermutation",
-    "ProfileParseError", "tally", "apply_voter_permutation",
+    "ProfileParseError", "ballot_counts", "tally", "apply_voter_permutation",
     "apply_candidate_permutation", "apply_to_outcome", "remove_voter",
     "canonicalize", "enumerate_profiles", "profile_count", "parse_profile",
     "format_profile",

@@ -11,7 +11,9 @@ axioms and establishes anonymity once per call.  A call estimated above
 :data:`CHECK_MAX_COST` (:func:`check_cost`) is refused with a
 :class:`CheckInfeasibleError` before f is evaluated, rather than running for
 hours.  An anonymous f is scanned one sorted profile per anonymity class,
-anything else over every ordered profile.
+anything else over every ordered profile.  The A scan keeps each class's
+outcome for the call; when it passes, every later scan reads f's values
+from those, so f is evaluated at most once per ordered profile per call.
 
 Neutrality is checked on two generators of the relabelings, the
 transposition (1 2) and the m-cycle; only a failure rescans with all m!
@@ -265,26 +267,27 @@ def _sorting_permutation(p: Profile) -> VoterPermutation:
     return VoterPermutation(p.n, tuple(image))
 
 
-def _anonymity_witness(f, m: int, n_max: int) -> Witness | None:
+def _anonymity_witness(f, m: int, n_max: int, values: dict[tuple[int, ...], int]) -> Witness | None:
     """The A scan: f must be constant on each anonymity class, so every
     ordered profile is compared against its class's sorted member.
 
     f is evaluated once per non-canonical ordered profile.  The sorted
     member's outcome is evaluated the first time its class needs it, after
-    that profile's own, and kept for the rest of the level.
+    that profile's own, and kept in ``values`` under the sorted ballots for
+    the rest of the call.  A class with one ordering, one ballot value
+    repeated, is never evaluated here.
     """
     evaluate = f.evaluate
     for n in range(1, n_max + 1):
-        expected_of: dict[tuple[int, ...], int] = {}
         for p in enumerate_profiles(m, n):
             key = tuple(sorted(p.ballots))
             if key == p.ballots:
                 continue
             actual = evaluate(p)
-            if key in expected_of:
-                expected = expected_of[key]
+            if key in values:
+                expected = values[key]
             else:
-                expected = expected_of[key] = evaluate(Profile._trusted(m, key))
+                expected = values[key] = evaluate(Profile._trusted(m, key))
             if actual != expected:
                 return Witness(
                     profile=p,
@@ -294,6 +297,27 @@ def _anonymity_witness(f, m: int, n_max: int) -> Witness | None:
                     expected=expected,
                 )
     return None
+
+
+class _ClassValues:
+    """An f that passed the A scan, read through its class values: f(P) is
+    the outcome kept for P's class, and a class the A scan never evaluated
+    is evaluated on its sorted member the first time a scan needs it.  So f
+    is evaluated at most once per ordered profile in one call, and nothing
+    outlives the call."""
+
+    def __init__(self, f, m: int, values: dict[tuple[int, ...], int]):
+        self.f, self.m, self.values = f, m, values
+
+    def evaluate(self, p: Profile) -> int:
+        values = self.values
+        out = values.get(p.ballots)  # the keys are sorted: a hit is the class
+        if out is None:
+            key = tuple(sorted(p.ballots))
+            out = values.get(key)
+            if out is None:
+                out = values[key] = self.f.evaluate(Profile._trusted(self.m, key))
+        return out
 
 
 @functools.lru_cache(maxsize=1)
@@ -511,9 +535,12 @@ def check_axioms(f, m: int, n_max: int, axioms: Iterable[str], tie_upgrade: str 
 
     The scope is validated and the whole call estimated before f is
     evaluated.  Anonymity is established once: by the A scan, which is also
-    the A report, or by construction for a :class:`TabledFunction`.  When f
-    is not anonymous, the ordered fallbacks of the other axioms are estimated
-    together before any of them is scanned.
+    the A report, or by construction for a :class:`TabledFunction`.  When
+    the A scan passes, the other axioms' scans read f's values from the
+    class outcomes it kept (:class:`_ClassValues`), evaluating only the
+    classes it never needed.  When f is not anonymous, the ordered fallbacks
+    of the other axioms are estimated together before any of them is
+    scanned, and evaluate f itself.
     """
     axioms = list(axioms)
     _check_scope(m, n_max)
@@ -527,10 +554,13 @@ def check_axioms(f, m: int, n_max: int, axioms: Iterable[str], tie_upgrade: str 
     require_feasible(axioms, f, m, n_max)
     others = [ax for ax in axioms if ax != "A"]
     tabled = isinstance(f, TabledFunction)
-    anonymity = _anonymity_witness(f, m, n_max) if _scans_anonymity(axioms, tabled) else None
+    values: dict[tuple[int, ...], int] = {}
+    anonymity = _anonymity_witness(f, m, n_max, values) if _scans_anonymity(axioms, tabled) else None
     by_class = _scans_classes(f, anonymity)
     if not by_class:
         require_feasible(others, f, m, n_max, ordered=True)
+    elif not tabled:
+        f = _ClassValues(f, m, values)
     witnesses = {"A": anonymity}
     for ax in others:
         if ax == "N":

@@ -22,6 +22,7 @@ __all__ = [
     "CandidatePermutation",
     "VoterPermutation",
     "ProfileParseError",
+    "ballot_counts",
     "tally",
     "apply_voter_permutation",
     "apply_candidate_permutation",
@@ -168,21 +169,24 @@ class VoterPermutation:
         return cls(n, tuple(range(1, n + 1)))
 
 
+def ballot_counts(p: Profile) -> list[int]:
+    """How many ballots take each value: ``counts[0]`` abstentions,
+    ``counts[k]`` votes for candidate k.  A fresh list the caller may edit."""
+    counts = [0] * (p.m + 1)
+    for b in p.ballots:
+        counts[b] += 1
+    return counts
+
+
 def tally(p: Profile) -> Tally:
     """Count votes per candidate and abstentions."""
-    counts = [0] * p.m
-    abstentions = 0
-    for b in p.ballots:
-        if b == 0:
-            abstentions += 1
-        else:
-            counts[b - 1] += 1
+    counts = ballot_counts(p)
     # built as in Profile._trusted, without the frozen __init__'s setattr calls
     t = object.__new__(Tally)
     fields = t.__dict__
     fields["m"] = p.m
-    fields["counts"] = tuple(counts)
-    fields["abstentions"] = abstentions
+    fields["counts"] = tuple(counts[1:])
+    fields["abstentions"] = counts[0]
     return t
 
 

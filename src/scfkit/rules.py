@@ -4,6 +4,10 @@ A social choice function maps profiles (fixed m, any n >= 1) to a single
 outcome.  The named rules here are total and deterministic; ``TabledFunction``
 is the finite, canonical-profile-keyed representation the search engine
 enumerates over.
+
+The named rules count ballots with :func:`~scfkit.core.ballot_counts`, one
+list per evaluation, rather than building a :class:`~scfkit.core.Tally`.  A
+table looks its key up as given and sorts only ballots that miss.
 """
 
 from __future__ import annotations
@@ -11,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .core import Outcome, Profile, enumerate_profiles, tally
+from .core import Outcome, Profile, ballot_counts, enumerate_profiles
 
 __all__ = [
     "Rule",
@@ -40,20 +44,20 @@ class Rule:
 def majority_rule(p: Profile) -> Outcome:
     """The candidate with strictly more votes than every other; 0 on any top
     tie or when nobody votes."""
-    t = tally(p)
-    best = max(t.counts)
-    if best > 0 and t.counts.count(best) == 1:
-        return t.counts.index(best) + 1
+    counts = ballot_counts(p)
+    counts[0] = 0  # abstentions elect nobody
+    best = max(counts)
+    if best > 0 and counts.count(best) == 1:
+        return counts.index(best)
     return 0
 
 
 def unanimity_consent(p: Profile) -> Outcome:
     """A candidate wins only when no one voted for anyone else (abstentions
     allowed); otherwise a tie."""
-    support = tally(p).support()
-    if len(support) == 1:
-        return support[0]
-    return 0
+    counts = ballot_counts(p)
+    supported = [k for k in range(1, p.m + 1) if counts[k]]
+    return supported[0] if len(supported) == 1 else 0
 
 
 def lexicographic_first(p: Profile) -> Outcome:
@@ -61,8 +65,11 @@ def lexicographic_first(p: Profile) -> Outcome:
 
     Deliberately candidate-biased: used as the neutrality counterexample.
     """
-    support = tally(p).support()
-    return support[0] if support else 0
+    counts = ballot_counts(p)
+    for k in range(1, p.m + 1):
+        if counts[k]:
+            return k
+    return 0
 
 
 def constant_zero(p: Profile) -> Outcome:
@@ -173,11 +180,16 @@ class TabledFunction:
             raise ValueError(f"profile has m={p.m}, table has m={self.m}")
         if len(p.ballots) > self.n_max:
             raise ValueError(f"profile has {len(p.ballots)} voters, table bound is {self.n_max}")
-        key = tuple(sorted(p.ballots))
-        try:
-            return self.table[key]
-        except KeyError:
-            raise IncompleteTableError(key) from None
+        # Keys are sorted ballot tuples (validated, or canonical where the
+        # library builds them), so a hit on the ballots as given is their
+        # class: only unsorted ballots, or a missing entry, are sorted.
+        out = self.table.get(p.ballots)
+        if out is None:
+            key = tuple(sorted(p.ballots))
+            out = self.table.get(key)
+            if out is None:
+                raise IncompleteTableError(key)
+        return out
 
     def to_text(self) -> str:
         """Persist as text: header ``"m n_max"``, one ``"b1 .. bn -> o"`` line

@@ -37,7 +37,8 @@ DP, N, RS, PR that excludes it.
 
 With N alone the engine streams every neutral table
 (:func:`enumerate_neutral_functions`).  Every engine refuses a table of more
-than 20,000 cells before building any of them.
+than 20,000 cells before building any of them; the cell count stops at a
+lower bound once it passes 10^9.
 
 The checkers in :mod:`scfkit.axioms` stay the oracle: the engine's pruning
 logic is written independently, and verdict records replay every solution
@@ -53,7 +54,7 @@ from typing import Callable, Iterator
 
 from .core import Profile, enumerate_profiles, tally
 from .rules import RULES, TabledFunction, _check_scope
-from .axioms import AxiomReport, PR_TIE_MODES, check_axioms
+from .axioms import _COST_CAP, AxiomReport, PR_TIE_MODES, check_axioms
 
 __all__ = [
     "SEARCH_AXIOMS",
@@ -250,6 +251,24 @@ def _merge(
     return list(zip(groups, allowed))
 
 
+def _cell_count(m: int, n_max: int) -> int:
+    """The classes of 1..n_max voters, C(n_max + m + 1, m + 1) - 1, or a
+    lower bound past ``_COST_CAP``.
+
+    The binomial is a running product of C(n_max + m + 1 - j + i, i) for
+    i = 1..j, j = min(m + 1, n_max), which never decreases; it stops once it
+    passes the cap, as the exact count of a huge scope has thousands of
+    digits and takes longer to compute than to refuse.
+    """
+    top, j = n_max + m + 1, min(m + 1, n_max)
+    count = 1
+    for i in range(1, j + 1):
+        count = count * (top - j + i) // i
+        if count - 1 > _COST_CAP:
+            break
+    return count - 1
+
+
 # A component: its cells, then per value v tried at its smallest cell the
 # axiom excluding v (None when allowed) and the (cell, outcome) pairs v implies.
 _Component = tuple[list[int], list[str | None], list[list[tuple[int, int]] | None]]
@@ -262,10 +281,11 @@ class _Engine:
     def __init__(self, spec: SearchSpec):
         self.spec = spec
         m, n_max = spec.m, spec.n_max
-        cells = math.comb(n_max + m + 1, m + 1) - 1  # the classes of 1..n_max voters
+        cells = _cell_count(m, n_max)
         if cells > _MAX_CELLS:
+            over, shown = ("", cells) if cells <= _COST_CAP else ("over ", _COST_CAP)
             raise SearchInfeasibleError(
-                f"table would need {cells} cells (> {_MAX_CELLS}); raw space {m + 1}^{cells} tables",
+                f"table would need {over}{shown} cells (> {_MAX_CELLS}); raw space {over}{m + 1}^{shown} tables",
                 cells=cells,
                 tables=lambda: (m + 1) ** cells,
             )

@@ -735,6 +735,52 @@ class TestCheckAxioms:
         assert calls == [(1, 0), (0, 1)]
 
 
+class TestClassValues:
+    @given(
+        st.one_of(
+            complete_tables().map(lambda t: (t, t.m, t.n_max)),
+            st.sampled_from([(2, 3), (3, 2), (3, 3)]).map(lambda scope: (LAST, *scope)),
+        ),
+        st.permutations(ALL_AXIOMS).flatmap(lambda order: st.integers(1, len(order)).map(lambda k: order[:k])),
+        st.sampled_from(PR_TIE_MODES),
+    )
+    def test_reads_equal_evaluations(self, case, requested, mode):
+        # an anonymous rule (a table behind a Rule) is read from its class
+        # values and must report as its table does; "last" fails A and must
+        # report as the one-axiom checkers do, which evaluate it directly
+        f, m, n_max = case
+        anonymous = isinstance(f, TabledFunction)
+        if anonymous:
+            f, calls = _counting(Rule("drawn", f.evaluate))
+            table = TabledFunction.from_rule(f, m, n_max)
+            reference = [r.to_dict() for r in check_axioms(table, m, n_max, requested, mode)]
+        else:
+            f, calls = _counting(f)
+            reference = [_alone(f, m, n_max, ax, mode).to_dict() for ax in requested]
+        calls.clear()
+        reports = check_axioms(f, m, n_max, requested, mode)
+        assert [r.to_dict() for r in reports] == reference
+        if anonymous:
+            assert len(calls) == len(set(calls))
+        else:
+            # the one-axiom checkers are check_axioms too: the witnesses must
+            # also replay on "last" itself
+            assert all(replay_witness(LAST, r) for r in reports if not r.passed)
+
+    @pytest.mark.parametrize("m,n_max,profiles", [(3, 4, 340), (3, 6, 5_460)])
+    def test_each_ordered_profile_is_evaluated_once(self, m, n_max, profiles):
+        # the A scan evaluates every ordered profile but those of the classes
+        # with one ordering, which the later scans evaluate once each
+        assert profiles == sum((m + 1) ** n for n in range(1, n_max + 1))
+        f, calls = _counting(MAJ)
+        six = ["A", "N", "DP", "PO", "RS", "PR"]
+        assert all(r.passed for r in check_axioms(f, m, n_max, six))
+        assert len(calls) == len(set(calls)) == profiles
+        # nothing outlives the call: the next one evaluates them all again
+        check_axioms(f, m, n_max, six)
+        assert len(calls) == 2 * profiles
+
+
 def _relabel(tau: tuple[int, ...], b: int) -> int:
     return 0 if b == 0 else tau[b - 1]
 
@@ -867,9 +913,13 @@ class TestGeneratorScans:
             assert len(calls) == sum(2 + r for r in runs)
 
     def test_two_candidates_check_the_swap_once(self):
-        f, calls = _counting(MAJ)
-        check_neutrality(f, 2, 1)
-        # one voter: the anonymity scan has nothing to reorder
+        # on a table: a rule that passes A is read from its class values
+        calls = []
+        table = TabledFunction.from_rule(MAJ, 2, 1)
+        original = TabledFunction.evaluate
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(TabledFunction, "evaluate", lambda self, p: calls.append(p.ballots) or original(self, p))
+            check_neutrality(table, 2, 1)
         assert calls == [(0,), (0,), (1,), (2,), (2,), (1,)]
 
     def test_two_candidate_failure_needs_no_rescan(self):
@@ -896,10 +946,15 @@ class TestGeneratorScans:
 
     def test_witness_rescan_is_refused_with_estimate(self):
         # lex passes every class up to (1, 1) at m = 10; the swap fails at
-        # (1, 2), the 24th class, and its rescan would try 10! relabelings
-        f, calls = _counting(LEX)
-        with pytest.raises(CheckInfeasibleError) as err:
-            check_neutrality(f, 10, 3)
+        # (1, 2), the 24th class, and its rescan would try 10! relabelings;
+        # on a table, as a rule that passes A is read from its class values
+        calls = []
+        table = TabledFunction.from_rule(LEX, 10, 3)
+        original = TabledFunction.evaluate
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(TabledFunction, "evaluate", lambda self, p: calls.append(p.ballots) or original(self, p))
+            with pytest.raises(CheckInfeasibleError) as err:
+                check_neutrality(table, 10, 3)
         cost = 24 * (1 + math.factorial(10))
         assert err.value.cost == cost
         assert str(err.value) == (

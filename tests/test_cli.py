@@ -281,6 +281,20 @@ class TestUsage:
         assert done.stdout == ""
         assert done.stderr.startswith("error: scope infeasible: ") and "Traceback" not in done.stderr
 
+    @pytest.mark.parametrize(
+        "command", ["search --m 10000 --n-max 10000", "verify-theorem --m 1000000 --n-max 1000000"]
+    )
+    def test_huge_binomials_are_refused_without_computing_them(self, command):
+        # the exact cell counts have thousands of digits
+        env = {**os.environ, "PYTHONPATH": str(Path(scfkit.__file__).parents[1])}
+        done = subprocess.run(
+            [sys.executable, "-m", "scfkit", *command.split()], capture_output=True, text=True, env=env, timeout=10
+        )
+        assert done.returncode == 2
+        assert done.stdout == ""
+        assert done.stderr.startswith("error: scope infeasible: table would need over 1000000000 cells (> 20000)")
+        assert "Traceback" not in done.stderr
+
     def test_many_candidates_are_checked_on_generators(self, capsys):
         # neutrality costs two relabelings per class, not 10!
         assert run(["check", "--rule", "maj", "--m", "10", "--n-max", "3"]) == 0

@@ -13,6 +13,7 @@ from scfkit.core import (
     apply_candidate_permutation,
     apply_to_outcome,
     apply_voter_permutation,
+    ballot_counts,
     canonicalize,
     enumerate_profiles,
     format_profile,
@@ -110,6 +111,15 @@ class TestOperations:
     def test_tally_all_abstain(self):
         t = tally(Profile(2, (0, 0)))
         assert t.counts == (0, 0) and t.abstentions == 2
+
+    @given(profiles(m_max=6, n_max=8))
+    def test_ballot_counts_count_each_value(self, p):
+        counts = ballot_counts(p)
+        assert counts == [p.ballots.count(b) for b in range(p.m + 1)]
+        assert tally(p) == Tally(p.m, tuple(counts[1:]), counts[0])
+        # a fresh list each call: callers may overwrite it
+        counts[0] = -1
+        assert ballot_counts(p)[0] == p.ballots.count(0)
 
     def test_voter_permutation_identity_and_swap(self):
         p = Profile(2, (1, 2, 0))

@@ -118,7 +118,65 @@ class TestOtherRules:
                         assert lhs == tau.outcome(majority_rule(p))
 
 
+def _brute_force(name: str, p: Profile) -> int:
+    """The named rule from its definition, by counting each candidate."""
+    votes = {k: sum(b == k for b in p.ballots) for k in range(1, p.m + 1)}
+    voted = [k for k in votes if votes[k]]
+    if name == "maj":
+        winners = [k for k in voted if all(votes[k] > votes[j] for j in votes if j != k)]
+        return winners[0] if winners else 0
+    if name == "uc":
+        return voted[0] if len(voted) == 1 else 0
+    return min(voted, default=0)
+
+
+class TestCountingRules:
+    @pytest.mark.parametrize("m,n_max", [(2, 6), (3, 5), (4, 4)])
+    @pytest.mark.parametrize("name", ["maj", "uc", "lex"])
+    def test_equal_the_brute_force_definition_on_every_profile(self, name, m, n_max):
+        rule = RULES[name]
+        for n in range(1, n_max + 1):
+            for p in enumerate_profiles(m, n):
+                assert rule.evaluate(p) == _brute_force(name, p), p.ballots
+
+
+def _sorted_lookup(t: TabledFunction, p: Profile) -> int:
+    """Table lookup as written before the unsorted-first lookup: always by
+    the sorted ballots."""
+    key = tuple(sorted(p.ballots))
+    if key not in t.table:
+        raise IncompleteTableError(key)
+    return t.table[key]
+
+
+def _lookup(evaluate, p: Profile):
+    try:
+        return evaluate(p)
+    except IncompleteTableError as exc:
+        return ("missing", exc.ballots)
+
+
 class TestTabledFunction:
+    def test_lookup_equals_the_sorted_key_lookup(self):
+        # on every ordered profile at (3, 4), complete and with each single
+        # entry removed: the same outcome, or a miss naming the same class
+        m, n_max = 3, 4
+        full = TabledFunction.from_rule(RULES["maj"], m, n_max)
+        profiles = [p for n in range(1, n_max + 1) for p in enumerate_profiles(m, n)]
+        tables = [full] + [
+            TabledFunction(m, n_max, {k: v for k, v in full.table.items() if k != missing})
+            for missing in full.table
+        ]
+        misses = 0
+        for t in tables:
+            for p in profiles:
+                got = _lookup(t.evaluate, p)
+                assert got == _lookup(lambda q: _sorted_lookup(t, q), p), (len(t.table), p.ballots)
+                misses += isinstance(got, tuple)
+        # each class is removed from one table, and missed there by each of
+        # its orderings
+        assert misses == len(profiles)
+
     def test_lookup_goes_through_canonical_form(self):
         t = TabledFunction(2, 2, {(1, 2): 0})
         assert t.evaluate(Profile(2, (2, 1))) == 0

@@ -1,5 +1,6 @@
 import gc
 import hashlib
+import math
 from functools import cache
 from itertools import combinations, islice, permutations, product
 
@@ -290,6 +291,25 @@ class TestSearchSpec:
             enumerate_functions(SearchSpec(m=8, n_max=8, axioms=frozenset({"N"})))
         assert err.value.cells == 24309 and err.value.tables == 9 ** 24309
         assert str(err.value) == "table would need 24309 cells (> 20000); raw space 9^24309 tables"
+
+    @pytest.mark.parametrize(
+        "m,n_max", [(2, 1), (2, 40), (3, 26), (8, 5), (40, 3), (1_000_000, 1), (12, 12), (2, 1800)]
+    )
+    def test_cell_count_is_the_binomial_below_the_cap(self, m, n_max):
+        assert search._cell_count(m, n_max) == math.comb(n_max + m + 1, m + 1) - 1
+
+    @pytest.mark.parametrize("m,n_max", [(10_000, 10_000), (1_000_000, 1_000_000), (2, 10**9), (12, 30), (30, 30)])
+    def test_cell_count_stops_past_the_cap(self, m, n_max):
+        cells = search._cell_count(m, n_max)
+        assert search._COST_CAP < cells
+        if max(m, n_max) < 1000:
+            assert cells <= math.comb(n_max + m + 1, m + 1) - 1
+        with pytest.raises(SearchInfeasibleError) as err:
+            enumerate_functions(SearchSpec(m=m, n_max=n_max, axioms=frozenset({"N"})))
+        assert err.value.cells == cells
+        assert str(err.value) == (
+            f"table would need over 1000000000 cells (> 20000); raw space over {m + 1}^1000000000 tables"
+        )
 
 
 class TestEnumerateFunctions:
