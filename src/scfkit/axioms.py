@@ -11,9 +11,13 @@ axioms and establishes anonymity once per call.  A call estimated above
 :data:`CHECK_MAX_COST` (:func:`check_cost`) is refused with a
 :class:`CheckInfeasibleError` before f is evaluated, rather than running for
 hours.  An anonymous f is scanned one sorted profile per anonymity class,
-anything else over every ordered profile.  The A scan keeps each class's
-outcome for the call; when it passes, every later scan reads f's values
-from those, so f is evaluated at most once per ordered profile per call.
+anything else over every ordered profile.  The A scan finds each ordered
+profile's class without sorting its ballots: a per-level successor table
+maps a class of n - 1 voters and one more ballot to a class of n
+(:func:`_class_ids`).  It keeps each class's outcome for the call; when it
+passes, every later scan reads f's values from those, so f is evaluated at
+most once per ordered profile per call.  The checkers count ballots with
+:func:`~scfkit.core.ballot_counts`.
 
 Neutrality is checked on two generators of the relabelings, the
 transposition (1 2) and the m-cycle; only a failure rescans with all m!
@@ -27,7 +31,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from itertools import islice, permutations
+from itertools import combinations_with_replacement, islice, permutations
 from typing import Callable, Iterable, Iterator
 
 from .core import (
@@ -36,11 +40,11 @@ from .core import (
     VoterPermutation,
     apply_candidate_permutation,
     apply_voter_permutation,
+    ballot_counts,
     canonicalize,
     enumerate_profiles,
     format_profile,
     profile_count,
-    tally,
 )
 from .rules import IncompleteTableError, TabledFunction, _check_scope
 
@@ -267,27 +271,62 @@ def _sorting_permutation(p: Profile) -> VoterPermutation:
     return VoterPermutation(p.n, tuple(image))
 
 
+# a class whose sorted member the A scan has not evaluated yet (f may return
+# anything, None included)
+_UNEVALUATED = object()
+
+
+def _class_ids(m: int, n_max: int) -> Iterator[tuple[list[tuple[int, ...]], list[int]]]:
+    """Per level n = 1..n_max, ``(keys, ids)``: ``keys`` lists the classes'
+    sorted ballots in ``enumerate_profiles(m, n, canonical_only=True)``
+    order, and ``ids[t]`` is the index in ``keys`` of the class of the t-th
+    ordered profile in ``enumerate_profiles(m, n)`` order.
+
+    Nothing is sorted per ordered profile.  The ordered stream is
+    prefix-major: each profile of n - 1 voters, in order, followed by each
+    ballot.  So a level's ids are its predecessor's, each expanded through
+    the successor table ``child[i][b]``, the class of
+    ``keys_{n-1}[i] + (b,)``.  Only the table's entries, one per (class,
+    ballot) pair, are sorted.
+    """
+    ballots = range(m + 1)
+    keys: list[tuple[int, ...]] = [()]
+    ids = [0]
+    for n in range(1, n_max + 1):
+        level = list(combinations_with_replacement(ballots, n))
+        index = {key: i for i, key in enumerate(level)}
+        child = [[index[tuple(sorted(key + (b,)))] for b in ballots] for key in keys]
+        ids = [c for i in ids for c in child[i]]
+        keys = level
+        yield keys, ids
+
+
 def _anonymity_witness(f, m: int, n_max: int, values: dict[tuple[int, ...], int]) -> Witness | None:
     """The A scan: f must be constant on each anonymity class, so every
     ordered profile is compared against its class's sorted member.
 
-    f is evaluated once per non-canonical ordered profile.  The sorted
-    member's outcome is evaluated the first time its class needs it, after
-    that profile's own, and kept in ``values`` under the sorted ballots for
-    the rest of the call.  A class with one ordering, one ballot value
-    repeated, is never evaluated here.
+    Each profile's class is read off :func:`_class_ids`, not found by
+    sorting.  A class's first member in stream order is its sorted one, the
+    lexicographic minimum of its orderings, and is skipped; f is evaluated
+    once per later, non-canonical member.  The sorted member's outcome is
+    evaluated the first time its class needs it, after that profile's own,
+    and kept in a per-level list by class and in ``values`` under the sorted
+    ballots for the rest of the call.  A class with one ordering, one ballot
+    value repeated, is never evaluated here.
     """
-    evaluate = f.evaluate
-    for n in range(1, n_max + 1):
-        for p in enumerate_profiles(m, n):
-            key = tuple(sorted(p.ballots))
-            if key == p.ballots:
+    evaluate, trusted = f.evaluate, Profile._trusted
+    for n, (keys, ids) in enumerate(_class_ids(m, n_max), start=1):
+        seen = bytearray(len(keys))
+        outcomes = [_UNEVALUATED] * len(keys)
+        for p, i in zip(enumerate_profiles(m, n), ids):
+            if not seen[i]:
+                seen[i] = 1
                 continue
             actual = evaluate(p)
-            if key in values:
-                expected = values[key]
-            else:
-                expected = values[key] = evaluate(Profile._trusted(m, key))
+            expected = outcomes[i]
+            if expected is _UNEVALUATED:
+                key = keys[i]
+                expected = outcomes[i] = values[key] = evaluate(trusted(m, key))
             if actual != expected:
                 return Witness(
                     profile=p,
@@ -405,8 +444,22 @@ def _duel_pairs(support: tuple[int, ...], m: int) -> Iterable[tuple[int, int]]:
                 yield (i, j)
 
 
+def _support(p: Profile) -> tuple[int, ...]:
+    """Candidates with at least one vote, ascending."""
+    counts = ballot_counts(p)
+    return tuple(k for k in range(1, p.m + 1) if counts[k])
+
+
+def _leaders(p: Profile) -> tuple[int, ...]:
+    """Candidates sharing the top vote count: every candidate when nobody
+    votes."""
+    counts = ballot_counts(p)
+    top = max(counts[1:])
+    return tuple(k for k in range(1, p.m + 1) if counts[k] == top)
+
+
 def _duel_property(f, p: Profile, tie_upgrade: str) -> Witness | None:
-    support = tally(p).support()
+    support = _support(p)
     if len(support) > 2:
         return None
     out = f.evaluate(p)
@@ -419,7 +472,7 @@ def _duel_property(f, p: Profile, tie_upgrade: str) -> Witness | None:
 
 
 def _pareto(f, p: Profile, tie_upgrade: str) -> Witness | None:
-    support = tally(p).support()
+    support = _support(p)
     if len(support) != 1:
         return None
     k = support[0]
@@ -470,7 +523,7 @@ def _tie_candidates(p: Profile, mode: str) -> tuple[int, ...]:
     if mode == "always":
         return tuple(range(1, p.m + 1))
     if mode == "leaders":
-        return tally(p).leaders()
+        return _leaders(p)
     return ()
 
 
@@ -506,13 +559,13 @@ def _responsiveness(f, p: Profile, tie_upgrade: str) -> Witness | None:
 
 
 def _no_tied_winner(f, p: Profile, tie_upgrade: str) -> Witness | None:
-    counts = tally(p).counts
+    counts = ballot_counts(p)
     out = f.evaluate(p)
     if out == 0:
         return None
     for i in range(1, p.m + 1):
         for j in range(i + 1, p.m + 1):
-            if counts[i - 1] == counts[j - 1] and out in (i, j):
+            if counts[i] == counts[j] and out in (i, j):
                 return Witness(profile=p, pair=(i, j), actual=out, note="tied pair won")
     return None
 
@@ -646,10 +699,10 @@ def replay_witness(f, report: AxiomReport) -> bool:
         )
     if report.axiom == "DP":
         i, j = w.pair
-        support = tally(p).support()
+        support = _support(p)
         return all(k in (i, j) for k in support) and f.evaluate(p) == w.actual and w.actual not in (0, i, j)
     if report.axiom == "PO":
-        support = tally(p).support()
+        support = _support(p)
         return support == (w.candidate,) and f.evaluate(p) == w.actual and w.actual != w.candidate
     if report.axiom == "RS":
         reduced = reduce_profile(f, p)
@@ -672,12 +725,12 @@ def replay_witness(f, report: AxiomReport) -> bool:
         if w.note == "pr:tie:always":
             return before == 0
         if w.note == "pr:tie:leaders":
-            return before == 0 and k in tally(p).leaders()
+            return before == 0 and k in _leaders(p)
         return False
     if report.axiom == "NTW":
         i, j = w.pair
-        counts = tally(p).counts
-        return counts[i - 1] == counts[j - 1] and f.evaluate(p) == w.actual and w.actual in (i, j)
+        counts = ballot_counts(p)
+        return counts[i] == counts[j] and f.evaluate(p) == w.actual and w.actual in (i, j)
     return False
 
 

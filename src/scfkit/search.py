@@ -52,7 +52,7 @@ from dataclasses import dataclass
 from itertools import combinations_with_replacement, permutations
 from typing import Callable, Iterator
 
-from .core import Profile, enumerate_profiles, tally
+from .core import Profile, ballot_counts, enumerate_profiles
 from .rules import RULES, TabledFunction, _check_scope
 from .axioms import _COST_CAP, AxiomReport, PR_TIE_MODES, check_axioms
 
@@ -572,13 +572,13 @@ def is_all_abstention(p: Profile) -> bool:
 def is_leader_profile(p: Profile) -> bool:
     """Some candidate has strictly more votes than every other candidate:
     the top count is held once (m >= 2, so nobody voting is a tie)."""
-    counts = tally(p).counts
+    counts = ballot_counts(p)[1:]
     return counts.count(max(counts)) == 1
 
 
 def is_dominating_tie(p: Profile) -> bool:
     """Two or more candidates share the strictly highest, positive vote count."""
-    counts = tally(p).counts
+    counts = ballot_counts(p)[1:]
     top = max(counts)
     return top > 0 and counts.count(top) >= 2
 

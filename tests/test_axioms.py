@@ -1,5 +1,5 @@
 import math
-from itertools import permutations, product
+from itertools import combinations_with_replacement, permutations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -25,7 +25,7 @@ from scfkit.axioms import (
     replay_witness,
     require_feasible,
 )
-from scfkit.core import Profile, enumerate_profiles, remove_voter, tally
+from scfkit.core import Profile, canonicalize, enumerate_profiles, remove_voter, tally
 from scfkit.rules import RULES, IncompleteTableError, Rule, TabledFunction
 
 MAJ = RULES["maj"]
@@ -242,6 +242,115 @@ class TestAnonymityScan:
         maj = TabledFunction.from_rule(MAJ, 2, 2)
         t = TabledFunction(2, 2, {k: v for k, v in maj.table.items() if k != (1, 1)})
         assert check_anonymity(t, 2, 2).passed
+
+
+# The A scan that found each profile's class by sorting its ballots, before
+# the successor table replaced the sort, kept as the table's reference.
+
+
+def _sorting_anonymity_witness(f, m, n_max, values):
+    evaluate = f.evaluate
+    for n in range(1, n_max + 1):
+        for p in enumerate_profiles(m, n):
+            key = tuple(sorted(p.ballots))
+            if key == p.ballots:
+                continue
+            actual = evaluate(p)
+            if key in values:
+                expected = values[key]
+            else:
+                expected = values[key] = evaluate(Profile._trusted(m, key))
+            if actual != expected:
+                return Witness(
+                    profile=p,
+                    related_profile=canonicalize(p),
+                    permutation=axioms._sorting_permutation(p).image,
+                    actual=actual,
+                    expected=expected,
+                )
+    return None
+
+
+class Raising:
+    """``f`` that raises on one profile, the ``drawn`` ballots."""
+
+    def __init__(self, f, drawn: tuple[int, ...]):
+        self.f, self.drawn = f, drawn
+
+    def evaluate(self, p: Profile) -> int:
+        if p.ballots == self.drawn:
+            raise RuntimeError(f"drawn profile {p.ballots}")
+        return self.f.evaluate(p)
+
+
+@st.composite
+def scan_cases(draw):
+    """A scope with m = 2..4, n_max = 1..4, and a function on it: a random
+    complete table behind a Rule, a random ordered table (anonymous but for
+    a few flipped entries, or random throughout), "last", or one of these
+    that raises on a drawn profile."""
+    m, n_max = draw(st.integers(2, 4)), draw(st.integers(1, 4))
+    rnd = draw(st.randoms(use_true_random=False))
+    kind = draw(st.sampled_from(["table", "ordered", "flipped", "last"]))
+    if kind == "last":
+        f = LAST
+    else:
+        classes = [c for n in range(1, n_max + 1) for c in combinations_with_replacement(range(m + 1), n)]
+        by_class = {c: rnd.randint(0, m) for c in classes}
+        if kind == "table":
+            f = Rule("drawn", TabledFunction(m, n_max, by_class).evaluate)
+        else:
+            profiles = [b for n in range(1, n_max + 1) for b in product(range(m + 1), repeat=n)]
+            if kind == "ordered":
+                f = OrderedFunction({b: rnd.randint(0, m) for b in profiles})
+            else:
+                table = {b: by_class[tuple(sorted(b))] for b in profiles}
+                for b in rnd.sample(profiles, min(len(profiles), draw(st.integers(1, 3)))):
+                    table[b] = (table[b] + rnd.randint(1, m)) % (m + 1)
+                f = OrderedFunction(table)
+    if draw(st.booleans()):
+        n = draw(st.integers(1, n_max))
+        f = Raising(f, tuple(rnd.randint(0, m) for _ in range(n)))
+    return m, n_max, f
+
+
+def _scan_outcome(scan, f, m, n_max):
+    """What ``scan`` observably does with f: its witness or raised error,
+    the class values it leaves, and the profiles f is evaluated on."""
+    calls = []
+    recorded = Rule("recorded", lambda p: calls.append(p.ballots) or f.evaluate(p))
+    values = {}
+    try:
+        result = scan(recorded, m, n_max, values)
+    except RuntimeError as exc:
+        result = (type(exc).__name__, str(exc))
+    return result, values, calls
+
+
+class TestClassIdScan:
+    @settings(max_examples=300, deadline=None)
+    @given(scan_cases())
+    def test_equals_the_sorting_scan(self, case):
+        m, n_max, f = case
+        got = _scan_outcome(axioms._anonymity_witness, f, m, n_max)
+        assert got == _scan_outcome(_sorting_anonymity_witness, f, m, n_max)
+
+    @pytest.mark.parametrize("m", [2, 3, 4, 5])
+    def test_ids_are_the_sorted_classes(self, m):
+        # every level with at most 5,000 ordered profiles
+        n_max = max(n for n in range(1, 10) if (m + 1) ** n <= 5_000)
+        levels = list(axioms._class_ids(m, n_max))
+        assert len(levels) == n_max
+        for n, (keys, ids) in enumerate(levels, start=1):
+            assert keys == list(combinations_with_replacement(range(m + 1), n))
+            index = {key: i for i, key in enumerate(keys)}
+            ordered = list(product(range(m + 1), repeat=n))
+            assert ids == [index[tuple(sorted(t))] for t in ordered]
+            # each class is first met at its sorted member
+            first = {}
+            for t, i in zip(ordered, ids):
+                first.setdefault(i, t)
+            assert first == dict(enumerate(keys))
 
 
 class TestNeutrality:
