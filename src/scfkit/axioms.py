@@ -54,7 +54,6 @@ __all__ = [
     "CHECK_MAX_COST",
     "CheckInfeasibleError",
     "check_cost",
-    "require_feasible",
     "Witness",
     "AxiomReport",
     "reduce_profile",
@@ -350,11 +349,11 @@ class _ClassValues:
 
     def evaluate(self, p: Profile) -> int:
         values = self.values
-        out = values.get(p.ballots)  # the keys are sorted: a hit is the class
-        if out is None:
+        out = values.get(p.ballots, _UNEVALUATED)  # the keys are sorted: a hit is the class
+        if out is _UNEVALUATED:
             key = tuple(sorted(p.ballots))
-            out = values.get(key)
-            if out is None:
+            out = values.get(key, _UNEVALUATED)
+            if out is _UNEVALUATED:
                 out = values[key] = self.f.evaluate(Profile._trusted(self.m, key))
         return out
 

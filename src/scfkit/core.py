@@ -5,7 +5,7 @@ candidate k.  Aggregation outcomes live in the same value space (0 means a
 tie / no decision), so an outcome can be fed back in as a ballot -- the
 subsociety-reduction axiom depends on that.
 
-All values here are immutable and safe to share across workers.
+All values here are immutable.
 """
 
 from __future__ import annotations

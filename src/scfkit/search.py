@@ -23,13 +23,23 @@ So each orbit representative r has one equation, x_r = rho[x_s] with s
 the representative of reduce(r)'s orbit: a successor map.  A walk along
 successors joins the first resolved representative's component or closes
 a cycle, which restricts its new root to the outcomes the relabeling
-composed around it fixes.  Each component then takes one value, whose
-image at every member cell must pass PO and DP (DP never constrains at
-m = 2, where every outcome lies in the one duel pair).
-Components are assigned in order of their smallest cell index, trying the
-values 0..m there, so solutions come out in lexicographic order over the
-cell values; PR is checked on within-level upgrade edges, one ballot moved
-between two counts, as each component is assigned.
+composed around it fixes.  Components are assigned in order of their
+smallest cell index, trying the values 0..m there, so solutions come out
+in lexicographic order over the cell values.
+
+A value is decided at the component's representatives alone: PO, DP and
+the N stabilizer at each representative, RS through the cycle, and only
+then are the member cells written.  A member c = tau r needs no check of
+its own, as tau carries r's PO-forced candidate to c's, r's DP set to c's
+and r's value to c's; so c breaks PO or DP iff r does (DP never
+constrains at m = 2, where every outcome lies in the one duel pair).  PR
+is checked on within-level upgrade edges, one ballot moved between two
+counts, at the representatives once the members are written.  A
+relabeling carries an edge touching a member onto an edge at its
+representative, with the same clash status: N has fixed each assigned
+representative's value under its stabilizer, so every relabeling of an
+assigned cell carries its value along.  Without N every cell is its own
+representative.
 
 A *node* is one value tried at one component's smallest cell.  A rejected
 node is a *prune*, counted once against the first axiom in the order PO,
@@ -49,7 +59,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations_with_replacement, permutations
+from itertools import combinations_with_replacement, islice, permutations
 from typing import Callable, Iterator
 
 from .core import Profile, ballot_counts, enumerate_profiles
@@ -269,9 +279,13 @@ def _cell_count(m: int, n_max: int) -> int:
     return count - 1
 
 
-# A component: its cells, then per value v tried at its smallest cell the
-# axiom excluding v (None when allowed) and the (cell, outcome) pairs v implies.
-_Component = tuple[list[int], list[str | None], list[list[tuple[int, int]] | None]]
+# A component: its representatives r, each with L, x_r = L[x_root]; the
+# root values its reduction cycles allow; each member cell with its map
+# x_root -> outcome, the smallest cell first; and the map from the value at
+# the smallest cell to x_root.
+_Component = tuple[
+    list[tuple[int, tuple[int, ...]]], frozenset[int], list[tuple[int, tuple[int, ...]]], tuple[int, ...]
+]
 
 
 class _Engine:
@@ -386,42 +400,11 @@ class _Engine:
         return self.index[tuple(reduced)]
 
     def _component(self, group: list[tuple[int, tuple[int, ...]]], rs_allowed: frozenset[int]) -> _Component:
-        """Values at the component's smallest cell, with what each implies.
-
-        ``group`` pairs each representative r with L, x_r = L[x_root], and
-        ``rs_allowed`` holds the root values the reduction cycles allow.
-        """
-        # x_root -> outcome at every member cell; the first is the smallest
+        """The component of ``group``, which pairs each representative r with
+        L, x_r = L[x_root]; ``rs_allowed`` holds the root values the
+        reduction cycles allow."""
         maps = [(c, _compose(self.label[c], label)) for r, label in group for c in self.members[r]]
-        to_root = _inverse(maps[0][1])
-        reasons: list[str | None] = []
-        assignments: list[list[tuple[int, int]] | None] = []
-        for v in range(self.m + 1):
-            x = to_root[v]
-            values = [(c, f[x]) for c, f in maps]
-            reason = self._excluded(values, [(r, label[x]) for r, label in group], x in rs_allowed)
-            reasons.append(reason)
-            assignments.append(values if reason is None else None)
-        return [c for c, _ in maps], reasons, assignments
-
-    def _excluded(
-        self, values: list[tuple[int, int]], rep_values: list[tuple[int, int]], rs_ok: bool
-    ) -> str | None:
-        """The first axiom, in the order PO, DP, N, RS, that the implied
-        values break."""
-        if self.po_forced is not None:
-            po = self.po_forced
-            if any(po[c] is not None and po[c] != w for c, w in values):
-                return "PO"
-        if self.dp_allowed is not None:
-            dp = self.dp_allowed
-            if any(dp[c] is not None and w not in dp[c] for c, w in values):
-                return "DP"
-        if self.fixed is not None and any(w not in self.fixed[r] for r, w in rep_values):
-            return "N"
-        if not rs_ok:
-            return "RS"
-        return None
+        return group, rs_allowed, maps, _inverse(maps[0][1])
 
     def _pr_clash(self, i: int) -> bool:
         """An upgrade edge at cell i with both ends assigned breaks PR."""
@@ -434,27 +417,29 @@ class _Engine:
 
     # -- search --------------------------------------------------------------
 
-    def run(self) -> list[TabledFunction]:
-        """The solutions, up to the spec's limit (which clears ``exhausted``)."""
-        solutions = []
-        for solution in self._search():
-            solutions.append(solution)
-            if len(solutions) == self.spec.limit:
-                self.exhausted = False
-                break
-        return solutions
-
     def _try(self, comp: _Component, v: int) -> str | None:
         """Assign value v at the component's smallest cell, or return the
-        axiom that excludes it (leaving the component unassigned)."""
-        cells, reasons, assignments = comp
-        if reasons[v] is not None:
-            return reasons[v]
-        for i, w in assignments[v]:
-            self.out[i] = w
-        if self.pr_edges is not None and any(self._pr_clash(i) for i in cells):
-            for i in cells:
-                self.out[i] = None
+        first axiom, in the order PO, DP, N, RS, PR, that excludes it
+        (leaving the component unassigned).  Every axiom is decided at the
+        representatives (see the module docstring)."""
+        group, rs_allowed, maps, to_root = comp
+        x = to_root[v]
+        values = [(r, label[x]) for r, label in group]
+        po, dp, fixed = self.po_forced, self.dp_allowed, self.fixed
+        if po is not None and any(po[r] is not None and po[r] != w for r, w in values):
+            return "PO"
+        if dp is not None and any(dp[r] is not None and w not in dp[r] for r, w in values):
+            return "DP"
+        if fixed is not None and any(w not in fixed[r] for r, w in values):
+            return "N"
+        if x not in rs_allowed:
+            return "RS"
+        out = self.out
+        for c, f in maps:
+            out[c] = f[x]
+        if self.pr_edges is not None and any(self._pr_clash(r) for r, _ in group):
+            for c, _ in maps:
+                out[c] = None
             return "PR"
         return None
 
@@ -468,7 +453,7 @@ class _Engine:
             frame = stack[-1]
             n, comps, k, start = frame
             comp = comps[k]
-            for i in comp[0]:
+            for i, _ in comp[2]:
                 self.out[i] = None
             for v in range(start, m + 1):
                 self.nodes += 1
@@ -498,11 +483,11 @@ def enumerate_functions(spec: SearchSpec) -> SearchResult:
     level-wise search; ``exhausted`` is False iff a node or solution limit cut
     the search short."""
     engine = _Engine(spec)
-    solutions = engine.run()
+    solutions = list(islice(engine._search(), spec.limit))
     return SearchResult(
         spec=spec,
         solutions=solutions,
-        exhausted=engine.exhausted,
+        exhausted=engine.exhausted and len(solutions) != spec.limit,
         nodes_explored=engine.nodes,
         prune_counts=engine.prunes,
     )

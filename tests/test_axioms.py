@@ -889,6 +889,16 @@ class TestClassValues:
         check_axioms(f, m, n_max, six)
         assert len(calls) == 2 * profiles
 
+    def test_a_class_valued_none_is_evaluated_once(self):
+        # majority with None for 0: a stored None is a class value, not a
+        # miss, so no ordered profile is evaluated twice
+        f, calls = _counting(Rule("maj_or_none", lambda p: MAJ.evaluate(p) or None))
+        reports = check_axioms(f, 3, 4, ["A", "PO", "NTW"])
+        assert [r.to_dict() for r in reports] == [
+            {"axiom": ax, "m": 3, "n_max": 4, "pass": True} for ax in ("A", "PO", "NTW")
+        ]
+        assert len(calls) == len(set(calls)) == 340
+
 
 def _relabel(tau: tuple[int, ...], b: int) -> int:
     return 0 if b == 0 else tau[b - 1]

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import scfkit
-from scfkit import axioms
+from scfkit import axioms, core, rules, search
 from scfkit.cli import _to_json, main
 from scfkit.core import parse_profile
 from scfkit.rules import RULES, TabledFunction
@@ -32,6 +32,17 @@ def profile_file(tmp_path):
         return str(path)
 
     return write
+
+
+class TestPackage:
+    def test_public_names_are_the_module_lists(self):
+        names = scfkit.__all__
+        assert len(names) == len(set(names)) == 61
+        modules = (core, rules, axioms, search)
+        assert set(names) == {"__version__"}.union(*(module.__all__ for module in modules))
+        for module in modules:
+            for name in module.__all__:
+                assert getattr(scfkit, name) is getattr(module, name), name
 
 
 class TestEval:

@@ -180,6 +180,34 @@ def _uf_components(engine, n):
     return [engine._component(group, allowed) for group, allowed in _uf_merge(reps, equations, engine.m)]
 
 
+class _MemberCellEngine(search._Engine):
+    """The engine deciding each value as it did before the decision moved to
+    the representatives, kept as that decision's reference: PO and DP at
+    every member cell, N and RS at the representatives, then PR on every
+    member cell's upgrade edges."""
+
+    def _try(self, comp, v):
+        group, rs_allowed, maps, to_root = comp
+        x = to_root[v]
+        values = [(c, f[x]) for c, f in maps]
+        po, dp = self.po_forced, self.dp_allowed
+        if po is not None and any(po[c] is not None and po[c] != w for c, w in values):
+            return "PO"
+        if dp is not None and any(dp[c] is not None and w not in dp[c] for c, w in values):
+            return "DP"
+        if self.fixed is not None and any(label[x] not in self.fixed[r] for r, label in group):
+            return "N"
+        if x not in rs_allowed:
+            return "RS"
+        for c, w in values:
+            self.out[c] = w
+        if self.pr_edges is not None and any(self._pr_clash(c) for c, _ in values):
+            for c, _ in values:
+                self.out[c] = None
+            return "PR"
+        return None
+
+
 @cache
 def _rs_engine(m, n_max, axioms, tie):
     return search._Engine(SearchSpec(m=m, n_max=n_max, axioms=axioms, pr_tie_upgrade=tie))
@@ -514,6 +542,32 @@ class TestEnumerateFunctions:
         )
         assert with_rs.exhausted
         assert [s.table for s in with_rs.solutions] == filtered
+
+
+class TestRepresentativeDecision:
+    @pytest.mark.parametrize(
+        "m,n_max", [(2, 2), (2, 3), (2, 4), (2, 5), (3, 2), (3, 3), (3, 4), (4, 2), (4, 3), (5, 2)]
+    )
+    def test_equals_the_member_cell_decision(self, m, n_max):
+        # every axiom subset and tie mode; with N, PO, DP and PR meet orbits
+        # of several members, whose own checks the reference still makes
+        for axioms in _ALL_SUBSETS:
+            for tie in PR_TIE_MODES if "PR" in axioms else ("leaders",):
+                spec = SearchSpec(
+                    m=m,
+                    n_max=n_max,
+                    axioms=frozenset(axioms),
+                    limit=50,
+                    max_nodes=20_000,
+                    pr_tie_upgrade=tie,
+                )
+                result = enumerate_functions(spec)
+                reference = _MemberCellEngine(spec)
+                solutions = list(islice(reference._search(), spec.limit))
+                assert [s.table for s in result.solutions] == [s.table for s in solutions], (axioms, tie)
+                assert result.nodes_explored == reference.nodes, (axioms, tie)
+                assert result.prune_counts == reference.prunes, (axioms, tie)
+                assert result.exhausted == (reference.exhausted and len(solutions) != spec.limit), (axioms, tie)
 
 
 class TestCountVectorEngine:
