@@ -3,16 +3,22 @@
 Functions are represented as outcome tables over canonical (sorted) profiles
 up to a voter bound, so anonymity is structural rather than searched over.
 Inside the engine a cell is its count vector (abstentions, then each
-candidate's votes), which determines the class; every per-cell fact the
-search uses is read off it.  The engine fixes the table level by level
-(n = 1 upward).  Once the levels below n are fixed, every level-n
-constraint except PR is an equation between level-n cells:
+candidate's votes), which determines the class.  Each cell's orbit and
+label are read off its sorted count vector; the PO, DP, RS and PR facts are
+built for orbit representatives only, the one place the search reads them.
+The engine fixes the table level by level (n = 1 upward).  Once the levels
+below n are fixed, every level-n constraint except PR is an equation between
+level-n cells:
 
 - N: with neutrality, each cell is a relabeling of its orbit's
   representative, f(tau c) = tau f(c), and the representative may only take
-  outcomes its stabilizer fixes.  Orbits come from count signatures: two
-  classes share one iff they share the voter count and the sorted candidate
-  counts.  Without N every cell is its own orbit.
+  outcomes its stabilizer fixes.  Two classes share an orbit iff they share
+  the voter count and the sorted candidate counts.  The representative is
+  the orbit's first cell in index order, which puts as many voters as it can
+  on candidate 1, then on 2, and so on, so its candidate counts are
+  non-increasing: it is the cell whose counts are any member's sorted in
+  decreasing order, and the member's label is its candidates in that order.
+  Without N every cell is its own orbit.
 - RS: f(c) = f(reduce(c)), where reduce(c) collects the (fixed) outcomes
   of c's voter-deleted subprofiles, is a plain equality between two level-n
   cells.  Deleting any of the c_b voters with ballot b leaves one subcell,
@@ -171,28 +177,29 @@ def _orbits(counts: list[tuple[int, ...]], m: int) -> list[tuple[int, dict[int, 
 
     A relabeling sends a class onto another iff it carries each candidate's
     count to its image, so an orbit is the cells with one abstention count and
-    one sorted candidate-count vector.  One ``(rep, labels, allowed)`` per
-    orbit: ``labels`` maps each member's index to the lexicographically first
-    relabeling (an image tuple) sending the representative onto it, where
-    each candidate in turn takes the smallest unused candidate with its count
-    in the member.  ``allowed`` holds the outcomes the representative's
-    stabilizer fixes: abstention and each candidate whose count is unique.
+    one sorted candidate-count vector.  Its first cell in index order puts as
+    many voters as it can on candidate 1, then on 2, and so on, so the
+    representative's candidate counts are non-increasing.  Each cell's
+    ``label``, its candidates by count, largest first and ties ascending (the
+    sort is stable), is then the lexicographically first relabeling (an image
+    tuple) sending the representative onto it, and the representative is the
+    cell whose counts are the cell's read in that order.  One ``(rep, labels,
+    allowed)`` per orbit: ``labels`` maps each member's index, ascending, to
+    its label; ``allowed`` holds the outcomes the representative's stabilizer
+    fixes: abstention and each candidate whose count is unique.
     """
-    groups: dict[tuple[int, tuple[int, ...]], list[int]] = {}
-    for i, c in enumerate(counts):
-        groups.setdefault((c[0], tuple(sorted(c[1:]))), []).append(i)
+    index = {c: i for i, c in enumerate(counts)}
+    candidates = range(1, m + 1)
     orbits = []
-    for members in groups.values():
-        rep = members[0]
-        votes = counts[rep][1:]
-        labels: dict[int, tuple[int, ...]] = {}
-        for j in members:
-            by_count: dict[int, list[int]] = {}  # each count's candidates, largest first
-            for k in range(m, 0, -1):
-                by_count.setdefault(counts[j][k], []).append(k)
-            labels[j] = tuple(by_count[x].pop() for x in votes)
-        allowed = (0, *(k for k in range(1, m + 1) if votes.count(votes[k - 1]) == 1))
-        orbits.append((rep, labels, allowed))
+    labels_at: dict[int, dict[int, tuple[int, ...]]] = {}  # each representative's labels
+    for j, c in enumerate(counts):
+        label = tuple(sorted(candidates, key=c.__getitem__, reverse=True))
+        rep = index[(c[0], *map(c.__getitem__, label))]
+        if rep == j:
+            votes = c[1:]
+            labels_at[j] = {}
+            orbits.append((j, labels_at[j], (0, *(k for k in candidates if votes.count(c[k]) == 1))))
+        labels_at[rep][j] = label
     return orbits
 
 
@@ -320,7 +327,7 @@ class _Engine:
             self.members = {}
             self.fixed = {}
             for rep, labels, allowed in _orbits(counts, m):
-                self.members[rep] = sorted(labels)
+                self.members[rep] = list(labels)
                 self.fixed[rep] = frozenset(allowed)
                 for j, tau in labels.items():
                     self.orbit[j] = rep
@@ -329,47 +336,66 @@ class _Engine:
         for rep in self.members:
             self.reps[len(cells[rep])].append(rep)
 
+        # The engine reads the facts below at representatives only (see the
+        # module docstring), so only representatives get them.
         candidates = range(1, m + 1)
-        supports = [[k for k in candidates if c[k]] for c in counts]
+        supports = {r: [k for k in candidates if counts[r][k]] for r in self.members}
         # PO forces the one candidate that gets votes.  DP: a class whose votes
         # go to at most two candidates is a duel of every pair holding them, so
         # its outcome is 0 or in its support; at m = 2 the one pair holds every
         # outcome and DP never constrains.
-        self.po_forced = [s[0] if len(s) == 1 else None for s in supports] if "PO" in spec.axioms else None
+        self.po_forced = (
+            {r: s[0] if len(s) == 1 else None for r, s in supports.items()} if "PO" in spec.axioms else None
+        )
         self.dp_allowed = (
-            [frozenset((0, *s)) if len(s) <= 2 else None for s in supports]
+            {r: frozenset((0, *s)) if len(s) <= 2 else None for r, s in supports.items()}
             if "DP" in spec.axioms and m > 2
             else None
         )
 
         # RS: deleting one of c[b] voters with ballot b leaves c with b's count
-        # one lower, so each cell keeps (subcell, multiplicity) per ballot
-        # value present.  PR: an upgrade moves one ballot v to candidate k != v;
-        # each edge (source, target, k, whether a tie at source must become k)
-        # is kept at both ends.
+        # one lower, so each representative of two or more voters keeps
+        # (subcell, multiplicity) per ballot value present.  PR: an upgrade
+        # moves one ballot to a candidate; each representative r keeps every
+        # edge (source, target, k, whether a tie at source must become k) it
+        # is an end of.  Moving one of r's ballots x to y != x reaches the
+        # target of r's upgrade to y, and the source, not always a
+        # representative, of an upgrade of y to x onto r.
         rs, pr = "RS" in spec.axioms, "PR" in spec.axioms
-        self.subcells: list[list[tuple[int, int]]] | None = [[] for _ in cells] if rs else None
-        self.pr_edges: list[list[tuple[int, int, int, bool]]] | None = [[] for _ in cells] if pr else None
+        self.subcells: dict[int, list[tuple[int, int]]] | None = {} if rs else None
+        self.pr_edges: dict[int, list[tuple[int, int, int, bool]]] | None = {} if pr else None
         tie = spec.pr_tie_upgrade
-        for i, c in enumerate(counts):
-            top = max(c[1:])
-            for v in range(m + 1):
-                if not c[v]:
+
+        def binds(c: tuple[int, ...], k: int) -> bool:
+            return tie == "always" or (tie == "leaders" and c[k] == max(c[1:]))
+
+        for r in self.members:
+            c = counts[r]
+            deletes = rs and len(cells[r]) > 1
+            if deletes:
+                self.subcells[r] = []
+            if pr:
+                self.pr_edges[r] = []
+            moved = list(c)
+            for x in range(m + 1):
+                if not c[x]:
                     continue
-                moved = list(c)
-                moved[v] -= 1
-                if rs and sum(c) > 1:
-                    self.subcells[i].append((index[tuple(moved)], c[v]))
+                moved[x] -= 1
+                if deletes:
+                    self.subcells[r].append((index[tuple(moved)], c[x]))
                 if pr:
-                    for k in candidates:
-                        if k == v:
+                    for y in range(m + 1):
+                        if y == x:
                             continue
-                        moved[k] += 1
-                        j = index[tuple(moved)]
-                        moved[k] -= 1
-                        edge = (i, j, k, tie == "always" or (tie == "leaders" and c[k] == top))
-                        self.pr_edges[i].append(edge)
-                        self.pr_edges[j].append(edge)
+                        moved[y] += 1
+                        other = tuple(moved)
+                        j = index[other]
+                        moved[y] -= 1
+                        if y:
+                            self.pr_edges[r].append((r, j, y, binds(c, y)))
+                        if x:
+                            self.pr_edges[r].append((j, r, x, binds(other, x)))
+                moved[x] += 1
 
         self.nodes = 0
         self.prunes: dict[str, int] = {ax: 0 for ax in sorted(spec.axioms)}
@@ -519,7 +545,7 @@ def neutral_orbits(m: int, n_max: int) -> list[NeutralOrbit]:
     return [
         NeutralOrbit(
             representative=Profile(m, cells[rep]),
-            members=tuple(cells[j] for j in sorted(labels)),
+            members=tuple(cells[j] for j in labels),
             stabilizer=tuple(t[1:] for t in taus if tuple(sorted(t[b] for b in cells[rep])) == cells[rep]),
             allowed_outcomes=allowed,
         )

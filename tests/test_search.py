@@ -184,7 +184,43 @@ class _MemberCellEngine(search._Engine):
     """The engine deciding each value as it did before the decision moved to
     the representatives, kept as that decision's reference: PO and DP at
     every member cell, N and RS at the representatives, then PR on every
-    member cell's upgrade edges."""
+    member cell's upgrade edges.  The engine builds its facts for
+    representatives only, so the reference builds them for every cell, as
+    the engine did before."""
+
+    def __init__(self, spec):
+        super().__init__(spec)
+        m, index = self.m, self.index
+        counts = list(index)
+        candidates = range(1, m + 1)
+        supports = [[k for k in candidates if c[k]] for c in counts]
+        if self.po_forced is not None:
+            self.po_forced = [s[0] if len(s) == 1 else None for s in supports]
+        if self.dp_allowed is not None:
+            self.dp_allowed = [frozenset((0, *s)) if len(s) <= 2 else None for s in supports]
+        rs, pr = self.subcells is not None, self.pr_edges is not None
+        self.subcells = [[] for _ in counts] if rs else None
+        self.pr_edges = [[] for _ in counts] if pr else None
+        tie = spec.pr_tie_upgrade
+        for i, c in enumerate(counts):
+            top = max(c[1:])
+            for v in range(m + 1):
+                if not c[v]:
+                    continue
+                moved = list(c)
+                moved[v] -= 1
+                if rs and sum(c) > 1:
+                    self.subcells[i].append((index[tuple(moved)], c[v]))
+                if pr:
+                    for k in candidates:
+                        if k == v:
+                            continue
+                        moved[k] += 1
+                        j = index[tuple(moved)]
+                        moved[k] -= 1
+                        edge = (i, j, k, tie == "always" or (tie == "leaders" and c[k] == top))
+                        self.pr_edges[i].append(edge)
+                        self.pr_edges[j].append(edge)
 
     def _try(self, comp, v):
         group, rs_allowed, maps, to_root = comp
@@ -256,9 +292,41 @@ def _pr_targets_by_replacement(c, m, tie):
     return targets
 
 
-def _engine(m, n_max, tie="leaders"):
-    spec = SearchSpec(m=m, n_max=n_max, axioms=frozenset(SEARCH_AXIOMS), pr_tie_upgrade=tie)
+def _engine(m, n_max, tie="leaders", axioms=SEARCH_AXIOMS):
+    spec = SearchSpec(m=m, n_max=n_max, axioms=frozenset(axioms), pr_tie_upgrade=tie)
     return search._Engine(spec)
+
+
+def _fact_engines(m, n_max, tie="leaders"):
+    """Engines under every search axiom, and with N dropped, where every cell
+    is its own representative."""
+    without_n = _engine(m, n_max, tie, set(SEARCH_AXIOMS) - {"N"})
+    assert list(without_n.members) == list(range(len(without_n.cells)))
+    return _engine(m, n_max, tie), without_n
+
+
+def _grouped_orbits(counts, m):
+    """The orbits as grouped by count signature before each cell's orbit was
+    read off its sorted count vector, kept as that construction's reference:
+    cells grouped by (abstentions, sorted candidate counts), and each
+    member's label built by handing each of the representative's candidates
+    the smallest unused candidate with its count in the member."""
+    groups = {}
+    for i, c in enumerate(counts):
+        groups.setdefault((c[0], tuple(sorted(c[1:]))), []).append(i)
+    orbits = []
+    for members in groups.values():
+        rep = members[0]
+        votes = counts[rep][1:]
+        labels = {}
+        for j in members:
+            by_count = {}  # each count's candidates, largest first
+            for k in range(m, 0, -1):
+                by_count.setdefault(counts[j][k], []).append(k)
+            labels[j] = tuple(by_count[x].pop() for x in votes)
+        allowed = (0, *(k for k in range(1, m + 1) if votes.count(votes[k - 1]) == 1))
+        orbits.append((rep, labels, allowed))
+    return orbits
 
 
 _ENGINE_SCOPES = [(m, n_max) for m in range(2, 6) for n_max in range(2, 5)]
@@ -571,16 +639,22 @@ class TestRepresentativeDecision:
 
 
 class TestCountVectorEngine:
-    """Every per-cell fact the engine reads off count vectors equals its
-    construction from sorted ballot tuples."""
+    """Every fact the engine reads off count vectors, which it builds for
+    orbit representatives only, equals its construction from sorted ballot
+    tuples at every representative.  With N dropped every cell is its own
+    representative, so every cell is checked."""
 
     @pytest.mark.parametrize("m,n_max", _ENGINE_SCOPES)
     def test_pareto_and_duel_sets_equal_the_support_builds(self, m, n_max):
-        engine = _engine(m, n_max)
-        for i, c in enumerate(engine.cells):
-            assert engine.po_forced[i] == _po_forced_by_support(c), c
-            dp = None if engine.dp_allowed is None else engine.dp_allowed[i]
-            assert (set(range(m + 1)) if dp is None else dp) == _dp_allowed_by_pairs(c, m), c
+        for engine in _fact_engines(m, n_max):
+            assert engine.po_forced.keys() == engine.members.keys()
+            if engine.dp_allowed is not None:
+                assert engine.dp_allowed.keys() == engine.members.keys()
+            for r in engine.members:
+                c = engine.cells[r]
+                assert engine.po_forced[r] == _po_forced_by_support(c), c
+                dp = None if engine.dp_allowed is None else engine.dp_allowed[r]
+                assert (set(range(m + 1)) if dp is None else dp) == _dp_allowed_by_pairs(c, m), c
 
     def test_duel_property_never_constrains_two_candidates(self):
         # every outcome lies in {0, 1, 2}, the only duel pair's allowed set
@@ -592,20 +666,21 @@ class TestCountVectorEngine:
     @given(data=st.data())
     @pytest.mark.parametrize("m,n_max", _ENGINE_SCOPES)
     def test_reduced_cell_equals_the_deletion_build(self, m, n_max, data):
-        engine = _engine(m, n_max)
-        cells = engine.cells
-        engine.out = data.draw(st.lists(st.integers(0, m), min_size=len(cells), max_size=len(cells)))
-        outcome = dict(zip(cells, engine.out))
-        for i, c in enumerate(cells):
-            if len(c) > 1:
-                assert cells[engine._reduced(i)] == _reduced_by_deletion(c, outcome), c
-                assert len(engine.subcells[i]) <= m + 1
+        cells = search._cells(m, n_max)
+        out = data.draw(st.lists(st.integers(0, m), min_size=len(cells), max_size=len(cells)))
+        outcome = dict(zip(cells, out))
+        for engine in _fact_engines(m, n_max):
+            engine.out = out
+            assert list(engine.subcells) == [r for r in engine.members if len(cells[r]) > 1]
+            for r in engine.subcells:
+                c = cells[r]
+                assert cells[engine._reduced(r)] == _reduced_by_deletion(c, outcome), c
+                assert len(engine.subcells[r]) <= m + 1
 
     @pytest.mark.parametrize("tie", PR_TIE_MODES)
     @pytest.mark.parametrize("m,n_max", _ENGINE_SCOPES)
     def test_upgrade_edges_equal_the_replacement_build(self, m, n_max, tie):
-        engine = _engine(m, n_max, tie)
-        cells = engine.cells
+        cells = search._cells(m, n_max)
         index = {c: i for i, c in enumerate(cells)}
         expected = [[] for _ in cells]
         for i, c in enumerate(cells):
@@ -613,9 +688,40 @@ class TestCountVectorEngine:
                 edge = (i, index[target], k, binds)
                 expected[i].append(edge)
                 expected[index[target]].append(edge)
-        for i, c in enumerate(cells):
-            assert sorted(engine.pr_edges[i]) == sorted(expected[i]), c
-            assert sum(s == i for s, *_ in engine.pr_edges[i]) <= (m + 1) * m
+        for engine in _fact_engines(m, n_max, tie):
+            assert engine.pr_edges.keys() == engine.members.keys()
+            for r in engine.members:
+                assert sorted(engine.pr_edges[r]) == sorted(expected[r]), cells[r]
+                assert sum(s == r for s, *_ in engine.pr_edges[r]) <= (m + 1) * m
+
+
+class TestOrbitConstruction:
+    @pytest.mark.parametrize("m", range(2, 7))
+    def test_sorted_count_orbits_equal_the_grouped_orbits(self, m):
+        # every scope of up to 3,000 cells: each cell's representative and
+        # label, each representative's members and fixed outcomes, as the
+        # engine built them from the grouped orbits
+        n_max = 1
+        while search._cell_count(m, n_max) <= 3000:
+            engine = search._Engine(SearchSpec(m=m, n_max=n_max, axioms=frozenset({"N"})))
+            counts = search._count_vectors(engine.cells, m)
+            orbit = list(range(len(counts)))
+            label = [None] * len(counts)
+            members, fixed = {}, {}
+            for rep, labels, allowed in _grouped_orbits(counts, m):
+                members[rep] = sorted(labels)
+                fixed[rep] = frozenset(allowed)
+                for j, tau in labels.items():
+                    orbit[j] = rep
+                    label[j] = (0, *tau)
+            assert engine.orbit == orbit, n_max
+            assert engine.label == label, n_max
+            assert list(engine.members.items()) == list(members.items()), n_max
+            assert list(engine.fixed.items()) == list(fixed.items()), n_max
+            for r in engine.members:
+                votes = counts[r][1:]
+                assert list(votes) == sorted(votes, reverse=True), engine.cells[r]
+            n_max += 1
 
 
 class TestNeutralOrbits:
