@@ -3,9 +3,9 @@
 Functions are represented as outcome tables over canonical (sorted) profiles
 up to a voter bound, so anonymity is structural rather than searched over.
 Inside the engine a cell is its count vector (abstentions, then each
-candidate's votes), which determines the class.  Each cell's orbit and
-label are read off its sorted count vector; the PO, DP, RS and PR facts are
-built for orbit representatives only, the one place the search reads them.
+candidate's votes), which determines the class.  Outcomes and the PO, DP,
+RS and PR facts are kept at orbit representatives only; a member's outcome
+is its representative's, relabeled on read.
 The engine fixes the table level by level (n = 1 upward).  Once the levels
 below n are fixed, every level-n constraint except PR is an equation between
 level-n cells:
@@ -13,12 +13,9 @@ level-n cells:
 - N: with neutrality, each cell is a relabeling of its orbit's
   representative, f(tau c) = tau f(c), and the representative may only take
   outcomes its stabilizer fixes.  Two classes share an orbit iff they share
-  the voter count and the sorted candidate counts.  The representative is
-  the orbit's first cell in index order, which puts as many voters as it can
-  on candidate 1, then on 2, and so on, so its candidate counts are
-  non-increasing: it is the cell whose counts are any member's sorted in
-  decreasing order, and the member's label is its candidates in that order.
-  Without N every cell is its own orbit.
+  the voter count and the sorted candidate counts; each cell's orbit and
+  label are read off its sorted count vector (see ``_orbits``).  Without N
+  every cell is its own orbit.
 - RS: f(c) = f(reduce(c)), where reduce(c) collects the (fixed) outcomes
   of c's voter-deleted subprofiles, is a plain equality between two level-n
   cells.  Deleting any of the c_b voters with ballot b leaves one subcell,
@@ -34,18 +31,17 @@ smallest cell index, trying the values 0..m there, so solutions come out
 in lexicographic order over the cell values.
 
 A value is decided at the component's representatives alone: PO, DP and
-the N stabilizer at each representative, RS through the cycle, and only
-then are the member cells written.  A member c = tau r needs no check of
-its own, as tau carries r's PO-forced candidate to c's, r's DP set to c's
-and r's value to c's; so c breaks PO or DP iff r does (DP never
-constrains at m = 2, where every outcome lies in the one duel pair).  PR
-is checked on within-level upgrade edges, one ballot moved between two
-counts, at the representatives once the members are written.  A
-relabeling carries an edge touching a member onto an edge at its
-representative, with the same clash status: N has fixed each assigned
-representative's value under its stabilizer, so every relabeling of an
-assigned cell carries its value along.  Without N every cell is its own
-representative.
+the N stabilizer at each representative, RS through the cycle, then PR.
+A member c = tau r needs no check of its own, as tau carries r's
+PO-forced candidate to c's, r's DP set to c's and r's value to c's; so c
+breaks PO or DP iff r does (DP never constrains at m = 2, where every
+outcome lies in the one duel pair).  PR is checked on within-level upgrade
+edges, one ballot moved between two counts, at the representatives, with
+each end's outcome read through its representative.  A relabeling carries
+an edge touching a member onto an edge at its representative, with the
+same clash status: N has fixed each assigned representative's value under
+its stabilizer, so every relabeling of an assigned cell carries its value
+along.  Without N every cell is its own representative.
 
 A *node* is one value tried at one component's smallest cell.  A rejected
 node is a *prune*, counted once against the first axiom in the order PO,
@@ -65,12 +61,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations_with_replacement, islice, permutations
+from itertools import combinations_with_replacement, groupby, islice, permutations, product
 from typing import Callable, Iterator
 
 from .core import Profile, ballot_counts, enumerate_profiles
 from .rules import RULES, TabledFunction, _check_scope
-from .axioms import _COST_CAP, AxiomReport, PR_TIE_MODES, check_axioms
+from .axioms import _COST_CAP, CHECK_MAX_COST, AxiomReport, PR_TIE_MODES, check_axioms
 
 __all__ = [
     "SEARCH_AXIOMS",
@@ -170,37 +166,35 @@ def _count_vectors(cells: list[tuple[int, ...]], m: int) -> list[tuple[int, ...]
     return [tuple(map(c.count, values)) for c in cells]
 
 
-def _orbits(counts: list[tuple[int, ...]], m: int) -> list[tuple[int, dict[int, tuple[int, ...]], tuple[int, ...]]]:
-    """Candidate-relabeling orbits of the cells with count vectors ``counts``
-    (every canonical profile of each level present), in index order of their
-    representatives, which are each orbit's first cell.
+def _orbits(
+    counts: list[tuple[int, ...]], index: dict[tuple[int, ...], int], m: int
+) -> tuple[list[int], list[tuple[int, ...]], dict[int, tuple[int, ...]]]:
+    """Each cell's orbit representative and label, and each representative's
+    fixed outcomes, for the cells with count vectors ``counts`` (every
+    canonical profile of each level present) at positions ``index``.
 
     A relabeling sends a class onto another iff it carries each candidate's
     count to its image, so an orbit is the cells with one abstention count and
     one sorted candidate-count vector.  Its first cell in index order puts as
     many voters as it can on candidate 1, then on 2, and so on, so the
-    representative's candidate counts are non-increasing.  Each cell's
-    ``label``, its candidates by count, largest first and ties ascending (the
-    sort is stable), is then the lexicographically first relabeling (an image
-    tuple) sending the representative onto it, and the representative is the
-    cell whose counts are the cell's read in that order.  One ``(rep, labels,
-    allowed)`` per orbit: ``labels`` maps each member's index, ascending, to
-    its label; ``allowed`` holds the outcomes the representative's stabilizer
-    fixes: abstention and each candidate whose count is unique.
+    representative's candidate counts are non-increasing.  A cell's label,
+    its candidates by count, largest first and ties ascending (the sort is
+    stable), is then the lexicographically first relabeling sending the
+    representative onto it, and the representative is the cell whose counts
+    are the cell's read in that order.  The representative's stabilizer fixes
+    abstention and each candidate whose count is unique.
     """
-    index = {c: i for i, c in enumerate(counts)}
     candidates = range(1, m + 1)
-    orbits = []
-    labels_at: dict[int, dict[int, tuple[int, ...]]] = {}  # each representative's labels
+    orbit, label, fixed = [], [], {}
     for j, c in enumerate(counts):
-        label = tuple(sorted(candidates, key=c.__getitem__, reverse=True))
-        rep = index[(c[0], *map(c.__getitem__, label))]
+        tau = tuple(sorted(candidates, key=c.__getitem__, reverse=True))
+        rep = index[(c[0], *map(c.__getitem__, tau))]
         if rep == j:
             votes = c[1:]
-            labels_at[j] = {}
-            orbits.append((j, labels_at[j], (0, *(k for k in candidates if votes.count(c[k]) == 1))))
-        labels_at[rep][j] = label
-    return orbits
+            fixed[j] = (0, *(k for k in candidates if votes.count(c[k]) == 1))
+        orbit.append(rep)
+        label.append((0, *tau))
+    return orbit, label, fixed
 
 
 # Outcome maps are tuples p over 0..m, p[v] the image of v; a candidate
@@ -286,13 +280,10 @@ def _cell_count(m: int, n_max: int) -> int:
     return count - 1
 
 
-# A component: its representatives r, each with L, x_r = L[x_root]; the
-# root values its reduction cycles allow; each member cell with its map
-# x_root -> outcome, the smallest cell first; and the map from the value at
-# the smallest cell to x_root.
-_Component = tuple[
-    list[tuple[int, tuple[int, ...]]], frozenset[int], list[tuple[int, tuple[int, ...]]], tuple[int, ...]
-]
+# A component: its representatives r, ascending, each with L, x_r =
+# L[x_root]; the root values its reduction cycles allow; and the map from
+# the value at its smallest cell, the first representative, to x_root.
+_Component = tuple[list[tuple[int, tuple[int, ...]]], frozenset[int], tuple[int, ...]]
 
 
 class _Engine:
@@ -314,32 +305,25 @@ class _Engine:
         self.cells = cells = _cells(m, n_max)
         counts = _count_vectors(cells, m)
         self.index = index = {c: i for i, c in enumerate(counts)}
-        self.out: list[int | None] = [None] * len(cells)
+        self.out: list[int | None] = [None] * len(cells)  # set at representatives only
 
-        # Each cell's orbit representative, the map from the representative's
-        # value to the cell's, and each representative's member cells.  Without
-        # N every cell is its own orbit under the identity.
+        # Each cell's orbit representative and the map from its value to the
+        # cell's, through which ``_value`` reads every cell.  Without N every
+        # cell is its own orbit under the identity.
         self.orbit = list(range(len(cells)))
         self.label = [tuple(range(m + 1))] * len(cells)
-        self.members = {i: [i] for i in range(len(cells))}
-        self.fixed: dict[int, frozenset[int]] | None = None
+        self.fixed: dict[int, tuple[int, ...]] | None = None
         if "N" in spec.axioms:
-            self.members = {}
-            self.fixed = {}
-            for rep, labels, allowed in _orbits(counts, m):
-                self.members[rep] = list(labels)
-                self.fixed[rep] = frozenset(allowed)
-                for j, tau in labels.items():
-                    self.orbit[j] = rep
-                    self.label[j] = (0, *tau)
+            self.orbit, self.label, self.fixed = _orbits(counts, index, m)
+        reps = [j for j, r in enumerate(self.orbit) if r == j]
         self.reps: dict[int, list[int]] = {n: [] for n in range(1, n_max + 1)}
-        for rep in self.members:
-            self.reps[len(cells[rep])].append(rep)
+        for r in reps:
+            self.reps[len(cells[r])].append(r)
 
         # The engine reads the facts below at representatives only (see the
         # module docstring), so only representatives get them.
         candidates = range(1, m + 1)
-        supports = {r: [k for k in candidates if counts[r][k]] for r in self.members}
+        supports = {r: [k for k in candidates if counts[r][k]] for r in reps}
         # PO forces the one candidate that gets votes.  DP: a class whose votes
         # go to at most two candidates is a duel of every pair holding them, so
         # its outcome is 0 or in its support; at m = 2 the one pair holds every
@@ -369,7 +353,7 @@ class _Engine:
         def binds(c: tuple[int, ...], k: int) -> bool:
             return tie == "always" or (tie == "leaders" and c[k] == max(c[1:]))
 
-        for r in self.members:
+        for r in reps:
             c = counts[r]
             deletes = rs and len(cells[r]) > 1
             if deletes:
@@ -415,29 +399,29 @@ class _Engine:
                 # f(r) = x_r and f(d) = label[d][x_orbit(d)].  With N the
                 # equations at r's other members are relabelings of this one.
                 successor[r] = (self.orbit[d], self.label[d])
-        return [self._component(group, rs_allowed) for group, rs_allowed in _merge(reps, successor, self.m)]
+        merged = _merge(reps, successor, self.m)
+        return [(group, rs_allowed, _inverse(group[0][1])) for group, rs_allowed in merged]
+
+    def _value(self, j: int) -> int | None:
+        """Cell j's outcome, its representative's relabeled, or None while
+        that is unassigned: only representatives are stored."""
+        x = self.out[self.orbit[j]]
+        return None if x is None else self.label[j][x]
 
     def _reduced(self, i: int) -> int:
         """The cell of reduce(i), once the level below is fixed: a count sum,
         each subcell's outcome as often as deleting a voter gives it."""
         reduced = [0] * (self.m + 1)
         for j, times in self.subcells[i]:
-            reduced[self.out[j]] += times
+            reduced[self._value(j)] += times
         return self.index[tuple(reduced)]
-
-    def _component(self, group: list[tuple[int, tuple[int, ...]]], rs_allowed: frozenset[int]) -> _Component:
-        """The component of ``group``, which pairs each representative r with
-        L, x_r = L[x_root]; ``rs_allowed`` holds the root values the
-        reduction cycles allow."""
-        maps = [(c, _compose(self.label[c], label)) for r, label in group for c in self.members[r]]
-        return group, rs_allowed, maps, _inverse(maps[0][1])
 
     def _pr_clash(self, i: int) -> bool:
         """An upgrade edge at cell i with both ends assigned breaks PR."""
-        out = self.out
+        value = self._value
         for s, t, k, binds in self.pr_edges[i]:
-            w = out[t]
-            if w is not None and w != k and (out[s] == k or (out[s] == 0 and binds)):
+            w = value(t)
+            if w is not None and w != k and (value(s) == k or (value(s) == 0 and binds)):
                 return True
         return False
 
@@ -448,7 +432,7 @@ class _Engine:
         first axiom, in the order PO, DP, N, RS, PR, that excludes it
         (leaving the component unassigned).  Every axiom is decided at the
         representatives (see the module docstring)."""
-        group, rs_allowed, maps, to_root = comp
+        group, rs_allowed, to_root = comp
         x = to_root[v]
         values = [(r, label[x]) for r, label in group]
         po, dp, fixed = self.po_forced, self.dp_allowed, self.fixed
@@ -461,11 +445,11 @@ class _Engine:
         if x not in rs_allowed:
             return "RS"
         out = self.out
-        for c, f in maps:
-            out[c] = f[x]
+        for r, w in values:
+            out[r] = w
         if self.pr_edges is not None and any(self._pr_clash(r) for r, _ in group):
-            for c, _ in maps:
-                out[c] = None
+            for r, _ in group:
+                out[r] = None
             return "PR"
         return None
 
@@ -479,8 +463,8 @@ class _Engine:
             frame = stack[-1]
             n, comps, k, start = frame
             comp = comps[k]
-            for i, _ in comp[2]:
-                self.out[i] = None
+            for r, _ in comp[0]:
+                self.out[r] = None
             for v in range(start, m + 1):
                 self.nodes += 1
                 if max_nodes is not None and self.nodes > max_nodes:
@@ -500,7 +484,7 @@ class _Engine:
                 stack.append([n + 1, self._components(n + 1), 0, 0])
             else:
                 # canonical keys, values in 0..m: nothing to validate
-                yield TabledFunction._trusted(m, n_max, dict(zip(self.cells, self.out)))
+                yield TabledFunction._trusted(m, n_max, {c: self._value(j) for j, c in enumerate(self.cells)})
 
 
 def enumerate_functions(spec: SearchSpec) -> SearchResult:
@@ -539,17 +523,32 @@ class NeutralOrbit:
 
 def neutral_orbits(m: int, n_max: int) -> list[NeutralOrbit]:
     """Orbits of canonical profiles under candidate relabelings, in
-    (n, representative) order."""
+    (n, representative) order.  A representative's candidate counts are
+    non-increasing, so its stabilizer permutes each block of equal-count
+    candidates; more than ``CHECK_MAX_COST`` relabelings in all are refused
+    before any is listed."""
     cells = _cells(m, n_max)
-    taus = [(0, *tau) for tau in permutations(range(1, m + 1))]
+    counts = _count_vectors(cells, m)
+    orbit, _, fixed = _orbits(counts, {c: i for i, c in enumerate(counts)}, m)
+    blocks = {r: [list(b) for _, b in groupby(range(1, m + 1), key=counts[r].__getitem__)] for r in fixed}
+    listed = sum(math.prod(math.factorial(len(b)) for b in bs) for bs in blocks.values())
+    if listed > CHECK_MAX_COST:
+        raise SearchInfeasibleError(
+            f"stabilizers would list {listed} relabelings (> {CHECK_MAX_COST})",
+            cells=len(cells),
+            tables=lambda: math.prod(len(allowed) for allowed in fixed.values()),
+        )
+    members = {r: [] for r in fixed}
+    for j, r in enumerate(orbit):
+        members[r].append(cells[j])
     return [
         NeutralOrbit(
-            representative=Profile(m, cells[rep]),
-            members=tuple(cells[j] for j in labels),
-            stabilizer=tuple(t[1:] for t in taus if tuple(sorted(t[b] for b in cells[rep])) == cells[rep]),
-            allowed_outcomes=allowed,
+            representative=Profile(m, cells[r]),
+            members=tuple(members[r]),
+            stabilizer=tuple(sum(p, ()) for p in product(*map(permutations, blocks[r]))),
+            allowed_outcomes=fixed[r],
         )
-        for rep, labels, allowed in _orbits(_count_vectors(cells, m), m)
+        for r in fixed
     ]
 
 

@@ -1,6 +1,7 @@
 import gc
 import hashlib
 import math
+import time
 from functools import cache
 from itertools import combinations, islice, permutations, product
 
@@ -105,6 +106,23 @@ def _orbits_by_permutations(cells, m):
     return orbits
 
 
+def _as_cell_orbits(orbits, size):
+    """Per-orbit ``(rep, labels, allowed)`` triples as ``search._orbits``
+    returns them: each cell's representative and label (an outcome map),
+    and each representative's fixed outcomes."""
+    orbit, label, fixed = [None] * size, [None] * size, {}
+    for rep, labels, allowed in orbits:
+        fixed[rep] = allowed
+        for j, tau in labels.items():
+            orbit[j] = rep
+            label[j] = (0, *tau)
+    return orbit, label, fixed
+
+
+def _reps(engine):
+    return [j for j, r in enumerate(engine.orbit) if r == j]
+
+
 def _neutral_tables_by_product(m, n_max):
     """Neutral tables as the per-orbit product enumeration produced them
     before the N-only search replaced it, in that order."""
@@ -177,7 +195,8 @@ def _uf_components(engine, n):
         for r in reps:
             d = engine._reduced(r)
             equations.append((r, engine.orbit[d], engine.label[d]))
-    return [engine._component(group, allowed) for group, allowed in _uf_merge(reps, equations, engine.m)]
+    merged = _uf_merge(reps, equations, engine.m)
+    return [(group, allowed, search._inverse(group[0][1])) for group, allowed in merged]
 
 
 class _MemberCellEngine(search._Engine):
@@ -186,10 +205,17 @@ class _MemberCellEngine(search._Engine):
     every member cell, N and RS at the representatives, then PR on every
     member cell's upgrade edges.  The engine builds its facts for
     representatives only, so the reference builds them for every cell, as
-    the engine did before."""
+    the engine did before.  The engine stores outcomes at representatives
+    only and relabels them on read; the reference writes every member cell
+    through maps built from ``orbit`` and ``label`` and reads each cell as
+    stored.  The search resets a component's representatives only, so a
+    cell whose representative is unassigned reads as unassigned."""
 
     def __init__(self, spec):
         super().__init__(spec)
+        self.members = {}
+        for j, r in enumerate(self.orbit):
+            self.members.setdefault(r, []).append(j)
         m, index = self.m, self.index
         counts = list(index)
         candidates = range(1, m + 1)
@@ -222,8 +248,15 @@ class _MemberCellEngine(search._Engine):
                         self.pr_edges[i].append(edge)
                         self.pr_edges[j].append(edge)
 
+    def _value(self, j):
+        return None if self.out[self.orbit[j]] is None else self.out[j]
+
     def _try(self, comp, v):
-        group, rs_allowed, maps, to_root = comp
+        group, rs_allowed, to_root = comp
+        maps = [(c, search._compose(self.label[c], label)) for r, label in group for c in self.members[r]]
+        # the value at the smallest member cell, the first, maps back to the root
+        assert maps[0][0] == min(c for c, _ in maps)
+        assert to_root == search._inverse(maps[0][1])
         x = to_root[v]
         values = [(c, f[x]) for c, f in maps]
         po, dp = self.po_forced, self.dp_allowed
@@ -301,7 +334,7 @@ def _fact_engines(m, n_max, tie="leaders"):
     """Engines under every search axiom, and with N dropped, where every cell
     is its own representative."""
     without_n = _engine(m, n_max, tie, set(SEARCH_AXIOMS) - {"N"})
-    assert list(without_n.members) == list(range(len(without_n.cells)))
+    assert without_n.orbit == list(range(len(without_n.cells)))
     return _engine(m, n_max, tie), without_n
 
 
@@ -565,7 +598,9 @@ class TestEnumerateFunctions:
         # successors, are whatever those outcomes make them; drawn
         # uniformly, so that chains of distinct relabelings are common
         engine = _rs_engine(m, n_max, frozenset(others | {"RS"}), tie)
-        engine.out = [rnd.randint(0, m) for _ in engine.cells]
+        # outcomes are stored at representatives only; without N every cell
+        # is one
+        engine.out = [rnd.randint(0, m) if r == j else None for j, r in enumerate(engine.orbit)]
         for n in range(1, n_max + 1):
             # each component's cells, and per value its reason and assignment
             assert engine._components(n) == _uf_components(engine, n)
@@ -647,10 +682,11 @@ class TestCountVectorEngine:
     @pytest.mark.parametrize("m,n_max", _ENGINE_SCOPES)
     def test_pareto_and_duel_sets_equal_the_support_builds(self, m, n_max):
         for engine in _fact_engines(m, n_max):
-            assert engine.po_forced.keys() == engine.members.keys()
+            reps = _reps(engine)
+            assert list(engine.po_forced) == reps
             if engine.dp_allowed is not None:
-                assert engine.dp_allowed.keys() == engine.members.keys()
-            for r in engine.members:
+                assert list(engine.dp_allowed) == reps
+            for r in reps:
                 c = engine.cells[r]
                 assert engine.po_forced[r] == _po_forced_by_support(c), c
                 dp = None if engine.dp_allowed is None else engine.dp_allowed[r]
@@ -668,10 +704,12 @@ class TestCountVectorEngine:
     def test_reduced_cell_equals_the_deletion_build(self, m, n_max, data):
         cells = search._cells(m, n_max)
         out = data.draw(st.lists(st.integers(0, m), min_size=len(cells), max_size=len(cells)))
-        outcome = dict(zip(cells, out))
         for engine in _fact_engines(m, n_max):
-            engine.out = out
-            assert list(engine.subcells) == [r for r in engine.members if len(cells[r]) > 1]
+            # stored at the representatives, each member its relabeling;
+            # without N every cell keeps its drawn outcome
+            engine.out = [x if r == j else None for j, (r, x) in enumerate(zip(engine.orbit, out))]
+            outcome = {c: engine.label[j][out[engine.orbit[j]]] for j, c in enumerate(cells)}
+            assert list(engine.subcells) == [r for r in _reps(engine) if len(cells[r]) > 1]
             for r in engine.subcells:
                 c = cells[r]
                 assert cells[engine._reduced(r)] == _reduced_by_deletion(c, outcome), c
@@ -689,8 +727,9 @@ class TestCountVectorEngine:
                 expected[i].append(edge)
                 expected[index[target]].append(edge)
         for engine in _fact_engines(m, n_max, tie):
-            assert engine.pr_edges.keys() == engine.members.keys()
-            for r in engine.members:
+            reps = _reps(engine)
+            assert list(engine.pr_edges) == reps
+            for r in reps:
                 assert sorted(engine.pr_edges[r]) == sorted(expected[r]), cells[r]
                 assert sum(s == r for s, *_ in engine.pr_edges[r]) <= (m + 1) * m
 
@@ -699,26 +738,17 @@ class TestOrbitConstruction:
     @pytest.mark.parametrize("m", range(2, 7))
     def test_sorted_count_orbits_equal_the_grouped_orbits(self, m):
         # every scope of up to 3,000 cells: each cell's representative and
-        # label, each representative's members and fixed outcomes, as the
-        # engine built them from the grouped orbits
+        # label, and each representative's fixed outcomes, as the engine
+        # built them from the grouped orbits
         n_max = 1
         while search._cell_count(m, n_max) <= 3000:
             engine = search._Engine(SearchSpec(m=m, n_max=n_max, axioms=frozenset({"N"})))
             counts = search._count_vectors(engine.cells, m)
-            orbit = list(range(len(counts)))
-            label = [None] * len(counts)
-            members, fixed = {}, {}
-            for rep, labels, allowed in _grouped_orbits(counts, m):
-                members[rep] = sorted(labels)
-                fixed[rep] = frozenset(allowed)
-                for j, tau in labels.items():
-                    orbit[j] = rep
-                    label[j] = (0, *tau)
+            orbit, label, fixed = _as_cell_orbits(_grouped_orbits(counts, m), len(counts))
             assert engine.orbit == orbit, n_max
             assert engine.label == label, n_max
-            assert list(engine.members.items()) == list(members.items()), n_max
             assert list(engine.fixed.items()) == list(fixed.items()), n_max
-            for r in engine.members:
+            for r in _reps(engine):
                 votes = counts[r][1:]
                 assert list(votes) == sorted(votes, reverse=True), engine.cells[r]
             n_max += 1
@@ -760,17 +790,24 @@ class TestNeutralOrbits:
         assert sorted(yielded, key=sorted) == sorted(brute, key=sorted)
 
     def test_no_duplicates_and_closed_under_relabeling(self):
-        m, n_max = 3, 2
-        tables = [f.table for f in enumerate_neutral_functions(m, n_max)]
-        seen = {tuple(sorted(t.items())) for t in tables}
-        assert len(seen) == len(tables)
-        for table in tables:
-            for tau in permutations(range(1, m + 1)):
-                conjugated = {}
-                for key, out in table.items():
-                    new_key = tuple(sorted(0 if b == 0 else tau[b - 1] for b in key))
-                    conjugated[new_key] = 0 if out == 0 else tau[out - 1]
-                assert tuple(sorted(conjugated.items())) in seen
+        # the neutral tables, and the neutral searches' solutions, whose
+        # member cells are written only when a solution is emitted
+        streams = [(3, 2, [f.table for f in enumerate_neutral_functions(3, 2)])]
+        for m, n_max in [(3, 3), (4, 2)]:
+            for axioms in [{"N", "PR"}, {"N", "PO", "RS"}, {"N", "DP", "PO", "RS", "PR"}]:
+                result = enumerate_functions(SearchSpec(m=m, n_max=n_max, axioms=frozenset(axioms)))
+                assert result.exhausted and result.solutions, (m, n_max, axioms)
+                streams.append((m, n_max, [s.table for s in result.solutions]))
+        for m, n_max, tables in streams:
+            seen = {tuple(sorted(t.items())) for t in tables}
+            assert len(seen) == len(tables)
+            for table in tables:
+                for tau in permutations(range(1, m + 1)):
+                    conjugated = {}
+                    for key, out in table.items():
+                        new_key = tuple(sorted(0 if b == 0 else tau[b - 1] for b in key))
+                        conjugated[new_key] = 0 if out == 0 else tau[out - 1]
+                    assert tuple(sorted(conjugated.items())) in seen
 
     def test_cell_limit_is_enforced(self):
         # the same refusal as the search's, before any cell is built
@@ -787,7 +824,12 @@ class TestNeutralOrbits:
     @pytest.mark.parametrize("m", range(2, 7))
     def test_count_signature_orbits_equal_permutation_orbits(self, m, n_max):
         cells = search._cells(m, n_max)
-        assert search._orbits(search._count_vectors(cells, m), m) == _orbits_by_permutations(cells, m)
+        counts = search._count_vectors(cells, m)
+        orbit, label, fixed = search._orbits(counts, {c: i for i, c in enumerate(counts)}, m)
+        expected = _as_cell_orbits(_orbits_by_permutations(cells, m), len(cells))
+        assert orbit == expected[0]
+        assert label == expected[1]
+        assert list(fixed.items()) == list(expected[2].items())
 
     @pytest.mark.parametrize("m,n_max", [(2, 3), (3, 3), (4, 2), (5, 2)])
     def test_stabilizer_is_every_relabeling_fixing_the_representative(self, m, n_max):
@@ -798,6 +840,20 @@ class TestNeutralOrbits:
                 for tau in permutations(range(1, m + 1))
                 if tuple(sorted(0 if b == 0 else tau[b - 1] for b in rep)) == rep
             )
+
+    def test_stabilizer_listing_over_the_cost_bound_is_refused(self):
+        # 12! + 11! relabelings in the two orbits of one voter, refused
+        # before any is listed; the bound falls between 9 and 10 candidates
+        start = time.perf_counter()
+        with pytest.raises(SearchInfeasibleError) as err:
+            neutral_orbits(12, 1)
+        assert time.perf_counter() - start < 1
+        listed = math.factorial(12) + math.factorial(11)
+        assert str(err.value) == f"stabilizers would list {listed} relabelings (> 2000000)"
+        assert err.value.cells == 13
+        with pytest.raises(SearchInfeasibleError, match="would list 3991680 relabelings"):
+            neutral_orbits(10, 1)
+        assert sum(len(o.stabilizer) for o in neutral_orbits(9, 1)) == 403_200
 
     @pytest.mark.parametrize("m,n_max", [(2, 3), (3, 2), (3, 3), (4, 2)])
     def test_neutral_tables_come_in_product_order(self, m, n_max):
