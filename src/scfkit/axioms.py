@@ -16,8 +16,14 @@ profile's class without sorting its ballots: a per-level successor table
 maps a class of n - 1 voters and one more ballot to a class of n
 (:func:`_class_ids`).  It keeps each class's outcome for the call; when it
 passes, every later scan reads f's values from those, so f is evaluated at
-most once per ordered profile per call.  The checkers count ballots with
-:func:`~scfkit.core.ballot_counts`.
+most once per ordered profile per call.
+
+Every scan but A's walks ballot tuples, not :class:`~scfkit.core.Profile`
+objects: the scanned profiles, their relabelings, subprofiles, reductions
+and upgrades are tuples, and their supports, leaders and counts are read
+off the tuple.  f is read through one reader per call (:func:`_reader`): a
+table's dict directly, an f that passed A through its class outcomes, any
+other f by evaluating it.  A Profile is built only for a witness.
 
 Neutrality is checked on two generators of the relabelings, the
 transposition (1 2) and the m-cycle; only a failure rescans with all m!
@@ -31,7 +37,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from itertools import combinations_with_replacement, islice, permutations
+from itertools import combinations_with_replacement, groupby, islice, permutations, product
 from typing import Callable, Iterable, Iterator
 
 from .core import (
@@ -245,17 +251,20 @@ def _scans_classes(f, anonymity: Witness | None) -> bool:
     return isinstance(f, TabledFunction) or anonymity is None
 
 
-def _profiles(m: int, n_min: int, n_max: int, by_class: bool) -> Iterator[Profile]:
-    """The profiles of n_min..n_max voters in (n, profile) stream order: one
-    sorted profile per class, or every ordered profile."""
+def _profiles(m: int, n_min: int, n_max: int, by_class: bool) -> Iterator[tuple[int, ...]]:
+    """The ballots of the profiles of n_min..n_max voters in (n, profile)
+    stream order: one sorted tuple per class, or every ordered tuple."""
+    values = range(m + 1)
     for n in range(n_min, n_max + 1):
-        yield from enumerate_profiles(m, n, canonical_only=by_class)
+        yield from combinations_with_replacement(values, n) if by_class else product(values, repeat=n)
 
 
-def _first_witness(witness_of: Callable, f, profiles: Iterable[Profile], tie_upgrade: str) -> Witness | None:
+def _first_witness(
+    witness_of: Callable, value: Callable, m: int, stream: Iterable[tuple[int, ...]], tie_upgrade: str
+) -> Witness | None:
     """The first profile's witness, in stream order."""
-    for p in profiles:
-        w = witness_of(f, p, tie_upgrade)
+    for ballots in stream:
+        w = witness_of(value, m, ballots, tie_upgrade)
         if w is not None:
             return w
     return None
@@ -338,24 +347,55 @@ def _anonymity_witness(f, m: int, n_max: int, values: dict[tuple[int, ...], int]
 
 
 class _ClassValues:
-    """An f that passed the A scan, read through its class values: f(P) is
-    the outcome kept for P's class, and a class the A scan never evaluated
-    is evaluated on its sorted member the first time a scan needs it.  So f
-    is evaluated at most once per ordered profile in one call, and nothing
-    outlives the call."""
+    """An f that passed the A scan, read through its class values: f at some
+    ballots is the outcome kept for their class, and a class the A scan
+    never evaluated is evaluated on its sorted member the first time a scan
+    needs it.  So f is evaluated at most once per ordered profile in one
+    call, and nothing outlives the call."""
 
     def __init__(self, f, m: int, values: dict[tuple[int, ...], int]):
         self.f, self.m, self.values = f, m, values
 
-    def evaluate(self, p: Profile) -> int:
+    def evaluate(self, ballots: tuple[int, ...]) -> int:
         values = self.values
-        out = values.get(p.ballots, _UNEVALUATED)  # the keys are sorted: a hit is the class
+        out = values.get(ballots, _UNEVALUATED)  # the keys are sorted: a hit is the class
         if out is _UNEVALUATED:
-            key = tuple(sorted(p.ballots))
+            key = tuple(sorted(ballots))
             out = values.get(key, _UNEVALUATED)
             if out is _UNEVALUATED:
                 out = values[key] = self.f.evaluate(Profile._trusted(self.m, key))
         return out
+
+
+def _reader(f, m: int, by_class: bool, values: dict[tuple[int, ...], int]) -> Callable[[tuple[int, ...]], int]:
+    """How every scan but A's reads f in one call: ``value(ballots)``, f's
+    outcome at the profile with those ballots.
+
+    A table over the scope's m is read directly; only ballots whose class
+    has no entry, or which exceed the table's voter bound, fall back to
+    ``f.evaluate``, which raises as it always does.  A table over another m
+    is evaluated, and raises at once.  An f that passed the A scan is read
+    through its class values, one that failed it is evaluated at every
+    profile.
+    """
+    trusted = Profile._trusted
+    if isinstance(f, TabledFunction):
+        if f.m == m:
+            get = f.table.get
+
+            def evaluate(ballots: tuple[int, ...]) -> int:
+                # the keys are sorted and no outcome is None: a hit is the class
+                out = get(ballots)
+                if out is None:
+                    out = get(tuple(sorted(ballots)))
+                    if out is None:
+                        out = f.evaluate(trusted(m, ballots))
+                return out
+
+            return evaluate
+    elif by_class:
+        return _ClassValues(f, m, values).evaluate
+    return lambda ballots: f.evaluate(trusted(m, ballots))
 
 
 @functools.lru_cache(maxsize=1)
@@ -372,17 +412,19 @@ def _generators(m: int) -> tuple[CandidatePermutation, ...]:
     return (swap,) if m == 2 else (swap, CandidatePermutation(m, tuple(range(2, m + 1)) + (1,)))
 
 
-def _relabeling_witness(f, p: Profile, relabelings: Iterable[CandidatePermutation]) -> Witness | None:
-    """The first tau in ``relabelings`` with f(tau p) != tau f(p)."""
-    out = f.evaluate(p)
+def _relabeling_witness(
+    value: Callable, m: int, ballots: tuple[int, ...], relabelings: Iterable[CandidatePermutation]
+) -> Witness | None:
+    """The first tau in ``relabelings`` with f(tau P) != tau f(P)."""
+    out = value(ballots)
     for tau in relabelings:
-        permuted = apply_candidate_permutation(p, tau)
-        actual = f.evaluate(permuted)
+        permuted = tuple(map((0, *tau.image).__getitem__, ballots))
+        actual = value(permuted)
         expected = tau.outcome(out)
         if actual != expected:
             return Witness(
-                profile=p,
-                related_profile=permuted,
+                profile=Profile._trusted(m, ballots),
+                related_profile=Profile._trusted(m, permuted),
                 permutation=tau.image,
                 actual=actual,
                 expected=expected,
@@ -390,7 +432,7 @@ def _relabeling_witness(f, p: Profile, relabelings: Iterable[CandidatePermutatio
     return None
 
 
-def _neutrality_witness(f, m: int, n_max: int, by_class: bool) -> Witness | None:
+def _neutrality_witness(value: Callable, m: int, n_max: int, by_class: bool) -> Witness | None:
     """N's scan: f(tau P) = tau f(P) for the two generators on every scanned
     profile.
 
@@ -403,22 +445,22 @@ def _neutrality_witness(f, m: int, n_max: int, by_class: bool) -> Witness | None
     unassigned entry raises as the full scan would.
     """
     generators = _generators(m)
-    for scanned, p in enumerate(_profiles(m, 1, n_max, by_class), start=1):
+    for scanned, ballots in enumerate(_profiles(m, 1, n_max, by_class), start=1):
         if m == 2:
-            w = _relabeling_witness(f, p, generators)
+            w = _relabeling_witness(value, m, ballots, generators)
             if w is not None:
                 return w
             continue
         try:
-            if _relabeling_witness(f, p, generators) is None:
+            if _relabeling_witness(value, m, ballots, generators) is None:
                 continue
         except IncompleteTableError:
             pass  # the rescan meets the same entry, or an earlier witness
-        return _minimal_relabeling_witness(f, m, n_max, by_class, scanned)
+        return _minimal_relabeling_witness(value, m, n_max, by_class, scanned)
     return None
 
 
-def _minimal_relabeling_witness(f, m: int, n_max: int, by_class: bool, stop: int) -> Witness:
+def _minimal_relabeling_witness(value: Callable, m: int, n_max: int, by_class: bool, stop: int) -> Witness:
     """Rescan the first ``stop`` profiles with all m! relabelings in order,
     as one scan over the full group meets them.  Profile ``stop`` fails
     under that group (or needs the unassigned entry), so the full scan's
@@ -426,8 +468,8 @@ def _minimal_relabeling_witness(f, m: int, n_max: int, by_class: bool, stop: int
     refused like any scan."""
     _refuse_above(stop * (1 + math.factorial(m)), f"rescanning N for its witness at m={m}, n_max={n_max}")
     relabelings = _relabelings(m)
-    for p in islice(_profiles(m, 1, n_max, by_class), stop):
-        w = _relabeling_witness(f, p, relabelings)
+    for ballots in islice(_profiles(m, 1, n_max, by_class), stop):
+        w = _relabeling_witness(value, m, ballots, relabelings)
         if w is not None:
             return w
     raise RuntimeError("f fails N under a generator but under no relabeling: it is not deterministic")
@@ -443,42 +485,71 @@ def _duel_pairs(support: tuple[int, ...], m: int) -> Iterable[tuple[int, int]]:
                 yield (i, j)
 
 
-def _support(p: Profile) -> tuple[int, ...]:
+def _counts(m: int, ballots: tuple[int, ...]) -> list[int]:
+    """How many ballots take each value, as :func:`~scfkit.core.ballot_counts`
+    counts a profile's: ``counts[0]`` abstentions, ``counts[k]`` votes for
+    candidate k."""
+    counts = [0] * (m + 1)
+    for b in ballots:
+        counts[b] += 1
+    return counts
+
+
+def _support(ballots: tuple[int, ...]) -> tuple[int, ...]:
     """Candidates with at least one vote, ascending."""
-    counts = ballot_counts(p)
-    return tuple(k for k in range(1, p.m + 1) if counts[k])
+    return tuple(sorted(set(ballots).difference((0,))))
 
 
-def _leaders(p: Profile) -> tuple[int, ...]:
+def _leaders(m: int, ballots: tuple[int, ...]) -> tuple[int, ...]:
     """Candidates sharing the top vote count: every candidate when nobody
     votes."""
-    counts = ballot_counts(p)
+    counts = _counts(m, ballots)
     top = max(counts[1:])
-    return tuple(k for k in range(1, p.m + 1) if counts[k] == top)
+    return tuple(k for k in range(1, m + 1) if counts[k] == top)
 
 
-def _duel_property(f, p: Profile, tie_upgrade: str) -> Witness | None:
-    support = _support(p)
+def _duel_property(value: Callable, m: int, ballots: tuple[int, ...], tie_upgrade: str) -> Witness | None:
+    support = _support(ballots)
     if len(support) > 2:
         return None
-    out = f.evaluate(p)
+    out = value(ballots)
     if out == 0 or out in support:
         return None  # every duel pair holds the support
-    for i, j in _duel_pairs(support, p.m):
+    for i, j in _duel_pairs(support, m):
         if out not in (0, i, j):
+            p = Profile._trusted(m, ballots)
             return Witness(profile=p, pair=(i, j), actual=out, note="outcome outside {0, i, j}")
     return None
 
 
-def _pareto(f, p: Profile, tie_upgrade: str) -> Witness | None:
-    support = _support(p)
+def _pareto(value: Callable, m: int, ballots: tuple[int, ...], tie_upgrade: str) -> Witness | None:
+    support = _support(ballots)
     if len(support) != 1:
         return None
     k = support[0]
-    out = f.evaluate(p)
+    out = value(ballots)
     if out != k:
-        return Witness(profile=p, candidate=k, expected=k, actual=out)
+        return Witness(profile=Profile._trusted(m, ballots), candidate=k, expected=k, actual=out)
     return None
+
+
+def _reduced(value: Callable, m: int, ballots: tuple[int, ...]) -> tuple[int, ...]:
+    """The ballots of the reduced profile: ballot l is f with voter l
+    removed, evaluated once per run of equal adjacent ballots.  The
+    outcomes are range-checked once all are known; one outside [0, m]
+    raises as the validating constructor does, for the first such ballot."""
+    reduced = []
+    outcomes = []  # one per run, in ballot order
+    l = 0  # the run's first voter
+    for _, run in groupby(ballots):
+        out = value(ballots[:l] + ballots[l + 1 :])
+        outcomes.append(out)
+        length = len(list(run))
+        reduced += [out] * length
+        l += length
+    if all(0 <= out <= m for out in outcomes):
+        return tuple(reduced)
+    return Profile(m, tuple(reduced)).ballots
 
 
 def reduce_profile(f, p: Profile) -> Profile:
@@ -493,44 +564,39 @@ def reduce_profile(f, p: Profile) -> Profile:
     range-checked once all are known; an outcome outside [0, m] raises as the
     validating constructor does, for the first such ballot.
     """
-    m, ballots = p.m, p.ballots
-    if len(ballots) < 2:
+    m = p.m
+    if len(p.ballots) < 2:
         raise ValueError("subsociety reduction needs at least 2 voters")
-    evaluate, trusted = f.evaluate, Profile._trusted
-    reduced = []
-    outcomes = []  # one per run, in ballot order
-    for l, b in enumerate(ballots):
-        if l == 0 or b != ballots[l - 1]:
-            out = evaluate(trusted(m, ballots[:l] + ballots[l + 1 :]))
-            outcomes.append(out)
-        reduced.append(out)
-    if all(0 <= out <= m for out in outcomes):
-        return trusted(m, tuple(reduced))
-    return Profile(m, tuple(reduced))
+    trusted = Profile._trusted
+    return trusted(m, _reduced(lambda ballots: f.evaluate(trusted(m, ballots)), m, p.ballots))
 
 
-def _reducibility(f, p: Profile, tie_upgrade: str) -> Witness | None:
-    lhs = f.evaluate(p)
-    reduced = reduce_profile(f, p)
-    rhs = f.evaluate(reduced)
+def _reducibility(value: Callable, m: int, ballots: tuple[int, ...], tie_upgrade: str) -> Witness | None:
+    lhs = value(ballots)
+    reduced = _reduced(value, m, ballots)
+    rhs = value(reduced)
     if lhs != rhs:
-        return Witness(profile=p, related_profile=reduced, actual=lhs, expected=rhs)
+        return Witness(
+            profile=Profile._trusted(m, ballots),
+            related_profile=Profile._trusted(m, reduced),
+            actual=lhs,
+            expected=rhs,
+        )
     return None
 
 
-def _tie_candidates(p: Profile, mode: str) -> tuple[int, ...]:
+def _tie_candidates(m: int, ballots: tuple[int, ...], mode: str) -> tuple[int, ...]:
     if mode == "always":
-        return tuple(range(1, p.m + 1))
+        return tuple(range(1, m + 1))
     if mode == "leaders":
-        return _leaders(p)
+        return _leaders(m, ballots)
     return ()
 
 
-def _responsiveness(f, p: Profile, tie_upgrade: str) -> Witness | None:
-    m = p.m
-    out = f.evaluate(p)
+def _responsiveness(value: Callable, m: int, ballots: tuple[int, ...], tie_upgrade: str) -> Witness | None:
+    out = value(ballots)
     if out == 0:
-        targets = _tie_candidates(p, tie_upgrade)
+        targets = _tie_candidates(m, ballots, tie_upgrade)
         note = f"pr:tie:{tie_upgrade}"
     else:
         # an outcome of f becomes a ballot, so it is checked here
@@ -539,17 +605,17 @@ def _responsiveness(f, p: Profile, tie_upgrade: str) -> Witness | None:
         targets = (out,)
         note = "pr:win"
     for k in targets:
-        for l in range(1, p.n + 1):
-            if p.ballots[l - 1] == k:
+        for l, b in enumerate(ballots):
+            if b == k:
                 continue
-            upgraded = Profile._trusted(m, p.ballots[: l - 1] + (k,) + p.ballots[l:])
-            actual = f.evaluate(upgraded)
+            upgraded = ballots[:l] + (k,) + ballots[l + 1 :]
+            actual = value(upgraded)
             if actual != k:
                 return Witness(
-                    profile=p,
-                    related_profile=upgraded,
+                    profile=Profile._trusted(m, ballots),
+                    related_profile=Profile._trusted(m, upgraded),
                     candidate=k,
-                    voter=l,
+                    voter=l + 1,
                     expected=k,
                     actual=actual,
                     note=note,
@@ -557,21 +623,21 @@ def _responsiveness(f, p: Profile, tie_upgrade: str) -> Witness | None:
     return None
 
 
-def _no_tied_winner(f, p: Profile, tie_upgrade: str) -> Witness | None:
-    counts = ballot_counts(p)
-    out = f.evaluate(p)
+def _no_tied_winner(value: Callable, m: int, ballots: tuple[int, ...], tie_upgrade: str) -> Witness | None:
+    counts = _counts(m, ballots)
+    out = value(ballots)
     if out == 0:
         return None
-    for i in range(1, p.m + 1):
-        for j in range(i + 1, p.m + 1):
+    for i in range(1, m + 1):
+        for j in range(i + 1, m + 1):
             if counts[i] == counts[j] and out in (i, j):
-                return Witness(profile=p, pair=(i, j), actual=out, note="tied pair won")
+                return Witness(profile=Profile._trusted(m, ballots), pair=(i, j), actual=out, note="tied pair won")
     return None
 
 
-# axiom -> (a function of f, a profile and PR's tie mode returning the
-# profile's witness or None, the smallest voter count scanned); N has its
-# own scan, _neutrality_witness
+# axiom -> (a function of f's reader, m, a profile's ballots and PR's tie
+# mode returning the profile's witness or None, the smallest voter count
+# scanned); N has its own scan, _neutrality_witness
 _SCANS = {
     "DP": (_duel_property, 1),
     "PO": (_pareto, 1),
@@ -587,12 +653,14 @@ def check_axioms(f, m: int, n_max: int, axioms: Iterable[str], tie_upgrade: str 
 
     The scope is validated and the whole call estimated before f is
     evaluated.  Anonymity is established once: by the A scan, which is also
-    the A report, or by construction for a :class:`TabledFunction`.  When
-    the A scan passes, the other axioms' scans read f's values from the
-    class outcomes it kept (:class:`_ClassValues`), evaluating only the
-    classes it never needed.  When f is not anonymous, the ordered fallbacks
-    of the other axioms are estimated together before any of them is
-    scanned, and evaluate f itself.
+    the A report, or by construction for a :class:`TabledFunction`.  The
+    other axioms' scans walk ballot tuples and read f through one reader
+    (:func:`_reader`): a table's entries directly, the class outcomes the A
+    scan kept when it passed (:class:`_ClassValues`), evaluating only the
+    classes it never needed, or f itself when f is not anonymous.  In that
+    last case the ordered fallbacks of the other axioms are estimated
+    together before any of them is scanned.  A :class:`Profile` is built
+    only for a witness.
     """
     axioms = list(axioms)
     _check_scope(m, n_max)
@@ -605,21 +673,20 @@ def check_axioms(f, m: int, n_max: int, axioms: Iterable[str], tie_upgrade: str 
         raise ValueError(f"tie_upgrade must be one of {PR_TIE_MODES}, got {tie_upgrade!r}")
     require_feasible(axioms, f, m, n_max)
     others = [ax for ax in axioms if ax != "A"]
-    tabled = isinstance(f, TabledFunction)
     values: dict[tuple[int, ...], int] = {}
+    tabled = isinstance(f, TabledFunction)
     anonymity = _anonymity_witness(f, m, n_max, values) if _scans_anonymity(axioms, tabled) else None
     by_class = _scans_classes(f, anonymity)
     if not by_class:
         require_feasible(others, f, m, n_max, ordered=True)
-    elif not tabled:
-        f = _ClassValues(f, m, values)
+    value = _reader(f, m, by_class, values)
     witnesses = {"A": anonymity}
     for ax in others:
         if ax == "N":
-            witnesses[ax] = _neutrality_witness(f, m, n_max, by_class)
+            witnesses[ax] = _neutrality_witness(value, m, n_max, by_class)
         else:
             witness_of, n_min = _SCANS[ax]
-            witnesses[ax] = _first_witness(witness_of, f, _profiles(m, n_min, n_max, by_class), tie_upgrade)
+            witnesses[ax] = _first_witness(witness_of, value, m, _profiles(m, n_min, n_max, by_class), tie_upgrade)
     return [AxiomReport(ax, m, n_max, witnesses[ax] is None, witnesses[ax]) for ax in axioms]
 
 
@@ -698,10 +765,10 @@ def replay_witness(f, report: AxiomReport) -> bool:
         )
     if report.axiom == "DP":
         i, j = w.pair
-        support = _support(p)
+        support = _support(p.ballots)
         return all(k in (i, j) for k in support) and f.evaluate(p) == w.actual and w.actual not in (0, i, j)
     if report.axiom == "PO":
-        support = _support(p)
+        support = _support(p.ballots)
         return support == (w.candidate,) and f.evaluate(p) == w.actual and w.actual != w.candidate
     if report.axiom == "RS":
         reduced = reduce_profile(f, p)
@@ -724,7 +791,7 @@ def replay_witness(f, report: AxiomReport) -> bool:
         if w.note == "pr:tie:always":
             return before == 0
         if w.note == "pr:tie:leaders":
-            return before == 0 and k in _leaders(p)
+            return before == 0 and k in _leaders(p.m, p.ballots)
         return False
     if report.axiom == "NTW":
         i, j = w.pair

@@ -162,8 +162,13 @@ def _cells(m: int, n_max: int) -> list[tuple[int, ...]]:
 def _count_vectors(cells: list[tuple[int, ...]], m: int) -> list[tuple[int, ...]]:
     """Each cell's count vector: ``c[0]`` abstentions, ``c[k]`` candidate k's
     votes.  It determines the class, so the engine works on it throughout."""
-    values = range(m + 1)
-    return [tuple(map(c.count, values)) for c in cells]
+    out = []
+    for c in cells:
+        v = [0] * (m + 1)
+        for b in c:
+            v[b] += 1
+        out.append(tuple(v))
+    return out
 
 
 def _orbits(
@@ -280,6 +285,19 @@ def _cell_count(m: int, n_max: int) -> int:
     return count - 1
 
 
+def _refuse_cells(m: int, n_max: int) -> None:
+    """Raise :class:`SearchInfeasibleError` when a table at the scope would
+    need more than ``_MAX_CELLS`` cells, before any cell is built."""
+    cells = _cell_count(m, n_max)
+    if cells > _MAX_CELLS:
+        over, shown = ("", cells) if cells <= _COST_CAP else ("over ", _COST_CAP)
+        raise SearchInfeasibleError(
+            f"table would need {over}{shown} cells (> {_MAX_CELLS}); raw space {over}{m + 1}^{shown} tables",
+            cells=cells,
+            tables=lambda: (m + 1) ** cells,
+        )
+
+
 # A component: its representatives r, ascending, each with L, x_r =
 # L[x_root]; the root values its reduction cycles allow; and the map from
 # the value at its smallest cell, the first representative, to x_root.
@@ -293,14 +311,7 @@ class _Engine:
     def __init__(self, spec: SearchSpec):
         self.spec = spec
         m, n_max = spec.m, spec.n_max
-        cells = _cell_count(m, n_max)
-        if cells > _MAX_CELLS:
-            over, shown = ("", cells) if cells <= _COST_CAP else ("over ", _COST_CAP)
-            raise SearchInfeasibleError(
-                f"table would need {over}{shown} cells (> {_MAX_CELLS}); raw space {over}{m + 1}^{shown} tables",
-                cells=cells,
-                tables=lambda: (m + 1) ** cells,
-            )
+        _refuse_cells(m, n_max)
         self.m = m
         self.cells = cells = _cells(m, n_max)
         counts = _count_vectors(cells, m)
@@ -525,8 +536,10 @@ def neutral_orbits(m: int, n_max: int) -> list[NeutralOrbit]:
     """Orbits of canonical profiles under candidate relabelings, in
     (n, representative) order.  A representative's candidate counts are
     non-increasing, so its stabilizer permutes each block of equal-count
-    candidates; more than ``CHECK_MAX_COST`` relabelings in all are refused
-    before any is listed."""
+    candidates.  A scope whose table would need more than ``_MAX_CELLS``
+    cells is refused before any cell is built, as the search refuses it, and
+    more than ``CHECK_MAX_COST`` relabelings in all before any is listed."""
+    _refuse_cells(m, n_max)
     cells = _cells(m, n_max)
     counts = _count_vectors(cells, m)
     orbit, _, fixed = _orbits(counts, {c: i for i, c in enumerate(counts)}, m)

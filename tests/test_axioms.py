@@ -1,5 +1,5 @@
 import math
-from itertools import combinations_with_replacement, permutations, product
+from itertools import combinations_with_replacement, islice, permutations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -25,7 +25,15 @@ from scfkit.axioms import (
     replay_witness,
     require_feasible,
 )
-from scfkit.core import Profile, canonicalize, enumerate_profiles, remove_voter, tally
+from scfkit.core import (
+    Profile,
+    apply_candidate_permutation,
+    ballot_counts,
+    canonicalize,
+    enumerate_profiles,
+    remove_voter,
+    tally,
+)
 from scfkit.rules import RULES, IncompleteTableError, Rule, TabledFunction
 
 MAJ = RULES["maj"]
@@ -652,6 +660,29 @@ def complete_tables(draw):
     return TabledFunction(m, n_max, table)
 
 
+def _spy_stream(mp, levels: list) -> None:
+    """Record, for each voter level a scan other than A's walks, whether it
+    walks one sorted profile per class."""
+    original = axioms._profiles
+
+    def stream(m, n_min, n_max, by_class):
+        levels.extend([by_class] * (n_max - n_min + 1))
+        return original(m, n_min, n_max, by_class)
+
+    mp.setattr(axioms, "_profiles", stream)
+
+
+def _spy_reader(mp, calls: list) -> None:
+    """Record the ballots at which each scan other than A's reads f."""
+    original = axioms._reader
+
+    def reader(*args):
+        value = original(*args)
+        return lambda ballots: calls.append(ballots) or value(ballots)
+
+    mp.setattr(axioms, "_reader", reader)
+
+
 class TestClassScan:
     def test_non_anonymous_rule_is_scanned_over_ordered_profiles(self):
         po = check_pareto(LAST, 2, 2)
@@ -671,6 +702,7 @@ class TestClassScan:
             return original(m, n, canonical_only=canonical_only)
 
         monkeypatch.setattr(axioms, "enumerate_profiles", counting)
+        _spy_stream(monkeypatch, scanned)
         check_pareto(MAJ, 2, 3)
         # three ordered levels for the anonymity scan, then three class levels
         assert scanned == [False] * 3 + [True] * 3
@@ -1016,11 +1048,13 @@ class TestGeneratorScans:
                     assert got == _outcome(lambda: _reference_scan(t, m, 2, axiom)), (missing, axiom)
 
     def test_evaluates_generators_and_one_subprofile_per_run(self):
-        calls = []
+        calls, evaluated = [], []
         table = TabledFunction.from_rule(MAJ, 3, 4)
         original = TabledFunction.evaluate
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(TabledFunction, "evaluate", lambda self, p: calls.append(p.ballots) or original(self, p))
+            _spy_reader(mp, calls)
+            # a complete table is read directly, never evaluated
+            mp.setattr(TabledFunction, "evaluate", lambda self, p: evaluated.append(p) or original(self, p))
             check_neutrality(table, 3, 4)
             classes = [p.ballots for n in range(1, 5) for p in enumerate_profiles(3, n, canonical_only=True)]
             # each class, then its image under (1 2) and under the 3-cycle
@@ -1030,14 +1064,14 @@ class TestGeneratorScans:
             check_rs(table, 3, 4)
             runs = [1 + sum(a != b for a, b in zip(c, c[1:])) for c in classes if len(c) > 1]
             assert len(calls) == sum(2 + r for r in runs)
+            assert evaluated == []
 
     def test_two_candidates_check_the_swap_once(self):
         # on a table: a rule that passes A is read from its class values
         calls = []
         table = TabledFunction.from_rule(MAJ, 2, 1)
-        original = TabledFunction.evaluate
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(TabledFunction, "evaluate", lambda self, p: calls.append(p.ballots) or original(self, p))
+            _spy_reader(mp, calls)
             check_neutrality(table, 2, 1)
         assert calls == [(0,), (0,), (1,), (2,), (2,), (1,)]
 
@@ -1047,9 +1081,8 @@ class TestGeneratorScans:
         # on each class and its swap up to lex's witness (1, 2), and no more
         calls = []
         table = TabledFunction.from_rule(LEX, 2, 3)
-        original = TabledFunction.evaluate
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(TabledFunction, "evaluate", lambda self, p: calls.append(p.ballots) or original(self, p))
+            _spy_reader(mp, calls)
             report = check_neutrality(table, 2, 3)
         classes = [p.ballots for n in range(1, 4) for p in enumerate_profiles(2, n, canonical_only=True)]
         scanned = classes[: classes.index((1, 2)) + 1]
@@ -1069,9 +1102,8 @@ class TestGeneratorScans:
         # on a table, as a rule that passes A is read from its class values
         calls = []
         table = TabledFunction.from_rule(LEX, 10, 3)
-        original = TabledFunction.evaluate
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(TabledFunction, "evaluate", lambda self, p: calls.append(p.ballots) or original(self, p))
+            _spy_reader(mp, calls)
             with pytest.raises(CheckInfeasibleError) as err:
                 check_neutrality(table, 10, 3)
         cost = 24 * (1 + math.factorial(10))
@@ -1127,3 +1159,250 @@ class TestCallEstimate:
                 f, calls = _counting(f)
             check_axioms(f, m, n_max, requested, mode)
         assert len(calls) <= sum(estimates)
+
+
+# The checkers' scans as written over Profile objects, before they walked
+# ballot tuples through one reader, kept as the reference of the tuple scans:
+# f is read as a Profile, through its class values when it passed A.
+
+
+class _ProfileClassValues:
+    def __init__(self, f, m, values):
+        self.f, self.m, self.values = f, m, values
+
+    def evaluate(self, p):
+        out = self.values.get(p.ballots, axioms._UNEVALUATED)
+        if out is axioms._UNEVALUATED:
+            key = tuple(sorted(p.ballots))
+            out = self.values.get(key, axioms._UNEVALUATED)
+            if out is axioms._UNEVALUATED:
+                out = self.values[key] = self.f.evaluate(Profile._trusted(self.m, key))
+        return out
+
+
+def _profile_stream(m, n_min, n_max, by_class):
+    for n in range(n_min, n_max + 1):
+        yield from enumerate_profiles(m, n, canonical_only=by_class)
+
+
+def _profile_first_witness(witness_of, f, profiles, tie_upgrade):
+    for p in profiles:
+        w = witness_of(f, p, tie_upgrade)
+        if w is not None:
+            return w
+    return None
+
+
+def _profile_relabeling_witness(f, p, relabelings):
+    out = f.evaluate(p)
+    for tau in relabelings:
+        permuted = apply_candidate_permutation(p, tau)
+        actual = f.evaluate(permuted)
+        expected = tau.outcome(out)
+        if actual != expected:
+            return Witness(profile=p, related_profile=permuted, permutation=tau.image, actual=actual, expected=expected)
+    return None
+
+
+def _profile_neutrality_witness(f, m, n_max, by_class):
+    generators = axioms._generators(m)
+    for scanned, p in enumerate(_profile_stream(m, 1, n_max, by_class), start=1):
+        if m == 2:
+            w = _profile_relabeling_witness(f, p, generators)
+            if w is not None:
+                return w
+            continue
+        try:
+            if _profile_relabeling_witness(f, p, generators) is None:
+                continue
+        except IncompleteTableError:
+            pass
+        axioms._refuse_above(scanned * (1 + math.factorial(m)), f"rescanning N for its witness at m={m}, n_max={n_max}")
+        for q in islice(_profile_stream(m, 1, n_max, by_class), scanned):
+            w = _profile_relabeling_witness(f, q, axioms._relabelings(m))
+            if w is not None:
+                return w
+        raise RuntimeError("f fails N under a generator but under no relabeling: it is not deterministic")
+    return None
+
+
+def _profile_support(p):
+    counts = ballot_counts(p)
+    return tuple(k for k in range(1, p.m + 1) if counts[k])
+
+
+def _profile_leaders(p):
+    counts = ballot_counts(p)
+    top = max(counts[1:])
+    return tuple(k for k in range(1, p.m + 1) if counts[k] == top)
+
+
+def _profile_duel_property(f, p, tie_upgrade):
+    support = _profile_support(p)
+    if len(support) > 2:
+        return None
+    out = f.evaluate(p)
+    if out == 0 or out in support:
+        return None
+    for i, j in axioms._duel_pairs(support, p.m):
+        if out not in (0, i, j):
+            return Witness(profile=p, pair=(i, j), actual=out, note="outcome outside {0, i, j}")
+    return None
+
+
+def _profile_pareto(f, p, tie_upgrade):
+    support = _profile_support(p)
+    if len(support) != 1:
+        return None
+    k = support[0]
+    out = f.evaluate(p)
+    if out != k:
+        return Witness(profile=p, candidate=k, expected=k, actual=out)
+    return None
+
+
+def _profile_reduce(f, p):
+    m, ballots = p.m, p.ballots
+    reduced, outcomes = [], []
+    for l, b in enumerate(ballots):
+        if l == 0 or b != ballots[l - 1]:
+            out = f.evaluate(Profile._trusted(m, ballots[:l] + ballots[l + 1 :]))
+            outcomes.append(out)
+        reduced.append(out)
+    if all(0 <= out <= m for out in outcomes):
+        return Profile._trusted(m, tuple(reduced))
+    return Profile(m, tuple(reduced))
+
+
+def _profile_reducibility(f, p, tie_upgrade):
+    lhs = f.evaluate(p)
+    reduced = _profile_reduce(f, p)
+    rhs = f.evaluate(reduced)
+    if lhs != rhs:
+        return Witness(profile=p, related_profile=reduced, actual=lhs, expected=rhs)
+    return None
+
+
+def _profile_responsiveness(f, p, tie_upgrade):
+    m = p.m
+    out = f.evaluate(p)
+    if out == 0:
+        targets = {"always": tuple(range(1, m + 1)), "leaders": _profile_leaders(p), "wins": ()}[tie_upgrade]
+        note = f"pr:tie:{tie_upgrade}"
+    else:
+        if not 0 < out <= m:
+            raise ValueError(f"outcome {out} outside [0, {m}]")
+        targets = (out,)
+        note = "pr:win"
+    for k in targets:
+        for l in range(1, p.n + 1):
+            if p.ballots[l - 1] == k:
+                continue
+            upgraded = Profile._trusted(m, p.ballots[: l - 1] + (k,) + p.ballots[l:])
+            actual = f.evaluate(upgraded)
+            if actual != k:
+                return Witness(
+                    profile=p, related_profile=upgraded, candidate=k, voter=l, expected=k, actual=actual, note=note
+                )
+    return None
+
+
+def _profile_no_tied_winner(f, p, tie_upgrade):
+    counts = ballot_counts(p)
+    out = f.evaluate(p)
+    if out == 0:
+        return None
+    for i in range(1, p.m + 1):
+        for j in range(i + 1, p.m + 1):
+            if counts[i] == counts[j] and out in (i, j):
+                return Witness(profile=p, pair=(i, j), actual=out, note="tied pair won")
+    return None
+
+
+_PROFILE_SCANS = {
+    "DP": (_profile_duel_property, 1),
+    "PO": (_profile_pareto, 1),
+    "RS": (_profile_reducibility, 2),
+    "PR": (_profile_responsiveness, 1),
+    "NTW": (_profile_no_tied_winner, 1),
+}
+
+
+def _profile_check_axioms(f, m, n_max, requested, tie_upgrade):
+    """check_axioms over Profile objects: the same refusals and A scan, then
+    each other axiom's Profile scan."""
+    if "RS" in requested and n_max < 2:
+        raise ValueError("the reduction axiom needs a voter bound of at least 2")
+    require_feasible(requested, f, m, n_max)
+    others = [ax for ax in requested if ax != "A"]
+    tabled = isinstance(f, TabledFunction)
+    values = {}
+    scans_anonymity = "A" in requested or (others and not tabled)
+    anonymity = axioms._anonymity_witness(f, m, n_max, values) if scans_anonymity else None
+    by_class = axioms._scans_classes(f, anonymity)
+    if not by_class:
+        require_feasible(others, f, m, n_max, ordered=True)
+    elif not tabled:
+        f = _ProfileClassValues(f, m, values)
+    witnesses = {"A": anonymity}
+    for ax in others:
+        if ax == "N":
+            witnesses[ax] = _profile_neutrality_witness(f, m, n_max, by_class)
+        else:
+            witness_of, n_min = _PROFILE_SCANS[ax]
+            stream = _profile_stream(m, n_min, n_max, by_class)
+            witnesses[ax] = _profile_first_witness(witness_of, f, stream, tie_upgrade)
+    return [AxiomReport(ax, m, n_max, witnesses[ax] is None, witnesses[ax]) for ax in requested]
+
+
+def _check_outcome(check, f, m, n_max, requested, mode):
+    """What ``check`` observably does with f: its reports or raised error,
+    and, unless f is a table, the profiles f is evaluated on."""
+    calls = []
+    if not isinstance(f, TabledFunction):
+        f = Rule("recorded", lambda p, f=f: calls.append(p.ballots) or f.evaluate(p))
+    try:
+        result = [r.to_dict() for r in check(f, m, n_max, requested, mode)]
+    except Exception as exc:  # every error must be the reference's
+        result = (type(exc), exc.args)
+    return result, calls
+
+
+@st.composite
+def raw_tables(draw):
+    """A table at a scope with m = 2..4, n_max = 1..4: random, or majority's
+    with a few entries changed, so that scans get past the first levels;
+    validated or built as the library builds its own; with a few entries
+    missing or none.  Checked at its own scope, or at one with a candidate
+    fewer or more or a voter more."""
+    m, n_max = draw(st.integers(2, 4)), draw(st.integers(1, 4))
+    rnd = draw(st.randoms(use_true_random=False))
+    classes = [c for n in range(1, n_max + 1) for c in combinations_with_replacement(range(m + 1), n)]
+    if draw(st.booleans()):
+        table = {c: rnd.randint(0, m) for c in classes}
+    else:
+        table = dict(TabledFunction.from_rule(MAJ, m, n_max).table)
+        for changed in rnd.sample(classes, min(len(classes), draw(st.integers(0, 2)))):
+            table[changed] = rnd.randint(0, m)
+    for missing in rnd.sample(classes, min(len(classes), draw(st.integers(0, 3)))):
+        del table[missing]
+    make = TabledFunction if draw(st.booleans()) else TabledFunction._trusted
+    scope = draw(st.sampled_from([(m, n_max), (m, n_max), (max(2, m - 1), n_max), (m + 1, n_max), (m, n_max + 1)]))
+    return (*scope, make(m, n_max, table))
+
+
+class TestTupleScans:
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(scan_cases(), raw_tables()), st.booleans())
+    def test_equal_the_profile_scans(self, case, with_anonymity):
+        # reports, raised errors and the profiles a function that is not a
+        # table is evaluated on are those of the Profile scans; a table is
+        # read, never written
+        m, n_max, f = case
+        before = dict(f.table) if isinstance(f, TabledFunction) else None
+        for ax, mode in [(ax, "leaders") for ax in ("N", "DP", "PO", "RS", "NTW")] + [("PR", t) for t in PR_TIE_MODES]:
+            requested = ["A", ax] if with_anonymity else [ax]
+            got = _check_outcome(check_axioms, f, m, n_max, requested, mode)
+            assert got == _check_outcome(_profile_check_axioms, f, m, n_max, requested, mode), (ax, mode)
+            if before is not None:
+                assert f.table == before

@@ -855,6 +855,18 @@ class TestNeutralOrbits:
             neutral_orbits(10, 1)
         assert sum(len(o.stabilizer) for o in neutral_orbits(9, 1)) == 403_200
 
+    def test_cell_limit_is_enforced_before_any_cell_is_built(self):
+        # (9, 9) has 92,377 cells: refused with the search's refusal, not
+        # after building them and their orbits
+        start = time.perf_counter()
+        with pytest.raises(SearchInfeasibleError) as err:
+            neutral_orbits(9, 9)
+        assert time.perf_counter() - start < 1
+        with pytest.raises(SearchInfeasibleError) as engine:
+            next(enumerate_neutral_functions(9, 9))
+        assert str(err.value) == str(engine.value) == "table would need 92377 cells (> 20000); raw space 10^92377 tables"
+        assert err.value.cells == engine.value.cells == 92_377
+
     @pytest.mark.parametrize("m,n_max", [(2, 3), (3, 2), (3, 3), (4, 2)])
     def test_neutral_tables_come_in_product_order(self, m, n_max):
         yielded = [f.table for f in enumerate_neutral_functions(m, n_max)]
