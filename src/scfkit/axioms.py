@@ -28,8 +28,7 @@ other f by evaluating it.  A Profile is built only for a witness.
 Neutrality is checked on two generators of the relabelings, the
 transposition (1 2) and the m-cycle; only a failure rescans with all m!
 relabelings, to report the same minimal witness.  Reducibility evaluates f
-once per distinct voter-deleted subprofile.  The ``workers`` keyword of the
-checkers is accepted for compatibility and ignored.
+once per distinct voter-deleted subprofile.
 """
 
 from __future__ import annotations
@@ -44,6 +43,7 @@ from .core import (
     CandidatePermutation,
     Profile,
     VoterPermutation,
+    _counts,
     apply_candidate_permutation,
     apply_voter_permutation,
     ballot_counts,
@@ -485,16 +485,6 @@ def _duel_pairs(support: tuple[int, ...], m: int) -> Iterable[tuple[int, int]]:
                 yield (i, j)
 
 
-def _counts(m: int, ballots: tuple[int, ...]) -> list[int]:
-    """How many ballots take each value, as :func:`~scfkit.core.ballot_counts`
-    counts a profile's: ``counts[0]`` abstentions, ``counts[k]`` votes for
-    candidate k."""
-    counts = [0] * (m + 1)
-    for b in ballots:
-        counts[b] += 1
-    return counts
-
-
 def _support(ballots: tuple[int, ...]) -> tuple[int, ...]:
     """Candidates with at least one vote, ascending."""
     return tuple(sorted(set(ballots).difference((0,))))
@@ -690,45 +680,43 @@ def check_axioms(f, m: int, n_max: int, axioms: Iterable[str], tie_upgrade: str 
     return [AxiomReport(ax, m, n_max, witnesses[ax] is None, witnesses[ax]) for ax in axioms]
 
 
-def check_anonymity(f, m: int, n_max: int, workers: int = 1) -> AxiomReport:
+def check_anonymity(f, m: int, n_max: int) -> AxiomReport:
     """f(P sigma) = f(P) for every voter permutation sigma."""
     return check_axioms(f, m, n_max, ["A"])[0]
 
 
-def check_neutrality(f, m: int, n_max: int, workers: int = 1) -> AxiomReport:
+def check_neutrality(f, m: int, n_max: int) -> AxiomReport:
     """f(tau P) = tau f(P) for all m! candidate permutations tau, checked on
     the transposition (1 2) and the m-cycle, which generate them; a failure
     is rescanned with all m! to report the minimal witness."""
     return check_axioms(f, m, n_max, ["N"])[0]
 
 
-def check_duel_property(f, m: int, n_max: int, workers: int = 1) -> AxiomReport:
+def check_duel_property(f, m: int, n_max: int) -> AxiomReport:
     """On any profile supported by at most two candidates i, j the outcome is
     i, j or a tie; no third party wins a duel they did not take part in."""
     return check_axioms(f, m, n_max, ["DP"])[0]
 
 
-def check_pareto(f, m: int, n_max: int, workers: int = 1) -> AxiomReport:
+def check_pareto(f, m: int, n_max: int) -> AxiomReport:
     """Whenever exactly one candidate receives votes (everyone else abstains),
     that candidate must win."""
     return check_axioms(f, m, n_max, ["PO"])[0]
 
 
-def check_rs(f, m: int, n_max: int, workers: int = 1) -> AxiomReport:
+def check_rs(f, m: int, n_max: int) -> AxiomReport:
     """Reducibility to subsocieties: the outcome on P equals the outcome on
     the profile collecting f over all voter-deleted subprofiles."""
     return check_axioms(f, m, n_max, ["RS"])[0]
 
 
-def check_positive_responsiveness(
-    f, m: int, n_max: int, tie_upgrade: str = "leaders", workers: int = 1
-) -> AxiomReport:
+def check_positive_responsiveness(f, m: int, n_max: int, tie_upgrade: str = "leaders") -> AxiomReport:
     """One ballot moves to candidate k, all others fixed: a win for k must be
     preserved, and (per ``tie_upgrade``) a tie must become a win for k."""
     return check_axioms(f, m, n_max, ["PR"], tie_upgrade)[0]
 
 
-def check_no_tied_winner(f, m: int, n_max: int, workers: int = 1) -> AxiomReport:
+def check_no_tied_winner(f, m: int, n_max: int) -> AxiomReport:
     """Tied candidates cannot win: whenever two candidates have equal counts,
     neither is the outcome.  Meaningful for functions already known anonymous
     and neutral (the caller enforces that precondition)."""

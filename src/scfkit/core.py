@@ -5,6 +5,12 @@ candidate k.  Aggregation outcomes live in the same value space (0 means a
 tie / no decision), so an outcome can be fed back in as a ballot -- the
 subsociety-reduction axiom depends on that.
 
+Ballots are counted in one place, :func:`_counts` over a ballot tuple, which
+:func:`ballot_counts` calls for a profile.  Code that walks the anonymity
+classes and needs their counts reads them from one stream,
+:func:`_classes`: each class's sorted ballots and count vector, in
+``enumerate_profiles(m, n, canonical_only=True)`` order.
+
 All values here are immutable.
 """
 
@@ -169,13 +175,20 @@ class VoterPermutation:
         return cls(n, tuple(range(1, n + 1)))
 
 
+def _counts(m: int, ballots: tuple[int, ...]) -> list[int]:
+    """How many of ``ballots`` take each value in [0, m]: ``counts[0]``
+    abstentions, ``counts[k]`` votes for candidate k.  A fresh list the caller
+    may edit."""
+    counts = [0] * (m + 1)
+    for b in ballots:
+        counts[b] += 1
+    return counts
+
+
 def ballot_counts(p: Profile) -> list[int]:
     """How many ballots take each value: ``counts[0]`` abstentions,
     ``counts[k]`` votes for candidate k.  A fresh list the caller may edit."""
-    counts = [0] * (p.m + 1)
-    for b in p.ballots:
-        counts[b] += 1
-    return counts
+    return _counts(p.m, p.ballots)
 
 
 def tally(p: Profile) -> Tally:
@@ -244,6 +257,17 @@ def enumerate_profiles(m: int, n: int, canonical_only: bool = False) -> Iterator
     trusted = Profile._trusted
     for ballots in source:
         yield trusted(m, ballots)
+
+
+def _classes(m: int, n_max: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Each anonymity class of 1..n_max voters as ``(ballots, counts)``, its
+    sorted ballots and its count vector (:func:`_counts` as a tuple), in the
+    order of ``enumerate_profiles(m, n, canonical_only=True)`` for n = 1, 2,
+    ...  The scope is not validated."""
+    values = range(m + 1)
+    for n in range(1, n_max + 1):
+        for ballots in combinations_with_replacement(values, n):
+            yield ballots, tuple(_counts(m, ballots))
 
 
 def profile_count(m: int, n: int, canonical_only: bool = False) -> int:

@@ -3,9 +3,12 @@
 Functions are represented as outcome tables over canonical (sorted) profiles
 up to a voter bound, so anonymity is structural rather than searched over.
 Inside the engine a cell is its count vector (abstentions, then each
-candidate's votes), which determines the class.  Outcomes and the PO, DP,
-RS and PR facts are kept at orbit representatives only; a member's outcome
-is its representative's, relabeled on read.
+candidate's votes), which determines the class.  The cells and their count
+vectors come from the class stream of :mod:`scfkit.core`, as do the orbits
+of :func:`neutral_orbits` and the classes of :func:`verify_theorem`'s case
+partition, where a class counts for its n! / prod c_b! orderings.  Outcomes
+and the PO, DP, RS and PR facts are kept at orbit representatives only; a
+member's outcome is its representative's, relabeled on read.
 The engine fixes the table level by level (n = 1 upward).  Once the levels
 below n are fixed, every level-n constraint except PR is an equation between
 level-n cells:
@@ -61,10 +64,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations_with_replacement, groupby, islice, permutations, product
-from typing import Callable, Iterator
+from itertools import groupby, islice, permutations, product
+from typing import Callable, Iterator, Sequence
 
-from .core import Profile, ballot_counts, enumerate_profiles
+from .core import Profile, _classes, ballot_counts
 from .rules import RULES, TabledFunction, _check_scope
 from .axioms import _COST_CAP, CHECK_MAX_COST, AxiomReport, PR_TIE_MODES, check_axioms
 
@@ -150,29 +153,8 @@ class SearchResult:
     prune_counts: dict[str, int]
 
 
-def _cells(m: int, n_max: int) -> list[tuple[int, ...]]:
-    """The canonical (sorted) ballot tuples of 1..n_max voters, in (n,
-    ballots) order."""
-    out: list[tuple[int, ...]] = []
-    for n in range(1, n_max + 1):
-        out.extend(combinations_with_replacement(range(m + 1), n))
-    return out
-
-
-def _count_vectors(cells: list[tuple[int, ...]], m: int) -> list[tuple[int, ...]]:
-    """Each cell's count vector: ``c[0]`` abstentions, ``c[k]`` candidate k's
-    votes.  It determines the class, so the engine works on it throughout."""
-    out = []
-    for c in cells:
-        v = [0] * (m + 1)
-        for b in c:
-            v[b] += 1
-        out.append(tuple(v))
-    return out
-
-
 def _orbits(
-    counts: list[tuple[int, ...]], index: dict[tuple[int, ...], int], m: int
+    counts: Sequence[tuple[int, ...]], index: dict[tuple[int, ...], int], m: int
 ) -> tuple[list[int], list[tuple[int, ...]], dict[int, tuple[int, ...]]]:
     """Each cell's orbit representative and label, and each representative's
     fixed outcomes, for the cells with count vectors ``counts`` (every
@@ -313,8 +295,10 @@ class _Engine:
         m, n_max = spec.m, spec.n_max
         _refuse_cells(m, n_max)
         self.m = m
-        self.cells = cells = _cells(m, n_max)
-        counts = _count_vectors(cells, m)
+        # a cell's count vector determines its class, so the engine works on
+        # it throughout; the sorted ballots key the solution tables
+        cells, counts = zip(*_classes(m, n_max))
+        self.cells = cells
         self.index = index = {c: i for i, c in enumerate(counts)}
         self.out: list[int | None] = [None] * len(cells)  # set at representatives only
 
@@ -540,8 +524,7 @@ def neutral_orbits(m: int, n_max: int) -> list[NeutralOrbit]:
     cells is refused before any cell is built, as the search refuses it, and
     more than ``CHECK_MAX_COST`` relabelings in all before any is listed."""
     _refuse_cells(m, n_max)
-    cells = _cells(m, n_max)
-    counts = _count_vectors(cells, m)
+    cells, counts = zip(*_classes(m, n_max))
     orbit, _, fixed = _orbits(counts, {c: i for i, c in enumerate(counts)}, m)
     blocks = {r: [list(b) for _, b in groupby(range(1, m + 1), key=counts[r].__getitem__)] for r in fixed}
     listed = sum(math.prod(math.factorial(len(b)) for b in bs) for bs in blocks.values())
@@ -621,14 +604,6 @@ def classify_profile(p: Profile) -> str:
 # -- verdicts ------------------------------------------------------------------
 
 
-def _orderings(ballots: tuple[int, ...]) -> int:
-    """Ordered profiles in the anonymity class of ``ballots``: n! / prod count_b!."""
-    count = math.factorial(len(ballots))
-    for b in set(ballots):
-        count //= math.factorial(ballots.count(b))
-    return count
-
-
 @dataclass(frozen=True)
 class TheoremVerdict:
     """Did the axiom set pin down majority rule, and do the proof cases
@@ -686,17 +661,16 @@ def verify_theorem(
     )
 
     # the cases depend only on the counts, so each class stands for all its
-    # orderings
+    # orderings, n! / prod c_b! of them
     case_counts = {"all_abstention": 0, "dominating_tie": 0, "leader": 0}
     partition_ok = True
-    for n in range(1, n_max + 1):
-        for p in enumerate_profiles(m, n, canonical_only=True):
-            try:
-                case = classify_profile(p)
-            except RuntimeError:  # p falls into no case or into several
-                partition_ok = False
-                continue
-            case_counts[case] += _orderings(p.ballots)
+    for ballots, counts in _classes(m, n_max):
+        try:
+            case = classify_profile(Profile._trusted(m, ballots))
+        except RuntimeError:  # the class falls into no case or into several
+            partition_ok = False
+            continue
+        case_counts[case] += math.factorial(len(ballots)) // math.prod(map(math.factorial, counts))
 
     return TheoremVerdict(
         m=m,
@@ -744,12 +718,11 @@ class IndependenceVerdict:
         }
 
 
-def verify_independence(m: int, n_max: int, workers: int = 1) -> IndependenceVerdict:
+def verify_independence(m: int, n_max: int) -> IndependenceVerdict:
     """Check that lex fails exactly N, zero exactly PO and uc exactly RS over
     {A, N, DP, PO, RS}, with the expected minimal witnesses:
     lex: profile (1, 2) under the 1<->2 swap; zero: the single-vote profile
-    (1); uc: profile (1, 1, 2) whose subsociety reduction (0, 0, 1) wins.
-    ``workers`` is accepted for compatibility and ignored."""
+    (1); uc: profile (1, 1, 2) whose subsociety reduction (0, 0, 1) wins."""
     _check_scope(m, 3)  # the voter bound is held to 3 just below
     if n_max < 3:
         raise ValueError("independence needs a voter bound of at least 3")

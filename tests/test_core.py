@@ -1,9 +1,10 @@
 from dataclasses import FrozenInstanceError
-from itertools import permutations
+from itertools import combinations_with_replacement, permutations
 
 import pytest
 from hypothesis import given, strategies as st
 
+from scfkit import core
 from scfkit.core import (
     CandidatePermutation,
     Profile,
@@ -222,6 +223,18 @@ class TestEnumeration:
             list(enumerate_profiles(1, 2))
         with pytest.raises(ValueError):
             list(enumerate_profiles(2, 0))
+
+
+class TestClassStream:
+    @pytest.mark.parametrize("n_max", range(1, 6))
+    @pytest.mark.parametrize("m", range(2, 7))
+    def test_yields_each_class_in_enumeration_order_with_its_counts(self, m, n_max):
+        stream = list(core._classes(m, n_max))
+        ballots = [b for b, _ in stream]
+        assert ballots == [c for n in range(1, n_max + 1) for c in combinations_with_replacement(range(m + 1), n)]
+        assert ballots == [p.ballots for n in range(1, n_max + 1) for p in enumerate_profiles(m, n, canonical_only=True)]
+        for b, counts in stream:
+            assert counts == tuple(sum(x == v for x in b) for v in range(m + 1)), b
 
 
 class TestProperties:

@@ -42,12 +42,20 @@ def _maj_table(m, n_max):
     return TabledFunction(m, n_max, TabledFunction.from_rule(MAJ, m, n_max).table)
 
 
+def _table_cells(m, n_max):
+    """The sorted ballots of every class of 1..n_max voters, in table order."""
+    return [p.ballots for n in range(1, n_max + 1) for p in enumerate_profiles(m, n, canonical_only=True)]
+
+
+def _count_vector(c, m):
+    """How many of the ballots c take each value 0..m, counted per value."""
+    return tuple(c.count(b) for b in range(m + 1))
+
+
 def _all_complete_tables(m, n_max):
     """Raw enumeration of every complete outcome table, the brute-force side
     of the pruning-soundness comparison."""
-    cells = []
-    for n in range(1, n_max + 1):
-        cells.extend(p.ballots for p in enumerate_profiles(m, n, canonical_only=True))
+    cells = _table_cells(m, n_max)
     for values in product(range(m + 1), repeat=len(cells)):
         yield TabledFunction(m, n_max, dict(zip(cells, values)))
 
@@ -126,7 +134,7 @@ def _reps(engine):
 def _neutral_tables_by_product(m, n_max):
     """Neutral tables as the per-orbit product enumeration produced them
     before the N-only search replaced it, in that order."""
-    cells = search._cells(m, n_max)
+    cells = _table_cells(m, n_max)
     orbits = _orbits_by_permutations(cells, m)
     for choice in product(*(allowed for *_, allowed in orbits)):
         yield {
@@ -702,7 +710,7 @@ class TestCountVectorEngine:
     @given(data=st.data())
     @pytest.mark.parametrize("m,n_max", _ENGINE_SCOPES)
     def test_reduced_cell_equals_the_deletion_build(self, m, n_max, data):
-        cells = search._cells(m, n_max)
+        cells = _table_cells(m, n_max)
         out = data.draw(st.lists(st.integers(0, m), min_size=len(cells), max_size=len(cells)))
         for engine in _fact_engines(m, n_max):
             # stored at the representatives, each member its relabeling;
@@ -718,7 +726,7 @@ class TestCountVectorEngine:
     @pytest.mark.parametrize("tie", PR_TIE_MODES)
     @pytest.mark.parametrize("m,n_max", _ENGINE_SCOPES)
     def test_upgrade_edges_equal_the_replacement_build(self, m, n_max, tie):
-        cells = search._cells(m, n_max)
+        cells = _table_cells(m, n_max)
         index = {c: i for i, c in enumerate(cells)}
         expected = [[] for _ in cells]
         for i, c in enumerate(cells):
@@ -743,7 +751,7 @@ class TestOrbitConstruction:
         n_max = 1
         while search._cell_count(m, n_max) <= 3000:
             engine = search._Engine(SearchSpec(m=m, n_max=n_max, axioms=frozenset({"N"})))
-            counts = search._count_vectors(engine.cells, m)
+            counts = [_count_vector(c, m) for c in engine.cells]
             orbit, label, fixed = _as_cell_orbits(_grouped_orbits(counts, m), len(counts))
             assert engine.orbit == orbit, n_max
             assert engine.label == label, n_max
@@ -823,8 +831,8 @@ class TestNeutralOrbits:
     @pytest.mark.parametrize("n_max", [2, 4])
     @pytest.mark.parametrize("m", range(2, 7))
     def test_count_signature_orbits_equal_permutation_orbits(self, m, n_max):
-        cells = search._cells(m, n_max)
-        counts = search._count_vectors(cells, m)
+        cells = _table_cells(m, n_max)
+        counts = [_count_vector(c, m) for c in cells]
         orbit, label, fixed = search._orbits(counts, {c: i for i, c in enumerate(counts)}, m)
         expected = _as_cell_orbits(_orbits_by_permutations(cells, m), len(cells))
         assert orbit == expected[0]
@@ -901,10 +909,13 @@ class TestClassification:
                 beats_all = any(all(c[k] > c[j] for j in range(m) if j != k) for k in range(m))
                 assert is_leader_profile(p) == beats_all, p.ballots
 
-    def test_case_counts_cover_the_space(self):
-        verdict = verify_theorem(2, 3)
+    @pytest.mark.parametrize("m,n_max", [(2, 3), (40, 3), (3, 20), (2, 40)])
+    def test_case_counts_cover_the_space(self, m, n_max):
+        # each class weighs n! / prod c_b!, read off its counts: the weights
+        # sum to the (m + 1)^n ordered profiles of each level
+        verdict = verify_theorem(m, n_max)
         assert sum(verdict.case_counts.values()) == sum(
-            profile_count(2, n) for n in range(1, 4)
+            profile_count(m, n) for n in range(1, n_max + 1)
         )
 
     @pytest.mark.parametrize("m,n_max", [(2, 4), (3, 3), (4, 2)])
