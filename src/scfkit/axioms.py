@@ -36,7 +36,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from itertools import combinations_with_replacement, groupby, islice, permutations, product
+from itertools import groupby, islice, permutations
 from typing import Callable, Iterable, Iterator
 
 from .core import (
@@ -44,6 +44,7 @@ from .core import (
     Profile,
     VoterPermutation,
     _counts,
+    _profiles,
     apply_candidate_permutation,
     apply_voter_permutation,
     ballot_counts,
@@ -251,14 +252,6 @@ def _scans_classes(f, anonymity: Witness | None) -> bool:
     return isinstance(f, TabledFunction) or anonymity is None
 
 
-def _profiles(m: int, n_min: int, n_max: int, by_class: bool) -> Iterator[tuple[int, ...]]:
-    """The ballots of the profiles of n_min..n_max voters in (n, profile)
-    stream order: one sorted tuple per class, or every ordered tuple."""
-    values = range(m + 1)
-    for n in range(n_min, n_max + 1):
-        yield from combinations_with_replacement(values, n) if by_class else product(values, repeat=n)
-
-
 def _first_witness(
     witness_of: Callable, value: Callable, m: int, stream: Iterable[tuple[int, ...]], tie_upgrade: str
 ) -> Witness | None:
@@ -301,7 +294,7 @@ def _class_ids(m: int, n_max: int) -> Iterator[tuple[list[tuple[int, ...]], list
     keys: list[tuple[int, ...]] = [()]
     ids = [0]
     for n in range(1, n_max + 1):
-        level = list(combinations_with_replacement(ballots, n))
+        level = list(_profiles(m, n, n, True))
         index = {key: i for i, key in enumerate(level)}
         child = [[index[tuple(sorted(key + (b,)))] for b in ballots] for key in keys]
         ids = [c for i in ids for c in child[i]]

@@ -6,10 +6,9 @@ tie / no decision), so an outcome can be fed back in as a ballot -- the
 subsociety-reduction axiom depends on that.
 
 Ballots are counted in one place, :func:`_counts` over a ballot tuple, which
-:func:`ballot_counts` calls for a profile.  Code that walks the anonymity
-classes and needs their counts reads them from one stream,
-:func:`_classes`: each class's sorted ballots and count vector, in
-``enumerate_profiles(m, n, canonical_only=True)`` order.
+:func:`ballot_counts` calls for a profile.  Every walk over the profile space
+reads its ballot tuples from one stream, :func:`_profiles`: one sorted tuple
+per anonymity class, or every ordered tuple, level by level.
 
 All values here are immutable.
 """
@@ -18,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations_with_replacement, product
+from itertools import chain, combinations_with_replacement, product
 from typing import Iterator
 
 __all__ = [
@@ -252,22 +251,20 @@ def enumerate_profiles(m: int, n: int, canonical_only: bool = False) -> Iterator
         raise ValueError(f"candidate count must be >= 2, got {m}")
     if n < 1:
         raise ValueError(f"voter count must be >= 1, got {n}")
-    values = range(m + 1)
-    source = combinations_with_replacement(values, n) if canonical_only else product(values, repeat=n)
     trusted = Profile._trusted
-    for ballots in source:
+    for ballots in _profiles(m, n, n, canonical_only):
         yield trusted(m, ballots)
 
 
-def _classes(m: int, n_max: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """Each anonymity class of 1..n_max voters as ``(ballots, counts)``, its
-    sorted ballots and its count vector (:func:`_counts` as a tuple), in the
-    order of ``enumerate_profiles(m, n, canonical_only=True)`` for n = 1, 2,
-    ...  The scope is not validated."""
+def _profiles(m: int, n_min: int, n_max: int, by_class: bool) -> Iterator[tuple[int, ...]]:
+    """The ballots of the profiles of n_min..n_max voters in (n, profile)
+    order, lexicographic within a level: one sorted tuple per anonymity
+    class, or every ordered tuple.  The scope is not validated."""
     values = range(m + 1)
-    for n in range(1, n_max + 1):
-        for ballots in combinations_with_replacement(values, n):
-            yield ballots, tuple(_counts(m, ballots))
+    return chain.from_iterable(
+        combinations_with_replacement(values, n) if by_class else product(values, repeat=n)
+        for n in range(n_min, n_max + 1)
+    )
 
 
 def profile_count(m: int, n: int, canonical_only: bool = False) -> int:

@@ -5,8 +5,9 @@ outcome.  The named rules here are total and deterministic; ``TabledFunction``
 is the finite, canonical-profile-keyed representation the search engine
 enumerates over.
 
-The named rules count ballots with :func:`~scfkit.core.ballot_counts`, one
-list per evaluation, rather than building a :class:`~scfkit.core.Tally`.  A
+The named rules count ballots with the one count function of
+:mod:`scfkit.core`, one list per evaluation, rather than building a
+:class:`~scfkit.core.Tally`.  A
 table looks its key up as given and sorts only ballots that miss.
 """
 
@@ -15,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .core import Outcome, Profile, ballot_counts, enumerate_profiles
+from .core import Outcome, Profile, _counts, _profiles
 
 __all__ = [
     "Rule",
@@ -44,7 +45,7 @@ class Rule:
 def majority_rule(p: Profile) -> Outcome:
     """The candidate with strictly more votes than every other; 0 on any top
     tie or when nobody votes."""
-    counts = ballot_counts(p)
+    counts = _counts(p.m, p.ballots)
     counts[0] = 0  # abstentions elect nobody
     best = max(counts)
     if best > 0 and counts.count(best) == 1:
@@ -55,7 +56,7 @@ def majority_rule(p: Profile) -> Outcome:
 def unanimity_consent(p: Profile) -> Outcome:
     """A candidate wins only when no one voted for anyone else (abstentions
     allowed); otherwise a tie."""
-    counts = ballot_counts(p)
+    counts = _counts(p.m, p.ballots)
     supported = [k for k in range(1, p.m + 1) if counts[k]]
     return supported[0] if len(supported) == 1 else 0
 
@@ -65,7 +66,7 @@ def lexicographic_first(p: Profile) -> Outcome:
 
     Deliberately candidate-biased: used as the neutrality counterexample.
     """
-    counts = ballot_counts(p)
+    counts = _counts(p.m, p.ballots)
     for k in range(1, p.m + 1):
         if counts[k]:
             return k
@@ -160,10 +161,8 @@ class TabledFunction:
         keys are canonical by construction; the outcomes are range-checked
         once every profile has been evaluated."""
         _check_scope(m, n_max)
-        table = {}
-        for n in range(1, n_max + 1):
-            for p in enumerate_profiles(m, n, canonical_only=True):
-                table[p.ballots] = rule.evaluate(p)
+        trusted = Profile._trusted
+        table = {ballots: rule.evaluate(trusted(m, ballots)) for ballots in _profiles(m, 1, n_max, True)}
         for key, out in table.items():
             if not 0 <= out <= m:
                 _check_entry(m, n_max, key, out)

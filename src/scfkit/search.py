@@ -3,12 +3,13 @@
 Functions are represented as outcome tables over canonical (sorted) profiles
 up to a voter bound, so anonymity is structural rather than searched over.
 Inside the engine a cell is its count vector (abstentions, then each
-candidate's votes), which determines the class.  The cells and their count
-vectors come from the class stream of :mod:`scfkit.core`, as do the orbits
-of :func:`neutral_orbits` and the classes of :func:`verify_theorem`'s case
-partition, where a class counts for its n! / prod c_b! orderings.  Outcomes
-and the PO, DP, RS and PR facts are kept at orbit representatives only; a
-member's outcome is its representative's, relabeled on read.
+candidate's votes), which determines the class.  The cells come from the
+profile stream of :mod:`scfkit.core` and are counted by its one count
+function, as are the classes of :func:`neutral_orbits` and of
+:func:`verify_theorem`'s case partition, where a class counts for its
+n! / prod c_b! orderings.  Outcomes and the PO, DP, RS and PR facts are kept
+at orbit representatives only; a member's outcome is its representative's,
+relabeled on read.
 The engine fixes the table level by level (n = 1 upward).  Once the levels
 below n are fixed, every level-n constraint except PR is an equation between
 level-n cells:
@@ -65,9 +66,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import groupby, islice, permutations, product
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator
 
-from .core import Profile, _classes, ballot_counts
+from .core import Profile, _counts, _profiles, ballot_counts
 from .rules import RULES, TabledFunction, _check_scope
 from .axioms import _COST_CAP, CHECK_MAX_COST, AxiomReport, PR_TIE_MODES, check_axioms
 
@@ -154,7 +155,7 @@ class SearchResult:
 
 
 def _orbits(
-    counts: Sequence[tuple[int, ...]], index: dict[tuple[int, ...], int], m: int
+    counts: list[tuple[int, ...]], index: dict[tuple[int, ...], int], m: int
 ) -> tuple[list[int], list[tuple[int, ...]], dict[int, tuple[int, ...]]]:
     """Each cell's orbit representative and label, and each representative's
     fixed outcomes, for the cells with count vectors ``counts`` (every
@@ -297,8 +298,8 @@ class _Engine:
         self.m = m
         # a cell's count vector determines its class, so the engine works on
         # it throughout; the sorted ballots key the solution tables
-        cells, counts = zip(*_classes(m, n_max))
-        self.cells = cells
+        self.cells = cells = list(_profiles(m, 1, n_max, True))
+        counts = [tuple(_counts(m, c)) for c in cells]
         self.index = index = {c: i for i, c in enumerate(counts)}
         self.out: list[int | None] = [None] * len(cells)  # set at representatives only
 
@@ -520,11 +521,14 @@ def neutral_orbits(m: int, n_max: int) -> list[NeutralOrbit]:
     """Orbits of canonical profiles under candidate relabelings, in
     (n, representative) order.  A representative's candidate counts are
     non-increasing, so its stabilizer permutes each block of equal-count
-    candidates.  A scope whose table would need more than ``_MAX_CELLS``
-    cells is refused before any cell is built, as the search refuses it, and
-    more than ``CHECK_MAX_COST`` relabelings in all before any is listed."""
+    candidates.  The scope is validated as the search validates it.  A
+    scope whose table would need more than ``_MAX_CELLS`` cells is refused
+    before any cell is built, as the search refuses it, and more than
+    ``CHECK_MAX_COST`` relabelings in all before any is listed."""
+    _check_scope(m, n_max)
     _refuse_cells(m, n_max)
-    cells, counts = zip(*_classes(m, n_max))
+    cells = list(_profiles(m, 1, n_max, True))
+    counts = [tuple(_counts(m, c)) for c in cells]
     orbit, _, fixed = _orbits(counts, {c: i for i, c in enumerate(counts)}, m)
     blocks = {r: [list(b) for _, b in groupby(range(1, m + 1), key=counts[r].__getitem__)] for r in fixed}
     listed = sum(math.prod(math.factorial(len(b)) for b in bs) for bs in blocks.values())
@@ -664,13 +668,13 @@ def verify_theorem(
     # orderings, n! / prod c_b! of them
     case_counts = {"all_abstention": 0, "dominating_tie": 0, "leader": 0}
     partition_ok = True
-    for ballots, counts in _classes(m, n_max):
+    for ballots in _profiles(m, 1, n_max, True):
         try:
             case = classify_profile(Profile._trusted(m, ballots))
         except RuntimeError:  # the class falls into no case or into several
             partition_ok = False
             continue
-        case_counts[case] += math.factorial(len(ballots)) // math.prod(map(math.factorial, counts))
+        case_counts[case] += math.factorial(len(ballots)) // math.prod(map(math.factorial, _counts(m, ballots)))
 
     return TheoremVerdict(
         m=m,

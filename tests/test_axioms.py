@@ -653,8 +653,9 @@ def complete_tables(draw):
 
 
 def _spy_stream(mp, levels: list) -> None:
-    """Record, for each voter level a scan other than A's walks, whether it
-    walks one sorted profile per class."""
+    """Record, for each voter level a scan walks through the profile stream,
+    whether it walks one sorted profile per class.  A's scan takes only its
+    class keys from the stream, one level at a time."""
     original = axioms._profiles
 
     def stream(m, n_min, n_max, by_class):
@@ -696,8 +697,9 @@ class TestClassScan:
         monkeypatch.setattr(axioms, "enumerate_profiles", counting)
         _spy_stream(monkeypatch, scanned)
         check_pareto(MAJ, 2, 3)
-        # three ordered levels for the anonymity scan, then three class levels
-        assert scanned == [False] * 3 + [True] * 3
+        # the anonymity scan reads each level's classes, then walks its
+        # ordered profiles; then PO's three class levels
+        assert scanned == [True, False] * 3 + [True] * 3
         scanned.clear()
         check_pareto(TabledFunction.from_rule(MAJ, 2, 3), 2, 3)
         assert scanned == [True] * 3

@@ -1,5 +1,5 @@
 from dataclasses import FrozenInstanceError
-from itertools import combinations_with_replacement, permutations
+from itertools import combinations_with_replacement, permutations, product
 
 import pytest
 from hypothesis import given, strategies as st
@@ -225,16 +225,20 @@ class TestEnumeration:
             list(enumerate_profiles(2, 0))
 
 
-class TestClassStream:
+class TestProfileStream:
     @pytest.mark.parametrize("n_max", range(1, 6))
     @pytest.mark.parametrize("m", range(2, 7))
-    def test_yields_each_class_in_enumeration_order_with_its_counts(self, m, n_max):
-        stream = list(core._classes(m, n_max))
-        ballots = [b for b, _ in stream]
-        assert ballots == [c for n in range(1, n_max + 1) for c in combinations_with_replacement(range(m + 1), n)]
-        assert ballots == [p.ballots for n in range(1, n_max + 1) for p in enumerate_profiles(m, n, canonical_only=True)]
-        for b, counts in stream:
-            assert counts == tuple(sum(x == v for x in b) for v in range(m + 1)), b
+    def test_yields_each_class_in_enumeration_order(self, m, n_max):
+        stream = list(core._profiles(m, 1, n_max, True))
+        assert stream == [c for n in range(1, n_max + 1) for c in combinations_with_replacement(range(m + 1), n)]
+        assert stream == [p.ballots for n in range(1, n_max + 1) for p in enumerate_profiles(m, n, canonical_only=True)]
+        for b in stream:
+            assert core._counts(m, b) == [sum(x == v for x in b) for v in range(m + 1)], b
+
+    @pytest.mark.parametrize("m,n_min,n_max", [(2, 1, 3), (3, 2, 4), (4, 3, 3)])
+    def test_yields_every_ordered_profile_of_its_levels(self, m, n_min, n_max):
+        stream = list(core._profiles(m, n_min, n_max, False))
+        assert stream == [c for n in range(n_min, n_max + 1) for c in product(range(m + 1), repeat=n)]
 
 
 class TestProperties:

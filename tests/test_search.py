@@ -863,6 +863,14 @@ class TestNeutralOrbits:
             neutral_orbits(10, 1)
         assert sum(len(o.stabilizer) for o in neutral_orbits(9, 1)) == 403_200
 
+    @pytest.mark.parametrize(
+        "m,n_max,message",
+        [(3, 0, "voter bound must be >= 1, got 0"), (1, 2, "candidate count must be >= 2, got 1")],
+    )
+    def test_scope_is_validated(self, m, n_max, message):
+        with pytest.raises(ValueError, match=message):
+            neutral_orbits(m, n_max)
+
     def test_cell_limit_is_enforced_before_any_cell_is_built(self):
         # (9, 9) has 92,377 cells: refused with the search's refusal, not
         # after building them and their orbits
