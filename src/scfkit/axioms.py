@@ -18,12 +18,15 @@ maps a class of n - 1 voters and one more ballot to a class of n
 passes, every later scan reads f's values from those, so f is evaluated at
 most once per ordered profile per call.
 
-Every scan but A's walks ballot tuples, not :class:`~scfkit.core.Profile`
-objects: the scanned profiles, their relabelings, subprofiles, reductions
-and upgrades are tuples, and their supports, leaders and counts are read
-off the tuple.  f is read through one reader per call (:func:`_reader`): a
-table's dict directly, an f that passed A through its class outcomes, any
-other f by evaluating it.  A Profile is built only for a witness.
+Every scan walks ballot tuples from the profile stream of
+:mod:`scfkit.core`, not :class:`~scfkit.core.Profile` objects: the scanned
+profiles, their relabelings, subprofiles, reductions and upgrades are
+tuples, and their supports, leaders and counts are read off the tuple.  f
+is read through :func:`_reader`, and every lookup by class goes through one
+sorted-key reader over an outcome dict (:func:`_sorted_reader`): a table's
+dict, whose misses evaluate the table, or the class values, whose misses
+evaluate f on the sorted member and keep the outcome.  A Profile is built
+only where f.evaluate needs one, or for a witness.
 
 Neutrality is checked on two generators of the relabelings, the
 transposition (1 2) and the m-cycle; only a failure rescans with all m!
@@ -49,7 +52,6 @@ from .core import (
     apply_voter_permutation,
     ballot_counts,
     canonicalize,
-    enumerate_profiles,
     format_profile,
     profile_count,
 )
@@ -272,16 +274,15 @@ def _sorting_permutation(p: Profile) -> VoterPermutation:
     return VoterPermutation(p.n, tuple(image))
 
 
-# a class whose sorted member the A scan has not evaluated yet (f may return
-# anything, None included)
+# a key an outcome dict lacks (f may return anything, None included)
 _UNEVALUATED = object()
 
 
 def _class_ids(m: int, n_max: int) -> Iterator[tuple[list[tuple[int, ...]], list[int]]]:
     """Per level n = 1..n_max, ``(keys, ids)``: ``keys`` lists the classes'
-    sorted ballots in ``enumerate_profiles(m, n, canonical_only=True)``
-    order, and ``ids[t]`` is the index in ``keys`` of the class of the t-th
-    ordered profile in ``enumerate_profiles(m, n)`` order.
+    sorted ballots in the order of ``_profiles(m, n, n, True)``, and
+    ``ids[t]`` is the index in ``keys`` of the class of the t-th ordered
+    profile of ``_profiles(m, n, n, False)``.
 
     Nothing is sorted per ordered profile.  The ordered stream is
     prefix-major: each profile of n - 1 voters, in order, followed by each
@@ -308,27 +309,28 @@ def _anonymity_witness(f, m: int, n_max: int, values: dict[tuple[int, ...], int]
 
     Each profile's class is read off :func:`_class_ids`, not found by
     sorting.  A class's first member in stream order is its sorted one, the
-    lexicographic minimum of its orderings, and is skipped; f is evaluated
-    once per later, non-canonical member.  The sorted member's outcome is
-    evaluated the first time its class needs it, after that profile's own,
-    and kept in a per-level list by class and in ``values`` under the sorted
-    ballots for the rest of the call.  A class with one ordering, one ballot
-    value repeated, is never evaluated here.
+    lexicographic minimum of its orderings, and is skipped; f is read once
+    at each later, non-canonical member, as it is (``_reader`` without
+    classes).  The sorted member's outcome is read through the class values
+    (``_reader`` by class) the first time its class needs it, after that
+    profile's own, which keeps it in ``values`` for the rest of the call,
+    and in a per-level list by class for the rest of the scan.  A class
+    with one ordering, one ballot value repeated, is never read here.
     """
-    evaluate, trusted = f.evaluate, Profile._trusted
+    read, class_value = _reader(f, m, False, values), _reader(f, m, True, values)
     for n, (keys, ids) in enumerate(_class_ids(m, n_max), start=1):
         seen = bytearray(len(keys))
         outcomes = [_UNEVALUATED] * len(keys)
-        for p, i in zip(enumerate_profiles(m, n), ids):
+        for ballots, i in zip(_profiles(m, n, n, False), ids):
             if not seen[i]:
                 seen[i] = 1
                 continue
-            actual = evaluate(p)
+            actual = read(ballots)
             expected = outcomes[i]
             if expected is _UNEVALUATED:
-                key = keys[i]
-                expected = outcomes[i] = values[key] = evaluate(trusted(m, key))
+                expected = outcomes[i] = class_value(keys[i])
             if actual != expected:
+                p = Profile._trusted(m, ballots)
                 return Witness(
                     profile=p,
                     related_profile=canonicalize(p),
@@ -339,56 +341,55 @@ def _anonymity_witness(f, m: int, n_max: int, values: dict[tuple[int, ...], int]
     return None
 
 
-class _ClassValues:
-    """An f that passed the A scan, read through its class values: f at some
-    ballots is the outcome kept for their class, and a class the A scan
-    never evaluated is evaluated on its sorted member the first time a scan
-    needs it.  So f is evaluated at most once per ordered profile in one
-    call, and nothing outlives the call."""
+def _sorted_reader(
+    outcomes: dict[tuple[int, ...], int], miss: Callable[[tuple[int, ...]], int]
+) -> Callable[[tuple[int, ...]], int]:
+    """``value(ballots)``: the outcome ``outcomes`` holds for the ballots'
+    class, or ``miss(key)`` at the class's sorted ballots when it holds
+    none.  The keys are sorted, so a hit on the ballots as given is their
+    class: only unsorted ballots, or a miss, are sorted."""
+    get, missing = outcomes.get, _UNEVALUATED
 
-    def __init__(self, f, m: int, values: dict[tuple[int, ...], int]):
-        self.f, self.m, self.values = f, m, values
-
-    def evaluate(self, ballots: tuple[int, ...]) -> int:
-        values = self.values
-        out = values.get(ballots, _UNEVALUATED)  # the keys are sorted: a hit is the class
-        if out is _UNEVALUATED:
+    def evaluate(ballots: tuple[int, ...]) -> int:
+        out = get(ballots, missing)
+        if out is missing:
             key = tuple(sorted(ballots))
-            out = values.get(key, _UNEVALUATED)
-            if out is _UNEVALUATED:
-                out = values[key] = self.f.evaluate(Profile._trusted(self.m, key))
+            out = get(key, missing)
+            if out is missing:
+                out = miss(key)
         return out
+
+    return evaluate
 
 
 def _reader(f, m: int, by_class: bool, values: dict[tuple[int, ...], int]) -> Callable[[tuple[int, ...]], int]:
-    """How every scan but A's reads f in one call: ``value(ballots)``, f's
-    outcome at the profile with those ballots.
+    """How every scan reads f in one call: ``value(ballots)``, f's outcome at
+    the profile with those ballots.
 
-    A table over the scope's m is read directly; only ballots whose class
-    has no entry, or which exceed the table's voter bound, fall back to
-    ``f.evaluate``, which raises as it always does.  A table over another m
-    is evaluated, and raises at once.  An f that passed the A scan is read
-    through its class values, one that failed it is evaluated at every
-    profile.
+    A table over the scope's m is read from its dict (:func:`_sorted_reader`);
+    a miss, a class with no entry or ballots past the table's voter bound,
+    evaluates the table, which raises as it always does.  A table over
+    another m is evaluated, and raises at once.  With ``by_class`` any other
+    f is read through its class values ``values``: a miss evaluates f on the
+    class's sorted member and keeps the outcome there for the rest of the
+    call.  Without, f is evaluated at every profile.  A
+    :class:`~scfkit.core.Profile` is built only for f.evaluate.
     """
     trusted = Profile._trusted
+
+    def read(ballots: tuple[int, ...]) -> int:
+        return f.evaluate(trusted(m, ballots))
+
     if isinstance(f, TabledFunction):
-        if f.m == m:
-            get = f.table.get
+        return _sorted_reader(f.table, read) if f.m == m else read
+    if not by_class:
+        return read
 
-            def evaluate(ballots: tuple[int, ...]) -> int:
-                # the keys are sorted and no outcome is None: a hit is the class
-                out = get(ballots)
-                if out is None:
-                    out = get(tuple(sorted(ballots)))
-                    if out is None:
-                        out = f.evaluate(trusted(m, ballots))
-                return out
+    def keep(key: tuple[int, ...]) -> int:
+        out = values[key] = read(key)
+        return out
 
-            return evaluate
-    elif by_class:
-        return _ClassValues(f, m, values).evaluate
-    return lambda ballots: f.evaluate(trusted(m, ballots))
+    return _sorted_reader(values, keep)
 
 
 @functools.lru_cache(maxsize=1)
@@ -550,8 +551,7 @@ def reduce_profile(f, p: Profile) -> Profile:
     m = p.m
     if len(p.ballots) < 2:
         raise ValueError("subsociety reduction needs at least 2 voters")
-    trusted = Profile._trusted
-    return trusted(m, _reduced(lambda ballots: f.evaluate(trusted(m, ballots)), m, p.ballots))
+    return Profile._trusted(m, _reduced(_reader(f, m, False, {}), m, p.ballots))
 
 
 def _reducibility(value: Callable, m: int, ballots: tuple[int, ...], tie_upgrade: str) -> Witness | None:
@@ -636,14 +636,13 @@ def check_axioms(f, m: int, n_max: int, axioms: Iterable[str], tie_upgrade: str 
 
     The scope is validated and the whole call estimated before f is
     evaluated.  Anonymity is established once: by the A scan, which is also
-    the A report, or by construction for a :class:`TabledFunction`.  The
-    other axioms' scans walk ballot tuples and read f through one reader
-    (:func:`_reader`): a table's entries directly, the class outcomes the A
-    scan kept when it passed (:class:`_ClassValues`), evaluating only the
-    classes it never needed, or f itself when f is not anonymous.  In that
-    last case the ordered fallbacks of the other axioms are estimated
-    together before any of them is scanned.  A :class:`Profile` is built
-    only for a witness.
+    the A report, or by construction for a :class:`TabledFunction`.  Every
+    scan walks ballot tuples and reads f through :func:`_reader`: a table's
+    entries directly, the class outcomes the A scan kept when it passed,
+    evaluating only the classes it never needed, or f itself when f is not
+    anonymous.  In that last case the ordered fallbacks of the other axioms
+    are estimated together before any of them is scanned.  A
+    :class:`Profile` is built only for f.evaluate or a witness.
     """
     axioms = list(axioms)
     _check_scope(m, n_max)
@@ -720,7 +719,8 @@ def replay_witness(f, report: AxiomReport) -> bool:
     """Re-derive a failing report's violation from its recorded configuration.
 
     Returns True iff evaluating ``f`` reproduces the recorded outcomes and
-    they genuinely violate the axiom's definition.
+    they genuinely violate the axiom's definition.  A pair must name two
+    candidates i < j, an upgrade a candidate and a voter of the profile.
     """
     if report.passed or report.witness is None:
         return False
@@ -746,6 +746,8 @@ def replay_witness(f, report: AxiomReport) -> bool:
         )
     if report.axiom == "DP":
         i, j = w.pair
+        if not 1 <= i < j <= p.m:
+            return False
         support = _support(p.ballots)
         return all(k in (i, j) for k in support) and f.evaluate(p) == w.actual and w.actual not in (0, i, j)
     if report.axiom == "PO":
@@ -761,7 +763,7 @@ def replay_witness(f, report: AxiomReport) -> bool:
         )
     if report.axiom == "PR":
         k, l = w.candidate, w.voter
-        if p.ballots[l - 1] == k:
+        if not (1 <= k <= p.m and 1 <= l <= p.n) or p.ballots[l - 1] == k:
             return False
         upgraded = Profile(p.m, p.ballots[: l - 1] + (k,) + p.ballots[l:])
         if upgraded != w.related_profile or f.evaluate(upgraded) != w.actual or w.actual == k:
@@ -776,6 +778,8 @@ def replay_witness(f, report: AxiomReport) -> bool:
         return False
     if report.axiom == "NTW":
         i, j = w.pair
+        if not 1 <= i < j <= p.m:
+            return False
         counts = ballot_counts(p)
         return counts[i] == counts[j] and f.evaluate(p) == w.actual and w.actual in (i, j)
     return False

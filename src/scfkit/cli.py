@@ -88,20 +88,12 @@ def cmd_eval(args, parser) -> int:
     return EXIT_OK
 
 
-def _refuse(exc: Exception) -> int:
-    print(f"error: scope infeasible: {exc}", file=sys.stderr)
-    return EXIT_USAGE
-
-
 def cmd_check(args, parser) -> int:
     axioms = _parse_axioms(args.axioms, _CHECKABLE, parser)
     if "RS" in axioms and args.n_max < 2:
         parser.error("--n-max must be >= 2 to check RS")
     tie = _tie_mode(args)
-    try:
-        results = check_axioms(RULES[args.rule], args.m, args.n_max, axioms, tie)
-    except CheckInfeasibleError as exc:
-        return _refuse(exc)
+    results = check_axioms(RULES[args.rule], args.m, args.n_max, axioms, tie)
     for report in results:
         if report.passed:
             print(f"{report.axiom}: pass")
@@ -137,10 +129,7 @@ def cmd_search(args, parser) -> int:
         max_nodes=args.max_nodes,
         pr_tie_upgrade=_tie_mode(args),
     )
-    try:
-        result = enumerate_functions(spec)
-    except SearchInfeasibleError as exc:
-        return _refuse(exc)
+    result = enumerate_functions(spec)
     print(f"solutions: {len(result.solutions)}")
     print(f"exhausted: {result.exhausted}")
     print(f"nodes_explored: {result.nodes_explored}")
@@ -176,12 +165,7 @@ def cmd_search(args, parser) -> int:
 
 
 def cmd_verify_theorem(args, parser) -> int:
-    try:
-        verdict = verify_theorem(
-            args.m, args.n_max, include_dp=args.dp, max_nodes=args.max_nodes
-        )
-    except (SearchInfeasibleError, CheckInfeasibleError) as exc:
-        return _refuse(exc)
+    verdict = verify_theorem(args.m, args.n_max, include_dp=args.dp, max_nodes=args.max_nodes)
     for key, value in verdict.to_dict().items():
         print(f"{key}: {value}")
     if args.out:
@@ -192,10 +176,7 @@ def cmd_verify_theorem(args, parser) -> int:
 
 
 def cmd_verify_independence(args, parser) -> int:
-    try:
-        verdict = verify_independence(args.m, args.n_max)
-    except CheckInfeasibleError as exc:
-        return _refuse(exc)
+    verdict = verify_independence(args.m, args.n_max)
     for rule, fails in sorted(verdict.failures.items()):
         print(f"{rule}: fails {','.join(fails) if fails else '(none)'}")
     for note in verdict.mismatches:
@@ -286,7 +267,12 @@ def main(argv=None) -> int:
         parser.error("verify-theorem needs --n-max >= 2")
     if args.command == "verify-independence" and args.n_max < 3:
         parser.error("verify-independence needs --n-max >= 3")
-    return args.func(args, parser)
+    try:
+        return args.func(args, parser)
+    except (CheckInfeasibleError, SearchInfeasibleError) as exc:
+        # a scope refused before any work started, with its estimate
+        print(f"error: scope infeasible: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 def entry_point() -> None:

@@ -318,20 +318,15 @@ class _Engine:
 
         # The engine reads the facts below at representatives only (see the
         # module docstring), so only representatives get them.
-        candidates = range(1, m + 1)
-        supports = {r: [k for k in candidates if counts[r][k]] for r in reps}
         # PO forces the one candidate that gets votes.  DP: a class whose votes
         # go to at most two candidates is a duel of every pair holding them, so
         # its outcome is 0 or in its support; at m = 2 the one pair holds every
         # outcome and DP never constrains.
-        self.po_forced = (
-            {r: s[0] if len(s) == 1 else None for r, s in supports.items()} if "PO" in spec.axioms else None
-        )
-        self.dp_allowed = (
-            {r: frozenset((0, *s)) if len(s) <= 2 else None for r, s in supports.items()}
-            if "DP" in spec.axioms and m > 2
-            else None
-        )
+        po, dp = "PO" in spec.axioms, "DP" in spec.axioms and m > 2
+        candidates = range(1, m + 1)
+        supports = {r: [k for k in candidates if counts[r][k]] for r in reps} if po or dp else {}
+        self.po_forced = {r: s[0] if len(s) == 1 else None for r, s in supports.items()} if po else None
+        self.dp_allowed = {r: frozenset((0, *s)) if len(s) <= 2 else None for r, s in supports.items()} if dp else None
 
         # RS: deleting one of c[b] voters with ballot b leaves c with b's count
         # one lower, so each representative of two or more voters keeps
@@ -519,18 +514,16 @@ class NeutralOrbit:
 
 def neutral_orbits(m: int, n_max: int) -> list[NeutralOrbit]:
     """Orbits of canonical profiles under candidate relabelings, in
-    (n, representative) order.  A representative's candidate counts are
+    (n, representative) order, read off the engine with N alone: its
+    cells, orbits and fixed outcomes.  So the scope is validated, and a
+    table of more than ``_MAX_CELLS`` cells refused before any cell is
+    built, as the search does.  A representative's candidate counts are
     non-increasing, so its stabilizer permutes each block of equal-count
-    candidates.  The scope is validated as the search validates it.  A
-    scope whose table would need more than ``_MAX_CELLS`` cells is refused
-    before any cell is built, as the search refuses it, and more than
-    ``CHECK_MAX_COST`` relabelings in all before any is listed."""
-    _check_scope(m, n_max)
-    _refuse_cells(m, n_max)
-    cells = list(_profiles(m, 1, n_max, True))
-    counts = [tuple(_counts(m, c)) for c in cells]
-    orbit, _, fixed = _orbits(counts, {c: i for i, c in enumerate(counts)}, m)
-    blocks = {r: [list(b) for _, b in groupby(range(1, m + 1), key=counts[r].__getitem__)] for r in fixed}
+    candidates; more than ``CHECK_MAX_COST`` relabelings in all are refused
+    before any is listed."""
+    engine = _Engine(SearchSpec(m=m, n_max=n_max, axioms=frozenset({"N"})))
+    cells, fixed = engine.cells, engine.fixed
+    blocks = {r: [list(b) for _, b in groupby(range(1, m + 1), key=_counts(m, cells[r]).__getitem__)] for r in fixed}
     listed = sum(math.prod(math.factorial(len(b)) for b in bs) for bs in blocks.values())
     if listed > CHECK_MAX_COST:
         raise SearchInfeasibleError(
@@ -539,7 +532,7 @@ def neutral_orbits(m: int, n_max: int) -> list[NeutralOrbit]:
             tables=lambda: math.prod(len(allowed) for allowed in fixed.values()),
         )
     members = {r: [] for r in fixed}
-    for j, r in enumerate(orbit):
+    for j, r in enumerate(engine.orbit):
         members[r].append(cells[j])
     return [
         NeutralOrbit(

@@ -94,6 +94,19 @@ class TestReduceProfile:
         with pytest.raises(ValueError):
             reduce_profile(MAJ, Profile(2, (1,)))
 
+    def test_a_table_is_read_from_its_dict(self, monkeypatch):
+        # as the checkers read it; a subprofile past its voter bound is
+        # evaluated, and raises as TabledFunction.evaluate does
+        evaluated = []
+        original = TabledFunction.evaluate
+        monkeypatch.setattr(TabledFunction, "evaluate", lambda self, p: evaluated.append(p) or original(self, p))
+        table = TabledFunction.from_rule(MAJ, 2, 3)
+        assert reduce_profile(table, Profile(2, (2, 1, 1))).ballots == (1, 0, 0)
+        assert evaluated == []
+        with pytest.raises(ValueError) as err:
+            reduce_profile(table, Profile(2, (1,) * 5))
+        assert str(err.value) == "profile has 4 voters, table bound is 3"
+
     @settings(max_examples=300)
     @given(st.data())
     def test_equals_the_per_voter_reduction(self, data):
@@ -248,6 +261,23 @@ class TestAnonymityScan:
             with pytest.raises(KeyError) as err:
                 scan(partial, 2, 2)
             assert err.value.args == ((1, 0),)
+
+    def test_a_table_is_read_from_its_dict(self, monkeypatch):
+        # as in every other scan, a complete table is read, never evaluated;
+        # one of fewer voters, or over another m, is evaluated and raises as
+        # TabledFunction.evaluate does
+        evaluated = []
+        original = TabledFunction.evaluate
+        monkeypatch.setattr(TabledFunction, "evaluate", lambda self, p: evaluated.append(p) or original(self, p))
+        table = TabledFunction.from_rule(MAJ, 3, 4)
+        assert all(r.passed for r in check_axioms(table, 3, 4, ["A", "N", "RS"]))
+        assert evaluated == []
+        with pytest.raises(ValueError) as err:
+            check_anonymity(table, 3, 5)
+        assert str(err.value) == "profile has 5 voters, table bound is 4"
+        with pytest.raises(ValueError) as err:
+            check_anonymity(TabledFunction.from_rule(MAJ, 2, 3), 3, 3)
+        assert str(err.value) == "profile has m=3, table has m=2"
 
     def test_table_missing_only_single_member_classes_passes(self):
         maj = TabledFunction.from_rule(MAJ, 2, 2)
@@ -574,6 +604,26 @@ class TestNoTiedWinner:
         assert replay_witness(LEX, report)
 
 
+# forged witnesses: a pair that is not two candidates i < j, an upgrade by
+# no voter of the profile or to no candidate
+_FORGED = {
+    # (1, 1) holds the support of (1), and the outcome 2 lies outside {0, 1};
+    # at m = 2 the one duel pair holds every outcome, so this rule passes DP
+    "DP-equal-pair": (Rule("two", lambda p: 2), "DP", Witness(Profile(2, (1,)), actual=2, pair=(1, 1))),
+    "DP-reversed-pair": (THIRD_PARTY, "DP", Witness(Profile(3, (1, 2)), actual=3, pair=(2, 1))),
+    # voter 0 would read the last ballot, and upgrade (1) to (2, 1)
+    "PR-voter-0": (
+        ZERO,
+        "PR",
+        Witness(Profile(2, (1,)), 0, 2, Profile(2, (2, 1)), candidate=2, voter=0, note="pr:tie:always"),
+    ),
+    "PR-voter-past-n": (ZERO, "PR", Witness(Profile(2, (1,)), 0, 2, Profile(2, (2,)), candidate=2, voter=2)),
+    "PR-candidate-past-m": (ZERO, "PR", Witness(Profile(2, (1,)), 0, 3, Profile(2, (2,)), candidate=3, voter=1)),
+    "NTW-pair-past-m": (LEX, "NTW", Witness(Profile(2, (1, 2)), actual=1, pair=(1, 5))),
+    "NTW-reversed-pair": (LEX, "NTW", Witness(Profile(2, (1, 2)), actual=1, pair=(2, 1))),
+}
+
+
 class TestCheckerInfrastructure:
     def test_scope_validation(self):
         with pytest.raises(ValueError):
@@ -593,6 +643,11 @@ class TestCheckerInfrastructure:
 
     def test_replay_rejects_passing_reports(self):
         assert not replay_witness(MAJ, check_rs(MAJ, 2, 2))
+
+    @pytest.mark.parametrize("name", list(_FORGED))
+    def test_replay_rejects_forged_witnesses(self, name):
+        f, axiom, witness = _FORGED[name]
+        assert replay_witness(f, AxiomReport(axiom, witness.profile.m, 2, False, witness)) is False
 
     def test_every_failing_report_replays(self):
         cases = [
@@ -654,8 +709,8 @@ def complete_tables(draw):
 
 def _spy_stream(mp, levels: list) -> None:
     """Record, for each voter level a scan walks through the profile stream,
-    whether it walks one sorted profile per class.  A's scan takes only its
-    class keys from the stream, one level at a time."""
+    whether it walks one sorted profile per class.  A's scan walks one level
+    at a time: its class keys, then its ordered profiles."""
     original = axioms._profiles
 
     def stream(m, n_min, n_max, by_class):
@@ -666,7 +721,7 @@ def _spy_stream(mp, levels: list) -> None:
 
 
 def _spy_reader(mp, calls: list) -> None:
-    """Record the ballots at which each scan other than A's reads f."""
+    """Record the ballots at which each scan, A's included, reads f."""
     original = axioms._reader
 
     def reader(*args):
@@ -688,13 +743,6 @@ class TestClassScan:
 
     def test_anonymous_rule_scans_one_profile_per_class(self, monkeypatch):
         scanned = []
-        original = axioms.enumerate_profiles
-
-        def counting(m, n, canonical_only=False):
-            scanned.append(canonical_only)
-            return original(m, n, canonical_only=canonical_only)
-
-        monkeypatch.setattr(axioms, "enumerate_profiles", counting)
         _spy_stream(monkeypatch, scanned)
         check_pareto(MAJ, 2, 3)
         # the anonymity scan reads each level's classes, then walks its
@@ -821,14 +869,14 @@ class TestCheckAxioms:
 
     def test_anonymity_is_scanned_once_per_call(self, monkeypatch):
         levels = []
-        original = axioms.enumerate_profiles
+        original = axioms._profiles
 
-        def counting(m, n, canonical_only=False):
-            if not canonical_only:
-                levels.append(n)
-            return original(m, n, canonical_only=canonical_only)
+        def counting(m, n_min, n_max, by_class):
+            if not by_class:
+                levels.extend(range(n_min, n_max + 1))
+            return original(m, n_min, n_max, by_class)
 
-        monkeypatch.setattr(axioms, "enumerate_profiles", counting)
+        monkeypatch.setattr(axioms, "_profiles", counting)
         six = ["A", "N", "DP", "PO", "RS", "PR"]
         assert all(r.passed for r in check_axioms(MAJ, 3, 3, six))
         assert levels == [1, 2, 3]
@@ -1143,19 +1191,29 @@ class TestCallEstimate:
         st.sampled_from(PR_TIE_MODES),
     )
     def test_evaluations_never_exceed_the_estimate(self, case, requested, mode):
-        # a complete table's scans read its dict, not f.evaluate, so each read
-        # through the scans' reader counts once, and each evaluation of f
-        # outside a read (the A scan's) once more
+        # every scan, A's included, reads f through ``_reader``, so each read
+        # counts once, and each evaluation of f outside a read once more.
+        # Each scan is bounded by its own axiom's estimate, so slack in one
+        # cannot hide another's shortfall: A's and N's scans as a whole, N's
+        # with its rescan; the other scans at each profile they check, by the
+        # evaluations per profile that their estimate multiplies
         f, m, n_max = case
-        estimates, reads, evaluations = [], [], []
+        reads: dict[str | None, int] = {}  # by the axiom being scanned
+        per_profile = []  # (axiom, voters, reads) for each profile checked
+        rescans, by_class = [], []
+        scan = [None]  # the axiom being scanned
         reading = []  # the ballots being read, while a read runs
         refuse, reader, evaluate = axioms._refuse_above, axioms._reader, TabledFunction.evaluate
+        scans_classes = axioms._scans_classes
+
+        def counted():
+            reads[scan[0]] = reads.get(scan[0], 0) + 1
 
         def counted_reader(*args):
             value = reader(*args)
 
             def read(ballots):
-                reads.append(ballots)
+                counted()
                 reading.append(ballots)
                 try:
                     return value(ballots)
@@ -1166,18 +1224,54 @@ class TestCallEstimate:
 
         def outside_reads(p):
             if not reading:
-                evaluations.append(p.ballots)
+                counted()
+
+        def scanning(axiom, run):
+            def wrapped(*args):
+                scan[0] = axiom
+                try:
+                    return run(*args)
+                finally:
+                    scan[0] = None
+
+            return wrapped
+
+        def checking(axiom, witness_of):
+            def wrapped(value, m, ballots, tie_upgrade):
+                before = reads.get(axiom, 0)
+                try:
+                    return scanning(axiom, witness_of)(value, m, ballots, tie_upgrade)
+                finally:
+                    per_profile.append((axiom, len(ballots), reads.get(axiom, 0) - before))
+
+            return wrapped
+
+        def refusing(cost, task):
+            if task.startswith("rescanning N"):
+                rescans.append(cost)
+            return refuse(cost, task)
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(axioms, "_refuse_above", lambda cost, task: estimates.append(cost) or refuse(cost, task))
+            mp.setattr(axioms, "_refuse_above", refusing)
             mp.setattr(axioms, "_reader", counted_reader)
+            mp.setattr(axioms, "_scans_classes", lambda *args: by_class.append(scans_classes(*args)) or by_class[-1])
+            mp.setattr(axioms, "_anonymity_witness", scanning("A", axioms._anonymity_witness))
+            mp.setattr(axioms, "_neutrality_witness", scanning("N", axioms._neutrality_witness))
+            for ax, (witness_of, n_min) in axioms._SCANS.items():
+                mp.setitem(axioms._SCANS, ax, (checking(ax, witness_of), n_min))
             if isinstance(f, Rule):
                 rule = f
                 f = Rule(rule.name, lambda p: outside_reads(p) or rule.evaluate(p))
             else:
                 mp.setattr(TabledFunction, "evaluate", lambda self, p: outside_reads(p) or evaluate(self, p))
             check_axioms(f, m, n_max, requested, mode)
-        assert len(reads) + len(evaluations) <= sum(estimates)
+        assert None not in reads
+        (classes,) = by_class
+        ordered = not classes
+        assert reads.get("A", 0) <= check_cost("A", m, n_max)
+        assert reads.get("N", 0) <= check_cost("N", m, n_max, tabled=True, ordered=ordered) + sum(rescans)
+        for ax, n, count in per_profile:
+            assert count <= axioms._evaluations_per_class(ax, m, n, ordered), (ax, n)
 
 
 # The checkers' scans as written over Profile objects, before they walked

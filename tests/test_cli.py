@@ -120,14 +120,14 @@ class TestCheck:
 
     def test_six_axiom_check_scans_each_ordered_level_once(self, capsys, monkeypatch):
         levels = []
-        original = axioms.enumerate_profiles
+        original = axioms._profiles
 
-        def counting(m, n, canonical_only=False):
-            if not canonical_only:
-                levels.append(n)
-            return original(m, n, canonical_only=canonical_only)
+        def counting(m, n_min, n_max, by_class):
+            if not by_class:
+                levels.extend(range(n_min, n_max + 1))
+            return original(m, n_min, n_max, by_class)
 
-        monkeypatch.setattr(axioms, "enumerate_profiles", counting)
+        monkeypatch.setattr(axioms, "_profiles", counting)
         assert run(["check", "--rule", "maj", "--m", "3", "--n-max", "3",
                     "--axioms", "A,N,DP,PO,RS,PR"]) == 0
         assert levels == [1, 2, 3]
