@@ -1194,9 +1194,10 @@ class TestCallEstimate:
         # every scan, A's included, reads f through ``_reader``, so each read
         # counts once, and each evaluation of f outside a read once more.
         # Each scan is bounded by its own axiom's estimate, so slack in one
-        # cannot hide another's shortfall: A's and N's scans as a whole, N's
-        # with its rescan; the other scans at each profile they check, by the
-        # evaluations per profile that their estimate multiplies
+        # cannot hide another's shortfall: every scan as a whole, N's with
+        # its rescan, which bounds the profiles it walks; the DP, PO, RS, PR
+        # and NTW scans also at each profile they check, by the evaluations
+        # per profile that their estimate multiplies
         f, m, n_max = case
         reads: dict[str | None, int] = {}  # by the axiom being scanned
         per_profile = []  # (axiom, voters, reads) for each profile checked
@@ -1270,6 +1271,8 @@ class TestCallEstimate:
         ordered = not classes
         assert reads.get("A", 0) <= check_cost("A", m, n_max)
         assert reads.get("N", 0) <= check_cost("N", m, n_max, tabled=True, ordered=ordered) + sum(rescans)
+        for ax in axioms._SCANS:
+            assert reads.get(ax, 0) <= check_cost(ax, m, n_max, tabled=True, ordered=ordered), ax
         for ax, n, count in per_profile:
             assert count <= axioms._evaluations_per_class(ax, m, n, ordered), (ax, n)
 
