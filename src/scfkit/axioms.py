@@ -30,8 +30,13 @@ only where f.evaluate needs one, or for a witness.
 
 Neutrality is checked on two generators of the relabelings, the
 transposition (1 2) and the m-cycle; only a failure rescans with all m!
-relabelings, to report the same minimal witness.  Reducibility evaluates f
-once per distinct voter-deleted subprofile.
+relabelings, to report the same minimal witness.  A scan applies each
+relabeling through one lookup tuple (0, *image), built once per scan, to
+ballots and to f's outcome alike, so the outcome is first range-checked as
+PR checks it.  Reducibility evaluates f once per distinct voter-deleted
+subprofile; the reduced profile's outcomes are tested for membership in
+[0, m] as they come, which never raises, and only a profile with an
+outcome outside goes through the validating constructor.
 """
 
 from __future__ import annotations
@@ -375,10 +380,10 @@ def _reader(f, m: int, by_class: bool, values: dict[tuple[int, ...], int]) -> Ca
     call.  Without, f is evaluated at every profile.  A
     :class:`~scfkit.core.Profile` is built only for f.evaluate.
     """
-    trusted = Profile._trusted
+    trusted, evaluate = Profile._trusted, f.evaluate
 
     def read(ballots: tuple[int, ...]) -> int:
-        return f.evaluate(trusted(m, ballots))
+        return evaluate(trusted(m, ballots))
 
     if isinstance(f, TabledFunction):
         return _sorted_reader(f.table, read) if f.m == m else read
@@ -406,20 +411,30 @@ def _generators(m: int) -> tuple[CandidatePermutation, ...]:
     return (swap,) if m == 2 else (swap, CandidatePermutation(m, tuple(range(2, m + 1)) + (1,)))
 
 
+def _lookups(relabelings: Iterable[CandidatePermutation]) -> list[tuple[int, ...]]:
+    """Each relabeling tau as the tuple (0, *tau.image), which maps a ballot
+    or an outcome in [0, m] to its image; built once per scan."""
+    return [(0, *tau.image) for tau in relabelings]
+
+
 def _relabeling_witness(
-    value: Callable, m: int, ballots: tuple[int, ...], relabelings: Iterable[CandidatePermutation]
+    value: Callable, m: int, ballots: tuple[int, ...], lookups: list[tuple[int, ...]]
 ) -> Witness | None:
-    """The first tau in ``relabelings`` with f(tau P) != tau f(P)."""
+    """The first relabeling tau in ``lookups`` (see :func:`_lookups`) with
+    f(tau P) != tau f(P).  f(P) indexes the lookups, so one outside [0, m]
+    raises, as PR's does, rather than wrapping round."""
     out = value(ballots)
-    for tau in relabelings:
-        permuted = tuple(map((0, *tau.image).__getitem__, ballots))
+    if not 0 <= out <= m:
+        raise ValueError(f"outcome {out} outside [0, {m}]")
+    for lookup in lookups:
+        permuted = tuple(map(lookup.__getitem__, ballots))
         actual = value(permuted)
-        expected = tau.outcome(out)
+        expected = lookup[out]
         if actual != expected:
             return Witness(
                 profile=Profile._trusted(m, ballots),
                 related_profile=Profile._trusted(m, permuted),
-                permutation=tau.image,
+                permutation=lookup[1:],
                 actual=actual,
                 expected=expected,
             )
@@ -438,7 +453,7 @@ def _neutrality_witness(value: Callable, m: int, n_max: int, by_class: bool) -> 
     besides the identity, so the first failure is that witness and an
     unassigned entry raises as the full scan would.
     """
-    generators = _generators(m)
+    generators = _lookups(_generators(m))
     for scanned, ballots in enumerate(_profiles(m, 1, n_max, by_class), start=1):
         if m == 2:
             w = _relabeling_witness(value, m, ballots, generators)
@@ -461,7 +476,7 @@ def _minimal_relabeling_witness(value: Callable, m: int, n_max: int, by_class: b
     witness, or its error, comes at it at the latest.  Estimated first, and
     refused like any scan."""
     _refuse_above(stop * (1 + math.factorial(m)), f"rescanning N for its witness at m={m}, n_max={n_max}")
-    relabelings = _relabelings(m)
+    relabelings = _lookups(_relabelings(m))
     for ballots in islice(_profiles(m, 1, n_max, by_class), stop):
         w = _relabeling_witness(value, m, ballots, relabelings)
         if w is not None:
@@ -481,7 +496,9 @@ def _duel_pairs(support: tuple[int, ...], m: int) -> Iterable[tuple[int, int]]:
 
 def _support(ballots: tuple[int, ...]) -> tuple[int, ...]:
     """Candidates with at least one vote, ascending."""
-    return tuple(sorted(set(ballots).difference((0,))))
+    support = set(ballots)
+    support.discard(0)
+    return tuple(sorted(support))
 
 
 def _leaders(m: int, ballots: tuple[int, ...]) -> tuple[int, ...]:
@@ -519,19 +536,22 @@ def _pareto(value: Callable, m: int, ballots: tuple[int, ...], tie_upgrade: str)
 
 def _reduced(value: Callable, m: int, ballots: tuple[int, ...]) -> tuple[int, ...]:
     """The ballots of the reduced profile: ballot l is f with voter l
-    removed, evaluated once per run of equal adjacent ballots.  The
-    outcomes are range-checked once all are known; one outside [0, m]
-    raises as the validating constructor does, for the first such ballot."""
+    removed, evaluated once per run of equal adjacent ballots.  Each
+    outcome is tested for membership in [0, m] as it comes; once all are
+    known, one outside raises as the validating constructor does, for the
+    first such ballot."""
     reduced = []
-    outcomes = []  # one per run, in ballot order
+    valid = range(m + 1)
+    fits = True  # every outcome so far in [0, m]
     l = 0  # the run's first voter
     for _, run in groupby(ballots):
         out = value(ballots[:l] + ballots[l + 1 :])
-        outcomes.append(out)
+        if out not in valid:  # membership never raises; the constructor does
+            fits = False
         length = len(list(run))
         reduced += [out] * length
         l += length
-    if all(0 <= out <= m for out in outcomes):
+    if fits:
         return tuple(reduced)
     return Profile(m, tuple(reduced)).ballots
 
@@ -715,18 +735,37 @@ def check_no_tied_winner(f, m: int, n_max: int) -> AxiomReport:
     return check_axioms(f, m, n_max, ["NTW"])[0]
 
 
+def _is_permutation(image: tuple[int, ...] | None, size: int) -> bool:
+    """Whether ``image`` lists 1..size, each once: a permutation's image."""
+    return image is not None and len(image) == size and set(image) == set(range(1, size + 1))
+
+
+def _names_pair(pair: tuple[int, int] | None, m: int) -> bool:
+    """Whether ``pair`` names two candidates i < j."""
+    return pair is not None and len(pair) == 2 and 1 <= pair[0] < pair[1] <= m
+
+
 def replay_witness(f, report: AxiomReport) -> bool:
     """Re-derive a failing report's violation from its recorded configuration.
 
     Returns True iff evaluating ``f`` reproduces the recorded outcomes and
-    they genuinely violate the axiom's definition.  A pair must name two
-    candidates i < j, an upgrade a candidate and a voter of the profile.
+    they genuinely violate the axiom's definition.  A malformed witness is
+    False, not an error: a witness profile over another m than the
+    report's, a permutation that does not list the voters or candidates
+    each once, an RS witness on one voter, a DP or NTW pair that is not two
+    candidates i < j, or an upgrade without a candidate and a voter of the
+    profile.  So is an N witness at which f's outcome lies outside [0, m],
+    which no relabeling maps.
     """
     if report.passed or report.witness is None:
         return False
     w = report.witness
     p = w.profile
+    if p.m != report.m:
+        return False
     if report.axiom == "A":
+        if not _is_permutation(w.permutation, p.n):
+            return False
         sigma = VoterPermutation(p.n, w.permutation)
         permuted = apply_voter_permutation(p, sigma)
         return (
@@ -736,24 +775,26 @@ def replay_witness(f, report: AxiomReport) -> bool:
             and w.actual != w.expected
         )
     if report.axiom == "N":
-        tau = CandidatePermutation(report.m, w.permutation)
-        permuted = apply_candidate_permutation(p, tau)
-        return (
-            permuted == w.related_profile
-            and f.evaluate(permuted) == w.actual
-            and tau.outcome(f.evaluate(p)) == w.expected
-            and w.actual != w.expected
-        )
-    if report.axiom == "DP":
-        i, j = w.pair
-        if not 1 <= i < j <= p.m:
+        if not _is_permutation(w.permutation, p.m):
             return False
+        tau = CandidatePermutation(p.m, w.permutation)
+        permuted = apply_candidate_permutation(p, tau)
+        if permuted != w.related_profile or f.evaluate(permuted) != w.actual:
+            return False
+        out = f.evaluate(p)
+        return out in range(p.m + 1) and tau.outcome(out) == w.expected and w.actual != w.expected
+    if report.axiom == "DP":
+        if not _names_pair(w.pair, p.m):
+            return False
+        i, j = w.pair
         support = _support(p.ballots)
         return all(k in (i, j) for k in support) and f.evaluate(p) == w.actual and w.actual not in (0, i, j)
     if report.axiom == "PO":
         support = _support(p.ballots)
         return support == (w.candidate,) and f.evaluate(p) == w.actual and w.actual != w.candidate
     if report.axiom == "RS":
+        if p.n < 2:
+            return False
         reduced = reduce_profile(f, p)
         return (
             reduced == w.related_profile
@@ -763,7 +804,7 @@ def replay_witness(f, report: AxiomReport) -> bool:
         )
     if report.axiom == "PR":
         k, l = w.candidate, w.voter
-        if not (1 <= k <= p.m and 1 <= l <= p.n) or p.ballots[l - 1] == k:
+        if k is None or l is None or not (1 <= k <= p.m and 1 <= l <= p.n) or p.ballots[l - 1] == k:
             return False
         upgraded = Profile(p.m, p.ballots[: l - 1] + (k,) + p.ballots[l:])
         if upgraded != w.related_profile or f.evaluate(upgraded) != w.actual or w.actual == k:
@@ -777,9 +818,9 @@ def replay_witness(f, report: AxiomReport) -> bool:
             return before == 0 and k in _leaders(p.m, p.ballots)
         return False
     if report.axiom == "NTW":
-        i, j = w.pair
-        if not 1 <= i < j <= p.m:
+        if not _names_pair(w.pair, p.m):
             return False
+        i, j = w.pair
         counts = ballot_counts(p)
         return counts[i] == counts[j] and f.evaluate(p) == w.actual and w.actual in (i, j)
     return False

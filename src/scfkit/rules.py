@@ -161,8 +161,8 @@ class TabledFunction:
         keys are canonical by construction; the outcomes are range-checked
         once every profile has been evaluated."""
         _check_scope(m, n_max)
-        trusted = Profile._trusted
-        table = {ballots: rule.evaluate(trusted(m, ballots)) for ballots in _profiles(m, 1, n_max, True)}
+        trusted, evaluate = Profile._trusted, rule.evaluate
+        table = {ballots: evaluate(trusted(m, ballots)) for ballots in _profiles(m, 1, n_max, True)}
         for key, out in table.items():
             if not 0 <= out <= m:
                 _check_entry(m, n_max, key, out)

@@ -65,7 +65,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import groupby, islice, permutations, product
+from itertools import compress, groupby, islice, permutations, product
 from typing import Callable, Iterator
 
 from .core import Profile, _counts, _profiles, ballot_counts
@@ -169,14 +169,15 @@ def _orbits(
     its candidates by count, largest first and ties ascending (the sort is
     stable), is then the lexicographically first relabeling sending the
     representative onto it, and the representative is the cell whose counts
-    are the cell's read in that order.  The representative's stabilizer fixes
-    abstention and each candidate whose count is unique.
+    are the cell's read in that order: its candidate counts, sorted
+    largest first.  The representative's stabilizer fixes abstention and
+    each candidate whose count is unique.
     """
     candidates = range(1, m + 1)
     orbit, label, fixed = [], [], {}
     for j, c in enumerate(counts):
-        tau = tuple(sorted(candidates, key=c.__getitem__, reverse=True))
-        rep = index[(c[0], *map(c.__getitem__, tau))]
+        tau = sorted(candidates, key=c.__getitem__, reverse=True)
+        rep = index[(c[0], *sorted(c[1:], reverse=True))]
         if rep == j:
             votes = c[1:]
             fixed[j] = (0, *(k for k in candidates if votes.count(c[k]) == 1))
@@ -474,8 +475,10 @@ class _Engine:
             elif n < n_max:
                 stack.append([n + 1, self._components(n + 1), 0, 0])
             else:
-                # canonical keys, values in 0..m: nothing to validate
-                yield TabledFunction._trusted(m, n_max, {c: self._value(j) for j, c in enumerate(self.cells)})
+                # canonical keys, values in 0..m: nothing to validate; every
+                # representative is assigned, so each cell reads as in _value
+                out, orbit, label = self.out, self.orbit, self.label
+                yield TabledFunction._trusted(m, n_max, {c: label[j][out[orbit[j]]] for j, c in enumerate(self.cells)})
 
 
 def enumerate_functions(spec: SearchSpec) -> SearchResult:
@@ -586,13 +589,13 @@ def is_dominating_tie(p: Profile) -> bool:
     return top > 0 and counts.count(top) >= 2
 
 
+_CASES = ("all_abstention", "dominating_tie", "leader")
+
+
 def classify_profile(p: Profile) -> str:
-    flags = {
-        "all_abstention": is_all_abstention(p),
-        "dominating_tie": is_dominating_tie(p),
-        "leader": is_leader_profile(p),
-    }
-    hits = [name for name, hit in flags.items() if hit]
+    """The one case p falls into.  All three predicates are asked, so a
+    profile in no case or in several raises :class:`RuntimeError`."""
+    hits = list(compress(_CASES, (is_all_abstention(p), is_dominating_tie(p), is_leader_profile(p))))
     if len(hits) != 1:
         raise RuntimeError(f"profile {p.ballots} classified as {hits}; not a partition")
     return hits[0]
@@ -658,8 +661,11 @@ def verify_theorem(
     )
 
     # the cases depend only on the counts, so each class stands for all its
-    # orderings, n! / prod c_b! of them
-    case_counts = {"all_abstention": 0, "dominating_tie": 0, "leader": 0}
+    # orderings, n! / prod c_b! of them, read off one factorial table
+    factorial = [1]
+    for k in range(1, n_max + 1):
+        factorial.append(factorial[-1] * k)
+    case_counts = dict.fromkeys(_CASES, 0)
     partition_ok = True
     for ballots in _profiles(m, 1, n_max, True):
         try:
@@ -667,7 +673,7 @@ def verify_theorem(
         except RuntimeError:  # the class falls into no case or into several
             partition_ok = False
             continue
-        case_counts[case] += math.factorial(len(ballots)) // math.prod(map(math.factorial, _counts(m, ballots)))
+        case_counts[case] += factorial[len(ballots)] // math.prod(map(factorial.__getitem__, _counts(m, ballots)))
 
     return TheoremVerdict(
         m=m,

@@ -1,7 +1,7 @@
 import ast
 import inspect
 import math
-from itertools import combinations_with_replacement, islice, permutations, product
+from itertools import combinations_with_replacement, groupby, islice, permutations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -135,6 +135,73 @@ class TestReduceProfile:
         got, calls = _reduction_outcome(reduce_profile, outcomes, Profile(3, (1, 1, 2, 3)))
         assert got == ("ValueError", "ballot 4 outside [0, 3]")
         assert calls == [(1, 2, 3), (1, 1, 3), (1, 1, 2)]
+
+
+# axioms._reduced and axioms._support as written before their range check
+# and their abstention drop were rewritten, kept as their references.
+
+
+def _reference_reduced(value, m, ballots):
+    reduced = []
+    outcomes = []
+    l = 0
+    for _, run in groupby(ballots):
+        out = value(ballots[:l] + ballots[l + 1 :])
+        outcomes.append(out)
+        length = len(list(run))
+        reduced += [out] * length
+        l += length
+    if all(0 <= out <= m for out in outcomes):
+        return tuple(reduced)
+    return Profile(m, tuple(reduced)).ballots
+
+
+def _reference_support(ballots):
+    return tuple(sorted(set(ballots).difference((0,))))
+
+
+def _helper_outcome(helper, *args):
+    """A helper's result, or its error's type and text."""
+    try:
+        return helper(*args)
+    except Exception as exc:
+        return (type(exc), str(exc))
+
+
+def _drawn_ballots(data, m, min_size):
+    ballots = data.draw(st.lists(st.integers(0, m), min_size=min_size, max_size=7))
+    if data.draw(st.booleans()):
+        ballots.sort()
+    return tuple(ballots)
+
+
+class TestRewrittenHelpers:
+    @settings(max_examples=300)
+    @given(st.data())
+    def test_reduced_equals_its_reference(self, data):
+        # sorted and unsorted ballots; a reader whose outcomes may lie
+        # outside [0, m], or not be integers at all: the same ballots or
+        # error, after the same reads
+        m = data.draw(st.integers(2, 4))
+        ballots = _drawn_ballots(data, m, 2)
+        outcomes = {}
+        for l in range(len(ballots)):
+            sub = ballots[:l] + ballots[l + 1 :]
+            if sub not in outcomes:
+                outcomes[sub] = data.draw(st.integers(0, m) | st.sampled_from([-1, m + 1, None, 1.5]))
+        results = []
+        for reduced in (axioms._reduced, _reference_reduced):
+            calls = []
+            value = lambda b: calls.append(b) or outcomes[b]  # noqa: E731
+            results.append((_helper_outcome(reduced, value, m, ballots), calls))
+        assert results[0] == results[1]
+
+    @settings(max_examples=300)
+    @given(st.data())
+    def test_support_equals_its_reference(self, data):
+        m = data.draw(st.integers(2, 4))
+        ballots = _drawn_ballots(data, m, 1)
+        assert axioms._support(ballots) == _reference_support(ballots)
 
 
 class TestAnonymity:
@@ -408,6 +475,22 @@ class TestNeutrality:
         assert check_neutrality(MAJ, 3, 3).passed
         assert check_neutrality(ZERO, 4, 2).passed
 
+    @pytest.mark.parametrize("m", [2, 3])
+    @pytest.mark.parametrize("bad", [-1, "m+1"])
+    def test_rejects_an_outcome_no_relabeling_maps(self, m, bad):
+        # -1 would index a relabeling's lookup from the end, so without the
+        # range check (0,) failed N under the identity with expected 2 at
+        # m = 3 (under the swap at m = 2), and the replay confirmed it
+        out = m + 1 if bad == "m+1" else bad
+        f = Rule("bad", lambda p: out)
+        with pytest.raises(ValueError) as err:
+            check_neutrality(f, m, 2)
+        assert str(err.value) == f"outcome {out} outside [0, {m}]"
+        for image in permutations(range(1, m + 1)):
+            for expected in range(m + 1):
+                w = Witness(Profile(m, (0,)), out, expected, Profile(m, (0,)), permutation=image)
+                assert replay_witness(f, AxiomReport("N", m, 2, False, w)) is False
+
 
 class TestDuelProperty:
     def test_majority_and_unanimity_pass(self):
@@ -621,6 +704,18 @@ _FORGED = {
     "PR-candidate-past-m": (ZERO, "PR", Witness(Profile(2, (1,)), 0, 3, Profile(2, (2,)), candidate=3, voter=1)),
     "NTW-pair-past-m": (LEX, "NTW", Witness(Profile(2, (1, 2)), actual=1, pair=(1, 5))),
     "NTW-reversed-pair": (LEX, "NTW", Witness(Profile(2, (1, 2)), actual=1, pair=(2, 1))),
+    # malformed witnesses, each a real violation but for the one bad field
+    "A-permutation-too-long": (
+        DICTATOR,
+        "A",
+        Witness(Profile(2, (1, 2)), 1, 2, Profile(2, (2, 1)), permutation=(2, 1, 3)),
+    ),
+    "N-not-a-permutation": (LEX, "N", Witness(Profile(2, (1, 2)), 1, 2, Profile(2, (2, 1)), permutation=(2, 2))),
+    "RS-one-voter": (UC, "RS", Witness(Profile(2, (1,)), 1, 0, Profile(2, (0,)))),
+    "DP-no-pair": (THIRD_PARTY, "DP", Witness(Profile(3, (1, 2)), actual=3)),
+    "NTW-no-pair": (LEX, "NTW", Witness(Profile(2, (1, 2)), actual=1)),
+    "PR-no-voter": (ZERO, "PR", Witness(Profile(2, (1,)), 0, 2, Profile(2, (2,)), candidate=2, note="pr:tie:always")),
+    "PR-no-candidate": (ZERO, "PR", Witness(Profile(2, (1,)), 0, 2, Profile(2, (2,)), voter=1, note="pr:tie:always")),
 }
 
 
@@ -648,6 +743,12 @@ class TestCheckerInfrastructure:
     def test_replay_rejects_forged_witnesses(self, name):
         f, axiom, witness = _FORGED[name]
         assert replay_witness(f, AxiomReport(axiom, witness.profile.m, 2, False, witness)) is False
+
+    def test_replay_rejects_a_witness_over_another_m(self):
+        # lex's genuine N witness at m = 3, in a report at m = 2
+        report = check_neutrality(LEX, 3, 2)
+        assert replay_witness(LEX, report)
+        assert replay_witness(LEX, AxiomReport("N", 2, 2, False, report.witness)) is False
 
     def test_every_failing_report_replays(self):
         cases = [

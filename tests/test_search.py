@@ -917,14 +917,28 @@ class TestClassification:
                 beats_all = any(all(c[k] > c[j] for j in range(m) if j != k) for k in range(m))
                 assert is_leader_profile(p) == beats_all, p.ballots
 
+    # exact counts, as the partition gave them with a math.factorial call per
+    # count and class, before it read the weights off one factorial table
+    PINNED_CASE_COUNTS = {
+        (40, 3): (3, 65520, 5120),
+        (3, 20): (20, 251051317854, 1214964185826),
+        (2, 40): (40, 1411279806625761752, 16825218381959631408),
+    }
+
     @pytest.mark.parametrize("m,n_max", [(2, 3), (40, 3), (3, 20), (2, 40)])
     def test_case_counts_cover_the_space(self, m, n_max):
         # each class weighs n! / prod c_b!, read off its counts: the weights
-        # sum to the (m + 1)^n ordered profiles of each level
+        # sum to the (m + 1)^n ordered profiles of each level, and a slip
+        # that moves profiles between cases changes the pinned counts
         verdict = verify_theorem(m, n_max)
         assert sum(verdict.case_counts.values()) == sum(
             profile_count(m, n) for n in range(1, n_max + 1)
         )
+        if (m, n_max) in self.PINNED_CASE_COUNTS:
+            all_abstention, dominating_tie, leader = self.PINNED_CASE_COUNTS[m, n_max]
+            assert verdict.case_counts == {
+                "all_abstention": all_abstention, "dominating_tie": dominating_tie, "leader": leader,
+            }
 
     @pytest.mark.parametrize("m,n_max", [(2, 4), (3, 3), (4, 2)])
     def test_class_weighted_counts_equal_ordered_enumeration(self, m, n_max):
