@@ -534,26 +534,31 @@ def _pareto(value: Callable, m: int, ballots: tuple[int, ...], tie_upgrade: str)
     return None
 
 
-def _reduced(value: Callable, m: int, ballots: tuple[int, ...]) -> tuple[int, ...]:
-    """The ballots of the reduced profile: ballot l is f with voter l
-    removed, evaluated once per run of equal adjacent ballots.  Each
-    outcome is tested for membership in [0, m] as it comes; once all are
-    known, one outside raises as the validating constructor does, for the
-    first such ballot."""
+def _subsociety_outcomes(value: Callable, m: int, ballots: tuple[int, ...]) -> tuple[tuple[int, ...], bool]:
+    """The ballots of the reduced profile, unchecked: ballot l is f with
+    voter l removed, evaluated once per run of equal adjacent ballots.  With
+    them, whether every outcome lies in [0, m], tested for membership as it
+    comes, which never raises."""
     reduced = []
     valid = range(m + 1)
     fits = True  # every outcome so far in [0, m]
     l = 0  # the run's first voter
     for _, run in groupby(ballots):
         out = value(ballots[:l] + ballots[l + 1 :])
-        if out not in valid:  # membership never raises; the constructor does
+        if out not in valid:
             fits = False
         length = len(list(run))
         reduced += [out] * length
         l += length
-    if fits:
-        return tuple(reduced)
-    return Profile(m, tuple(reduced)).ballots
+    return tuple(reduced), fits
+
+
+def _reduced(value: Callable, m: int, ballots: tuple[int, ...]) -> tuple[int, ...]:
+    """The ballots of the reduced profile (:func:`_subsociety_outcomes`); an
+    outcome outside [0, m] raises as the validating constructor does, for
+    the first such ballot."""
+    reduced, fits = _subsociety_outcomes(value, m, ballots)
+    return reduced if fits else Profile(m, reduced).ballots
 
 
 def reduce_profile(f, p: Profile) -> Profile:
@@ -755,7 +760,8 @@ def replay_witness(f, report: AxiomReport) -> bool:
     each once, an RS witness on one voter, a DP or NTW pair that is not two
     candidates i < j, or an upgrade without a candidate and a voter of the
     profile.  So is an N witness at which f's outcome lies outside [0, m],
-    which no relabeling maps.
+    which no relabeling maps, and an RS witness at which f's outcome on a
+    voter-deleted subprofile does, which is no ballot.
     """
     if report.passed or report.witness is None:
         return False
@@ -795,7 +801,10 @@ def replay_witness(f, report: AxiomReport) -> bool:
     if report.axiom == "RS":
         if p.n < 2:
             return False
-        reduced = reduce_profile(f, p)
+        ballots, fits = _subsociety_outcomes(_reader(f, p.m, False, {}), p.m, p.ballots)
+        if not fits:
+            return False
+        reduced = Profile._trusted(p.m, ballots)
         return (
             reduced == w.related_profile
             and f.evaluate(p) == w.actual

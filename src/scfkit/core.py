@@ -10,7 +10,8 @@ Ballots are counted in one place, :func:`_counts` over a ballot tuple, which
 reads its ballot tuples from one stream, :func:`_profiles`: one sorted tuple
 per anonymity class, or every ordered tuple, level by level.
 
-All values here are immutable.
+All values here are immutable.  A :class:`Profile` has two slots and no
+instance dict; trusted construction sets the slots directly.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ class ProfileParseError(ValueError):
         super().__init__(message)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Profile:
     """An ordered sequence of ballots over a fixed candidate count.
 
@@ -64,7 +65,9 @@ class Profile:
 
     Construction validates m and every ballot.  Profiles the library derives
     from valid ones (enumeration, voter removal, permutations, sorting) skip
-    that check through :meth:`_trusted`.
+    that check through :meth:`_trusted`, which sets the two slots directly.
+    A profile has slots, not an instance dict, so it cannot be
+    weak-referenced.
     """
 
     m: int
@@ -85,15 +88,18 @@ class Profile:
         """A profile built without validation, for ballots the library has
         derived from a valid profile: a non-empty tuple over [0, m], m >= 2."""
         p = object.__new__(cls)
-        fields = p.__dict__
-        fields["m"] = m
-        fields["ballots"] = ballots
+        _set_m(p, m)
+        _set_ballots(p, ballots)
         return p
 
     @property
     def n(self) -> int:
         """Number of voters."""
         return len(self.ballots)
+
+
+# the slots' own setters, which the frozen class's __setattr__ would refuse
+_set_m, _set_ballots = Profile.m.__set__, Profile.ballots.__set__
 
 
 @dataclass(frozen=True)
@@ -193,7 +199,7 @@ def ballot_counts(p: Profile) -> list[int]:
 def tally(p: Profile) -> Tally:
     """Count votes per candidate and abstentions."""
     counts = ballot_counts(p)
-    # built as in Profile._trusted, without the frozen __init__'s setattr calls
+    # filled through its instance dict, without the frozen __init__'s setattr calls
     t = object.__new__(Tally)
     fields = t.__dict__
     fields["m"] = p.m

@@ -712,6 +712,18 @@ _FORGED = {
     ),
     "N-not-a-permutation": (LEX, "N", Witness(Profile(2, (1, 2)), 1, 2, Profile(2, (2, 1)), permutation=(2, 2))),
     "RS-one-voter": (UC, "RS", Witness(Profile(2, (1,)), 1, 0, Profile(2, (0,)))),
+    # f's outcome on a voter-deleted subprofile is no ballot, so the reduced
+    # profile does not exist; reduce_profile raises there
+    "RS-reduced-outcome-minus-one": (
+        Rule("minus-one", lambda p: -1 if p.n == 1 else 1),
+        "RS",
+        Witness(Profile(2, (1, 2)), 1, 0, Profile(2, (0, 0))),
+    ),
+    "RS-reduced-outcome-none": (
+        Rule("none", lambda p: None if p.n == 1 else 1),
+        "RS",
+        Witness(Profile(2, (1, 2)), 1, 0, Profile(2, (0, 0))),
+    ),
     "DP-no-pair": (THIRD_PARTY, "DP", Witness(Profile(3, (1, 2)), actual=3)),
     "NTW-no-pair": (LEX, "NTW", Witness(Profile(2, (1, 2)), actual=1)),
     "PR-no-voter": (ZERO, "PR", Witness(Profile(2, (1,)), 0, 2, Profile(2, (2,)), candidate=2, note="pr:tie:always")),

@@ -1,3 +1,5 @@
+import copy
+import pickle
 from dataclasses import FrozenInstanceError
 from itertools import combinations_with_replacement, permutations, product
 
@@ -86,14 +88,20 @@ class TestTypes:
         assert tally(Profile(3, (1, 2))).leaders() == (1, 2)
         assert tally(Profile(3, (0, 0))).leaders() == (1, 2, 3)
 
-    def test_tally_is_a_frozen_value(self):
-        t = tally(Profile(3, (3, 0, 3, 1)))
-        built = Tally(3, (1, 0, 2), 1)
-        assert type(t) is Tally
+    @pytest.mark.parametrize(
+        "t,built,other,field",
+        [
+            (tally(Profile(3, (3, 0, 3, 1))), Tally(3, (1, 0, 2), 1), Tally(4, (1, 0, 2), 1), "counts"),
+            (Profile._trusted(3, (3, 0, 3, 1)), Profile(3, (3, 0, 3, 1)), Profile(4, (3, 0, 3, 1)), "ballots"),
+        ],
+        ids=["tally", "trusted-profile"],
+    )
+    def test_tally_is_a_frozen_value(self, t, built, other, field):
+        assert type(t) is type(built)
         assert t == built and hash(t) == hash(built)
-        assert t != Tally(4, (1, 0, 2), 1)
+        assert t != other
         with pytest.raises(FrozenInstanceError):
-            t.counts = (0, 0, 0)
+            setattr(t, field, (0, 0, 0))
         assert t == built
 
 
@@ -304,6 +312,19 @@ class TestTrustedProfiles:
     @given(profiles())
     def test_canonicalize_output(self, p):
         _assert_like_validated(canonicalize(p))
+
+    @pytest.mark.parametrize("m,n_max", [(2, 4), (3, 3)])
+    def test_trusted_profiles_are_validated_ones_without_a_dict(self, m, n_max):
+        for n in range(1, n_max + 1):
+            for ballots in product(range(m + 1), repeat=n):
+                trusted, built = Profile._trusted(m, ballots), Profile(m, ballots)
+                assert trusted == built and hash(trusted) == hash(built)
+                assert repr(trusted) == repr(built)
+                for p in (trusted, built):
+                    assert not hasattr(p, "__dict__")
+                    copies = [pickle.loads(pickle.dumps(p, proto)) for proto in range(pickle.HIGHEST_PROTOCOL + 1)]
+                    for copied in [*copies, copy.deepcopy(p)]:
+                        assert type(copied) is Profile and copied == built and hash(copied) == hash(built)
 
     def test_public_construction_still_validates(self):
         for m, ballots in [(1, (0,)), (2, ()), (2, (3,)), (3, (1, -1)), (2, [1, 5])]:
