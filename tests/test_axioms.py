@@ -4,7 +4,7 @@ import math
 from itertools import combinations_with_replacement, groupby, islice, permutations, product
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import scfkit
 from scfkit import axioms, cli, core, rules
@@ -687,6 +687,8 @@ class TestNoTiedWinner:
         assert replay_witness(LEX, report)
 
 
+MAJ_2X2 = TabledFunction.from_rule(MAJ, 2, 2)
+
 # forged witnesses: a pair that is not two candidates i < j, an upgrade by
 # no voter of the profile or to no candidate
 _FORGED = {
@@ -728,6 +730,12 @@ _FORGED = {
     "NTW-no-pair": (LEX, "NTW", Witness(Profile(2, (1, 2)), actual=1)),
     "PR-no-voter": (ZERO, "PR", Witness(Profile(2, (1,)), 0, 2, Profile(2, (2,)), candidate=2, note="pr:tie:always")),
     "PR-no-candidate": (ZERO, "PR", Witness(Profile(2, (1,)), 0, 2, Profile(2, (2,)), voter=1, note="pr:tie:always")),
+    # three voters in a report with n_max = 2: majority's table raises past
+    # its voter bound, and zero's PO violation at (1, 1, 1) is genuine
+    "PO-past-n-max-table": (MAJ_2X2, "PO", Witness(Profile(2, (1, 1, 1)), 0, 1, candidate=1)),
+    "DP-past-n-max-table": (MAJ_2X2, "DP", Witness(Profile(2, (1, 1, 1)), actual=0, pair=(1, 2))),
+    "RS-past-n-max-table": (MAJ_2X2, "RS", Witness(Profile(2, (1, 1, 1)), 1, 0, Profile(2, (1, 1, 1)))),
+    "PO-past-n-max-zero": (ZERO, "PO", Witness(Profile(2, (1, 1, 1)), 0, 1, candidate=1)),
 }
 
 
@@ -818,6 +826,15 @@ def complete_tables(draw):
     for key in draw(st.lists(st.sampled_from(cells), max_size=3, unique=True)):
         table[key] = draw(st.integers(0, m))
     return TabledFunction(m, n_max, table)
+
+
+@st.composite
+def neutral_tables(draw):
+    """Complete neutral tables: random, or majority's with a few orbits
+    drawn anew, so that scans get past the first levels."""
+    m, n_max = draw(st.sampled_from([(2, 3), (3, 3), (3, 4), (4, 3)]))
+    base = TabledFunction.from_rule(MAJ, m, n_max).table if draw(st.booleans()) else None
+    return TabledFunction(m, n_max, _neutral_table(draw, m, n_max, base))
 
 
 def _spy_stream(mp, levels: list) -> None:
@@ -967,13 +984,21 @@ class TestCheckAxioms:
     @given(
         st.one_of(
             complete_tables().map(lambda t: (t, t.m, t.n_max)),
+            neutral_tables().map(lambda t: (t, t.m, t.n_max)),
             st.sampled_from([(2, 3), (3, 2), (3, 3)]).map(lambda scope: (LAST, *scope)),
         ),
         st.sampled_from(PR_TIE_MODES),
     )
+    # a neutral rule on the ordered fallback, and a table that fails N and
+    # fails PO at (2,), a class no orbit starts with
+    @example((LAST, 2, 3), "leaders")
+    @example((TabledFunction(2, 2, {**MAJ_2X2.table, (2,): 0}), 2, 2), "leaders")
     def test_equals_the_individual_checkers(self, case, mode):
-        # random and near-majority tables, and a rule that fails anonymity,
-        # so both the class scan and the ordered fallback are compared
+        # random, near-majority and neutral tables, and a rule that fails
+        # anonymity, so both the class scan and the ordered fallback are
+        # compared; on a neutral table the scans listed after N check one
+        # class per orbit, those before it and the one-axiom checkers every
+        # class
         f, m, n_max = case
         together = [r.to_dict() for r in check_axioms(f, m, n_max, ALL_AXIOMS, mode)]
         assert together == [_alone(f, m, n_max, ax, mode).to_dict() for ax in ALL_AXIOMS]
@@ -1124,21 +1149,36 @@ def _outcome(scan):
         return ("incomplete", exc.ballots)
 
 
-def _neutral_table(draw, m, n_max) -> dict[tuple[int, ...], int]:
-    """A random neutral table: one outcome per orbit, fixed by the orbit
-    representative's stabilizer, relabeled onto every member."""
+def _brute_force_orbits(m, n_max):
+    """Each orbit of the classes under all m! relabelings, in the order of
+    its first class in the class stream: that class, the outcomes its
+    stabilizer fixes, and each relabeling's image of it."""
     relabelings = list(permutations(range(1, m + 1)))
-    table: dict[tuple[int, ...], int] = {}
+    seen, orbits = set(), []
     for n in range(1, n_max + 1):
         for p in enumerate_profiles(m, n, canonical_only=True):
-            if p.ballots in table:
+            if p.ballots in seen:
                 continue
             images = {tau: tuple(sorted(_relabel(tau, b) for b in p.ballots)) for tau in relabelings}
+            seen.update(images.values())
             stabilizer = [tau for tau, image in images.items() if image == p.ballots]
-            fixed = [k for k in range(1, m + 1) if all(tau[k - 1] == k for tau in stabilizer)]
-            value = draw(st.sampled_from([0] + fixed))
-            for tau, image in images.items():
-                table[image] = _relabel(tau, value)
+            fixed = [0] + [k for k in range(1, m + 1) if all(tau[k - 1] == k for tau in stabilizer)]
+            orbits.append((p.ballots, fixed, images))
+    return orbits
+
+
+def _neutral_table(draw, m, n_max, base=None) -> dict[tuple[int, ...], int]:
+    """A random neutral table: one outcome per orbit, fixed by the
+    stabilizer of the orbit's first class, relabeled onto every member.
+    With ``base``, a neutral table at the scope, at most three orbits are
+    drawn and the others keep base's outcomes."""
+    orbits = _brute_force_orbits(m, n_max)
+    drawn = range(len(orbits)) if base is None else draw(st.sets(st.integers(0, len(orbits) - 1), max_size=3))
+    table: dict[tuple[int, ...], int] = {}
+    for i, (first, fixed, images) in enumerate(orbits):
+        value = draw(st.sampled_from(fixed)) if i in drawn else base[first]
+        for tau, image in images.items():
+            table[image] = _relabel(tau, value)
     return table
 
 
@@ -1267,6 +1307,35 @@ class TestGeneratorScans:
             f"rescanning N for its witness at m=10, n_max=3 needs about {cost} evaluations (> {CHECK_MAX_COST})"
         )
         assert calls[-2:] == [(1, 2), (2, 1)]
+
+
+class TestOrbitScans:
+    @pytest.mark.parametrize("m,n_max", [(2, 5), (3, 4), (4, 3), (5, 3)])
+    def test_orbit_firsts_are_the_brute_force_orbits_first_classes(self, m, n_max):
+        assert axioms._orbit_firsts(m, n_max) == [first for first, _, _ in _brute_force_orbits(m, n_max)]
+
+    def test_scans_after_neutrality_read_one_class_per_orbit(self):
+        # majority's table passes N at (3, 4); RS and PR then read f only
+        # while checking each orbit's first class, as the Profile scans do
+        # there, and every other class goes unchecked
+        table = TabledFunction.from_rule(MAJ, 3, 4)
+        classes = [c for n in range(1, 5) for c in combinations_with_replacement(range(4), n)]
+        firsts = [first for first, _, _ in _brute_force_orbits(3, 4)]
+        assert (len(classes), len(firsts)) == (69, 24)
+        expected = []
+        recorded = Rule("recorded", lambda p: expected.append(p.ballots) or table.evaluate(p))
+        for c in firsts:
+            if len(c) >= 2:
+                assert _profile_reducibility(recorded, Profile(3, c), "leaders") is None
+        for c in firsts:
+            assert _profile_responsiveness(recorded, Profile(3, c), "leaders") is None
+        calls = []
+        with pytest.MonkeyPatch.context() as mp:
+            _spy_reader(mp, calls)
+            reports = check_axioms(table, 3, 4, ["N", "RS", "PR"])
+        assert all(r.passed for r in reports)
+        # N reads each class and its images under the two generators
+        assert calls[3 * len(classes) :] == expected
 
 
 class TestCallEstimate:
