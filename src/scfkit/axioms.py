@@ -67,6 +67,8 @@ from itertools import groupby, islice, permutations
 from typing import Callable, Iterable, Iterator
 
 from .core import (
+    _COST_CAP,
+    PR_TIE_MODES,
     CandidatePermutation,
     Profile,
     VoterPermutation,
@@ -104,23 +106,9 @@ __all__ = [
 
 AXIOM_IDS = ("A", "N", "DP", "PO", "RS", "PR", "NTW")
 
-# How a tie (outcome 0) responds to one ballot moving to candidate k:
-#   leaders: f(P') = k required when k is among P's plurality co-leaders
-#            (every candidate, when nobody votes).  Default.
-#   always:  f(P') = k required for every k.  Majority rule itself fails
-#            this for m >= 3 (a vote for an outsider cannot crown them),
-#            so it is kept only as the literal two-candidate reading.
-#   wins:    ties are unconstrained; only existing wins must be preserved.
-PR_TIE_MODES = ("leaders", "always", "wins")
-
 # The largest checker run accepted, in estimated evaluations of f (see
 # check_cost).  At roughly 5-15 us per evaluation, about half a minute.
 CHECK_MAX_COST = 2_000_000
-
-# check_cost stops summing once its estimate passes this: a larger estimate
-# is a lower bound, and a refusal prints this bound instead.  Far larger
-# scopes would otherwise take longer to estimate than to refuse.
-_COST_CAP = 10**9
 
 
 class CheckInfeasibleError(RuntimeError):
@@ -796,14 +784,19 @@ def check_no_tied_winner(f, m: int, n_max: int) -> AxiomReport:
     return check_axioms(f, m, n_max, ["NTW"])[0]
 
 
+def _ints(values) -> bool:
+    """Whether ``values`` is a tuple of ints (not bools, floats or None)."""
+    return isinstance(values, tuple) and all(type(v) is int for v in values)
+
+
 def _is_permutation(image: tuple[int, ...] | None, size: int) -> bool:
     """Whether ``image`` lists 1..size, each once: a permutation's image."""
-    return image is not None and len(image) == size and set(image) == set(range(1, size + 1))
+    return _ints(image) and sorted(image) == list(range(1, size + 1))
 
 
 def _names_pair(pair: tuple[int, int] | None, m: int) -> bool:
     """Whether ``pair`` names two candidates i < j."""
-    return pair is not None and len(pair) == 2 and 1 <= pair[0] < pair[1] <= m
+    return _ints(pair) and len(pair) == 2 and 1 <= pair[0] < pair[1] <= m
 
 
 def replay_witness(f, report: AxiomReport) -> bool:
@@ -815,9 +808,11 @@ def replay_witness(f, report: AxiomReport) -> bool:
     another m or with more voters than its n_max, a permutation that does
     not list the voters or candidates each once, an RS witness on one
     voter, a DP or NTW pair that is not two candidates i < j, or an upgrade
-    without a candidate and a voter of the profile.  So is an N witness at which f's outcome lies outside [0, m],
-    which no relabeling maps, and an RS witness at which f's outcome on a
-    voter-deleted subprofile does, which is no ballot.
+    without a candidate and a voter of the profile; a permutation, pair,
+    candidate or voter must be ints, not bools, floats or None.  So is an N
+    witness at which f's outcome lies outside [0, m], which no relabeling
+    maps, and an RS witness at which f's outcome on a voter-deleted
+    subprofile does, which is no ballot.
     """
     if report.passed or report.witness is None:
         return False
@@ -852,8 +847,8 @@ def replay_witness(f, report: AxiomReport) -> bool:
         support = _support(p.ballots)
         return all(k in (i, j) for k in support) and f.evaluate(p) == w.actual and w.actual not in (0, i, j)
     if report.axiom == "PO":
-        support = _support(p.ballots)
-        return support == (w.candidate,) and f.evaluate(p) == w.actual and w.actual != w.candidate
+        k = w.candidate
+        return _ints((k,)) and _support(p.ballots) == (k,) and f.evaluate(p) == w.actual and w.actual != k
     if report.axiom == "RS":
         if p.n < 2:
             return False
@@ -869,7 +864,7 @@ def replay_witness(f, report: AxiomReport) -> bool:
         )
     if report.axiom == "PR":
         k, l = w.candidate, w.voter
-        if k is None or l is None or not (1 <= k <= p.m and 1 <= l <= p.n) or p.ballots[l - 1] == k:
+        if not _ints((k, l)) or not (1 <= k <= p.m and 1 <= l <= p.n) or p.ballots[l - 1] == k:
             return False
         upgraded = Profile(p.m, p.ballots[: l - 1] + (k,) + p.ballots[l:])
         if upgraded != w.related_profile or f.evaluate(upgraded) != w.actual or w.actual == k:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain, combinations_with_replacement, product
+from itertools import chain, combinations_with_replacement, compress, product
 from typing import Iterator
 
 __all__ = [
@@ -32,17 +32,35 @@ __all__ = [
     "tally",
     "apply_voter_permutation",
     "apply_candidate_permutation",
-    "apply_to_outcome",
     "remove_voter",
     "canonicalize",
     "enumerate_profiles",
     "profile_count",
     "parse_profile",
     "format_profile",
+    "is_all_abstention",
+    "is_leader_profile",
+    "is_dominating_tie",
+    "classify_profile",
 ]
 
 # 0 = tie/abstention, k in [1, m] = candidate k.
 Outcome = int
+
+# How a tie (outcome 0) responds to one ballot moving to candidate k:
+#   leaders: f(P') = k required when k is among P's plurality co-leaders
+#            (every candidate, when nobody votes).  Default.
+#   always:  f(P') = k required for every k.  Majority rule itself fails
+#            this for m >= 3 (a vote for an outsider cannot crown them),
+#            so it is kept only as the literal two-candidate reading.
+#   wins:    ties are unconstrained; only existing wins must be preserved.
+PR_TIE_MODES = ("leaders", "always", "wins")
+
+# check_cost and the search engine's cell count, which share it from here,
+# stop once their count passes this: a larger count is a lower bound, and a
+# refusal prints this bound instead.  Far larger scopes would otherwise take
+# longer to count than to refuse.
+_COST_CAP = 10**9
 
 
 class ProfileParseError(ValueError):
@@ -225,13 +243,6 @@ def apply_candidate_permutation(p: Profile, tau: CandidatePermutation) -> Profil
     return Profile._trusted(p.m, tuple(map((0, *tau.image).__getitem__, p.ballots)))
 
 
-def apply_to_outcome(o: Outcome, tau: CandidatePermutation) -> Outcome:
-    """Relabel a single outcome: 0 maps to 0, k maps to tau.image[k]."""
-    if not 0 <= o <= tau.m:
-        raise ValueError(f"outcome {o} outside [0, {tau.m}]")
-    return tau.outcome(o)
-
-
 def remove_voter(p: Profile, l: int) -> Profile:
     """Delete voter l (1-indexed), preserving the order of the others."""
     if not 1 <= l <= p.n:
@@ -314,3 +325,36 @@ def parse_profile(text: str) -> Profile:
 def format_profile(p: Profile) -> str:
     """Render the canonical two-line text form (byte-stable, trailing newline)."""
     return f"{p.m} {p.n}\n{' '.join(str(b) for b in p.ballots)}\n"
+
+
+# -- profile classification (the two proof cases plus the empty profile) ------
+
+
+def is_all_abstention(p: Profile) -> bool:
+    return not any(p.ballots)
+
+
+def is_leader_profile(p: Profile) -> bool:
+    """Some candidate has strictly more votes than every other candidate:
+    the top count is held once (m >= 2, so nobody voting is a tie)."""
+    counts = ballot_counts(p)[1:]
+    return counts.count(max(counts)) == 1
+
+
+def is_dominating_tie(p: Profile) -> bool:
+    """Two or more candidates share the strictly highest, positive vote count."""
+    counts = ballot_counts(p)[1:]
+    top = max(counts)
+    return top > 0 and counts.count(top) >= 2
+
+
+_CASES = ("all_abstention", "dominating_tie", "leader")
+
+
+def classify_profile(p: Profile) -> str:
+    """The one case p falls into.  All three predicates are asked, so a
+    profile in no case or in several raises :class:`RuntimeError`."""
+    hits = list(compress(_CASES, (is_all_abstention(p), is_dominating_tie(p), is_leader_profile(p))))
+    if len(hits) != 1:
+        raise RuntimeError(f"profile {p.ballots} classified as {hits}; not a partition")
+    return hits[0]

@@ -1,148 +1,36 @@
-"""Exhaustive, orbit-aware search over anonymous social choice functions.
+"""Runs of the search engine (:mod:`scfkit.engine`), and the verdicts.
 
-Functions are represented as outcome tables over canonical (sorted) profiles
-up to a voter bound, so anonymity is structural rather than searched over.
-Inside the engine a cell is its count vector (abstentions, then each
-candidate's votes), which determines the class.  The cells come from the
-profile stream of :mod:`scfkit.core` and are counted by its one count
-function, as are the classes of :func:`neutral_orbits` and of
-:func:`verify_theorem`'s case partition, where a class counts for its
-n! / prod c_b! orderings.  Outcomes and the PO, DP, RS and PR facts are kept
-at orbit representatives only; a member's outcome is its representative's,
-relabeled on read.
-The engine fixes the table level by level (n = 1 upward).  Once the levels
-below n are fixed, every level-n constraint except PR is an equation between
-level-n cells:
-
-- N: with neutrality, each cell is a relabeling of its orbit's
-  representative, f(tau c) = tau f(c), and the representative may only take
-  outcomes its stabilizer fixes.  Two classes share an orbit iff they share
-  the voter count and the sorted candidate counts; each cell's orbit and
-  label are read off its sorted count vector (see ``_orbits``).  Without N
-  every cell is its own orbit.
-- RS: f(c) = f(reduce(c)), where reduce(c) collects the (fixed) outcomes
-  of c's voter-deleted subprofiles, is a plain equality between two level-n
-  cells.  Deleting any of the c_b voters with ballot b leaves one subcell,
-  so reduce(c) is a count sum: c_b copies of that subcell's outcome per
-  ballot value b present, at most m + 1 lookups per cell.
-
-So each orbit representative r has one equation, x_r = rho[x_s] with s
-the representative of reduce(r)'s orbit: a successor map.  A walk along
-successors joins the first resolved representative's component or closes
-a cycle, which restricts its new root to the outcomes the relabeling
-composed around it fixes.  Components are assigned in order of their
-smallest cell index, trying the values 0..m there, so solutions come out
-in lexicographic order over the cell values.
-
-A value is decided at the component's representatives alone: PO, DP and
-the N stabilizer at each representative, RS through the cycle, then PR.
-A member c = tau r needs no check of its own, as tau carries r's
-PO-forced candidate to c's, r's DP set to c's and r's value to c's; so c
-breaks PO or DP iff r does (DP never constrains at m = 2, where every
-outcome lies in the one duel pair).  PR is checked on within-level upgrade
-edges, one ballot moved between two counts, at the representatives, with
-each end's outcome read through its representative.  A relabeling carries
-an edge touching a member onto an edge at its representative, with the
-same clash status: N has fixed each assigned representative's value under
-its stabilizer, so every relabeling of an assigned cell carries its value
-along.  Without N every cell is its own representative.
-
-A *node* is one value tried at one component's smallest cell.  A rejected
-node is a *prune*, counted once against the first axiom in the order PO,
-DP, N, RS, PR that excludes it.
-
-With N alone the engine streams every neutral table
-(:func:`enumerate_neutral_functions`).  Every engine refuses a table of more
-than 20,000 cells before building any of them; the cell count stops at a
-lower bound once it passes 10^9.
-
-The checkers in :mod:`scfkit.axioms` stay the oracle: the engine's pruning
-logic is written independently, and verdict records replay every solution
-through the checkers.
+:func:`verify_theorem` replays the solutions through the checkers of
+:mod:`scfkit.axioms`, the independent oracle, and partitions the profile
+space into the cases of :func:`scfkit.core.classify_profile` one class at a
+time, a class counting for its n! / prod c_b! orderings.  The engine's
+public names are re-exported here.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import compress, groupby, islice, permutations, product
-from typing import Callable, Iterator
+from itertools import islice
+from typing import Iterator
 
-from .core import Profile, _counts, _profiles, ballot_counts
+from .core import _CASES, Profile, _counts, _profiles, classify_profile
 from .rules import RULES, TabledFunction, _check_scope
-from .axioms import _COST_CAP, CHECK_MAX_COST, AxiomReport, PR_TIE_MODES, check_axioms
+from .axioms import AxiomReport, check_axioms
+from .engine import SEARCH_AXIOMS, SearchInfeasibleError, SearchSpec, _Engine
 
 __all__ = [
     "SEARCH_AXIOMS",
     "SearchSpec",
     "SearchResult",
     "SearchInfeasibleError",
-    "NeutralOrbit",
     "enumerate_functions",
-    "neutral_orbits",
     "enumerate_neutral_functions",
-    "is_all_abstention",
-    "is_leader_profile",
-    "is_dominating_tie",
-    "classify_profile",
     "TheoremVerdict",
     "verify_theorem",
     "IndependenceVerdict",
     "verify_independence",
 ]
-
-# Anonymity is built into the table representation and cannot be requested.
-SEARCH_AXIOMS = ("N", "DP", "PO", "RS", "PR")
-
-# Tables with more cells than this are refused before any search.
-_MAX_CELLS = 20_000
-
-
-class SearchInfeasibleError(RuntimeError):
-    """The requested scope exceeds configured resource limits; carries an
-    estimate so callers can report it.  ``tables`` may be passed as a
-    function, called when the attribute is first read: a raw space of
-    (m + 1)^cells tables can have millions of digits."""
-
-    def __init__(self, message: str, cells: int, tables: int | Callable[[], int]):
-        self.cells = cells
-        self._tables = tables
-        super().__init__(message)
-
-    @property
-    def tables(self) -> int:
-        if callable(self._tables):
-            self._tables = self._tables()
-        return self._tables
-
-
-@dataclass(frozen=True)
-class SearchSpec:
-    """What to search: scope, axiom subset and resource limits."""
-
-    m: int
-    n_max: int
-    axioms: frozenset[str]
-    limit: int | None = None
-    max_nodes: int | None = None
-    pr_tie_upgrade: str = "leaders"
-
-    def __post_init__(self):
-        object.__setattr__(self, "axioms", frozenset(self.axioms))
-        _check_scope(self.m, self.n_max)
-        unknown = self.axioms - set(SEARCH_AXIOMS)
-        if "A" in unknown:
-            raise ValueError("anonymity is structural in table search; do not request it")
-        if unknown:
-            raise ValueError(f"unknown search axioms: {sorted(unknown)}")
-        if self.limit is not None and self.limit < 1:
-            raise ValueError("solution limit must be positive")
-        if self.max_nodes is not None and self.max_nodes < 1:
-            raise ValueError("node limit must be positive")
-        if self.pr_tie_upgrade not in PR_TIE_MODES:
-            raise ValueError(
-                f"pr_tie_upgrade must be one of {PR_TIE_MODES}, got {self.pr_tie_upgrade!r}"
-            )
 
 
 @dataclass
@@ -152,333 +40,6 @@ class SearchResult:
     exhausted: bool
     nodes_explored: int
     prune_counts: dict[str, int]
-
-
-def _orbits(
-    counts: list[tuple[int, ...]], index: dict[tuple[int, ...], int], m: int
-) -> tuple[list[int], list[tuple[int, ...]], dict[int, tuple[int, ...]]]:
-    """Each cell's orbit representative and label, and each representative's
-    fixed outcomes, for the cells with count vectors ``counts`` (every
-    canonical profile of each level present) at positions ``index``.
-
-    A relabeling sends a class onto another iff it carries each candidate's
-    count to its image, so an orbit is the cells with one abstention count and
-    one sorted candidate-count vector.  Its first cell in index order puts as
-    many voters as it can on candidate 1, then on 2, and so on, so the
-    representative's candidate counts are non-increasing.  A cell's label,
-    its candidates by count, largest first and ties ascending (the sort is
-    stable), is then the lexicographically first relabeling sending the
-    representative onto it, and the representative is the cell whose counts
-    are the cell's read in that order: its candidate counts, sorted
-    largest first.  The representative's stabilizer fixes abstention and
-    each candidate whose count is unique.
-    """
-    candidates = range(1, m + 1)
-    orbit, label, fixed = [], [], {}
-    for j, c in enumerate(counts):
-        tau = sorted(candidates, key=c.__getitem__, reverse=True)
-        rep = index[(c[0], *sorted(c[1:], reverse=True))]
-        if rep == j:
-            votes = c[1:]
-            fixed[j] = (0, *(k for k in candidates if votes.count(c[k]) == 1))
-        orbit.append(rep)
-        label.append((0, *tau))
-    return orbit, label, fixed
-
-
-# Outcome maps are tuples p over 0..m, p[v] the image of v; a candidate
-# relabeling with image tau is (0, *tau).
-
-
-def _compose(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
-    """Apply q, then p."""
-    return tuple(p[v] for v in q)
-
-
-def _inverse(p: tuple[int, ...]) -> tuple[int, ...]:
-    inv = [0] * len(p)
-    for v, w in enumerate(p):
-        inv[w] = v
-    return tuple(inv)
-
-
-def _merge(
-    nodes: list[int], successor: dict[int, tuple[int, tuple[int, ...]]] | None, m: int
-) -> list[tuple[list[tuple[int, tuple[int, ...]]], frozenset[int]]]:
-    """Components of the equations x_a = rho[x_b], ``successor[a] = (b,
-    rho)`` for each of ``nodes`` (ascending), in order of their smallest
-    node; without ``successor`` every node is its own component.
-
-    Each component is its (node, L) pairs, ascending, x_node = L[x_root],
-    and the root values in 0..m its one cycle allows: the fixed points of
-    the relabeling composed around it.  A walk from each unresolved node,
-    the smallest left, follows successors to a resolved node, whose
-    component it joins, or around a cycle, rooted at its largest node.
-    """
-    identity = tuple(range(m + 1))
-    if successor is None:
-        return [([(a, identity)], frozenset(identity)) for a in nodes]
-    component: dict[int, int | None] = {}  # None while on the current walk
-    label: dict[int, tuple[int, ...]] = {}
-    roots: list[int] = []
-    for a in nodes:
-        walk = []
-        while a not in component:
-            component[a] = None
-            walk.append(a)
-            a = successor[a][0]
-        if component[a] is None:
-            # Rooted at its largest node, the cycle leaves out the equation
-            # a merge in ascending order closes it with, so a value the
-            # cycle excludes implies the values, and the prune, it did there.
-            cycle = walk[walk.index(a) :]
-            k = cycle.index(max(cycle))
-            a = cycle[k]
-            walk[-len(cycle) :] = cycle[k + 1 :] + cycle[:k]  # the root's successor on to it
-            component[a], label[a] = len(roots), identity
-            roots.append(a)
-        for b in reversed(walk):
-            succ, rho = successor[b]
-            component[b], label[b] = component[a], _compose(rho, label[succ])
-    groups: list[list[tuple[int, tuple[int, ...]]]] = [[] for _ in roots]
-    for a in nodes:
-        groups[component[a]].append((a, label[a]))
-    allowed = []
-    for root in roots:
-        succ, rho = successor[root]
-        around = _compose(rho, label[succ])  # x_root = around[x_root]
-        allowed.append(frozenset(x for x in identity if around[x] == x))
-    return list(zip(groups, allowed))
-
-
-def _cell_count(m: int, n_max: int) -> int:
-    """The classes of 1..n_max voters, C(n_max + m + 1, m + 1) - 1, or a
-    lower bound past ``_COST_CAP``.
-
-    The binomial is a running product of C(n_max + m + 1 - j + i, i) for
-    i = 1..j, j = min(m + 1, n_max), which never decreases; it stops once it
-    passes the cap, as the exact count of a huge scope has thousands of
-    digits and takes longer to compute than to refuse.
-    """
-    top, j = n_max + m + 1, min(m + 1, n_max)
-    count = 1
-    for i in range(1, j + 1):
-        count = count * (top - j + i) // i
-        if count - 1 > _COST_CAP:
-            break
-    return count - 1
-
-
-def _refuse_cells(m: int, n_max: int) -> None:
-    """Raise :class:`SearchInfeasibleError` when a table at the scope would
-    need more than ``_MAX_CELLS`` cells, before any cell is built."""
-    cells = _cell_count(m, n_max)
-    if cells > _MAX_CELLS:
-        over, shown = ("", cells) if cells <= _COST_CAP else ("over ", _COST_CAP)
-        raise SearchInfeasibleError(
-            f"table would need {over}{shown} cells (> {_MAX_CELLS}); raw space {over}{m + 1}^{shown} tables",
-            cells=cells,
-            tables=lambda: (m + 1) ** cells,
-        )
-
-
-# A component: its representatives r, ascending, each with L, x_r =
-# L[x_root]; the root values its reduction cycles allow; and the map from
-# the value at its smallest cell, the first representative, to x_root.
-_Component = tuple[list[tuple[int, tuple[int, ...]]], frozenset[int], tuple[int, ...]]
-
-
-class _Engine:
-    """Level-wise search: each level's equations are merged into
-    components, which then take one value each (see the module docstring)."""
-
-    def __init__(self, spec: SearchSpec):
-        self.spec = spec
-        m, n_max = spec.m, spec.n_max
-        _refuse_cells(m, n_max)
-        self.m = m
-        # a cell's count vector determines its class, so the engine works on
-        # it throughout; the sorted ballots key the solution tables
-        self.cells = cells = list(_profiles(m, 1, n_max, True))
-        counts = [tuple(_counts(m, c)) for c in cells]
-        self.index = index = {c: i for i, c in enumerate(counts)}
-        self.out: list[int | None] = [None] * len(cells)  # set at representatives only
-
-        # Each cell's orbit representative and the map from its value to the
-        # cell's, through which ``_value`` reads every cell.  Without N every
-        # cell is its own orbit under the identity.
-        self.orbit = list(range(len(cells)))
-        self.label = [tuple(range(m + 1))] * len(cells)
-        self.fixed: dict[int, tuple[int, ...]] | None = None
-        if "N" in spec.axioms:
-            self.orbit, self.label, self.fixed = _orbits(counts, index, m)
-        reps = [j for j, r in enumerate(self.orbit) if r == j]
-        self.reps: dict[int, list[int]] = {n: [] for n in range(1, n_max + 1)}
-        for r in reps:
-            self.reps[len(cells[r])].append(r)
-
-        # The engine reads the facts below at representatives only (see the
-        # module docstring), so only representatives get them.
-        # PO forces the one candidate that gets votes.  DP: a class whose votes
-        # go to at most two candidates is a duel of every pair holding them, so
-        # its outcome is 0 or in its support; at m = 2 the one pair holds every
-        # outcome and DP never constrains.
-        po, dp = "PO" in spec.axioms, "DP" in spec.axioms and m > 2
-        candidates = range(1, m + 1)
-        supports = {r: [k for k in candidates if counts[r][k]] for r in reps} if po or dp else {}
-        self.po_forced = {r: s[0] if len(s) == 1 else None for r, s in supports.items()} if po else None
-        self.dp_allowed = {r: frozenset((0, *s)) if len(s) <= 2 else None for r, s in supports.items()} if dp else None
-
-        # RS: deleting one of c[b] voters with ballot b leaves c with b's count
-        # one lower, so each representative of two or more voters keeps
-        # (subcell, multiplicity) per ballot value present.  PR: an upgrade
-        # moves one ballot to a candidate; each representative r keeps every
-        # edge (source, target, k, whether a tie at source must become k) it
-        # is an end of.  Moving one of r's ballots x to y != x reaches the
-        # target of r's upgrade to y, and the source, not always a
-        # representative, of an upgrade of y to x onto r.
-        rs, pr = "RS" in spec.axioms, "PR" in spec.axioms
-        self.subcells: dict[int, list[tuple[int, int]]] | None = {} if rs else None
-        self.pr_edges: dict[int, list[tuple[int, int, int, bool]]] | None = {} if pr else None
-        tie = spec.pr_tie_upgrade
-
-        def binds(c: tuple[int, ...], k: int) -> bool:
-            return tie == "always" or (tie == "leaders" and c[k] == max(c[1:]))
-
-        for r in reps:
-            c = counts[r]
-            deletes = rs and len(cells[r]) > 1
-            if deletes:
-                self.subcells[r] = []
-            if pr:
-                self.pr_edges[r] = []
-            moved = list(c)
-            for x in range(m + 1):
-                if not c[x]:
-                    continue
-                moved[x] -= 1
-                if deletes:
-                    self.subcells[r].append((index[tuple(moved)], c[x]))
-                if pr:
-                    for y in range(m + 1):
-                        if y == x:
-                            continue
-                        moved[y] += 1
-                        other = tuple(moved)
-                        j = index[other]
-                        moved[y] -= 1
-                        if y:
-                            self.pr_edges[r].append((r, j, y, binds(c, y)))
-                        if x:
-                            self.pr_edges[r].append((j, r, x, binds(other, x)))
-                moved[x] += 1
-
-        self.nodes = 0
-        self.prunes: dict[str, int] = {ax: 0 for ax in sorted(spec.axioms)}
-        self.exhausted = True
-
-    # -- one level's components ------------------------------------------------
-
-    def _components(self, n: int) -> list[_Component]:
-        """Level n's components, given the fixed levels below, in order of
-        their smallest cell."""
-        reps = self.reps[n]
-        successor = None
-        if self.subcells is not None and n >= 2:
-            successor = {}
-            for r in reps:
-                d = self._reduced(r)
-                # f(r) = x_r and f(d) = label[d][x_orbit(d)].  With N the
-                # equations at r's other members are relabelings of this one.
-                successor[r] = (self.orbit[d], self.label[d])
-        merged = _merge(reps, successor, self.m)
-        return [(group, rs_allowed, _inverse(group[0][1])) for group, rs_allowed in merged]
-
-    def _value(self, j: int) -> int | None:
-        """Cell j's outcome, its representative's relabeled, or None while
-        that is unassigned: only representatives are stored."""
-        x = self.out[self.orbit[j]]
-        return None if x is None else self.label[j][x]
-
-    def _reduced(self, i: int) -> int:
-        """The cell of reduce(i), once the level below is fixed: a count sum,
-        each subcell's outcome as often as deleting a voter gives it."""
-        reduced = [0] * (self.m + 1)
-        for j, times in self.subcells[i]:
-            reduced[self._value(j)] += times
-        return self.index[tuple(reduced)]
-
-    def _pr_clash(self, i: int) -> bool:
-        """An upgrade edge at cell i with both ends assigned breaks PR."""
-        value = self._value
-        for s, t, k, binds in self.pr_edges[i]:
-            w = value(t)
-            if w is not None and w != k and (value(s) == k or (value(s) == 0 and binds)):
-                return True
-        return False
-
-    # -- search --------------------------------------------------------------
-
-    def _try(self, comp: _Component, v: int) -> str | None:
-        """Assign value v at the component's smallest cell, or return the
-        first axiom, in the order PO, DP, N, RS, PR, that excludes it
-        (leaving the component unassigned).  Every axiom is decided at the
-        representatives (see the module docstring)."""
-        group, rs_allowed, to_root = comp
-        x = to_root[v]
-        values = [(r, label[x]) for r, label in group]
-        po, dp, fixed = self.po_forced, self.dp_allowed, self.fixed
-        if po is not None and any(po[r] is not None and po[r] != w for r, w in values):
-            return "PO"
-        if dp is not None and any(dp[r] is not None and w not in dp[r] for r, w in values):
-            return "DP"
-        if fixed is not None and any(w not in fixed[r] for r, w in values):
-            return "N"
-        if x not in rs_allowed:
-            return "RS"
-        out = self.out
-        for r, w in values:
-            out[r] = w
-        if self.pr_edges is not None and any(self._pr_clash(r) for r, _ in group):
-            for r, _ in group:
-                out[r] = None
-            return "PR"
-        return None
-
-    def _search(self) -> Iterator[TabledFunction]:
-        """The solutions in order, until the node limit clears ``exhausted``."""
-        m, n_max, max_nodes = self.m, self.spec.n_max, self.spec.max_nodes
-        # one frame per component on the current branch: its level, that
-        # level's components, its position among them, the next value to try
-        stack = [[1, self._components(1), 0, 0]]
-        while stack:
-            frame = stack[-1]
-            n, comps, k, start = frame
-            comp = comps[k]
-            for r, _ in comp[0]:
-                self.out[r] = None
-            for v in range(start, m + 1):
-                self.nodes += 1
-                if max_nodes is not None and self.nodes > max_nodes:
-                    self.exhausted = False
-                    return
-                axiom = self._try(comp, v)
-                if axiom is None:
-                    break
-                self.prunes[axiom] += 1
-            else:
-                stack.pop()
-                continue
-            frame[3] = v + 1
-            if k + 1 < len(comps):
-                stack.append([n, comps, k + 1, 0])
-            elif n < n_max:
-                stack.append([n + 1, self._components(n + 1), 0, 0])
-            else:
-                # canonical keys, values in 0..m: nothing to validate; every
-                # representative is assigned, so each cell reads as in _value
-                out, orbit, label = self.out, self.orbit, self.label
-                yield TabledFunction._trusted(m, n_max, {c: label[j][out[orbit[j]]] for j, c in enumerate(self.cells)})
 
 
 def enumerate_functions(spec: SearchSpec) -> SearchResult:
@@ -495,57 +56,6 @@ def enumerate_functions(spec: SearchSpec) -> SearchResult:
         nodes_explored=engine.nodes,
         prune_counts=engine.prunes,
     )
-
-
-# -- neutral function enumeration by orbits -----------------------------------
-
-
-@dataclass(frozen=True)
-class NeutralOrbit:
-    """A candidate-relabeling orbit of anonymity classes.
-
-    Any outcome assigned to the representative propagates over the whole
-    orbit; consistency limits the choice to outcomes fixed by every
-    relabeling that maps the representative's class to itself.
-    """
-
-    representative: Profile
-    members: tuple[tuple[int, ...], ...]
-    stabilizer: tuple[tuple[int, ...], ...]
-    allowed_outcomes: tuple[int, ...]
-
-
-def neutral_orbits(m: int, n_max: int) -> list[NeutralOrbit]:
-    """Orbits of canonical profiles under candidate relabelings, in
-    (n, representative) order, read off the engine with N alone: its
-    cells, orbits and fixed outcomes.  So the scope is validated, and a
-    table of more than ``_MAX_CELLS`` cells refused before any cell is
-    built, as the search does.  A representative's candidate counts are
-    non-increasing, so its stabilizer permutes each block of equal-count
-    candidates; more than ``CHECK_MAX_COST`` relabelings in all are refused
-    before any is listed."""
-    engine = _Engine(SearchSpec(m=m, n_max=n_max, axioms=frozenset({"N"})))
-    cells, fixed = engine.cells, engine.fixed
-    blocks = {r: [list(b) for _, b in groupby(range(1, m + 1), key=_counts(m, cells[r]).__getitem__)] for r in fixed}
-    listed = sum(math.prod(math.factorial(len(b)) for b in bs) for bs in blocks.values())
-    if listed > CHECK_MAX_COST:
-        raise SearchInfeasibleError(
-            f"stabilizers would list {listed} relabelings (> {CHECK_MAX_COST})",
-            cells=len(cells),
-            tables=lambda: math.prod(len(allowed) for allowed in fixed.values()),
-        )
-    members = {r: [] for r in fixed}
-    for j, r in enumerate(engine.orbit):
-        members[r].append(cells[j])
-    return [
-        NeutralOrbit(
-            representative=Profile(m, cells[r]),
-            members=tuple(members[r]),
-            stabilizer=tuple(sum(p, ()) for p in product(*map(permutations, blocks[r]))),
-            allowed_outcomes=fixed[r],
-        )
-        for r in fixed
-    ]
 
 
 def enumerate_neutral_functions(
@@ -566,39 +76,6 @@ def enumerate_neutral_functions(
             tables=total,
         )
     yield from engine._search()
-
-
-# -- profile classification (the two proof cases plus the empty profile) ------
-
-
-def is_all_abstention(p: Profile) -> bool:
-    return not any(p.ballots)
-
-
-def is_leader_profile(p: Profile) -> bool:
-    """Some candidate has strictly more votes than every other candidate:
-    the top count is held once (m >= 2, so nobody voting is a tie)."""
-    counts = ballot_counts(p)[1:]
-    return counts.count(max(counts)) == 1
-
-
-def is_dominating_tie(p: Profile) -> bool:
-    """Two or more candidates share the strictly highest, positive vote count."""
-    counts = ballot_counts(p)[1:]
-    top = max(counts)
-    return top > 0 and counts.count(top) >= 2
-
-
-_CASES = ("all_abstention", "dominating_tie", "leader")
-
-
-def classify_profile(p: Profile) -> str:
-    """The one case p falls into.  All three predicates are asked, so a
-    profile in no case or in several raises :class:`RuntimeError`."""
-    hits = list(compress(_CASES, (is_all_abstention(p), is_dominating_tie(p), is_leader_profile(p))))
-    if len(hits) != 1:
-        raise RuntimeError(f"profile {p.ballots} classified as {hits}; not a partition")
-    return hits[0]
 
 
 # -- verdicts ------------------------------------------------------------------

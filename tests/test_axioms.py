@@ -1,4 +1,6 @@
 import ast
+import functools
+import importlib
 import inspect
 import math
 from itertools import combinations_with_replacement, groupby, islice, permutations, product
@@ -9,6 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 import scfkit
 from scfkit import axioms, cli, core, rules
 from scfkit.axioms import (
+    AXIOM_IDS,
     CHECK_MAX_COST,
     CHECKERS,
     PR_TIE_MODES,
@@ -736,7 +739,66 @@ _FORGED = {
     "DP-past-n-max-table": (MAJ_2X2, "DP", Witness(Profile(2, (1, 1, 1)), actual=0, pair=(1, 2))),
     "RS-past-n-max-table": (MAJ_2X2, "RS", Witness(Profile(2, (1, 1, 1)), 1, 0, Profile(2, (1, 1, 1)))),
     "PO-past-n-max-zero": (ZERO, "PO", Witness(Profile(2, (1, 1, 1)), 0, 1, candidate=1)),
+    # fields that are not ints: None in a pair, floats where the witness
+    # names voters or candidates; the last two were replayed as genuine
+    "DP-pair-with-none": (THIRD_PARTY, "DP", Witness(Profile(3, (1, 2)), actual=3, pair=(None, 2))),
+    "NTW-pair-with-none": (LEX, "NTW", Witness(Profile(2, (1, 2)), actual=1, pair=(1, None))),
+    "A-float-permutation": (
+        DICTATOR,
+        "A",
+        Witness(Profile(2, (1, 2)), 1, 2, Profile(2, (2, 1)), permutation=(2.0, 1.0)),
+    ),
+    "PR-float-voter": (
+        ZERO,
+        "PR",
+        Witness(Profile(2, (1,)), 0, 2, Profile(2, (2,)), candidate=2, voter=1.0, note="pr:tie:always"),
+    ),
+    "PR-float-candidate": (
+        ZERO,
+        "PR",
+        Witness(Profile(2, (1,)), 0, 2, Profile(2, (2,)), candidate=2.0, voter=1, note="pr:tie:always"),
+    ),
+    "PO-float-candidate": (ZERO, "PO", Witness(Profile(2, (1,)), 0, 1, candidate=1.0)),
 }
+
+# any value a witness field may hold: ints out of range, None, floats, and
+# tuples of any length
+_FIELDS = st.one_of(
+    st.none(),
+    st.integers(-2, 6),
+    st.floats(),
+    st.lists(st.one_of(st.none(), st.integers(-2, 6), st.floats()), max_size=4).map(tuple),
+)
+
+
+@st.composite
+def untrusted_reports(draw):
+    """A failing report for any of the seven axioms at a scope (m, n_max),
+    whose witness profiles are over m or another candidate count with 1 to
+    n_max + 1 voters, and whose other fields are drawn from ``_FIELDS``."""
+    m, n_max = draw(st.integers(2, 3)), draw(st.integers(1, 3))
+
+    def profile():
+        size = draw(st.sampled_from([m, m + 1]))
+        return Profile(size, tuple(draw(st.lists(st.integers(0, size), min_size=1, max_size=n_max + 1))))
+
+    witness = Witness(
+        profile(),
+        actual=draw(_FIELDS),
+        expected=draw(_FIELDS),
+        related_profile=draw(st.sampled_from([None, profile()])),
+        permutation=draw(_FIELDS),
+        pair=draw(_FIELDS),
+        candidate=draw(_FIELDS),
+        voter=draw(_FIELDS),
+        note=draw(st.sampled_from(["", "pr:win", "pr:tie:always", "pr:tie:leaders"])),
+    )
+    return AxiomReport(draw(st.sampled_from(AXIOM_IDS)), m, n_max, False, witness)
+
+
+@functools.cache
+def _majority_table(m, n_max):
+    return TabledFunction.from_rule(MAJ, m, n_max)
 
 
 class TestCheckerInfrastructure:
@@ -763,6 +825,14 @@ class TestCheckerInfrastructure:
     def test_replay_rejects_forged_witnesses(self, name):
         f, axiom, witness = _FORGED[name]
         assert replay_witness(f, AxiomReport(axiom, witness.profile.m, 2, False, witness)) is False
+
+    @settings(max_examples=400, deadline=None)
+    @given(report=untrusted_reports())
+    def test_replay_never_raises(self, report):
+        # a witness read from a file is untrusted input: whatever its fields
+        # hold, replaying it gives a verdict, not an error
+        for f in [*RULES.values(), _majority_table(report.m, report.n_max)]:
+            assert type(replay_witness(f, report)) is bool
 
     def test_replay_rejects_a_witness_over_another_m(self):
         # lex's genuine N witness at m = 3, in a report at m = 2
@@ -1706,21 +1776,38 @@ class TestTupleScans:
                 assert f.table == before
 
 
-def _imports_the_engine(module) -> bool:
-    """Whether the source of a module of the flat ``scfkit`` package has an
-    import statement naming ``scfkit.search``, absolute or relative."""
-    for node in ast.walk(ast.parse(inspect.getsource(module))):
+def _sibling_imports(source: str) -> set[str]:
+    """The names a module of the flat ``scfkit`` package imports from the
+    package: each sibling module it names in ``from . import x``,
+    ``from .x import y``, ``from scfkit.x import y``, ``from scfkit import
+    x`` or ``import scfkit.x``, and ``__init__`` for a bare ``import
+    scfkit``."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Import):
-            if any(alias.name.split(".")[:2] == ["scfkit", "search"] for alias in node.names):
-                return True
+            paths = [alias.name.split(".") for alias in node.names]
+            names.update((path[1:] or ["__init__"])[0] for path in paths if path[0] == "scfkit")
         elif isinstance(node, ast.ImportFrom):
-            package = "scfkit" if node.level else ""
-            path = ".".join(filter(None, [package, node.module or ""]))
-            if path.split(".")[:2] == ["scfkit", "search"]:
-                return True
-            if path == "scfkit" and any(alias.name == "search" for alias in node.names):
-                return True
-    return False
+            path = (["scfkit"] if node.level else []) + (node.module.split(".") if node.module else [])
+            if path[:1] == ["scfkit"]:
+                names.update(path[1:2] or [alias.name for alias in node.names])
+    return names
+
+
+def _imports_the_engine(module) -> bool:
+    """Whether a module of the package imports the engine or its runs."""
+    return bool(_sibling_imports(inspect.getsource(module)) & {"engine", "search"})
+
+
+# The layers below the verdicts: what each module may import from the
+# package.  The checkers are the oracle the engine's solutions are replayed
+# through, so neither the checkers nor the engine may import the other.
+_MAY_IMPORT = {
+    "core": set(),
+    "rules": {"core"},
+    "axioms": {"core", "rules"},
+    "engine": {"core", "rules"},
+}
 
 
 class TestOracleIndependence:
@@ -1733,3 +1820,24 @@ class TestOracleIndependence:
     def test_the_import_scan_sees_the_engine(self):
         # ``from .search import ...`` and ``from . import ..., search``
         assert _imports_the_engine(cli) and _imports_the_engine(scfkit)
+
+    @pytest.mark.parametrize("name", list(_MAY_IMPORT))
+    def test_each_layer_imports_only_the_layers_below(self, name):
+        module = importlib.import_module(f"scfkit.{name}")
+        assert _sibling_imports(inspect.getsource(module)) <= _MAY_IMPORT[name]
+
+    @pytest.mark.parametrize(
+        "source,names",
+        [
+            ("from . import core, rules", {"core", "rules"}),
+            ("from .engine import _orbits", {"engine"}),
+            ("from scfkit.axioms import CHECK_MAX_COST", {"axioms"}),
+            ("from scfkit import search", {"search"}),
+            ("import scfkit.search as s, math", {"search"}),
+            ("import scfkit", {"__init__"}),
+            ("def f():\n    from .search import verify_theorem", {"search"}),
+            ("import math\nfrom itertools import chain\nfrom .core import Profile", {"core"}),
+        ],
+    )
+    def test_the_import_scan_reads_every_form(self, source, names):
+        assert _sibling_imports(source) == names

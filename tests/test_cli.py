@@ -37,7 +37,7 @@ def profile_file(tmp_path):
 class TestPackage:
     def test_public_names_are_the_module_lists(self):
         names = scfkit.__all__
-        assert len(names) == len(set(names)) == 61
+        assert len(names) == len(set(names)) == 58
         modules = (core, rules, axioms, search)
         assert set(names) == {"__version__"}.union(*(module.__all__ for module in modules))
         for module in modules:

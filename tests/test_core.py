@@ -14,7 +14,6 @@ from scfkit.core import (
     Tally,
     VoterPermutation,
     apply_candidate_permutation,
-    apply_to_outcome,
     apply_voter_permutation,
     ballot_counts,
     canonicalize,
@@ -177,12 +176,6 @@ class TestOperations:
     def test_candidate_permutation_m_mismatch(self):
         with pytest.raises(ValueError):
             apply_candidate_permutation(Profile(3, (1,)), CandidatePermutation(2, (2, 1)))
-
-    def test_apply_to_outcome(self):
-        swap = CandidatePermutation.transposition(2, 1, 2)
-        assert apply_to_outcome(0, swap) == 0
-        assert apply_to_outcome(1, swap) == 2
-        assert apply_to_outcome(3, CandidatePermutation.identity(3)) == 3
 
     def test_remove_voter(self):
         p = Profile(2, (1, 1, 2))

@@ -8,7 +8,7 @@ from itertools import combinations, islice, permutations, product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from scfkit import search
+from scfkit import core, search
 from scfkit.axioms import (
     PR_TIE_MODES,
     check_duel_property,
@@ -17,20 +17,23 @@ from scfkit.axioms import (
     check_positive_responsiveness,
     check_rs,
 )
-from scfkit.core import Profile, enumerate_profiles, profile_count
+from scfkit.core import (
+    Profile,
+    classify_profile,
+    enumerate_profiles,
+    is_all_abstention,
+    is_dominating_tie,
+    is_leader_profile,
+    profile_count,
+)
+from scfkit.engine import _COST_CAP, _Engine, _cell_count, _compose, _inverse, _merge, _orbits
 from scfkit.rules import RULES, TabledFunction
 from scfkit.search import (
     SEARCH_AXIOMS,
     SearchInfeasibleError,
     SearchSpec,
-    _merge,
-    classify_profile,
     enumerate_functions,
     enumerate_neutral_functions,
-    is_all_abstention,
-    is_dominating_tie,
-    is_leader_profile,
-    neutral_orbits,
     verify_independence,
     verify_theorem,
 )
@@ -115,7 +118,7 @@ def _orbits_by_permutations(cells, m):
 
 
 def _as_cell_orbits(orbits, size):
-    """Per-orbit ``(rep, labels, allowed)`` triples as ``search._orbits``
+    """Per-orbit ``(rep, labels, allowed)`` triples as ``engine._orbits``
     returns them: each cell's representative and label (an outcome map),
     and each representative's fixed outcomes."""
     orbit, label, fixed = [None] * size, [None] * size, {}
@@ -156,7 +159,7 @@ def _uf_find(parent, link, a):
         a = parent[a]
     label = link[a]
     for node in reversed(path):
-        label = search._compose(link[node], label)
+        label = _compose(link[node], label)
         parent[node] = a
         link[node] = label
     return a, label
@@ -166,7 +169,7 @@ def _uf_union(parent, link, a, b, rho, cycles):
     """Merge x_a = rho[x_b]; a closed cycle records (root, p), x_root = p[x_root]."""
     ra, la = _uf_find(parent, link, a)
     rb, lb = _uf_find(parent, link, b)
-    p = search._compose(search._inverse(la), search._compose(rho, lb))
+    p = _compose(_inverse(la), _compose(rho, lb))
     if ra != rb:
         parent[ra] = rb
         link[ra] = p
@@ -204,10 +207,10 @@ def _uf_components(engine, n):
             d = engine._reduced(r)
             equations.append((r, engine.orbit[d], engine.label[d]))
     merged = _uf_merge(reps, equations, engine.m)
-    return [(group, allowed, search._inverse(group[0][1])) for group, allowed in merged]
+    return [(group, allowed, _inverse(group[0][1])) for group, allowed in merged]
 
 
-class _MemberCellEngine(search._Engine):
+class _MemberCellEngine(_Engine):
     """The engine deciding each value as it did before the decision moved to
     the representatives, kept as that decision's reference: PO and DP at
     every member cell, N and RS at the representatives, then PR on every
@@ -261,10 +264,10 @@ class _MemberCellEngine(search._Engine):
 
     def _try(self, comp, v):
         group, rs_allowed, to_root = comp
-        maps = [(c, search._compose(self.label[c], label)) for r, label in group for c in self.members[r]]
+        maps = [(c, _compose(self.label[c], label)) for r, label in group for c in self.members[r]]
         # the value at the smallest member cell, the first, maps back to the root
         assert maps[0][0] == min(c for c, _ in maps)
-        assert to_root == search._inverse(maps[0][1])
+        assert to_root == _inverse(maps[0][1])
         x = to_root[v]
         values = [(c, f[x]) for c, f in maps]
         po, dp = self.po_forced, self.dp_allowed
@@ -287,7 +290,7 @@ class _MemberCellEngine(search._Engine):
 
 @cache
 def _rs_engine(m, n_max, axioms, tie):
-    return search._Engine(SearchSpec(m=m, n_max=n_max, axioms=axioms, pr_tie_upgrade=tie))
+    return _Engine(SearchSpec(m=m, n_max=n_max, axioms=axioms, pr_tie_upgrade=tie))
 
 
 # Tuple-built references for the count-vector engine, written as the engine
@@ -335,7 +338,7 @@ def _pr_targets_by_replacement(c, m, tie):
 
 def _engine(m, n_max, tie="leaders", axioms=SEARCH_AXIOMS):
     spec = SearchSpec(m=m, n_max=n_max, axioms=frozenset(axioms), pr_tie_upgrade=tie)
-    return search._Engine(spec)
+    return _Engine(spec)
 
 
 def _fact_engines(m, n_max, tie="leaders"):
@@ -433,12 +436,12 @@ class TestSearchSpec:
         "m,n_max", [(2, 1), (2, 40), (3, 26), (8, 5), (40, 3), (1_000_000, 1), (12, 12), (2, 1800)]
     )
     def test_cell_count_is_the_binomial_below_the_cap(self, m, n_max):
-        assert search._cell_count(m, n_max) == math.comb(n_max + m + 1, m + 1) - 1
+        assert _cell_count(m, n_max) == math.comb(n_max + m + 1, m + 1) - 1
 
     @pytest.mark.parametrize("m,n_max", [(10_000, 10_000), (1_000_000, 1_000_000), (2, 10**9), (12, 30), (30, 30)])
     def test_cell_count_stops_past_the_cap(self, m, n_max):
-        cells = search._cell_count(m, n_max)
-        assert search._COST_CAP < cells
+        cells = _cell_count(m, n_max)
+        assert _COST_CAP < cells
         if max(m, n_max) < 1000:
             assert cells <= math.comb(n_max + m + 1, m + 1) - 1
         with pytest.raises(SearchInfeasibleError) as err:
@@ -749,8 +752,8 @@ class TestOrbitConstruction:
         # label, and each representative's fixed outcomes, as the engine
         # built them from the grouped orbits
         n_max = 1
-        while search._cell_count(m, n_max) <= 3000:
-            engine = search._Engine(SearchSpec(m=m, n_max=n_max, axioms=frozenset({"N"})))
+        while _cell_count(m, n_max) <= 3000:
+            engine = _Engine(SearchSpec(m=m, n_max=n_max, axioms=frozenset({"N"})))
             counts = [_count_vector(c, m) for c in engine.cells]
             orbit, label, fixed = _as_cell_orbits(_grouped_orbits(counts, m), len(counts))
             assert engine.orbit == orbit, n_max
@@ -763,30 +766,6 @@ class TestOrbitConstruction:
 
 
 class TestNeutralOrbits:
-    def test_single_voter_orbits_at_m2(self):
-        orbits = neutral_orbits(2, 1)
-        reps = [o.representative.ballots for o in orbits]
-        assert reps == [(0,), (1,)]
-        by_rep = {o.representative.ballots: o for o in orbits}
-        assert by_rep[(0,)].allowed_outcomes == (0,)
-        assert by_rep[(1,)].members == ((1,), (2,))
-        assert 1 in by_rep[(1,)].allowed_outcomes
-
-    def test_balanced_duel_orbit_allows_only_fixed_outcomes(self):
-        # stabilizer of the class {1, 2} contains the 1<->2 swap, whose fixed
-        # outcomes at m=3 are 0 and 3 (computed over all six relabelings)
-        orbit = next(
-            o for o in neutral_orbits(3, 2) if o.representative.ballots == (1, 2)
-        )
-        assert orbit.allowed_outcomes == (0, 3)
-        swap = (2, 1, 3)
-        assert swap in orbit.stabilizer
-        # brute-force the stabilizer-fixed set independently
-        fixed = set(range(4))
-        for tau in orbit.stabilizer:
-            fixed &= {o for o in range(4) if (0 if o == 0 else tau[o - 1]) == o}
-        assert tuple(sorted(fixed)) == orbit.allowed_outcomes
-
     @pytest.mark.parametrize("m,n_max", [(2, 1), (2, 2), (3, 1)])
     def test_matches_brute_force_neutral_filter(self, m, n_max):
         yielded = [f.table for f in enumerate_neutral_functions(m, n_max)]
@@ -833,35 +812,11 @@ class TestNeutralOrbits:
     def test_count_signature_orbits_equal_permutation_orbits(self, m, n_max):
         cells = _table_cells(m, n_max)
         counts = [_count_vector(c, m) for c in cells]
-        orbit, label, fixed = search._orbits(counts, {c: i for i, c in enumerate(counts)}, m)
+        orbit, label, fixed = _orbits(counts, {c: i for i, c in enumerate(counts)}, m)
         expected = _as_cell_orbits(_orbits_by_permutations(cells, m), len(cells))
         assert orbit == expected[0]
         assert label == expected[1]
         assert list(fixed.items()) == list(expected[2].items())
-
-    @pytest.mark.parametrize("m,n_max", [(2, 3), (3, 3), (4, 2), (5, 2)])
-    def test_stabilizer_is_every_relabeling_fixing_the_representative(self, m, n_max):
-        for orbit in neutral_orbits(m, n_max):
-            rep = orbit.representative.ballots
-            assert orbit.stabilizer == tuple(
-                tau
-                for tau in permutations(range(1, m + 1))
-                if tuple(sorted(0 if b == 0 else tau[b - 1] for b in rep)) == rep
-            )
-
-    def test_stabilizer_listing_over_the_cost_bound_is_refused(self):
-        # 12! + 11! relabelings in the two orbits of one voter, refused
-        # before any is listed; the bound falls between 9 and 10 candidates
-        start = time.perf_counter()
-        with pytest.raises(SearchInfeasibleError) as err:
-            neutral_orbits(12, 1)
-        assert time.perf_counter() - start < 1
-        listed = math.factorial(12) + math.factorial(11)
-        assert str(err.value) == f"stabilizers would list {listed} relabelings (> 2000000)"
-        assert err.value.cells == 13
-        with pytest.raises(SearchInfeasibleError, match="would list 3991680 relabelings"):
-            neutral_orbits(10, 1)
-        assert sum(len(o.stabilizer) for o in neutral_orbits(9, 1)) == 403_200
 
     @pytest.mark.parametrize(
         "m,n_max,message",
@@ -869,19 +824,17 @@ class TestNeutralOrbits:
     )
     def test_scope_is_validated(self, m, n_max, message):
         with pytest.raises(ValueError, match=message):
-            neutral_orbits(m, n_max)
+            next(enumerate_neutral_functions(m, n_max))
 
     def test_cell_limit_is_enforced_before_any_cell_is_built(self):
         # (9, 9) has 92,377 cells: refused with the search's refusal, not
         # after building them and their orbits
         start = time.perf_counter()
         with pytest.raises(SearchInfeasibleError) as err:
-            neutral_orbits(9, 9)
-        assert time.perf_counter() - start < 1
-        with pytest.raises(SearchInfeasibleError) as engine:
             next(enumerate_neutral_functions(9, 9))
-        assert str(err.value) == str(engine.value) == "table would need 92377 cells (> 20000); raw space 10^92377 tables"
-        assert err.value.cells == engine.value.cells == 92_377
+        assert time.perf_counter() - start < 1
+        assert str(err.value) == "table would need 92377 cells (> 20000); raw space 10^92377 tables"
+        assert err.value.cells == 92_377
 
     @pytest.mark.parametrize("m,n_max", [(2, 3), (3, 2), (3, 3), (4, 2)])
     def test_neutral_tables_come_in_product_order(self, m, n_max):
@@ -925,6 +878,15 @@ class TestClassification:
         (2, 40): (40, 1411279806625761752, 16825218381959631408),
     }
 
+    # the engine's nodes and its prunes by axiom at the same verdicts: a
+    # search that keeps its node count but blames another axiom for a prune
+    # changes the split
+    PINNED_PRUNES = {
+        (40, 3): (369, {"DP": 196, "N": 4, "PO": 160, "RS": 0}),
+        (3, 20): (564, {"DP": 160, "N": 200, "PO": 63, "RS": 0}),
+        (2, 40): (1443, {"DP": 0, "N": 880, "PO": 82, "RS": 0}),
+    }
+
     @pytest.mark.parametrize("m,n_max", [(2, 3), (40, 3), (3, 20), (2, 40)])
     def test_case_counts_cover_the_space(self, m, n_max):
         # each class weighs n! / prod c_b!, read off its counts: the weights
@@ -939,6 +901,7 @@ class TestClassification:
             assert verdict.case_counts == {
                 "all_abstention": all_abstention, "dominating_tie": dominating_tie, "leader": leader,
             }
+            assert (verdict.nodes_explored, verdict.prune_counts) == self.PINNED_PRUNES[m, n_max]
 
     @pytest.mark.parametrize("m,n_max", [(2, 4), (3, 3), (4, 2)])
     def test_class_weighted_counts_equal_ordered_enumeration(self, m, n_max):
@@ -959,7 +922,7 @@ class TestClassification:
         # every profile a leader: the other cases overlap it; none a leader:
         # the leader profiles fall into no case.  Either way they go uncounted.
         correct = verify_theorem(2, 3).case_counts
-        monkeypatch.setattr(search, "is_leader_profile", lambda p: leader)
+        monkeypatch.setattr(core, "is_leader_profile", lambda p: leader)
         verdict = verify_theorem(2, 3)
         assert not verdict.partition_ok and not verdict.passed
         assert verdict.maj_match and verdict.replay_ok
