@@ -14,9 +14,11 @@ hours.  An anonymous f is scanned one sorted profile per anonymity class,
 anything else over every ordered profile.  The A scan finds each ordered
 profile's class without sorting its ballots: a per-level successor table
 maps a class of n - 1 voters and one more ballot to a class of n
-(:func:`_class_ids`).  It keeps each class's outcome for the call; when it
-passes, every later scan reads f's values from those, so f is evaluated at
-most once per ordered profile per call.
+(:func:`_class_ids`), and a per-level byte mask, built per class, drops the
+sorted profiles from the ordered stream, so f is read once at each other
+profile with no per-profile test.  It keeps each class's outcome for the
+call; when it passes, every later scan reads f's values from those, so f
+is evaluated at most once per ordered profile per call.
 
 Every scan walks ballot tuples from the profile stream of
 :mod:`scfkit.core`, not :class:`~scfkit.core.Profile` objects: the scanned
@@ -63,7 +65,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from itertools import groupby, islice, permutations
+from itertools import compress, groupby, islice, permutations
 from typing import Callable, Iterable, Iterator
 
 from .core import (
@@ -74,6 +76,8 @@ from .core import (
     VoterPermutation,
     _counts,
     _profiles,
+    _set_ballots,
+    _set_m,
     apply_candidate_permutation,
     apply_voter_permutation,
     ballot_counts,
@@ -291,29 +295,41 @@ def _sorting_permutation(p: Profile) -> VoterPermutation:
 _UNEVALUATED = object()
 
 
-def _class_ids(m: int, n_max: int) -> Iterator[tuple[list[tuple[int, ...]], list[int]]]:
-    """Per level n = 1..n_max, ``(keys, ids)``: ``keys`` lists the classes'
-    sorted ballots in the order of ``_profiles(m, n, n, True)``, and
+def _class_ids(m: int, n_max: int) -> Iterator[tuple[list[tuple[int, ...]], list[int], bytearray]]:
+    """Per level n = 1..n_max, ``(keys, ids, unsorted)``: ``keys`` lists the
+    classes' sorted ballots in the order of ``_profiles(m, n, n, True)``,
     ``ids[t]`` is the index in ``keys`` of the class of the t-th ordered
-    profile of ``_profiles(m, n, n, False)``.
+    profile of ``_profiles(m, n, n, False)``, and ``unsorted[t]`` is 0 where
+    that profile is sorted and 1 elsewhere.
 
     Nothing is sorted per ordered profile.  The ordered stream is
     prefix-major: each profile of n - 1 voters, in order, followed by each
     ballot.  So a level's ids are its predecessor's, each expanded through
     the successor table ``child[i][b]``, the class of
     ``keys_{n-1}[i] + (b,)``.  Only the table's entries, one per (class,
-    ballot) pair, are sorted.
+    ballot) pair, are sorted.  For the same reason the sorted profile k sits
+    at position pos(k[:-1]) * (m + 1) + k[-1], where pos(k[:-1]) is the
+    sorted position one level down: the mask is built in O(classes).
     """
     ballots = range(m + 1)
     keys: list[tuple[int, ...]] = [()]
     ids = [0]
+    positions = [0]  # where each class's sorted member sits in the ordered stream
     for n in range(1, n_max + 1):
         level = list(_profiles(m, n, n, True))
         index = {key: i for i, key in enumerate(level)}
         child = [[index[tuple(sorted(key + (b,)))] for b in ballots] for key in keys]
         ids = [c for i in ids for c in child[i]]
+        # keys and positions are in lexicographic order, so this lists the
+        # sorted extensions of each class in the order of ``level``
+        positions = [
+            pos * (m + 1) + b for key, pos in zip(keys, positions) for b in range(key[-1] if key else 0, m + 1)
+        ]
+        unsorted = bytearray(b"\x01") * len(ids)
+        for pos in positions:
+            unsorted[pos] = 0
         keys = level
-        yield keys, ids
+        yield keys, ids, unsorted
 
 
 def _anonymity_witness(f, m: int, n_max: int, values: dict[tuple[int, ...], int]) -> Witness | None:
@@ -321,9 +337,9 @@ def _anonymity_witness(f, m: int, n_max: int, values: dict[tuple[int, ...], int]
     ordered profile is compared against its class's sorted member.
 
     Each profile's class is read off :func:`_class_ids`, not found by
-    sorting.  A class's first member in stream order is its sorted one, the
-    lexicographic minimum of its orderings, and is skipped; f is read once
-    at each later, non-canonical member, as it is (``_reader`` without
+    sorting, and the sorted profiles, each the lexicographic minimum of its
+    class's orderings, are dropped from the stream by that level's mask.  f
+    is read once at every other profile, as it is (``_reader`` without
     classes).  The sorted member's outcome is read through the class values
     (``_reader`` by class) the first time its class needs it, after that
     profile's own, which keeps it in ``values`` for the rest of the call,
@@ -331,13 +347,9 @@ def _anonymity_witness(f, m: int, n_max: int, values: dict[tuple[int, ...], int]
     with one ordering, one ballot value repeated, is never read here.
     """
     read, class_value = _reader(f, m, False, values), _reader(f, m, True, values)
-    for n, (keys, ids) in enumerate(_class_ids(m, n_max), start=1):
-        seen = bytearray(len(keys))
+    for n, (keys, ids, unsorted) in enumerate(_class_ids(m, n_max), start=1):
         outcomes = [_UNEVALUATED] * len(keys)
-        for ballots, i in zip(_profiles(m, n, n, False), ids):
-            if not seen[i]:
-                seen[i] = 1
-                continue
+        for ballots, i in zip(compress(_profiles(m, n, n, False), unsorted), compress(ids, unsorted)):
             actual = read(ballots)
             expected = outcomes[i]
             if expected is _UNEVALUATED:
@@ -386,12 +398,16 @@ def _reader(f, m: int, by_class: bool, values: dict[tuple[int, ...], int]) -> Ca
     f is read through its class values ``values``: a miss evaluates f on the
     class's sorted member and keeps the outcome there for the rest of the
     call.  Without, f is evaluated at every profile.  A
-    :class:`~scfkit.core.Profile` is built only for f.evaluate.
+    :class:`~scfkit.core.Profile` is built only for f.evaluate, inline
+    through the slot setters :meth:`~scfkit.core.Profile._trusted` uses.
     """
-    trusted, evaluate = Profile._trusted, f.evaluate
+    new, set_m, set_ballots, evaluate = object.__new__, _set_m, _set_ballots, f.evaluate
 
     def read(ballots: tuple[int, ...]) -> int:
-        return evaluate(trusted(m, ballots))
+        p = new(Profile)
+        set_m(p, m)
+        set_ballots(p, ballots)
+        return evaluate(p)
 
     if isinstance(f, TabledFunction):
         return _sorted_reader(f.table, read) if f.m == m else read
@@ -799,6 +815,12 @@ def _names_pair(pair: tuple[int, int] | None, m: int) -> bool:
     return _ints(pair) and len(pair) == 2 and 1 <= pair[0] < pair[1] <= m
 
 
+def _is_recorded(outcome, recorded) -> bool:
+    """Whether an outcome is the one a witness records: equal and of the same
+    type, so 1.0 or True does not stand for 1 (None still matches None)."""
+    return type(outcome) is type(recorded) and outcome == recorded
+
+
 def replay_witness(f, report: AxiomReport) -> bool:
     """Re-derive a failing report's violation from its recorded configuration.
 
@@ -809,7 +831,8 @@ def replay_witness(f, report: AxiomReport) -> bool:
     not list the voters or candidates each once, an RS witness on one
     voter, a DP or NTW pair that is not two candidates i < j, or an upgrade
     without a candidate and a voter of the profile; a permutation, pair,
-    candidate or voter must be ints, not bools, floats or None.  So is an N
+    candidate or voter must be ints, not bools, floats or None, and each
+    recorded outcome must match f's in type as well as value.  So is an N
     witness at which f's outcome lies outside [0, m], which no relabeling
     maps, and an RS witness at which f's outcome on a voter-deleted
     subprofile does, which is no ballot.
@@ -827,8 +850,8 @@ def replay_witness(f, report: AxiomReport) -> bool:
         permuted = apply_voter_permutation(p, sigma)
         return (
             permuted == w.related_profile
-            and f.evaluate(p) == w.actual
-            and f.evaluate(permuted) == w.expected
+            and _is_recorded(f.evaluate(p), w.actual)
+            and _is_recorded(f.evaluate(permuted), w.expected)
             and w.actual != w.expected
         )
     if report.axiom == "N":
@@ -836,19 +859,19 @@ def replay_witness(f, report: AxiomReport) -> bool:
             return False
         tau = CandidatePermutation(p.m, w.permutation)
         permuted = apply_candidate_permutation(p, tau)
-        if permuted != w.related_profile or f.evaluate(permuted) != w.actual:
+        if permuted != w.related_profile or not _is_recorded(f.evaluate(permuted), w.actual):
             return False
         out = f.evaluate(p)
-        return out in range(p.m + 1) and tau.outcome(out) == w.expected and w.actual != w.expected
+        return out in range(p.m + 1) and _is_recorded(tau.outcome(out), w.expected) and w.actual != w.expected
     if report.axiom == "DP":
         if not _names_pair(w.pair, p.m):
             return False
         i, j = w.pair
         support = _support(p.ballots)
-        return all(k in (i, j) for k in support) and f.evaluate(p) == w.actual and w.actual not in (0, i, j)
+        return all(k in (i, j) for k in support) and _is_recorded(f.evaluate(p), w.actual) and w.actual not in (0, i, j)
     if report.axiom == "PO":
         k = w.candidate
-        return _ints((k,)) and _support(p.ballots) == (k,) and f.evaluate(p) == w.actual and w.actual != k
+        return _ints((k,)) and _support(p.ballots) == (k,) and _is_recorded(f.evaluate(p), w.actual) and w.actual != k
     if report.axiom == "RS":
         if p.n < 2:
             return False
@@ -858,8 +881,8 @@ def replay_witness(f, report: AxiomReport) -> bool:
         reduced = Profile._trusted(p.m, ballots)
         return (
             reduced == w.related_profile
-            and f.evaluate(p) == w.actual
-            and f.evaluate(reduced) == w.expected
+            and _is_recorded(f.evaluate(p), w.actual)
+            and _is_recorded(f.evaluate(reduced), w.expected)
             and w.actual != w.expected
         )
     if report.axiom == "PR":
@@ -867,7 +890,7 @@ def replay_witness(f, report: AxiomReport) -> bool:
         if not _ints((k, l)) or not (1 <= k <= p.m and 1 <= l <= p.n) or p.ballots[l - 1] == k:
             return False
         upgraded = Profile(p.m, p.ballots[: l - 1] + (k,) + p.ballots[l:])
-        if upgraded != w.related_profile or f.evaluate(upgraded) != w.actual or w.actual == k:
+        if upgraded != w.related_profile or not _is_recorded(f.evaluate(upgraded), w.actual) or w.actual == k:
             return False
         before = f.evaluate(p)
         if w.note == "pr:win":
@@ -882,7 +905,7 @@ def replay_witness(f, report: AxiomReport) -> bool:
             return False
         i, j = w.pair
         counts = ballot_counts(p)
-        return counts[i] == counts[j] and f.evaluate(p) == w.actual and w.actual in (i, j)
+        return counts[i] == counts[j] and _is_recorded(f.evaluate(p), w.actual) and w.actual in (i, j)
     return False
 
 

@@ -5,10 +5,12 @@ candidate k.  Aggregation outcomes live in the same value space (0 means a
 tie / no decision), so an outcome can be fed back in as a ballot -- the
 subsociety-reduction axiom depends on that.
 
-Ballots are counted in one place, :func:`_counts` over a ballot tuple, which
-:func:`ballot_counts` calls for a profile.  Every walk over the profile space
-reads its ballot tuples from one stream, :func:`_profiles`: one sorted tuple
-per anonymity class, or every ordered tuple, level by level.
+Count lists over [0, m] come from one place, :func:`_counts` over a ballot
+tuple, which :func:`ballot_counts` calls for a profile; the named rules of
+:mod:`scfkit.rules` count only the values present.  Every walk over the
+profile space reads its ballot tuples from one stream, :func:`_profiles`:
+one sorted tuple per anonymity class, or every ordered tuple, level by
+level.
 
 All values here are immutable.  A :class:`Profile` has two slots and no
 instance dict; trusted construction sets the slots directly.

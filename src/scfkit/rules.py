@@ -5,9 +5,9 @@ outcome.  The named rules here are total and deterministic; ``TabledFunction``
 is the finite, canonical-profile-keyed representation the search engine
 enumerates over.
 
-The named rules count ballots with the one count function of
-:mod:`scfkit.core`, one list per evaluation, rather than building a
-:class:`~scfkit.core.Tally`.  A
+The named rules read only the ballot values present in a profile, each
+counted with ``tuple.count``, so an evaluation costs O(n) at any m rather
+than an (m + 1)-long count list or a :class:`~scfkit.core.Tally`.  A
 table looks its key up as given and sorts only ballots that miss.
 """
 
@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .core import Outcome, Profile, _counts, _profiles
+from .core import Outcome, Profile, _profiles
 
 __all__ = [
     "Rule",
@@ -45,20 +45,25 @@ class Rule:
 def majority_rule(p: Profile) -> Outcome:
     """The candidate with strictly more votes than every other; 0 on any top
     tie or when nobody votes."""
-    counts = _counts(p.m, p.ballots)
-    counts[0] = 0  # abstentions elect nobody
-    best = max(counts)
-    if best > 0 and counts.count(best) == 1:
-        return counts.index(best)
-    return 0
+    ballots = p.ballots
+    supported = set(ballots)
+    supported.discard(0)  # abstentions elect nobody
+    best, winner = 0, 0
+    for k in supported:
+        votes = ballots.count(k)
+        if votes > best:
+            best, winner = votes, k
+        elif votes == best:
+            winner = 0
+    return winner
 
 
 def unanimity_consent(p: Profile) -> Outcome:
     """A candidate wins only when no one voted for anyone else (abstentions
     allowed); otherwise a tie."""
-    counts = _counts(p.m, p.ballots)
-    supported = [k for k in range(1, p.m + 1) if counts[k]]
-    return supported[0] if len(supported) == 1 else 0
+    supported = set(p.ballots)
+    supported.discard(0)
+    return supported.pop() if len(supported) == 1 else 0
 
 
 def lexicographic_first(p: Profile) -> Outcome:
@@ -66,11 +71,9 @@ def lexicographic_first(p: Profile) -> Outcome:
 
     Deliberately candidate-biased: used as the neutrality counterexample.
     """
-    counts = _counts(p.m, p.ballots)
-    for k in range(1, p.m + 1):
-        if counts[k]:
-            return k
-    return 0
+    supported = set(p.ballots)
+    supported.discard(0)
+    return min(supported, default=0)
 
 
 def constant_zero(p: Profile) -> Outcome:

@@ -3,6 +3,7 @@ import functools
 import importlib
 import inspect
 import math
+import random
 from itertools import combinations_with_replacement, groupby, islice, permutations, product
 
 import pytest
@@ -452,7 +453,7 @@ class TestClassIdScan:
         n_max = max(n for n in range(1, 10) if (m + 1) ** n <= 5_000)
         levels = list(axioms._class_ids(m, n_max))
         assert len(levels) == n_max
-        for n, (keys, ids) in enumerate(levels, start=1):
+        for n, (keys, ids, unsorted) in enumerate(levels, start=1):
             assert keys == list(combinations_with_replacement(range(m + 1), n))
             index = {key: i for i, key in enumerate(keys)}
             ordered = list(product(range(m + 1), repeat=n))
@@ -462,6 +463,91 @@ class TestClassIdScan:
             for t, i in zip(ordered, ids):
                 first.setdefault(i, t)
             assert first == dict(enumerate(keys))
+            # the mask drops exactly the sorted profiles, each class's first
+            assert type(unsorted) is bytearray
+            assert list(unsorted) == [int(list(t) != sorted(t)) for t in ordered]
+
+
+# The A scan as written before the mask: every ordered profile is streamed,
+# and a per-class seen test skips each class's first member.  Kept as the
+# masked scan's reference.
+
+
+def _seen_anonymity_witness(f, m, n_max, values):
+    read, class_value = axioms._reader(f, m, False, values), axioms._reader(f, m, True, values)
+    for n, (keys, ids, _) in enumerate(axioms._class_ids(m, n_max), start=1):
+        seen = bytearray(len(keys))
+        outcomes = [axioms._UNEVALUATED] * len(keys)
+        for ballots, i in zip(core._profiles(m, n, n, False), ids):
+            if not seen[i]:
+                seen[i] = 1
+                continue
+            actual = read(ballots)
+            expected = outcomes[i]
+            if expected is axioms._UNEVALUATED:
+                expected = outcomes[i] = class_value(keys[i])
+            if actual != expected:
+                p = Profile._trusted(m, ballots)
+                return Witness(
+                    profile=p,
+                    related_profile=canonicalize(p),
+                    permutation=axioms._sorting_permutation(p).image,
+                    actual=actual,
+                    expected=expected,
+                )
+    return None
+
+
+def _drawn_ordered(m, n_max, flip_last):
+    """A seeded non-anonymous function over ordered profiles: random
+    throughout, or majority but for the last unsorted profile of n_max
+    voters, so the scan runs to the end."""
+    rnd = random.Random(m * 100 + n_max)
+    profiles = [b for n in range(1, n_max + 1) for b in product(range(m + 1), repeat=n)]
+    if not flip_last:
+        return OrderedFunction({b: rnd.randint(0, m) for b in profiles})
+    table = {b: MAJ.evaluate(Profile(m, b)) for b in profiles}
+    last = max(b for b in profiles if len(b) == n_max and list(b) != sorted(b))
+    table[last] = (table[last] + 1) % (m + 1)
+    return OrderedFunction(table)
+
+
+_MASK_SCOPES = [(2, 5), (3, 4), (4, 3)]
+_MASK_RULES = ["maj", "uc", "lex", "zero", "dict1", "last", "drawn", "flipped"]
+
+
+def _mask_rule(name, m, n_max):
+    named = {**RULES, "dict1": DICTATOR, "last": LAST}
+    if name in named:
+        return named[name]
+    return _drawn_ordered(m, n_max, flip_last=name == "flipped")
+
+
+class TestMaskedAnonymityScan:
+    @pytest.mark.parametrize("m,n_max", _MASK_SCOPES)
+    @pytest.mark.parametrize("name", _MASK_RULES)
+    def test_equals_the_seen_scan(self, name, m, n_max):
+        # the same witness and class values, with f read at the same
+        # ballots in the same order
+        f = _mask_rule(name, m, n_max)
+        got = _scan_outcome(axioms._anonymity_witness, f, m, n_max)
+        assert got == _scan_outcome(_seen_anonymity_witness, f, m, n_max)
+        assert got[2], "f is read"
+
+    @pytest.mark.parametrize("m,n_max", _MASK_SCOPES)
+    @pytest.mark.parametrize("name", _MASK_RULES)
+    def test_raises_where_the_seen_scan_does(self, name, m, n_max):
+        # f raises partway: at an unsorted profile of the top level, read as
+        # it is, and at a sorted one, read as its class's value
+        f = _mask_rule(name, m, n_max)
+        unsorted = [t for t in product(range(m + 1), repeat=n_max) if list(t) != sorted(t)]
+        middle = unsorted[len(unsorted) // 2]
+        for drawn in (middle, tuple(sorted(middle))):
+            raising = Raising(f, drawn)
+            got = _scan_outcome(axioms._anonymity_witness, raising, m, n_max)
+            assert got == _scan_outcome(_seen_anonymity_witness, raising, m, n_max)
+            if name in RULES:  # anonymous, so the scan reaches the drawn profile
+                assert got[0] == ("RuntimeError", f"drawn profile {drawn}")
 
 
 class TestNeutrality:
@@ -759,6 +845,12 @@ _FORGED = {
         Witness(Profile(2, (1,)), 0, 2, Profile(2, (2,)), candidate=2.0, voter=1, note="pr:tie:always"),
     ),
     "PO-float-candidate": (ZERO, "PO", Witness(Profile(2, (1,)), 0, 1, candidate=1.0)),
+    # recorded outcomes equal to f's but of another type: 0.0 is not 0 and
+    # True is not 1; each was replayed as genuine
+    "PO-float-outcomes": (ZERO, "PO", Witness(Profile(2, (1,)), actual=0.0, expected=1.0, candidate=1)),
+    "N-bool-outcome": (LEX, "N", Witness(Profile(2, (1, 2)), True, 2, Profile(2, (2, 1)), permutation=(2, 1))),
+    "A-bool-outcome": (DICTATOR, "A", Witness(Profile(2, (1, 0)), True, 0, Profile(2, (0, 1)), permutation=(2, 1))),
+    "RS-float-outcome": (DICTATOR, "RS", Witness(Profile(2, (1, 2)), 1, 2.0, Profile(2, (2, 1)))),
 }
 
 # any value a witness field may hold: ints out of range, None, floats, and

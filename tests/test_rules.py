@@ -131,7 +131,8 @@ def _brute_force(name: str, p: Profile) -> int:
 
 
 class TestCountingRules:
-    @pytest.mark.parametrize("m,n_max", [(2, 6), (3, 5), (4, 4)])
+    # (12, 3) and (40, 2): m far above n, where only the ballots present count
+    @pytest.mark.parametrize("m,n_max", [(2, 6), (3, 5), (4, 4), (12, 3), (40, 2)])
     @pytest.mark.parametrize("name", ["maj", "uc", "lex"])
     def test_equal_the_brute_force_definition_on_every_profile(self, name, m, n_max):
         rule = RULES[name]
