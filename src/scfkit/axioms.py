@@ -34,16 +34,19 @@ Neutrality is checked on two generators of the relabelings, the
 transposition (1 2) and the m-cycle; only a failure rescans with all m!
 relabelings, to report the same minimal witness.  A scan applies each
 relabeling through one lookup tuple (0, *image), built once per scan, to
-ballots and to f's outcome alike, so the outcome is first range-checked as
-PR checks it.  Reducibility evaluates f once per distinct voter-deleted
-subprofile; the reduced profile's outcomes are tested for membership in
-[0, m] as they come, which never raises, and only a profile with an
-outcome outside goes through the validating constructor.
+ballots and to f's outcome alike, so the outcome is first checked to be an
+int in [0, m], as PR range-checks it.  Reducibility evaluates f once per
+distinct voter-deleted subprofile; the reduced profile's outcomes are
+tested as they come to be ints in [0, m], which never raises, and only a
+profile with another outcome goes through the validating constructor.
 
 Once N passes on a class scan, every DP, PO, RS, PR or NTW scan listed
 after N in the same call checks only the first class of each neutrality
-orbit (:func:`_orbit_firsts`, built once per call): 94 of the 329 classes
-at (3, 7).  The reports stay those of the full class scan, by this lemma.
+orbit: 94 of the 329 classes at (3, 7).  :func:`_orbit_firsts` lists
+them once per call from the orbit stream of :mod:`scfkit.core`, which
+builds each orbit's first class from its abstentions and candidate counts
+instead of filtering the classes.  The reports stay those of the full
+class scan, by this lemma.
 Let f be anonymous and neutral on the scope, P a class and tau a
 relabeling.  Then each of these axioms fails at P exactly when it fails at
 tau P.  tau carries P's support, duel pairs, tied pairs and plurality
@@ -56,8 +59,8 @@ classes share a voter count, and its first class comes before every other
 member in the class stream.  So the first failing class in the stream is
 an orbit's first class, with the same witness.  Nor can the full scan
 raise at a class the orbit scan skips: N has read every class, so every
-table entry exists and every outcome is range-checked, and RS and PR read
-f only at classes of the scope.
+table entry exists and every outcome is an int in [0, m], and RS and PR
+read f only at classes of the scope.
 """
 
 from __future__ import annotations
@@ -75,6 +78,7 @@ from .core import (
     Profile,
     VoterPermutation,
     _counts,
+    _orbit_firsts as _core_orbit_firsts,
     _profiles,
     _set_ballots,
     _set_m,
@@ -445,9 +449,12 @@ def _relabeling_witness(
     value: Callable, m: int, ballots: tuple[int, ...], lookups: list[tuple[int, ...]]
 ) -> Witness | None:
     """The first relabeling tau in ``lookups`` (see :func:`_lookups`) with
-    f(tau P) != tau f(P).  f(P) indexes the lookups, so one outside [0, m]
-    raises, as PR's does, rather than wrapping round."""
+    f(tau P) != tau f(P).  f(P) indexes the lookups, so one that is not an
+    int in [0, m] raises, as PR's does, rather than wrapping round or, for
+    True, standing for candidate 1."""
     out = value(ballots)
+    if type(out) is not int:
+        raise ValueError(f"outcome {out!r} is not an int")
     if not 0 <= out <= m:
         raise ValueError(f"outcome {out} outside [0, {m}]")
     for lookup in lookups:
@@ -511,21 +518,10 @@ def _minimal_relabeling_witness(value: Callable, m: int, n_max: int, by_class: b
 def _orbit_firsts(m: int, n_max: int) -> list[tuple[int, ...]]:
     """The first class of each neutrality orbit, n = 1..n_max, in stream
     order: the classes whose candidate counts do not increase from
-    candidate 1 to m.
-
-    A relabeling keeps a class's abstentions and permutes its candidate
-    counts, so an orbit holds one class per arrangement of those counts.  A
-    sorted class lists its abstentions, then c_1 ones, then c_2 twos, and so
-    on; the most ones, then the most twos, and so on, come first, so the
-    orbit's non-increasing arrangement is its lexicographic minimum.
-    """
-    firsts = []
-    for ballots in _profiles(m, 1, n_max, True):
-        counts = _counts(m, ballots)
-        del counts[0]
-        if counts == sorted(counts, reverse=True):
-            firsts.append(ballots)
-    return firsts
+    candidate 1 to m, read off the orbit stream of :mod:`scfkit.core`
+    (:func:`~scfkit.core._orbit_firsts`), which builds them from count
+    shapes rather than filtering the classes."""
+    return [ballots for _, _, ballots in _core_orbit_firsts(m, 1, n_max)]
 
 
 def _duel_pairs(support: tuple[int, ...], m: int) -> Iterable[tuple[int, int]]:
@@ -581,15 +577,16 @@ def _pareto(value: Callable, m: int, ballots: tuple[int, ...], tie_upgrade: str)
 def _subsociety_outcomes(value: Callable, m: int, ballots: tuple[int, ...]) -> tuple[tuple[int, ...], bool]:
     """The ballots of the reduced profile, unchecked: ballot l is f with
     voter l removed, evaluated once per run of equal adjacent ballots.  With
-    them, whether every outcome lies in [0, m], tested for membership as it
-    comes, which never raises."""
+    them, whether every outcome is a ballot, an int in [0, m], tested as it
+    comes, which never raises: by type first, since 1.0 and True are members
+    of range(m + 1) but no ballots."""
     reduced = []
     valid = range(m + 1)
-    fits = True  # every outcome so far in [0, m]
+    fits = True  # every outcome so far an int in [0, m]
     l = 0  # the run's first voter
     for _, run in groupby(ballots):
         out = value(ballots[:l] + ballots[l + 1 :])
-        if out not in valid:
+        if type(out) is not int or out not in valid:
             fits = False
         length = len(list(run))
         reduced += [out] * length
@@ -599,8 +596,8 @@ def _subsociety_outcomes(value: Callable, m: int, ballots: tuple[int, ...]) -> t
 
 def _reduced(value: Callable, m: int, ballots: tuple[int, ...]) -> tuple[int, ...]:
     """The ballots of the reduced profile (:func:`_subsociety_outcomes`); an
-    outcome outside [0, m] raises as the validating constructor does, for
-    the first such ballot."""
+    outcome that is no ballot, not an int in [0, m], raises as the
+    validating constructor does, for the first such ballot."""
     reduced, fits = _subsociety_outcomes(value, m, ballots)
     return reduced if fits else Profile(m, reduced).ballots
 
@@ -614,8 +611,8 @@ def reduce_profile(f, p: Profile) -> Profile:
     any f, anonymous or not.
 
     Its ballots are outcomes of f, not ballots of p, so each run's outcome is
-    range-checked once all are known; an outcome outside [0, m] raises as the
-    validating constructor does, for the first such ballot.
+    checked once all are known; an outcome that is not an int in [0, m]
+    raises as the validating constructor does, for the first such ballot.
     """
     m = p.m
     if len(p.ballots) < 2:
@@ -833,9 +830,9 @@ def replay_witness(f, report: AxiomReport) -> bool:
     without a candidate and a voter of the profile; a permutation, pair,
     candidate or voter must be ints, not bools, floats or None, and each
     recorded outcome must match f's in type as well as value.  So is an N
-    witness at which f's outcome lies outside [0, m], which no relabeling
-    maps, and an RS witness at which f's outcome on a voter-deleted
-    subprofile does, which is no ballot.
+    witness at which f's outcome is no ballot, which no relabeling maps,
+    and an RS witness at which f's outcome on a voter-deleted subprofile is
+    no ballot; a ballot is an int in [0, m], not 1.0 or True.
     """
     if report.passed or report.witness is None:
         return False
@@ -862,7 +859,12 @@ def replay_witness(f, report: AxiomReport) -> bool:
         if permuted != w.related_profile or not _is_recorded(f.evaluate(permuted), w.actual):
             return False
         out = f.evaluate(p)
-        return out in range(p.m + 1) and _is_recorded(tau.outcome(out), w.expected) and w.actual != w.expected
+        return (
+            type(out) is int
+            and out in range(p.m + 1)
+            and _is_recorded(tau.outcome(out), w.expected)
+            and w.actual != w.expected
+        )
     if report.axiom == "DP":
         if not _names_pair(w.pair, p.m):
             return False

@@ -10,7 +10,9 @@ tuple, which :func:`ballot_counts` calls for a profile; the named rules of
 :mod:`scfkit.rules` count only the values present.  Every walk over the
 profile space reads its ballot tuples from one stream, :func:`_profiles`:
 one sorted tuple per anonymity class, or every ordered tuple, level by
-level.
+level.  Beside it, :func:`_orbit_firsts` walks the neutrality orbits of
+the classes, in the same order: it builds each orbit's first class from
+its abstentions and candidate counts, so no class is counted or filtered.
 
 All values here are immutable.  A :class:`Profile` has two slots and no
 instance dict; trusted construction sets the slots directly.
@@ -83,7 +85,8 @@ class Profile:
     are distinct values, because candidate relabelings quantify over all m
     candidates, including those receiving zero votes.
 
-    Construction validates m and every ballot.  Profiles the library derives
+    Construction validates m and every ballot, which must be an int in
+    [0, m]: not a bool, a float or a string.  Profiles the library derives
     from valid ones (enumeration, voter removal, permutations, sorting) skip
     that check through :meth:`_trusted`, which sets the two slots directly.
     A profile has slots, not an instance dict, so it cannot be
@@ -100,6 +103,8 @@ class Profile:
         if not self.ballots:
             raise ValueError("a profile needs at least one voter")
         for b in self.ballots:
+            if type(b) is not int:
+                raise ValueError(f"ballot {b!r} is not an int")
             if not 0 <= b <= self.m:
                 raise ValueError(f"ballot {b} outside [0, {self.m}]")
 
@@ -284,6 +289,47 @@ def _profiles(m: int, n_min: int, n_max: int, by_class: bool) -> Iterator[tuple[
         combinations_with_replacement(values, n) if by_class else product(values, repeat=n)
         for n in range(n_min, n_max + 1)
     )
+
+
+def _shapes(total: int, top: int, room: int) -> Iterator[tuple[int, ...]]:
+    """The non-increasing tuples of at most ``room`` positive counts, each
+    at most ``top``, summing to ``total``, in descending lexicographic order:
+    () alone when total = 0."""
+    if total == 0:
+        yield ()
+        return
+    for first in range(min(total, top), 0, -1):
+        if first * room < total:  # the parts left cannot reach the total
+            return
+        for tail in _shapes(total - first, first, room - 1):
+            yield (first, *tail)
+
+
+def _orbit_firsts(m: int, n_min: int, n_max: int) -> Iterator[tuple[int, tuple[int, ...], tuple[int, ...]]]:
+    """``(c0, shape, ballots)`` for each neutrality orbit of the classes of
+    n_min..n_max voters, in the order of its first class in the class stream
+    of :func:`_profiles`: c0 abstentions, the candidate counts ``shape``
+    (non-increasing, positive), and the first class's sorted ballots, c0
+    zeros, then shape[0] ones, shape[1] twos, and so on.
+
+    A relabeling keeps a class's abstentions and permutes its candidate
+    counts, so an orbit is fixed by c0 and the multiset of counts, and holds
+    one class per arrangement of that multiset over the m candidates.  The
+    non-increasing arrangement is its first class: more zeros, then more
+    ones, then more twos, and so on, come first in lexicographic order.  So
+    within a level c0 falls from n to 0 and, for each, the shapes summing to
+    n - c0 come in descending lexicographic order.  Each sum's shapes and
+    their ballots are built once per call.  The scope is not validated.
+    """
+    votes = [
+        [(shape, tuple(k for k, c in enumerate(shape, 1) for _ in range(c))) for shape in _shapes(s, s, m)]
+        for s in range(n_max + 1)
+    ]
+    for n in range(n_min, n_max + 1):
+        for c0 in range(n, -1, -1):
+            zeros = (0,) * c0
+            for shape, ballots in votes[n - c0]:
+                yield c0, shape, zeros + ballots
 
 
 def profile_count(m: int, n: int, canonical_only: bool = False) -> int:

@@ -2,19 +2,34 @@
 
 :func:`verify_theorem` replays the solutions through the checkers of
 :mod:`scfkit.axioms`, the independent oracle, and partitions the profile
-space into the cases of :func:`scfkit.core.classify_profile` one class at a
-time, a class counting for its n! / prod c_b! orderings.  The engine's
-public names are re-exported here.
+space into the cases of :func:`scfkit.core.classify_profile` one
+neutrality orbit at a time (:func:`scfkit.core._orbit_firsts`): only the
+orbit's first class is classified, and it counts for every ordered profile
+of every class in the orbit.  The engine's public names are re-exported
+here.
+
+The partition rests on this lemma: each of the case predicates
+:func:`~scfkit.core.is_all_abstention`, :func:`~scfkit.core.is_dominating_tie`
+and :func:`~scfkit.core.is_leader_profile` takes the same value on a class
+and on every relabeling of its candidates.  Each reads only the abstention
+count c0 (all-abstention: c0 = n) and the multiset of candidate counts (the
+top count and how many candidates hold it), and a relabeling keeps c0 and
+permutes the counts.  So the case, or the error of a profile in no case or
+in several, is constant on an orbit.  An orbit with c0 abstentions and
+candidate counts c_1 >= ... >= c_k > 0 out of n voters holds
+m! / prod_v mu_v! classes, mu_v the number of candidates with count v (zero
+included), one per arrangement of the counts, and each class has
+n! / (c0! prod c_k!) orderings.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import islice
+from itertools import groupby, islice
 from typing import Iterator
 
-from .core import _CASES, Profile, _counts, _profiles, classify_profile
+from .core import _CASES, Profile, _orbit_firsts, classify_profile
 from .rules import RULES, TabledFunction, _check_scope
 from .axioms import AxiomReport, check_axioms
 from .engine import SEARCH_AXIOMS, SearchInfeasibleError, SearchSpec, _Engine
@@ -116,14 +131,51 @@ class TheoremVerdict:
         }
 
 
+def _shape_weight(m: int, shape: tuple[int, ...]) -> int:
+    """The ordered profiles of the voters in an orbit with candidate counts
+    ``shape``, its abstainers left out: s! / prod c_k! orderings of the s
+    votes in each of its m! / prod_v mu_v! classes.  Every division is
+    exact."""
+    weight = math.factorial(sum(shape))
+    for c in shape:
+        weight //= math.factorial(c)
+    weight *= math.perm(m, len(shape))  # m! / mu_0!, mu_0 the unvoted candidates
+    for _, run in groupby(shape):
+        weight //= math.factorial(len(list(run)))
+    return weight
+
+
+def _case_partition(m: int, n_max: int) -> tuple[dict[str, int], bool]:
+    """How many ordered profiles of 1..n_max voters fall into each case of
+    :func:`~scfkit.core.classify_profile`, and whether every profile falls
+    into exactly one.  Only each orbit's first class is classified (see the
+    module docstring); an orbit of c0 abstentions out of n voters weighs
+    C(n, c0) times its shape's weight, built once per shape per call."""
+    comb = math.comb
+    weights: dict[tuple[int, ...], int] = {}
+    case_counts = dict.fromkeys(_CASES, 0)
+    partition_ok = True
+    for c0, shape, ballots in _orbit_firsts(m, 1, n_max):
+        try:
+            case = classify_profile(Profile._trusted(m, ballots))
+        except RuntimeError:  # the orbit falls into no case or into several
+            partition_ok = False
+            continue
+        weight = weights.get(shape)
+        if weight is None:
+            weight = weights[shape] = _shape_weight(m, shape)
+        case_counts[case] += comb(len(ballots), c0) * weight
+    return case_counts, partition_ok
+
+
 def verify_theorem(
     m: int, n_max: int, include_dp: bool = True, max_nodes: int | None = None
 ) -> TheoremVerdict:
     """Search the axiom set {N, DP?, PO, RS} and verify the solution set is
     exactly majority rule's table; solutions are replayed through the
     independent checkers, and every profile is classified into exactly one of
-    the leader / dominating-tie / all-abstention cases (one class at a time,
-    counted with its number of orderings)."""
+    the leader / dominating-tie / all-abstention cases (one neutrality orbit
+    at a time, counted with its number of ordered profiles)."""
     axioms = frozenset({"N", "PO", "RS"} | ({"DP"} if include_dp else set()))
     spec = SearchSpec(m=m, n_max=n_max, axioms=axioms, max_nodes=max_nodes)
     if n_max < 2:
@@ -137,20 +189,7 @@ def verify_theorem(
     replay = [ax for ax in ("N", "DP", "PO", "RS") if ax in axioms]
     replay_ok = all(report.passed for sol in result.solutions for report in check_axioms(sol, m, n_max, replay))
 
-    # the cases depend only on the counts, so each class stands for all its
-    # orderings, n! / prod c_b! of them, read off one factorial table
-    factorial = [1]
-    for k in range(1, n_max + 1):
-        factorial.append(factorial[-1] * k)
-    case_counts = dict.fromkeys(_CASES, 0)
-    partition_ok = True
-    for ballots in _profiles(m, 1, n_max, True):
-        try:
-            case = classify_profile(Profile._trusted(m, ballots))
-        except RuntimeError:  # the class falls into no case or into several
-            partition_ok = False
-            continue
-        case_counts[case] += factorial[len(ballots)] // math.prod(map(factorial.__getitem__, _counts(m, ballots)))
+    case_counts, partition_ok = _case_partition(m, n_max)
 
     return TheoremVerdict(
         m=m,

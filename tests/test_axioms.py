@@ -155,7 +155,8 @@ def _reference_reduced(value, m, ballots):
         length = len(list(run))
         reduced += [out] * length
         l += length
-    if all(0 <= out <= m for out in outcomes):
+    # outcomes are ballots only as ints: 1.5 lies in [0, m] but is no ballot
+    if all(type(out) is int and 0 <= out <= m for out in outcomes):
         return tuple(reduced)
     return Profile(m, tuple(reduced)).ballots
 
@@ -565,6 +566,16 @@ class TestNeutrality:
         assert check_neutrality(ZERO, 4, 2).passed
 
     @pytest.mark.parametrize("m", [2, 3])
+    @pytest.mark.parametrize("bad", [1.0, True])
+    def test_rejects_an_outcome_that_is_not_an_int(self, m, bad):
+        # True indexes a relabeling's lookup as 1 and 1.0 not at all: each
+        # is refused before it is relabeled, so once N passes every
+        # outcome is a ballot, as the orbit scans after it assume
+        with pytest.raises(ValueError) as err:
+            check_neutrality(Rule("bad", lambda p: bad), m, 2)
+        assert str(err.value) == f"outcome {bad!r} is not an int"
+
+    @pytest.mark.parametrize("m", [2, 3])
     @pytest.mark.parametrize("bad", [-1, "m+1"])
     def test_rejects_an_outcome_no_relabeling_maps(self, m, bad):
         # -1 would index a relabeling's lookup from the end, so without the
@@ -664,6 +675,16 @@ class TestReducibility:
 
     def test_lex_passes(self):
         assert check_rs(LEX, 2, 3).passed
+
+    @pytest.mark.parametrize("bad", [-1, 1.0, True])
+    def test_a_subsociety_outcome_that_is_no_ballot_raises(self, bad):
+        # 1.0 and True are members of range(3) but no ballots: they raise
+        # as -1 does, where a reduced profile holding them was reported
+        f = Rule("bad", lambda p: bad if p.n == 1 else p.ballots.count(0))
+        with pytest.raises(ValueError) as err:
+            check_axioms(f, 2, 2, ["RS"])
+        reason = "outside [0, 2]" if bad == -1 else "is not an int"
+        assert str(err.value) == f"ballot {bad!r} {reason}"
 
     def test_majority_passes_against_independent_oracle(self):
         # independent re-derivation with inline counting, no library calls
@@ -851,6 +872,21 @@ _FORGED = {
     "N-bool-outcome": (LEX, "N", Witness(Profile(2, (1, 2)), True, 2, Profile(2, (2, 1)), permutation=(2, 1))),
     "A-bool-outcome": (DICTATOR, "A", Witness(Profile(2, (1, 0)), True, 0, Profile(2, (0, 1)), permutation=(2, 1))),
     "RS-float-outcome": (DICTATOR, "RS", Witness(Profile(2, (1, 2)), 1, 2.0, Profile(2, (2, 1)))),
+    # f's outcome True at (1, 2) is no ballot, though the swap's lookup maps
+    # it as candidate 1; N raises there, and this witness was replayed
+    "N-bool-profile-outcome": (
+        Rule("true-at-1-2", lambda p: True if p.ballots == (1, 2) else 1),
+        "N",
+        Witness(Profile(2, (1, 2)), 1, 2, Profile(2, (2, 1)), permutation=(2, 1)),
+    ),
+    # f's outcome 1.0 on one voter is no ballot, though 1.0 in range(3): RS
+    # scans reported this witness, with a reduced profile no constructor
+    # admits, and its replay confirmed it
+    "RS-float-subsociety": (
+        Rule("float-subsociety", lambda p: 1.0 if p.n == 1 else p.ballots.count(0)),
+        "RS",
+        Witness(Profile(2, (0, 0)), 2, 0, Profile._trusted(2, (1.0, 1.0))),
+    ),
 }
 
 # any value a witness field may hold: ints out of range, None, floats, and
@@ -1329,6 +1365,24 @@ def _brute_force_orbits(m, n_max):
     return orbits
 
 
+def _firsts_by_voted_relabelings(m, n_max):
+    """The first classes of :func:`_brute_force_orbits`, each orbit found by
+    relabeling only its first class's voted candidates: a relabeling moves
+    a class through those alone, so their injective maps into 1..m give the
+    images all m! relabelings give, at most m!/(m - n_max)! of them."""
+    seen, firsts = set(), []
+    for n in range(1, n_max + 1):
+        for ballots in combinations_with_replacement(range(m + 1), n):
+            if ballots in seen:
+                continue
+            voted = sorted(set(ballots) - {0})
+            for targets in permutations(range(1, m + 1), len(voted)):
+                to = {0: 0, **dict(zip(voted, targets))}
+                seen.add(tuple(sorted(to[b] for b in ballots)))
+            firsts.append(ballots)
+    return firsts
+
+
 def _neutral_table(draw, m, n_max, base=None) -> dict[tuple[int, ...], int]:
     """A random neutral table: one outcome per orbit, fixed by the
     stabilizer of the orbit's first class, relabeled onto every member.
@@ -1475,6 +1529,30 @@ class TestOrbitScans:
     @pytest.mark.parametrize("m,n_max", [(2, 5), (3, 4), (4, 3), (5, 3)])
     def test_orbit_firsts_are_the_brute_force_orbits_first_classes(self, m, n_max):
         assert axioms._orbit_firsts(m, n_max) == [first for first, _, _ in _brute_force_orbits(m, n_max)]
+
+    @pytest.mark.parametrize("m,n_min,n_max", [(2, 3, 6), (3, 2, 4), (4, 3, 3), (5, 2, 3)])
+    def test_the_core_stream_from_n_min_is_the_brute_force_orbits(self, m, n_min, n_max):
+        # each orbit's abstentions, count shape and first class, built from
+        # the shapes, against the brute force's first classes of n_min or
+        # more voters
+        stream = list(core._orbit_firsts(m, n_min, n_max))
+        firsts = [first for first, _, _ in _brute_force_orbits(m, n_max) if len(first) >= n_min]
+        assert [ballots for _, _, ballots in stream] == firsts
+        for c0, shape, ballots in stream:
+            counts = core._counts(m, ballots)
+            assert (c0, shape) == (counts[0], tuple(c for c in counts[1:] if c)), ballots
+
+    @pytest.mark.parametrize("m,n_max", [(2, 5), (3, 4), (4, 3)])
+    def test_relabeling_the_voted_candidates_gives_the_brute_force_orbits(self, m, n_max):
+        firsts = [first for first, _, _ in _brute_force_orbits(m, n_max)]
+        assert _firsts_by_voted_relabelings(m, n_max) == firsts
+
+    def test_the_core_stream_at_twelve_candidates(self):
+        # the brute force's 12! relabelings per orbit are out of reach, so
+        # its first classes come from the voted candidates' relabelings
+        stream = [ballots for _, _, ballots in core._orbit_firsts(12, 1, 3)]
+        assert stream == _firsts_by_voted_relabelings(12, 3) == axioms._orbit_firsts(12, 3)
+        assert len(stream) == 13
 
     def test_scans_after_neutrality_read_one_class_per_orbit(self):
         # majority's table passes N at (3, 4); RS and PR then read f only

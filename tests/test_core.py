@@ -67,6 +67,14 @@ class TestTypes:
         with pytest.raises(ValueError):
             Profile(2, (-1,))
 
+    @pytest.mark.parametrize("bad", [1.0, True, "1", None])
+    def test_profile_ballots_must_be_ints(self, bad):
+        # 1.0 and True lie in [0, m] and compare equal to 1, but are no
+        # ballots: the named rules would return them as outcomes
+        with pytest.raises(ValueError) as err:
+            Profile(2, (0, bad))
+        assert str(err.value) == f"ballot {bad!r} is not an int"
+
     def test_profiles_with_different_m_are_distinct(self):
         assert Profile(2, (1, 2)) != Profile(3, (1, 2))
 

@@ -848,6 +848,24 @@ class TestNeutralOrbits:
         assert set(first[0].table.values()) == {0}
 
 
+def _class_partition(m, n_max):
+    """The case partition as it was computed before it walked orbits: every
+    class classified, weighted by its n! / prod c_b! orderings."""
+    factorial = [1]
+    for k in range(1, n_max + 1):
+        factorial.append(factorial[-1] * k)
+    case_counts = dict.fromkeys(core._CASES, 0)
+    partition_ok = True
+    for ballots in core._profiles(m, 1, n_max, True):
+        try:
+            case = classify_profile(Profile._trusted(m, ballots))
+        except RuntimeError:
+            partition_ok = False
+            continue
+        case_counts[case] += factorial[len(ballots)] // math.prod(map(factorial.__getitem__, core._counts(m, ballots)))
+    return case_counts, partition_ok
+
+
 class TestClassification:
     def test_documented_cases(self):
         assert classify_profile(Profile(3, (1, 2, 3))) == "dominating_tie"
@@ -869,6 +887,30 @@ class TestClassification:
                 c = [p.ballots.count(k) for k in range(1, m + 1)]
                 beats_all = any(all(c[k] > c[j] for j in range(m) if j != k) for k in range(m))
                 assert is_leader_profile(p) == beats_all, p.ballots
+
+    @pytest.mark.parametrize("m,n_max", [(2, 6), (3, 4), (4, 3), (5, 3)])
+    def test_each_case_is_constant_on_a_neutrality_orbit(self, m, n_max):
+        # the lemma the partition rests on: each predicate takes the same
+        # value on a class and on every relabeling of it, so classifying
+        # one class per orbit classifies the orbit
+        relabelings = [(0, *image) for image in permutations(range(1, m + 1))]
+        for ballots in core._profiles(m, 1, n_max, True):
+            for predicate in (is_all_abstention, is_dominating_tie, is_leader_profile):
+                value = predicate(Profile(m, ballots))
+                for lookup in relabelings:
+                    image = Profile(m, tuple(map(lookup.__getitem__, ballots)))
+                    assert predicate(image) == value, (predicate.__name__, ballots, lookup)
+
+    @pytest.mark.parametrize("leader", [None, True, False])
+    @pytest.mark.parametrize("m,n_max", [(2, 9), (3, 7), (4, 5), (5, 5), (12, 3), (40, 3)])
+    def test_orbit_partition_equals_the_class_partition(self, monkeypatch, m, n_max, leader):
+        # the orbit partition against the one it replaced, which classified
+        # every class; also with the leader test patched to a constant,
+        # which breaks the partition
+        if leader is not None:
+            monkeypatch.setattr(core, "is_leader_profile", lambda p: leader)
+        verdict = verify_theorem(m, n_max)
+        assert (verdict.case_counts, verdict.partition_ok) == _class_partition(m, n_max)
 
     # exact counts, as the partition gave them with a math.factorial call per
     # count and class, before it read the weights off one factorial table
