@@ -34,11 +34,12 @@ Neutrality is checked on two generators of the relabelings, the
 transposition (1 2) and the m-cycle; only a failure rescans with all m!
 relabelings, to report the same minimal witness.  A scan applies each
 relabeling through one lookup tuple (0, *image), built once per scan, to
-ballots and to f's outcome alike, so the outcome is first checked to be an
-int in [0, m], as PR range-checks it.  Reducibility evaluates f once per
-distinct voter-deleted subprofile; the reduced profile's outcomes are
-tested as they come to be ints in [0, m], which never raises, and only a
-profile with another outcome goes through the validating constructor.
+ballots and to f's outcome alike.  Every scan but A's reads f's outcome at
+the profile it checks through :func:`_outcome`, which refuses one that is
+no ballot (:func:`~scfkit.core._ballot_error`).  Reducibility evaluates f
+once per distinct voter-deleted subprofile; the reduced profile's outcomes
+are tested as they come, which never raises, and only a profile with
+another outcome goes through the validating constructor.
 
 Once N passes on a class scan, every DP, PO, RS, PR or NTW scan listed
 after N in the same call checks only the first class of each neutrality
@@ -65,7 +66,6 @@ read f only at classes of the scope.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from itertools import compress, groupby, islice, permutations
@@ -77,6 +77,7 @@ from .core import (
     CandidatePermutation,
     Profile,
     VoterPermutation,
+    _ballot_error,
     _counts,
     _orbit_firsts as _core_orbit_firsts,
     _profiles,
@@ -425,13 +426,11 @@ def _reader(f, m: int, by_class: bool, values: dict[tuple[int, ...], int]) -> Ca
     return _sorted_reader(values, keep)
 
 
-@functools.lru_cache(maxsize=1)
 def _relabelings(m: int) -> tuple[CandidatePermutation, ...]:
-    """The m! candidate permutations, built once per m rather than per profile."""
+    """The m! candidate permutations, built per rescan rather than per profile."""
     return tuple(CandidatePermutation(m, image) for image in permutations(range(1, m + 1)))
 
 
-@functools.lru_cache(maxsize=1)
 def _generators(m: int) -> tuple[CandidatePermutation, ...]:
     """The transposition (1 2) and the m-cycle k -> k + 1 (m -> 1), which
     generate every relabeling; at m = 2 they are the same swap."""
@@ -445,18 +444,22 @@ def _lookups(relabelings: Iterable[CandidatePermutation]) -> list[tuple[int, ...
     return [(0, *tau.image) for tau in relabelings]
 
 
+def _outcome(value: Callable, m: int, ballots: tuple[int, ...]) -> int:
+    """f's outcome at the profile a scan checks; one that is no ballot raises."""
+    out = value(ballots)
+    error = _ballot_error(m, out)
+    if error:
+        raise ValueError(f"outcome {out!r} {error}")
+    return out
+
+
 def _relabeling_witness(
     value: Callable, m: int, ballots: tuple[int, ...], lookups: list[tuple[int, ...]]
 ) -> Witness | None:
     """The first relabeling tau in ``lookups`` (see :func:`_lookups`) with
-    f(tau P) != tau f(P).  f(P) indexes the lookups, so one that is not an
-    int in [0, m] raises, as PR's does, rather than wrapping round or, for
-    True, standing for candidate 1."""
-    out = value(ballots)
-    if type(out) is not int:
-        raise ValueError(f"outcome {out!r} is not an int")
-    if not 0 <= out <= m:
-        raise ValueError(f"outcome {out} outside [0, {m}]")
+    f(tau P) != tau f(P).  f(P) indexes the lookups, so it is read through
+    :func:`_outcome`: -1 would wrap round, and True stand for candidate 1."""
+    out = _outcome(value, m, ballots)
     for lookup in lookups:
         permuted = tuple(map(lookup.__getitem__, ballots))
         actual = value(permuted)
@@ -553,7 +556,7 @@ def _duel_property(value: Callable, m: int, ballots: tuple[int, ...], tie_upgrad
     support = _support(ballots)
     if len(support) > 2:
         return None
-    out = value(ballots)
+    out = _outcome(value, m, ballots)
     if out == 0 or out in support:
         return None  # every duel pair holds the support
     for i, j in _duel_pairs(support, m):
@@ -568,7 +571,7 @@ def _pareto(value: Callable, m: int, ballots: tuple[int, ...], tie_upgrade: str)
     if len(support) != 1:
         return None
     k = support[0]
-    out = value(ballots)
+    out = _outcome(value, m, ballots)
     if out != k:
         return Witness(profile=Profile._trusted(m, ballots), candidate=k, expected=k, actual=out)
     return None
@@ -577,17 +580,14 @@ def _pareto(value: Callable, m: int, ballots: tuple[int, ...], tie_upgrade: str)
 def _subsociety_outcomes(value: Callable, m: int, ballots: tuple[int, ...]) -> tuple[tuple[int, ...], bool]:
     """The ballots of the reduced profile, unchecked: ballot l is f with
     voter l removed, evaluated once per run of equal adjacent ballots.  With
-    them, whether every outcome is a ballot, an int in [0, m], tested as it
-    comes, which never raises: by type first, since 1.0 and True are members
-    of range(m + 1) but no ballots."""
+    them, whether every outcome is a ballot, tested as it comes, which never
+    raises."""
     reduced = []
-    valid = range(m + 1)
-    fits = True  # every outcome so far an int in [0, m]
+    fits = True  # every outcome so far a ballot
     l = 0  # the run's first voter
     for _, run in groupby(ballots):
         out = value(ballots[:l] + ballots[l + 1 :])
-        if type(out) is not int or out not in valid:
-            fits = False
+        fits = fits and not _ballot_error(m, out)
         length = len(list(run))
         reduced += [out] * length
         l += length
@@ -621,7 +621,7 @@ def reduce_profile(f, p: Profile) -> Profile:
 
 
 def _reducibility(value: Callable, m: int, ballots: tuple[int, ...], tie_upgrade: str) -> Witness | None:
-    lhs = value(ballots)
+    lhs = _outcome(value, m, ballots)
     reduced = _reduced(value, m, ballots)
     rhs = value(reduced)
     if lhs != rhs:
@@ -643,14 +643,11 @@ def _tie_candidates(m: int, ballots: tuple[int, ...], mode: str) -> tuple[int, .
 
 
 def _responsiveness(value: Callable, m: int, ballots: tuple[int, ...], tie_upgrade: str) -> Witness | None:
-    out = value(ballots)
+    out = _outcome(value, m, ballots)  # a win becomes an upgrade's ballot
     if out == 0:
         targets = _tie_candidates(m, ballots, tie_upgrade)
         note = f"pr:tie:{tie_upgrade}"
     else:
-        # an outcome of f becomes a ballot, so it is checked here
-        if not 0 < out <= m:
-            raise ValueError(f"outcome {out} outside [0, {m}]")
         targets = (out,)
         note = "pr:win"
     for k in targets:
@@ -674,7 +671,7 @@ def _responsiveness(value: Callable, m: int, ballots: tuple[int, ...], tie_upgra
 
 def _no_tied_winner(value: Callable, m: int, ballots: tuple[int, ...], tie_upgrade: str) -> Witness | None:
     counts = _counts(m, ballots)
-    out = value(ballots)
+    out = _outcome(value, m, ballots)
     if out == 0:
         return None
     for i in range(1, m + 1):
@@ -829,10 +826,11 @@ def replay_witness(f, report: AxiomReport) -> bool:
     voter, a DP or NTW pair that is not two candidates i < j, or an upgrade
     without a candidate and a voter of the profile; a permutation, pair,
     candidate or voter must be ints, not bools, floats or None, and each
-    recorded outcome must match f's in type as well as value.  So is an N
-    witness at which f's outcome is no ballot, which no relabeling maps,
-    and an RS witness at which f's outcome on a voter-deleted subprofile is
-    no ballot; a ballot is an int in [0, m], not 1.0 or True.
+    recorded outcome must match f's in type as well as value.  So is a
+    witness of any axiom but A at which f's outcome is no ballot, as every
+    scan but A's refuses it, and an RS witness at which f's outcome on a
+    voter-deleted subprofile is no ballot; a ballot is an int in [0, m],
+    not 1.0 or True (:func:`~scfkit.core._ballot_error`).
     """
     if report.passed or report.witness is None:
         return False
@@ -851,17 +849,17 @@ def replay_witness(f, report: AxiomReport) -> bool:
             and _is_recorded(f.evaluate(permuted), w.expected)
             and w.actual != w.expected
         )
+    out = f.evaluate(p)
+    if _ballot_error(p.m, out):
+        return False
     if report.axiom == "N":
         if not _is_permutation(w.permutation, p.m):
             return False
         tau = CandidatePermutation(p.m, w.permutation)
         permuted = apply_candidate_permutation(p, tau)
-        if permuted != w.related_profile or not _is_recorded(f.evaluate(permuted), w.actual):
-            return False
-        out = f.evaluate(p)
         return (
-            type(out) is int
-            and out in range(p.m + 1)
+            permuted == w.related_profile
+            and _is_recorded(f.evaluate(permuted), w.actual)
             and _is_recorded(tau.outcome(out), w.expected)
             and w.actual != w.expected
         )
@@ -870,10 +868,10 @@ def replay_witness(f, report: AxiomReport) -> bool:
             return False
         i, j = w.pair
         support = _support(p.ballots)
-        return all(k in (i, j) for k in support) and _is_recorded(f.evaluate(p), w.actual) and w.actual not in (0, i, j)
+        return all(k in (i, j) for k in support) and _is_recorded(out, w.actual) and w.actual not in (0, i, j)
     if report.axiom == "PO":
         k = w.candidate
-        return _ints((k,)) and _support(p.ballots) == (k,) and _is_recorded(f.evaluate(p), w.actual) and w.actual != k
+        return _ints((k,)) and _support(p.ballots) == (k,) and _is_recorded(out, w.actual) and w.actual != k
     if report.axiom == "RS":
         if p.n < 2:
             return False
@@ -883,7 +881,7 @@ def replay_witness(f, report: AxiomReport) -> bool:
         reduced = Profile._trusted(p.m, ballots)
         return (
             reduced == w.related_profile
-            and _is_recorded(f.evaluate(p), w.actual)
+            and _is_recorded(out, w.actual)
             and _is_recorded(f.evaluate(reduced), w.expected)
             and w.actual != w.expected
         )
@@ -894,20 +892,19 @@ def replay_witness(f, report: AxiomReport) -> bool:
         upgraded = Profile(p.m, p.ballots[: l - 1] + (k,) + p.ballots[l:])
         if upgraded != w.related_profile or not _is_recorded(f.evaluate(upgraded), w.actual) or w.actual == k:
             return False
-        before = f.evaluate(p)
         if w.note == "pr:win":
-            return before == k
+            return out == k
         if w.note == "pr:tie:always":
-            return before == 0
+            return out == 0
         if w.note == "pr:tie:leaders":
-            return before == 0 and k in _leaders(p.m, p.ballots)
+            return out == 0 and k in _leaders(p.m, p.ballots)
         return False
     if report.axiom == "NTW":
         if not _names_pair(w.pair, p.m):
             return False
         i, j = w.pair
         counts = ballot_counts(p)
-        return counts[i] == counts[j] and _is_recorded(f.evaluate(p), w.actual) and w.actual in (i, j)
+        return counts[i] == counts[j] and _is_recorded(out, w.actual) and w.actual in (i, j)
     return False
 
 

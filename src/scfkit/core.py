@@ -1,9 +1,9 @@
 """Choose-one voting profiles with abstentions, tallies and permutation actions.
 
-A ballot is a plain integer: 0 is an abstention, k in [1, m] is a vote for
-candidate k.  Aggregation outcomes live in the same value space (0 means a
-tie / no decision), so an outcome can be fed back in as a ballot -- the
-subsociety-reduction axiom depends on that.
+A ballot is an int in [0, m], the one test :func:`_ballot_error` makes: 0 is
+an abstention, k in [1, m] is a vote for candidate k.  Aggregation outcomes
+live in the same value space (0 means a tie / no decision), so an outcome can
+be fed back in as a ballot -- the subsociety-reduction axiom depends on that.
 
 Count lists over [0, m] come from one place, :func:`_counts` over a ballot
 tuple, which :func:`ballot_counts` calls for a profile; the named rules of
@@ -67,6 +67,22 @@ PR_TIE_MODES = ("leaders", "always", "wins")
 _COST_CAP = 10**9
 
 
+def _ballot_error(m: int, value) -> str | None:
+    """Why ``value`` is no ballot over m candidates, or None: a ballot is an
+    int in [0, m], not a bool or a float, though True and 1.0 equal 1."""
+    if type(value) is not int:
+        return "is not an int"
+    if not 0 <= value <= m:
+        return f"outside [0, {m}]"
+    return None
+
+
+def _check_image(size: int, image: tuple) -> None:
+    """Refuse an image that does not list 1..size once each, as ints."""
+    if any(_ballot_error(size, k) for k in image) or sorted(image) != list(range(1, size + 1)):
+        raise ValueError(f"image {image} is not a permutation of 1..{size}")
+
+
 class ProfileParseError(ValueError):
     """Profile text does not match the on-disk format; carries a line number."""
 
@@ -103,10 +119,9 @@ class Profile:
         if not self.ballots:
             raise ValueError("a profile needs at least one voter")
         for b in self.ballots:
-            if type(b) is not int:
-                raise ValueError(f"ballot {b!r} is not an int")
-            if not 0 <= b <= self.m:
-                raise ValueError(f"ballot {b} outside [0, {self.m}]")
+            error = _ballot_error(self.m, b)
+            if error:
+                raise ValueError(f"ballot {b!r} {error}")
 
     @classmethod
     def _trusted(cls, m: int, ballots: tuple[int, ...]) -> "Profile":
@@ -169,8 +184,7 @@ class CandidatePermutation:
 
     def __post_init__(self):
         object.__setattr__(self, "image", tuple(self.image))
-        if sorted(self.image) != list(range(1, self.m + 1)):
-            raise ValueError(f"image {self.image} is not a permutation of 1..{self.m}")
+        _check_image(self.m, self.image)
 
     @classmethod
     def identity(cls, m: int) -> "CandidatePermutation":
@@ -197,8 +211,7 @@ class VoterPermutation:
 
     def __post_init__(self):
         object.__setattr__(self, "image", tuple(self.image))
-        if sorted(self.image) != list(range(1, self.n + 1)):
-            raise ValueError(f"image {self.image} is not a permutation of 1..{self.n}")
+        _check_image(self.n, self.image)
 
     @classmethod
     def identity(cls, n: int) -> "VoterPermutation":
@@ -364,8 +377,9 @@ def parse_profile(text: str) -> Profile:
             b = int(tok)
         except ValueError:
             raise ProfileParseError(f"column {col}: non-integer ballot {tok!r}", line=2) from None
-        if not 0 <= b <= m:
-            raise ProfileParseError(f"column {col}: ballot {b} outside [0, {m}]", line=2)
+        error = _ballot_error(m, b)
+        if error:
+            raise ProfileParseError(f"column {col}: ballot {b} {error}", line=2)
         ballots.append(b)
     return Profile(m, tuple(ballots))
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .core import Outcome, Profile, _profiles
+from .core import Outcome, Profile, _ballot_error, _profiles
 
 __all__ = [
     "Rule",
@@ -120,12 +120,15 @@ def _check_scope(m: int, n_max: int) -> None:
 def _check_entry(m: int, n_max: int, key: tuple[int, ...], out: int) -> None:
     if not 1 <= len(key) <= n_max:
         raise ValueError(f"key {key} has length outside [1, {n_max}]")
+    for b in key:  # before the key is sorted, which a str among ints breaks
+        error = _ballot_error(m, b)
+        if error:
+            raise ValueError(f"key {key}: ballot {b!r} {error}")
     if list(key) != sorted(key):
         raise ValueError(f"key {key} is not canonical (sorted)")
-    if not all(0 <= b <= m for b in key):
-        raise ValueError(f"key {key} has ballots outside [0, {m}]")
-    if not 0 <= out <= m:
-        raise ValueError(f"outcome {out} for {key} outside [0, {m}]")
+    error = _ballot_error(m, out)
+    if error:
+        raise ValueError(f"outcome {out!r} for {key} {error}")
 
 
 @dataclass(frozen=True)
@@ -149,8 +152,8 @@ class TabledFunction:
     @classmethod
     def _trusted(cls, m: int, n_max: int, table: dict[tuple[int, ...], int]) -> "TabledFunction":
         """A table built without validation, for tables the library has built
-        itself: m >= 2, n_max >= 1, canonical keys of 1..n_max ballots over
-        [0, m] and outcomes in [0, m]."""
+        itself: m >= 2, n_max >= 1, canonical keys of 1..n_max ballots and
+        ballots as outcomes."""
         t = object.__new__(cls)
         fields = t.__dict__
         fields["m"] = m
@@ -161,13 +164,13 @@ class TabledFunction:
     @classmethod
     def from_rule(cls, rule, m: int, n_max: int) -> "TabledFunction":
         """Tabulate any social choice function over canonical profiles.  The
-        keys are canonical by construction; the outcomes are range-checked
-        once every profile has been evaluated."""
+        keys are canonical by construction; each outcome must be a ballot,
+        checked once every profile has been evaluated."""
         _check_scope(m, n_max)
         trusted, evaluate = Profile._trusted, rule.evaluate
         table = {ballots: evaluate(trusted(m, ballots)) for ballots in _profiles(m, 1, n_max, True)}
         for key, out in table.items():
-            if not 0 <= out <= m:
+            if _ballot_error(m, out):
                 _check_entry(m, n_max, key, out)
         return cls._trusted(m, n_max, table)
 

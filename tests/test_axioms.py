@@ -797,6 +797,51 @@ class TestNoTiedWinner:
         assert replay_witness(LEX, report)
 
 
+def _majority_with(one):
+    """Majority rule at m = 2, but returning ``one`` where candidate 1 wins."""
+
+    def fn(p):
+        ones, twos = p.ballots.count(1), p.ballots.count(2)
+        return one if ones > twos else 2 if twos > ones else 0
+
+    return Rule(f"maj-{one!r}", fn)
+
+
+class TestOutcomesAreBallots:
+    # every scan but A's reads f's outcome at the profile it checks as a
+    # ballot; DP, PO, PR and NTW compared it by value, so 1.0 and True
+    # passed for 1
+
+    @pytest.mark.parametrize("axiom", ["N", "DP", "PO", "RS", "PR", "NTW"])
+    def test_a_float_outcome_raises_in_every_scan_but_a(self, axiom):
+        with pytest.raises(ValueError) as err:
+            check_axioms(_majority_with(1.0), 2, 3, [axiom])
+        assert str(err.value) == "outcome 1.0 is not an int"
+
+    def test_a_bool_outcome_raises_in_pr(self):
+        with pytest.raises(ValueError) as err:
+            check_positive_responsiveness(_majority_with(True), 2, 3)
+        assert str(err.value) == "outcome True is not an int"
+
+    def test_a_float_outcome_passes_a(self):
+        # A only compares outcomes, and majority with 1.0 is anonymous
+        assert check_anonymity(_majority_with(1.0), 2, 3).passed
+
+    def test_an_rs_left_side_outside_the_range_raises(self):
+        # -1 on every profile of two voters or more: the left side equals
+        # f at the reduced profile (0, 0), so the scan passed
+        f = Rule("minus-one", lambda p: -1 if p.n > 1 else 0)
+        with pytest.raises(ValueError) as err:
+            check_rs(f, 2, 2)
+        assert str(err.value) == "outcome -1 outside [0, 2]"
+
+    def test_relabelings_are_built_per_call(self):
+        # no cache outlives a call: each scan builds its own relabelings
+        assert axioms._relabelings(3) == axioms._relabelings(3)
+        assert axioms._relabelings(3) is not axioms._relabelings(3)
+        assert axioms._generators(3) is not axioms._generators(3)
+
+
 MAJ_2X2 = TabledFunction.from_rule(MAJ, 2, 2)
 
 # forged witnesses: a pair that is not two candidates i < j, an upgrade by
@@ -886,6 +931,28 @@ _FORGED = {
         Rule("float-subsociety", lambda p: 1.0 if p.n == 1 else p.ballots.count(0)),
         "RS",
         Witness(Profile(2, (0, 0)), 2, 0, Profile._trusted(2, (1.0, 1.0))),
+    ),
+    # f's outcome at the witness profile is no ballot, so the scans raise
+    # there; each recorded outcome matches f's, and each was replayed
+    "NTW-float-profile-outcome": (
+        Rule("float-at-1-2", lambda p: 1.0 if p.ballots == (1, 2) else 0),
+        "NTW",
+        Witness(Profile(2, (1, 2)), actual=1.0, pair=(1, 2), note="tied pair won"),
+    ),
+    "PO-float-profile-outcome": (
+        Rule("zero-float", lambda p: 0.0),
+        "PO",
+        Witness(Profile(2, (1,)), actual=0.0, expected=1, candidate=1),
+    ),
+    "DP-float-profile-outcome": (
+        Rule("three-float", lambda p: 3.0),
+        "DP",
+        Witness(Profile(3, (1, 2)), actual=3.0, pair=(1, 2), note="outcome outside {0, i, j}"),
+    ),
+    "PR-bool-profile-outcome": (
+        Rule("true-at-2", lambda p: True if p.ballots == (2,) else 0),
+        "PR",
+        Witness(Profile(2, (2,)), 0, 1, Profile(2, (1,)), candidate=1, voter=1, note="pr:win"),
     ),
 }
 
@@ -1301,13 +1368,18 @@ class TestClassValues:
 
     def test_a_class_valued_none_is_evaluated_once(self):
         # majority with None for 0: a stored None is a class value, not a
-        # miss, so no ordered profile is evaluated twice
+        # miss, so no ordered profile is evaluated twice.  A and PO read
+        # every ordered profile but the four all-abstention classes, each
+        # with one ordering, which A never reads and PO skips
         f, calls = _counting(Rule("maj_or_none", lambda p: MAJ.evaluate(p) or None))
-        reports = check_axioms(f, 3, 4, ["A", "PO", "NTW"])
+        reports = check_axioms(f, 3, 4, ["A", "PO"])
         assert [r.to_dict() for r in reports] == [
-            {"axiom": ax, "m": 3, "n_max": 4, "pass": True} for ax in ("A", "PO", "NTW")
+            {"axiom": ax, "m": 3, "n_max": 4, "pass": True} for ax in ("A", "PO")
         ]
-        assert len(calls) == len(set(calls)) == 340
+        assert len(calls) == len(set(calls)) == 340 - 4
+        # NTW reads f at every class, and None there is no ballot
+        with pytest.raises(ValueError, match="^outcome None is not an int$"):
+            check_axioms(f, 3, 4, ["A", "PO", "NTW"])
 
 
 def _relabel(tau: tuple[int, ...], b: int) -> int:

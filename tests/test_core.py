@@ -84,6 +84,15 @@ class TestTypes:
         with pytest.raises(ValueError):
             VoterPermutation(3, (1, 2, 4))
 
+    @pytest.mark.parametrize("kind", [CandidatePermutation, VoterPermutation])
+    @pytest.mark.parametrize("bad", [1.0, True, "1", None])
+    def test_permutation_images_must_be_ints(self, kind, bad):
+        # 1.0 and True sort as 1: the image (1.0, 2) passed the sorted check,
+        # and relabeled a profile's ballots to floats or indexed a list by one
+        with pytest.raises(ValueError) as err:
+            kind(2, (bad, 2))
+        assert str(err.value) == f"image {(bad, 2)} is not a permutation of 1..2"
+
     def test_tally_accounts_for_everyone(self):
         t = tally(Profile(3, (3, 0, 3, 1)))
         assert t.counts == (1, 0, 2)

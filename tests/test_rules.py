@@ -32,6 +32,11 @@ def table_texts(draw):
     return "\n".join(lines)
 
 
+# keys' ballots and outcomes a caller may hand a table: ints in and out of
+# range, and values equal to ints that are no ballots
+_ENTRY_VALUES = st.one_of(st.integers(-1, 4), st.booleans(), st.sampled_from([0.0, 1.0, 2.0]))
+
+
 class TestMajorityRule:
     @pytest.mark.parametrize(
         "m,ballots,expected",
@@ -282,6 +287,52 @@ class TestTabledFunction:
         with pytest.raises(TableParseError) as err:
             TabledFunction.from_text(text)
         assert err.value.line == line
+
+    @pytest.mark.parametrize(
+        "table,message",
+        [
+            ({(1.0,): 1}, "key (1.0,): ballot 1.0 is not an int"),
+            ({(True,): 1}, "key (True,): ballot True is not an int"),
+            ({(3,): 1}, "key (3,): ballot 3 outside [0, 2]"),
+            ({(0,): True}, "outcome True for (0,) is not an int"),
+            ({(0,): 1.0}, "outcome 1.0 for (0,) is not an int"),
+        ],
+    )
+    def test_entries_must_be_ballots(self, table, message):
+        # 1.0 and True compare equal to 1, but to_text would write them as
+        # "1.0" and "True", which from_text refuses
+        with pytest.raises(ValueError) as err:
+            TabledFunction(2, 1, table)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("bad", [True, 1.0])
+    def test_from_rule_refuses_an_outcome_that_is_no_ballot(self, bad):
+        with pytest.raises(ValueError) as err:
+            TabledFunction.from_rule(Rule("bad", lambda p: bad if p.ballots == (1,) else 0), 2, 1)
+        assert str(err.value) == f"outcome {bad!r} for (1,) is not an int"
+
+    @given(
+        st.integers(2, 3).flatmap(
+            lambda m: st.tuples(
+                st.just(m),
+                st.dictionaries(
+                    st.lists(_ENTRY_VALUES, min_size=0, max_size=3).map(tuple), _ENTRY_VALUES, max_size=5
+                ),
+            )
+        )
+    )
+    def test_every_table_that_constructs_round_trips(self, scope_and_table):
+        # a key or outcome that is no ballot, 1.0 or True, is refused when
+        # the table is built, never written as text that does not parse back
+        m, table = scope_and_table
+        try:
+            t = TabledFunction(m, 3, table)
+        except ValueError:
+            return
+        text = t.to_text()
+        back = TabledFunction.from_text(text)
+        assert back == t and back.to_text() == text
+        assert all(type(b) is int for key in back.table for b in key)
 
     @given(st.one_of(st.text(), table_texts()))
     def test_any_text_round_trips_or_reports_a_line(self, text):
