@@ -162,7 +162,7 @@ def _orbits(
 
 def _compose(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
     """Apply q, then p."""
-    return tuple(p[v] for v in q)
+    return tuple(map(p.__getitem__, q))
 
 
 def _inverse(p: tuple[int, ...]) -> tuple[int, ...]:
@@ -372,10 +372,11 @@ class _Engine:
 
     def _reduced(self, i: int) -> int:
         """The cell of reduce(i), once the level below is fixed: a count sum,
-        each subcell's outcome as often as deleting a voter gives it."""
+        each subcell's outcome, read as in ``_value``, as often as a deletion gives it."""
+        out, orbit, label = self.out, self.orbit, self.label
         reduced = [0] * (self.m + 1)
         for j, times in self.subcells[i]:
-            reduced[self._value(j)] += times
+            reduced[label[j][out[orbit[j]]]] += times
         return self.index[tuple(reduced)]
 
     def _pr_clash(self, i: int) -> bool:
@@ -398,12 +399,18 @@ class _Engine:
         x = to_root[v]
         values = [(r, label[x]) for r, label in group]
         po, dp, fixed = self.po_forced, self.dp_allowed, self.fixed
-        if po is not None and any(po[r] is not None and po[r] != w for r, w in values):
-            return "PO"
-        if dp is not None and any(dp[r] is not None and w not in dp[r] for r, w in values):
-            return "DP"
-        if fixed is not None and any(w not in fixed[r] for r, w in values):
-            return "N"
+        if po is not None:
+            for r, w in values:
+                if po[r] is not None and po[r] != w:
+                    return "PO"
+        if dp is not None:
+            for r, w in values:
+                if dp[r] is not None and w not in dp[r]:
+                    return "DP"
+        if fixed is not None:
+            for r, w in values:
+                if w not in fixed[r]:
+                    return "N"
         if x not in rs_allowed:
             return "RS"
         out = self.out

@@ -131,6 +131,13 @@ def _check_entry(m: int, n_max: int, key: tuple[int, ...], out: int) -> None:
         raise ValueError(f"outcome {out!r} for {key} {error}")
 
 
+class _Strings(dict):
+    """str(v) for each v looked up, made on first lookup: never all of 0..m."""
+
+    def __missing__(self, v: int) -> str:
+        return self.setdefault(v, str(v))
+
+
 @dataclass(frozen=True)
 class TabledFunction:
     """An explicit outcome table over canonical profiles with 1 <= n <= n_max.
@@ -152,8 +159,8 @@ class TabledFunction:
     @classmethod
     def _trusted(cls, m: int, n_max: int, table: dict[tuple[int, ...], int]) -> "TabledFunction":
         """A table built without validation, for tables the library has built
-        itself: m >= 2, n_max >= 1, canonical keys of 1..n_max ballots and
-        ballots as outcomes."""
+        or checked itself: m >= 2, n_max >= 1, canonical keys of 1..n_max
+        ballots and ballots as outcomes."""
         t = object.__new__(cls)
         fields = t.__dict__
         fields["m"] = m
@@ -199,9 +206,10 @@ class TabledFunction:
     def to_text(self) -> str:
         """Persist as text: header ``"m n_max"``, one ``"b1 .. bn -> o"`` line
         per assigned entry, sorted by (n, ballots).  Round-trips bit-exactly."""
+        table, name = self.table, _Strings().__getitem__
         lines = [f"{self.m} {self.n_max}"]
-        for key in sorted(self.table, key=lambda k: (len(k), k)):
-            lines.append(f"{' '.join(str(b) for b in key)} -> {self.table[key]}")
+        for key in sorted(table, key=lambda k: (len(k), k)):
+            lines.append(f"{' '.join(map(name, key))} -> {name(table[key])}")
         return "\n".join(lines) + "\n"
 
     @classmethod
@@ -241,4 +249,4 @@ class TabledFunction:
             except ValueError as exc:
                 raise TableParseError(str(exc), line=lineno) from None
             table[key] = out
-        return cls(m, n_max, table)
+        return cls._trusted(m, n_max, table)  # each entry checked above

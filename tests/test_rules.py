@@ -1,6 +1,9 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given, strategies as st
 
+from scfkit import rules
 from scfkit.core import Profile, canonicalize, enumerate_profiles
 from scfkit.rules import (
     RULES,
@@ -35,6 +38,15 @@ def table_texts(draw):
 # keys' ballots and outcomes a caller may hand a table: ints in and out of
 # range, and values equal to ints that are no ballots
 _ENTRY_VALUES = st.one_of(st.integers(-1, 4), st.booleans(), st.sampled_from([0.0, 1.0, 2.0]))
+
+
+def _reference_text(t):
+    """The table text with a str() per ballot and outcome, to_text's
+    reference."""
+    lines = [f"{t.m} {t.n_max}"]
+    for key in sorted(t.table, key=lambda k: (len(k), k)):
+        lines.append(f"{' '.join(str(b) for b in key)} -> {t.table[key]}")
+    return "\n".join(lines) + "\n"
 
 
 class TestMajorityRule:
@@ -333,6 +345,47 @@ class TestTabledFunction:
         back = TabledFunction.from_text(text)
         assert back == t and back.to_text() == text
         assert all(type(b) is int for key in back.table for b in key)
+
+    @given(
+        st.integers(2, 12).flatmap(
+            lambda m: st.tuples(
+                st.just(m),
+                st.dictionaries(
+                    st.lists(st.integers(0, m), min_size=1, max_size=3).map(sorted).map(tuple),
+                    st.integers(0, m),
+                    max_size=8,
+                ),
+            )
+        )
+    )
+    def test_text_equals_the_per_value_str_writer(self, scope_and_table):
+        # every table of sorted keys constructs; from m = 10 on, two-digit
+        # values are written as str() wrote them
+        m, table = scope_and_table
+        t = TabledFunction(m, 3, table)
+        assert t.to_text() == _reference_text(t)
+
+    def test_text_of_a_partial_table_does_not_scale_with_m(self):
+        # only the values present are named: one entry at m = 10^6 writes
+        # without a string per candidate
+        t = TabledFunction(10**6, 2, {(0, 999_999): 999_999})
+        tracemalloc.start()
+        try:
+            text = t.to_text()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert text == "1000000 2\n0 999999 -> 999999\n"
+        assert peak < 100_000
+
+    def test_majority_round_trips_at_three_candidates_ten_voters(self, monkeypatch):
+        # 1,000 entries, each checked once, on its line
+        t = TabledFunction.from_rule(RULES["maj"], 3, 10)
+        checked = []
+        monkeypatch.setattr(rules, "_check_entry", lambda *entry: checked.append(entry[2:]))
+        assert TabledFunction.from_text(t.to_text()) == t
+        assert checked == sorted(t.table.items(), key=lambda e: (len(e[0]), e[0]))
+        assert len(checked) == 1000
 
     @given(st.one_of(st.text(), table_texts()))
     def test_any_text_round_trips_or_reports_a_line(self, text):

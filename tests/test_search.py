@@ -410,6 +410,16 @@ _GOLDEN = [
      "5680c1bcf98d0347e31c9bece9fb7f9eb288db4be581da682f97e4ace52c79aa"),
 ]
 
+# The benchmark's search scopes under {N, DP, PO, RS}: the engine's nodes,
+# its prunes by axiom, and the sha256 of the one solution's to_text(), the
+# file `search --out` writes as solution_000.table.
+_BENCH_SEARCHES = [
+    (2, 9, 117, {"DP": 0, "N": 58, "PO": 20, "RS": 0},
+     "5837f93e40b5fb9cdf4e1e17db5f14a5ad424e783a85d8accad77c4fb456637c"),
+    (3, 7, 108, {"DP": 33, "N": 24, "PO": 24, "RS": 0},
+     "33930fbe6b27891f5d11cec5a25d8490fabf5a321cdc4c81fa0972efdcf1613e"),
+]
+
 
 class TestSearchSpec:
     def test_validation(self):
@@ -547,6 +557,14 @@ class TestEnumerateFunctions:
         assert len(result.solutions) == count
         text = "".join(s.to_text() for s in result.solutions)
         assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("m,n_max,nodes,prunes,digest", _BENCH_SEARCHES)
+    def test_bench_scopes_are_pinned(self, m, n_max, nodes, prunes, digest):
+        result = enumerate_functions(SearchSpec(m=m, n_max=n_max, axioms=frozenset({"N", "DP", "PO", "RS"})))
+        assert result.exhausted and len(result.solutions) == 1
+        assert (result.nodes_explored, result.prune_counts) == (nodes, prunes)
+        assert hashlib.sha256(result.solutions[0].to_text().encode()).hexdigest() == digest
+        assert result.solutions[0] == _maj_table(m, n_max)
 
     @pytest.mark.parametrize("m,n_max,axioms,tie", [case[:4] for case in _GOLDEN])
     def test_solutions_equal_their_validated_tables(self, m, n_max, axioms, tie):
@@ -743,6 +761,21 @@ class TestCountVectorEngine:
             for r in reps:
                 assert sorted(engine.pr_edges[r]) == sorted(expected[r]), cells[r]
                 assert sum(s == r for s, *_ in engine.pr_edges[r]) <= (m + 1) * m
+
+
+class TestOutcomeMaps:
+    @pytest.mark.parametrize("m", range(1, 5))
+    def test_compose_and_inverse_equal_their_definitions(self, m):
+        # the reference merges in these tests build on _compose, so it is
+        # checked here against p[q[v]] itself, on every pair of maps
+        identity = tuple(range(m + 1))
+        maps = list(permutations(identity))
+        for p in maps:
+            inv = _inverse(p)
+            assert _compose(p, inv) == identity and _compose(inv, p) == identity, p
+            for q in maps:
+                pq = _compose(p, q)
+                assert type(pq) is tuple and pq == tuple(p[q[v]] for v in identity), (p, q)
 
 
 class TestOrbitConstruction:
