@@ -28,7 +28,9 @@ is read through :func:`_reader`, and every lookup by class goes through one
 sorted-key reader over an outcome dict (:func:`_sorted_reader`): a table's
 dict, whose misses evaluate the table, or the class values, whose misses
 evaluate f on the sorted member and keep the outcome.  A Profile is built
-only where f.evaluate needs one, or for a witness.
+only where f.evaluate needs one, or for a witness.  A Rule of exactly that
+type is called through its ``fn`` (:func:`_evaluator`), so a class-level
+patch of Rule.evaluate misses the scans' reads; a subclass's override sees them.
 
 Neutrality is checked on two generators of the relabelings, the
 transposition (1 2) and the m-cycle; only a failure rescans with all m!
@@ -90,7 +92,7 @@ from .core import (
     format_profile,
     profile_count,
 )
-from .rules import IncompleteTableError, TabledFunction, _check_scope
+from .rules import IncompleteTableError, Rule, TabledFunction, _check_scope
 
 __all__ = [
     "AXIOM_IDS",
@@ -344,18 +346,28 @@ def _anonymity_witness(f, m: int, n_max: int, values: dict[tuple[int, ...], int]
     Each profile's class is read off :func:`_class_ids`, not found by
     sorting, and the sorted profiles, each the lexicographic minimum of its
     class's orderings, are dropped from the stream by that level's mask.  f
-    is read once at every other profile, as it is (``_reader`` without
-    classes).  The sorted member's outcome is read through the class values
-    (``_reader`` by class) the first time its class needs it, after that
-    profile's own, which keeps it in ``values`` for the rest of the call,
-    and in a per-level list by class for the rest of the scan.  A class
-    with one ordering, one ballot value repeated, is never read here.
+    is read once at every other profile, as it is: a table through
+    ``_reader`` without classes, any other f through :func:`_evaluator`
+    here, on a Profile built inline.  The sorted member's outcome is read
+    through the class values (``_reader`` by class) the first time its
+    class needs it, after that profile's own, which keeps it in ``values``
+    for the rest of the call, and in a per-level list by class for the rest
+    of the scan.  A class with one ordering, one ballot value repeated, is
+    never read here.
     """
-    read, class_value = _reader(f, m, False, values), _reader(f, m, True, values)
+    read = _reader(f, m, False, values) if isinstance(f, TabledFunction) else None
+    class_value = _reader(f, m, True, values)
+    new, set_m, set_ballots, evaluate = object.__new__, _set_m, _set_ballots, _evaluator(f)
     for n, (keys, ids, unsorted) in enumerate(_class_ids(m, n_max), start=1):
         outcomes = [_UNEVALUATED] * len(keys)
         for ballots, i in zip(compress(_profiles(m, n, n, False), unsorted), compress(ids, unsorted)):
-            actual = read(ballots)
+            if read is None:
+                p = new(Profile)
+                set_m(p, m)
+                set_ballots(p, ballots)
+                actual = evaluate(p)
+            else:
+                actual = read(ballots)
             expected = outcomes[i]
             if expected is _UNEVALUATED:
                 expected = outcomes[i] = class_value(keys[i])
@@ -392,6 +404,12 @@ def _sorted_reader(
     return evaluate
 
 
+def _evaluator(f) -> Callable[[Profile], int]:
+    """f's outcome at a Profile: a Rule of exactly that type through its
+    ``fn``, which is all Rule.evaluate does; anything else, subclasses too, through evaluate."""
+    return f.fn if type(f) is Rule else f.evaluate
+
+
 def _reader(f, m: int, by_class: bool, values: dict[tuple[int, ...], int]) -> Callable[[tuple[int, ...]], int]:
     """How every scan reads f in one call: ``value(ballots)``, f's outcome at
     the profile with those ballots.
@@ -404,9 +422,11 @@ def _reader(f, m: int, by_class: bool, values: dict[tuple[int, ...], int]) -> Ca
     class's sorted member and keeps the outcome there for the rest of the
     call.  Without, f is evaluated at every profile.  A
     :class:`~scfkit.core.Profile` is built only for f.evaluate, inline
-    through the slot setters :meth:`~scfkit.core.Profile._trusted` uses.
+    through the slot setters :meth:`~scfkit.core.Profile._trusted` uses.  f
+    is called through :func:`_evaluator`, so a class-level patch of
+    Rule.evaluate does not see a Rule's reads; a subclass's override does.
     """
-    new, set_m, set_ballots, evaluate = object.__new__, _set_m, _set_ballots, f.evaluate
+    new, set_m, set_ballots, evaluate = object.__new__, _set_m, _set_ballots, _evaluator(f)
 
     def read(ballots: tuple[int, ...]) -> int:
         p = new(Profile)
@@ -426,9 +446,9 @@ def _reader(f, m: int, by_class: bool, values: dict[tuple[int, ...], int]) -> Ca
     return _sorted_reader(values, keep)
 
 
-def _relabelings(m: int) -> tuple[CandidatePermutation, ...]:
-    """The m! candidate permutations, built per rescan rather than per profile."""
-    return tuple(CandidatePermutation(m, image) for image in permutations(range(1, m + 1)))
+def _relabeling_lookups(m: int) -> list[tuple[int, ...]]:
+    """The m! relabelings' lookups (:func:`_lookups`), straight from their images."""
+    return [(0, *image) for image in permutations(range(1, m + 1))]
 
 
 def _generators(m: int) -> tuple[CandidatePermutation, ...]:
@@ -510,7 +530,7 @@ def _minimal_relabeling_witness(value: Callable, m: int, n_max: int, by_class: b
     witness, or its error, comes at it at the latest.  Estimated first, and
     refused like any scan."""
     _refuse_above(stop * (1 + math.factorial(m)), f"rescanning N for its witness at m={m}, n_max={n_max}")
-    relabelings = _lookups(_relabelings(m))
+    relabelings = _relabeling_lookups(m)
     for ballots in islice(_profiles(m, 1, n_max, by_class), stop):
         w = _relabeling_witness(value, m, ballots, relabelings)
         if w is not None:

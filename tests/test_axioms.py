@@ -33,6 +33,7 @@ from scfkit.axioms import (
     require_feasible,
 )
 from scfkit.core import (
+    CandidatePermutation,
     Profile,
     apply_candidate_permutation,
     ballot_counts,
@@ -837,9 +838,22 @@ class TestOutcomesAreBallots:
 
     def test_relabelings_are_built_per_call(self):
         # no cache outlives a call: each scan builds its own relabelings
-        assert axioms._relabelings(3) == axioms._relabelings(3)
-        assert axioms._relabelings(3) is not axioms._relabelings(3)
+        assert axioms._relabeling_lookups(3) == axioms._relabeling_lookups(3)
+        assert axioms._relabeling_lookups(3) is not axioms._relabeling_lookups(3)
         assert axioms._generators(3) is not axioms._generators(3)
+
+    @pytest.mark.parametrize("m", [2, 3, 4, 5])
+    def test_relabeling_lookups_are_those_of_the_permutations(self, m):
+        # built from the images alone, in the order of the validated
+        # permutations the reference scan applies
+        assert axioms._relabeling_lookups(m) == axioms._lookups(_relabelings(m))
+
+    def test_lex_rescan_at_eight_candidates(self):
+        # the 8! relabelings' rescan keeps the swap's witness
+        report = check_neutrality(LEX, 8, 2)
+        w = report.witness
+        assert (w.profile.ballots, w.permutation, w.actual, w.expected) == ((1, 2), (2, 1, 3, 4, 5, 6, 7, 8), 1, 2)
+        assert replay_witness(LEX, report)
 
 
 MAJ_2X2 = TabledFunction.from_rule(MAJ, 2, 2)
@@ -1116,7 +1130,8 @@ def _spy_stream(mp, levels: list) -> None:
 
 
 def _spy_reader(mp, calls: list) -> None:
-    """Record the ballots at which each scan, A's included, reads f."""
+    """Record the ballots at which each scan reads f.  A's scan is included
+    for a table only: it calls any other f without ``_reader``."""
     original = axioms._reader
 
     def reader(*args):
@@ -1319,6 +1334,77 @@ class TestCheckAxioms:
         assert check_cost("PO", 3, 10, ordered=True) <= CHECK_MAX_COST
         assert err.value.cost == check_cost(["PO", "N"], 3, 10, ordered=True)
         assert calls == [(1, 0), (0, 1)]
+
+
+class Plain:
+    """``g`` as the evaluate method of an object that is no Rule."""
+
+    def __init__(self, g):
+        self.evaluate = g
+
+
+@st.composite
+def profile_functions(draw):
+    """A scope and a function g of a Profile on it: an ordered function's,
+    a named rule's, or one of these raising on a drawn profile."""
+    if draw(st.booleans()):
+        m, n_max, f = draw(ordered_functions())
+    else:
+        m, n_max = draw(st.sampled_from([(2, 3), (3, 2), (3, 3), (4, 2)]))
+        f = draw(st.sampled_from(list(RULES.values())))
+    if draw(st.booleans()):
+        n = draw(st.integers(1, n_max))
+        f = Raising(f, tuple(draw(st.lists(st.integers(0, m), min_size=n, max_size=n))))
+    return m, n_max, f.evaluate
+
+
+def _seen_reads(wrap, g, m, n_max, requested):
+    """The reports of ``check_axioms`` on ``wrap(g)``, or the type and text of
+    what it raised, and the ballots at which g was called, in order."""
+    seen = []
+    f = wrap(lambda p: seen.append(p.ballots) or g(p))
+    try:
+        got = [r.to_dict() for r in check_axioms(f, m, n_max, requested)]
+    except RuntimeError as exc:
+        got = (type(exc), str(exc))
+    return got, seen
+
+
+class TestRuleReads:
+    # a Rule of exactly that type is called through its fn, anything else
+    # through its evaluate; nothing else may differ
+
+    @settings(max_examples=150)
+    @given(profile_functions())
+    def test_a_rule_reads_as_any_f_does(self, case):
+        m, n_max, g = case
+        rule = _seen_reads(lambda h: Rule("g", h), g, m, n_max, ALL_AXIOMS)
+        assert rule == _seen_reads(Plain, g, m, n_max, ALL_AXIOMS)
+        assert rule[1]
+
+    @pytest.mark.parametrize("rule", [MAJ, LAST, DICTATOR])
+    def test_a_rule_subclass_is_called_through_its_evaluate(self, rule):
+        # every scan, A's included, calls an override as often, at the same
+        # ballots, as a plain Rule calls its fn
+        overridden = []
+
+        class Counted(Rule):
+            def evaluate(self, p):
+                overridden.append(p.ballots)
+                return super().evaluate(p)
+
+        for requested in [[axiom] for axiom in ALL_AXIOMS] + [ALL_AXIOMS]:
+            overridden.clear()
+            reports = [r.to_dict() for r in check_axioms(Counted(rule.name, rule.fn), 3, 3, requested)]
+            assert (reports, overridden) == _seen_reads(lambda h: Rule(rule.name, h), rule.fn, 3, 3, requested)
+            assert overridden
+
+    def test_a_class_level_patch_of_rule_evaluate_sees_no_read(self, monkeypatch):
+        patched = []
+        original = Rule.evaluate
+        monkeypatch.setattr(Rule, "evaluate", lambda self, p: patched.append(p) or original(self, p))
+        assert all(r.passed for r in check_axioms(MAJ, 3, 3, ALL_AXIOMS))
+        assert patched == []
 
 
 class TestClassValues:
@@ -1814,6 +1900,11 @@ def _profile_relabeling_witness(f, p, relabelings):
     return None
 
 
+def _relabelings(m):
+    """The m! candidate permutations, validated, in the order of their images."""
+    return tuple(CandidatePermutation(m, image) for image in permutations(range(1, m + 1)))
+
+
 def _profile_neutrality_witness(f, m, n_max, by_class):
     generators = axioms._generators(m)
     for scanned, p in enumerate(_profile_stream(m, 1, n_max, by_class), start=1):
@@ -1829,7 +1920,7 @@ def _profile_neutrality_witness(f, m, n_max, by_class):
             pass
         axioms._refuse_above(scanned * (1 + math.factorial(m)), f"rescanning N for its witness at m={m}, n_max={n_max}")
         for q in islice(_profile_stream(m, 1, n_max, by_class), scanned):
-            w = _profile_relabeling_witness(f, q, axioms._relabelings(m))
+            w = _profile_relabeling_witness(f, q, _relabelings(m))
             if w is not None:
                 return w
         raise RuntimeError("f fails N under a generator but under no relabeling: it is not deterministic")
