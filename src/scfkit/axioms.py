@@ -36,7 +36,19 @@ Neutrality is checked on two generators of the relabelings, the
 transposition (1 2) and the m-cycle; only a failure rescans with all m!
 relabelings, to report the same minimal witness.  A scan applies each
 relabeling through one lookup tuple (0, *image), built once per scan, to
-ballots and to f's outcome alike.  Every scan but A's reads f's outcome at
+ballots and to f's outcome alike.  A table over the scope's m is first
+checked in one pass with no Python frame per class
+(:func:`_table_is_neutral`): every class's entry, read with ``dict.get``,
+must be an int in [0, m], the table must hold no other key, and under
+each generator the entry at each class's relabeled, sorted ballots must
+be the class's relabeled outcome.  That is the scan's own test, and it
+passes exactly when the scan would pass without raising: reading a dict
+has no side effects, every relabeled class is in the scope, so its entry
+is type-checked in the same pass, and with no other key the scan's read
+of a relabeled profile's unsorted ballots misses and reads the sorted
+ones.  Any other result runs the scan from the first class, so witnesses,
+the rescan and every error are the scan's.  A Rule keeps the per-class
+scan.  Every scan but A's reads f's outcome at
 the profile it checks through :func:`_outcome`, which refuses one that is
 no ballot (:func:`~scfkit.core._ballot_error`).  Reducibility evaluates f
 once per distinct voter-deleted subprofile; the reduced profile's outcomes
@@ -70,7 +82,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import compress, groupby, islice, permutations
+from itertools import compress, groupby, islice, permutations, repeat
+from operator import eq
 from typing import Callable, Iterable, Iterator
 
 from .core import (
@@ -523,6 +536,29 @@ def _neutrality_witness(value: Callable, m: int, n_max: int, by_class: bool) -> 
     return None
 
 
+def _table_is_neutral(table: dict, m: int, n_max: int) -> bool:
+    """Whether N's scan passes a table over m without raising: every class
+    of 1..n_max voters has an int outcome in [0, m] (as
+    :func:`~scfkit.core._ballot_error` requires), and each generator's
+    relabeling of each class, sorted, has the relabeled outcome.  One pass
+    of ``map``, ``sorted`` and ``operator.eq`` over the classes, with no
+    Python frame per class.  The table must also hold no other key, so
+    none is unsorted and a relabeled profile's unsorted ballots miss as
+    they do in the scan: the entries read are the ones the scan reads.
+    Reading them has no side effects, so a False only sends the call on
+    to the scan."""
+    keys = list(_profiles(m, 1, n_max, True))
+    get = table.get
+    outs = list(map(get, keys))
+    if len(table) != len(keys) or set(map(type, outs)) != {int} or min(outs) < 0 or max(outs) > m:
+        return False
+    for lookup in _lookups(_generators(m)):
+        relabeled = map(tuple, map(sorted, map(map, repeat(lookup.__getitem__), keys)))
+        if not all(map(eq, map(get, relabeled), map(lookup.__getitem__, outs))):
+            return False
+    return True
+
+
 def _minimal_relabeling_witness(value: Callable, m: int, n_max: int, by_class: bool, stop: int) -> Witness:
     """Rescan the first ``stop`` profiles with all m! relabelings in order,
     as one scan over the full group meets them.  Profile ``stop`` fails
@@ -725,7 +761,9 @@ def check_axioms(f, m: int, n_max: int, axioms: Iterable[str], tie_upgrade: str 
     evaluating only the classes it never needed, or f itself when f is not
     anonymous.  In that last case the ordered fallbacks of the other axioms
     are estimated together before any of them is scanned.  A
-    :class:`Profile` is built only for f.evaluate or a witness.
+    :class:`Profile` is built only for f.evaluate or a witness.  N on a
+    table over m is decided by the one-pass check when it passes, and by
+    the generator scan otherwise (see the module docstring).
 
     Once N passes on a class scan, the DP, PO, RS, PR and NTW scans listed
     after it check only each neutrality orbit's first class: under an
@@ -757,7 +795,10 @@ def check_axioms(f, m: int, n_max: int, axioms: Iterable[str], tie_upgrade: str 
     neutral, firsts = False, None
     for ax in others:
         if ax == "N":
-            witnesses[ax] = _neutrality_witness(value, m, n_max, by_class)
+            if tabled and f.m == m and _table_is_neutral(f.table, m, n_max):
+                witnesses[ax] = None
+            else:
+                witnesses[ax] = _neutrality_witness(value, m, n_max, by_class)
             neutral = by_class and witnesses[ax] is None
             continue
         witness_of, n_min = _SCANS[ax]

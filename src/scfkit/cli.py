@@ -90,6 +90,10 @@ def cmd_eval(args, parser) -> int:
 
 def cmd_check(args, parser) -> int:
     axioms = _parse_axioms(args.axioms, _CHECKABLE, parser)
+    if not axioms:
+        # a check of nothing would print "result: pass"; search lists every
+        # anonymous table under an empty list, which means something
+        parser.error("--axioms names no axiom")
     if "RS" in axioms and args.n_max < 2:
         parser.error("--n-max must be >= 2 to check RS")
     tie = _tie_mode(args)

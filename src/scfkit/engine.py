@@ -6,8 +6,15 @@ Inside the engine a cell is its count vector (abstentions, then each
 candidate's votes), which determines the class.  The cells come from the
 profile stream of :mod:`scfkit.core` and are counted by its one count
 function.  Outcomes and the PO, DP, RS and PR facts are kept
-at orbit representatives only; a member's outcome is its representative's,
-relabeled on read.
+at orbit representatives only, and no cell keeps a relabeling.  A member j
+of representative r reads r's value x through the two count vectors: 0
+stays 0, and a candidate x becomes j's one candidate with r's count of x,
+``counts[j].index(counts[r][x], 1)``.  That read is exact because the
+search stores at r only values r's stabilizer fixes: 0, or a candidate
+whose count no other candidate of r shares.  Every relabeling sending r
+onto j, the first one included, carries x to a candidate with that count
+in j, and j has only one.
+
 The engine fixes the table level by level (n = 1 upward).  Once the levels
 below n are fixed, every level-n constraint except PR is an equation between
 level-n cells:
@@ -15,9 +22,9 @@ level-n cells:
 - N: with neutrality, each cell is a relabeling of its orbit's
   representative, f(tau c) = tau f(c), and the representative may only take
   outcomes its stabilizer fixes.  Two classes share an orbit iff they share
-  the voter count and the sorted candidate counts; each cell's orbit and
-  label are read off its sorted count vector (see ``_orbits``).  Without N
-  every cell is its own orbit.
+  the voter count and the sorted candidate counts; each cell's orbit is
+  read off its sorted count vector (see ``_orbits``).  Without N every cell
+  is its own orbit.
 - RS: f(c) = f(reduce(c)), where reduce(c) collects the (fixed) outcomes
   of c's voter-deleted subprofiles, is a plain equality between two level-n
   cells.  Deleting any of the c_b voters with ballot b leaves one subcell,
@@ -25,7 +32,11 @@ level-n cells:
   ballot value b present, at most m + 1 lookups per cell.
 
 So each orbit representative r has one equation, x_r = rho[x_s] with s
-the representative of reduce(r)'s orbit: a successor map.  A walk along
+the representative of reduce(r)'s orbit and rho the relabeling of s onto
+reduce(r)'s cell d: a successor map.  rho is the identity when d is a
+representative, as every d is under {N, DP, PO, RS} at (2, 9), (3, 7),
+(3, 20) and (40, 3), and otherwise one stable sort of d's candidates
+(``_label``).  A walk along
 successors joins the first resolved representative's component or closes
 a cycle, which restricts its new root to the outcomes the relabeling
 composed around it fixes.  Components are assigned in order of their
@@ -126,34 +137,41 @@ class SearchSpec:
 
 def _orbits(
     counts: list[tuple[int, ...]], index: dict[tuple[int, ...], int], m: int
-) -> tuple[list[int], list[tuple[int, ...]], dict[int, tuple[int, ...]]]:
-    """Each cell's orbit representative and label, and each representative's
-    fixed outcomes, for the cells with count vectors ``counts`` (every
-    canonical profile of each level present) at positions ``index``.
+) -> tuple[list[int], dict[int, tuple[int, ...]]]:
+    """Each cell's orbit representative, and each representative's fixed
+    outcomes, for the cells with count vectors ``counts`` (every canonical
+    profile of each level present) at positions ``index``.
 
     A relabeling sends a class onto another iff it carries each candidate's
     count to its image, so an orbit is the cells with one abstention count and
     one sorted candidate-count vector.  Its first cell in index order puts as
     many voters as it can on candidate 1, then on 2, and so on, so the
-    representative's candidate counts are non-increasing.  A cell's label,
-    its candidates by count, largest first and ties ascending (the sort is
-    stable), is then the lexicographically first relabeling sending the
-    representative onto it, and the representative is the cell whose counts
-    are the cell's read in that order: its candidate counts, sorted
-    largest first.  The representative's stabilizer fixes abstention and
-    each candidate whose count is unique.
+    representative is the cell whose candidate counts are the cell's, sorted
+    largest first.  The representative's stabilizer fixes abstention and each
+    candidate whose count is unique.  No relabeling is built: a member reads
+    a fixed value x of its representative r as its one candidate with r's
+    count of x (see the module docstring), and ``_label`` builds a full map
+    only where an equation needs one.
     """
     candidates = range(1, m + 1)
-    orbit, label, fixed = [], [], {}
+    orbit, fixed = [], {}
     for j, c in enumerate(counts):
-        tau = sorted(candidates, key=c.__getitem__, reverse=True)
         rep = index[(c[0], *sorted(c[1:], reverse=True))]
         if rep == j:
             votes = c[1:]
             fixed[j] = (0, *(k for k in candidates if votes.count(c[k]) == 1))
         orbit.append(rep)
-        label.append((0, *tau))
-    return orbit, label, fixed
+    return orbit, fixed
+
+
+def _label(c: tuple[int, ...], m: int) -> tuple[int, ...]:
+    """The outcome map of the lexicographically first relabeling sending the
+    representative of the cell with count vector c onto it: 0, then c's
+    candidates by count, largest first and ties ascending (the sort is
+    stable).  It agrees with the count read on every value the
+    representative's stabilizer fixes, and is the identity at a
+    representative, whose candidate counts do not increase."""
+    return (0, *sorted(range(1, m + 1), key=c.__getitem__, reverse=True))
 
 
 # Outcome maps are tuples p over 0..m, p[v] the image of v; a candidate
@@ -270,18 +288,17 @@ class _Engine:
         # a cell's count vector determines its class, so the engine works on
         # it throughout; the sorted ballots key the solution tables
         self.cells = cells = list(_profiles(m, 1, n_max, True))
-        counts = [tuple(_counts(m, c)) for c in cells]
+        self.counts = counts = [tuple(_counts(m, c)) for c in cells]
         self.index = index = {c: i for i, c in enumerate(counts)}
         self.out: list[int | None] = [None] * len(cells)  # set at representatives only
 
-        # Each cell's orbit representative and the map from its value to the
-        # cell's, through which ``_value`` reads every cell.  Without N every
-        # cell is its own orbit under the identity.
+        # Each cell's orbit representative, whose value ``_value`` reads
+        # through the two cells' counts.  Without N every cell is its own
+        # orbit and reads its own value.
         self.orbit = list(range(len(cells)))
-        self.label = [tuple(range(m + 1))] * len(cells)
         self.fixed: dict[int, tuple[int, ...]] | None = None
         if "N" in spec.axioms:
-            self.orbit, self.label, self.fixed = _orbits(counts, index, m)
+            self.orbit, self.fixed = _orbits(counts, index, m)
         reps = [j for j, r in enumerate(self.orbit) if r == j]
         self.reps: dict[int, list[int]] = {n: [] for n in range(1, n_max + 1)}
         for r in reps:
@@ -352,31 +369,43 @@ class _Engine:
     def _components(self, n: int) -> list[_Component]:
         """Level n's components, given the fixed levels below, in order of
         their smallest cell."""
-        reps = self.reps[n]
+        reps, m = self.reps[n], self.m
         successor = None
         if self.subcells is not None and n >= 2:
             successor = {}
+            orbit, counts, identity = self.orbit, self.counts, tuple(range(m + 1))
             for r in reps:
                 d = self._reduced(r)
-                # f(r) = x_r and f(d) = label[d][x_orbit(d)].  With N the
-                # equations at r's other members are relabelings of this one.
-                successor[r] = (self.orbit[d], self.label[d])
-        merged = _merge(reps, successor, self.m)
+                # f(r) = x_r and f(d) = L[x_orbit(d)], L the relabeling of
+                # orbit(d) onto d: the identity when d is a representative, as
+                # every d is under {N, DP, PO, RS}.  With N the equations at
+                # r's other members are relabelings of this one.
+                s = orbit[d]
+                successor[r] = (s, identity if s == d else _label(counts[d], m))
+        merged = _merge(reps, successor, m)
         return [(group, rs_allowed, _inverse(group[0][1])) for group, rs_allowed in merged]
 
     def _value(self, j: int) -> int | None:
-        """Cell j's outcome, its representative's relabeled, or None while
-        that is unassigned: only representatives are stored."""
-        x = self.out[self.orbit[j]]
-        return None if x is None else self.label[j][x]
+        """Cell j's outcome, or None while its representative r is
+        unassigned: only representatives are stored.  A member reads r's
+        value x as its one candidate with r's count of x (see the module
+        docstring); 0, and a representative's own value, read as they are."""
+        r = self.orbit[j]
+        x = self.out[r]
+        if not x or r == j:
+            return x
+        counts = self.counts
+        return counts[j].index(counts[r][x], 1)
 
     def _reduced(self, i: int) -> int:
         """The cell of reduce(i), once the level below is fixed: a count sum,
         each subcell's outcome, read as in ``_value``, as often as a deletion gives it."""
-        out, orbit, label = self.out, self.orbit, self.label
+        out, orbit, counts = self.out, self.orbit, self.counts
         reduced = [0] * (self.m + 1)
         for j, times in self.subcells[i]:
-            reduced[label[j][out[orbit[j]]]] += times
+            r = orbit[j]
+            x = out[r]
+            reduced[x if not x or r == j else counts[j].index(counts[r][x], 1)] += times
         return self.index[tuple(reduced)]
 
     def _pr_clash(self, i: int) -> bool:
@@ -454,5 +483,5 @@ class _Engine:
             else:
                 # canonical keys, values in 0..m: nothing to validate; every
                 # representative is assigned, so each cell reads as in _value
-                out, orbit, label = self.out, self.orbit, self.label
-                yield TabledFunction._trusted(m, n_max, {c: label[j][out[orbit[j]]] for j, c in enumerate(self.cells)})
+                value = self._value
+                yield TabledFunction._trusted(m, n_max, {c: value(j) for j, c in enumerate(self.cells)})

@@ -1129,6 +1129,13 @@ def _spy_stream(mp, levels: list) -> None:
     mp.setattr(axioms, "_profiles", stream)
 
 
+def _scan_tables(mp) -> None:
+    """Send a table's N check to the generator scan, as a table that fails
+    the one-pass check (``axioms._table_is_neutral``) goes, so a test can
+    watch that scan's reads on a passing table."""
+    mp.setattr(axioms, "_table_is_neutral", lambda table, m, n_max: False)
+
+
 def _spy_reader(mp, calls: list) -> None:
     """Record the ballots at which each scan reads f.  A's scan is included
     for a table only: it calls any other f without ``_reader``."""
@@ -1624,7 +1631,11 @@ class TestGeneratorScans:
             _spy_reader(mp, calls)
             # a complete table is read directly, never evaluated
             mp.setattr(TabledFunction, "evaluate", lambda self, p: evaluated.append(p) or original(self, p))
-            check_neutrality(table, 3, 4)
+            # a passing table is decided by the one-pass check, through no reader
+            assert check_neutrality(table, 3, 4).passed and calls == []
+            with pytest.MonkeyPatch.context() as scan:
+                _scan_tables(scan)
+                check_neutrality(table, 3, 4)
             classes = [p.ballots for n in range(1, 5) for p in enumerate_profiles(3, n, canonical_only=True)]
             # each class, then its image under (1 2) and under the 3-cycle
             assert len(calls) == 3 * len(classes)
@@ -1641,6 +1652,8 @@ class TestGeneratorScans:
         table = TabledFunction.from_rule(MAJ, 2, 1)
         with pytest.MonkeyPatch.context() as mp:
             _spy_reader(mp, calls)
+            assert check_neutrality(table, 2, 1).passed and calls == []
+            _scan_tables(mp)
             check_neutrality(table, 2, 1)
         assert calls == [(0,), (0,), (1,), (2,), (2,), (1,)]
 
@@ -1681,6 +1694,86 @@ class TestGeneratorScans:
             f"rescanning N for its witness at m=10, n_max=3 needs about {cost} evaluations (> {CHECK_MAX_COST})"
         )
         assert calls[-2:] == [(1, 2), (2, 1)]
+
+
+@st.composite
+def one_pass_cases(draw):
+    """A neutral table at m = 2..4 with at most four voters, as it is or
+    with one entry changed: to another value, removed, or to True, 1.0,
+    -1, m + 1 or None; or with the unsorted key (2, 1) added, which the
+    scan reads as the swap of (1, 2) and a table may not hold.  Checked at
+    its own scope, at a larger or smaller voter bound, or with a candidate
+    more; RS needs two voters, so a table of one voter is checked at two."""
+    m, n_max = draw(st.integers(2, 4)), draw(st.integers(1, 4))
+    table = _neutral_table(draw, m, n_max)
+    key = draw(st.sampled_from(sorted(table)))
+    change = draw(st.sampled_from(["none", "value", "remove", "unsorted", True, 1.0, -1, m + 1, None]))
+    if change == "value":
+        table[key] = (table[key] + draw(st.integers(1, m))) % (m + 1)
+    elif change == "remove":
+        del table[key]
+    elif change == "unsorted":
+        table[(2, 1)] = draw(st.integers(0, m))
+    elif change != "none":
+        table[key] = change
+    n = max(2, n_max)
+    scope = draw(st.sampled_from([(m, n), (m, n), (m, draw(st.integers(n, 4))), (m, max(2, n - 1)), (m + 1, n)]))
+    return (*scope, change, TabledFunction._trusted(m, n_max, table))
+
+
+def _raised_or(run):
+    """run()'s result, or the type and text of the error it raised."""
+    try:
+        return run()
+    except Exception as exc:  # every error must be the scan's
+        return (type(exc), str(exc))
+
+
+class TestOnePassNeutrality:
+    @settings(max_examples=300, deadline=None)
+    @given(one_pass_cases())
+    def test_equals_the_generator_scan(self, case):
+        # a table's N check gives the generator scan's report, or its error,
+        # and so leaves every later scan as it was
+        m, n_max, change, t = case
+        requested = ["N", "DP", "PO", "RS"]
+
+        def reports():
+            return [r.to_dict() for r in check_axioms(t, m, n_max, requested)]
+
+        def scanned():
+            value = axioms._reader(t, m, True, {})
+            w = axioms._neutrality_witness(value, m, n_max, True)
+            return AxiomReport("N", m, n_max, w is None, w).to_dict()
+
+        with pytest.MonkeyPatch.context() as mp:
+            _scan_tables(mp)
+            reference = _raised_or(reports)
+        alone = _raised_or(scanned)
+        with pytest.MonkeyPatch.context() as mp:
+            if change == "none" and t.m == m and t.n_max == n_max:
+                # a neutral table passes without the scan
+                mp.setattr(axioms, "_neutrality_witness", lambda *args: pytest.fail("scanned"))
+            got = _raised_or(reports)
+        assert got == reference
+        if isinstance(alone, tuple):
+            assert got == alone
+        elif isinstance(got, list):
+            assert got[0] == alone
+
+    @pytest.mark.parametrize("m,n_max", [(2, 9), (3, 7), (5, 5), (40, 3)])
+    def test_decides_majority_lex_and_last_wins(self, m, n_max):
+        # lex fails under the swap; from m = 3 on, the last candidate
+        # winning whenever voted for, majority otherwise, passes the swap of
+        # 1 and 2 and fails only under the m-cycle
+        table = TabledFunction.from_rule(MAJ, m, n_max).table
+        assert axioms._table_is_neutral(table, m, n_max)
+        assert not axioms._table_is_neutral(TabledFunction.from_rule(LEX, m, n_max).table, m, n_max)
+        last = Rule("last", lambda p: m if m in p.ballots else MAJ.evaluate(p))
+        last_wins = TabledFunction.from_rule(last, m, n_max)
+        assert not axioms._table_is_neutral(last_wins.table, m, n_max)
+        if m <= 5:  # the scan's witness rescan is refused at m = 40
+            assert not check_neutrality(last_wins, m, n_max).passed
 
 
 class TestOrbitScans:
@@ -1730,6 +1823,11 @@ class TestOrbitScans:
         calls = []
         with pytest.MonkeyPatch.context() as mp:
             _spy_reader(mp, calls)
+            reports = check_axioms(table, 3, 4, ["N", "RS", "PR"])
+            # N's one-pass check reads the table's dict through no reader
+            assert all(r.passed for r in reports) and calls == expected
+            calls.clear()
+            _scan_tables(mp)
             reports = check_axioms(table, 3, 4, ["N", "RS", "PR"])
         assert all(r.passed for r in reports)
         # N reads each class and its images under the two generators

@@ -101,6 +101,14 @@ class TestCheck:
     def test_unknown_axiom_is_usage_error(self):
         assert run(["check", "--rule", "maj", "--axioms", "A,XX"]) == 2
 
+    @pytest.mark.parametrize("raw", ["", ",", " , "])
+    def test_an_axiom_list_naming_no_axiom_is_usage_error(self, capsys, raw):
+        # it used to check nothing and print "result: pass"
+        assert run(["check", "--rule", "maj", "--axioms", raw]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--axioms names no axiom" in captured.err
+
     def test_pr_tie_clause_switch(self, capsys):
         strict = run(["check", "--rule", "zero", "--m", "2", "--n-max", "2", "--axioms", "PR"])
         lenient = run(["check", "--rule", "zero", "--m", "2", "--n-max", "2",
@@ -175,6 +183,11 @@ class TestSearch:
 
     def test_anonymity_cannot_be_requested(self, capsys):
         assert run(["search", "--m", "2", "--n-max", "2", "--axioms", "A,N"]) == 2
+
+    def test_an_empty_axiom_list_lists_every_anonymous_table(self, capsys):
+        # unlike check's, it asks for something: all 3^3 tables of one voter
+        assert run(["search", "--m", "2", "--n-max", "1", "--axioms", ""]) == 0
+        assert "solutions: 27" in capsys.readouterr().out.splitlines()
 
     def test_two_runs_are_byte_identical(self, tmp_path):
         blobs = []

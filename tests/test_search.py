@@ -118,9 +118,10 @@ def _orbits_by_permutations(cells, m):
 
 
 def _as_cell_orbits(orbits, size):
-    """Per-orbit ``(rep, labels, allowed)`` triples as ``engine._orbits``
-    returns them: each cell's representative and label (an outcome map),
-    and each representative's fixed outcomes."""
+    """Per-orbit ``(rep, labels, allowed)`` triples per cell: each cell's
+    representative and label (an outcome map), and each representative's
+    fixed outcomes.  ``engine._orbits`` returns the first and the last;
+    the labels are the reference for its count read (``_labels``)."""
     orbit, label, fixed = [None] * size, [None] * size, {}
     for rep, labels, allowed in orbits:
         fixed[rep] = allowed
@@ -128,6 +129,22 @@ def _as_cell_orbits(orbits, size):
             orbit[j] = rep
             label[j] = (0, *tau)
     return orbit, label, fixed
+
+
+def _stable_label(c, m):
+    """The lexicographically first relabeling sending the representative of
+    the cell with count vector c onto it, as an outcome map: 0, then c's
+    candidates by count, largest first, ties ascending."""
+    return (0, *sorted(range(1, m + 1), key=lambda k: (-c[k], k)))
+
+
+def _labels(engine):
+    """Each cell's label as the engine kept one per cell before it read
+    members through their counts: the stable-sort label under N, the
+    identity without, where every cell is its own representative."""
+    if engine.fixed is None:
+        return [tuple(range(engine.m + 1))] * len(engine.cells)
+    return [_stable_label(c, engine.m) for c in engine.counts]
 
 
 def _reps(engine):
@@ -203,9 +220,10 @@ def _uf_components(engine, n):
     reps = engine.reps[n]
     equations = []
     if engine.subcells is not None and n >= 2:
+        label = _labels(engine)
         for r in reps:
             d = engine._reduced(r)
-            equations.append((r, engine.orbit[d], engine.label[d]))
+            equations.append((r, engine.orbit[d], label[d]))
     merged = _uf_merge(reps, equations, engine.m)
     return [(group, allowed, _inverse(group[0][1])) for group, allowed in merged]
 
@@ -217,13 +235,15 @@ class _MemberCellEngine(_Engine):
     member cell's upgrade edges.  The engine builds its facts for
     representatives only, so the reference builds them for every cell, as
     the engine did before.  The engine stores outcomes at representatives
-    only and relabels them on read; the reference writes every member cell
-    through maps built from ``orbit`` and ``label`` and reads each cell as
-    stored.  The search resets a component's representatives only, so a
-    cell whose representative is unassigned reads as unassigned."""
+    only and reads members through their counts; the reference writes every
+    member cell through maps built from ``orbit`` and the stable-sort labels
+    (``_labels``) and reads each cell as stored.  The search resets a
+    component's representatives only, so a cell whose representative is
+    unassigned reads as unassigned."""
 
     def __init__(self, spec):
         super().__init__(spec)
+        self.label = _labels(self)
         self.members = {}
         for j, r in enumerate(self.orbit):
             self.members.setdefault(r, []).append(j)
@@ -732,12 +752,17 @@ class TestCountVectorEngine:
     @pytest.mark.parametrize("m,n_max", _ENGINE_SCOPES)
     def test_reduced_cell_equals_the_deletion_build(self, m, n_max, data):
         cells = _table_cells(m, n_max)
-        out = data.draw(st.lists(st.integers(0, m), min_size=len(cells), max_size=len(cells)))
         for engine in _fact_engines(m, n_max):
             # stored at the representatives, each member its relabeling;
-            # without N every cell keeps its drawn outcome
-            engine.out = [x if r == j else None for j, (r, x) in enumerate(zip(engine.orbit, out))]
-            outcome = {c: engine.label[j][out[engine.orbit[j]]] for j, c in enumerate(cells)}
+            # without N every cell keeps its drawn outcome.  Each value is
+            # drawn from those its representative's stabilizer fixes, the
+            # only values the search stores there (every value without N)
+            allowed = engine.fixed or dict.fromkeys(range(len(cells)), range(m + 1))
+            engine.out = [
+                data.draw(st.sampled_from(allowed[r])) if r == j else None for j, r in enumerate(engine.orbit)
+            ]
+            label = _labels(engine)
+            outcome = {c: label[j][engine.out[engine.orbit[j]]] for j, c in enumerate(cells)}
             assert list(engine.subcells) == [r for r in _reps(engine) if len(cells[r]) > 1]
             for r in engine.subcells:
                 c = cells[r]
@@ -790,12 +815,65 @@ class TestOrbitConstruction:
             counts = [_count_vector(c, m) for c in engine.cells]
             orbit, label, fixed = _as_cell_orbits(_grouped_orbits(counts, m), len(counts))
             assert engine.orbit == orbit, n_max
-            assert engine.label == label, n_max
+            assert _labels(engine) == label, n_max
             assert list(engine.fixed.items()) == list(fixed.items()), n_max
             for r in _reps(engine):
                 votes = counts[r][1:]
                 assert list(votes) == sorted(votes, reverse=True), engine.cells[r]
             n_max += 1
+
+
+class _FixedStoreEngine(_Engine):
+    """The engine, recording every value its ``_try`` stores at a
+    representative, with the representative."""
+
+    def __init__(self, spec):
+        super().__init__(spec)
+        self.stored = []
+
+    def _try(self, comp, v):
+        axiom = super()._try(comp, v)
+        if axiom is None:
+            self.stored += [(r, self.out[r]) for r, _ in comp[0]]
+        return axiom
+
+
+class TestCountRead:
+    @pytest.mark.parametrize("m,n_max", [(2, 9), (3, 7), (4, 5), (5, 4), (12, 3), (40, 3)])
+    def test_count_read_equals_the_stable_sort_label(self, m, n_max):
+        # every cell, and every value its representative's stabilizer fixes:
+        # a member reads its representative's value through the two count
+        # vectors exactly as the stable-sort label maps it, and that label is
+        # the first relabeling reaching the member where m! allows the walk
+        engine = _Engine(SearchSpec(m=m, n_max=n_max, axioms=frozenset({"N"})))
+        label = _labels(engine)
+        if m <= 5:
+            expected = _as_cell_orbits(_orbits_by_permutations(engine.cells, m), len(engine.cells))
+            assert (engine.orbit, label) == expected[:2]
+        for j, r in enumerate(engine.orbit):
+            for x in engine.fixed[r]:
+                engine.out[r] = x
+                assert engine._value(j) == label[j][x], (engine.cells[j], x)
+            engine.out[r] = None
+            assert engine._value(j) is None
+
+    @pytest.mark.parametrize("m,n_max", [(3, 4), (4, 3)])
+    def test_the_search_stores_only_fixed_values(self, m, n_max):
+        # the lemma the count read rests on: under N every value stored at a
+        # representative is one its stabilizer fixes, for every axiom subset
+        # with N and PR in each tie mode
+        for axioms in _ALL_SUBSETS:
+            if "N" not in axioms:
+                continue
+            for tie in PR_TIE_MODES if "PR" in axioms else ("leaders",):
+                spec = SearchSpec(
+                    m=m, n_max=n_max, axioms=frozenset(axioms), limit=50, max_nodes=20_000, pr_tie_upgrade=tie
+                )
+                engine = _FixedStoreEngine(spec)
+                list(islice(engine._search(), spec.limit))
+                assert engine.stored, (axioms, tie)
+                for r, x in engine.stored:
+                    assert x in engine.fixed[r], (axioms, tie, engine.cells[r], x)
 
 
 class TestNeutralOrbits:
@@ -845,10 +923,10 @@ class TestNeutralOrbits:
     def test_count_signature_orbits_equal_permutation_orbits(self, m, n_max):
         cells = _table_cells(m, n_max)
         counts = [_count_vector(c, m) for c in cells]
-        orbit, label, fixed = _orbits(counts, {c: i for i, c in enumerate(counts)}, m)
+        orbit, fixed = _orbits(counts, {c: i for i, c in enumerate(counts)}, m)
         expected = _as_cell_orbits(_orbits_by_permutations(cells, m), len(cells))
         assert orbit == expected[0]
-        assert label == expected[1]
+        assert [_stable_label(c, m) for c in counts] == expected[1]
         assert list(fixed.items()) == list(expected[2].items())
 
     @pytest.mark.parametrize(
