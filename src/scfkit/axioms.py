@@ -3,8 +3,12 @@
 Each checker scans every profile up to the voter bound and returns an
 :class:`AxiomReport`: a pass, or the minimal witness of a violation in
 lexicographic (n, profile, permutation-or-pair-or-(candidate, voter)) order.
-Witnesses are replayable: :func:`replay_witness` re-derives the violation
-from the recorded configuration and the function alone.
+Witnesses are replayable: :func:`replay_witness` reruns the scan's own
+per-profile code at the witness profile and is True only if that rebuilds
+the witness, field by field.  A ``ValueError`` or ``LookupError`` while
+rebuilding, such as an outcome that is no ballot or an unassigned table
+entry, gives False.  So does a genuine violation recorded with another
+pair, upgrade or voter permutation than the one the scan records.
 
 Every checker is a call of :func:`check_axioms`, which checks any list of
 axioms and establishes anonymity once per call.  A call estimated above
@@ -81,7 +85,7 @@ read f only at classes of the scope.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import compress, groupby, islice, permutations, repeat
 from operator import eq
 from typing import Callable, Iterable, Iterator
@@ -93,15 +97,12 @@ from .core import (
     Profile,
     VoterPermutation,
     _ballot_error,
+    _check_image,
     _counts,
     _orbit_firsts as _core_orbit_firsts,
     _profiles,
     _set_ballots,
     _set_m,
-    apply_candidate_permutation,
-    apply_voter_permutation,
-    ballot_counts,
-    canonicalize,
     format_profile,
     profile_count,
 )
@@ -385,15 +386,22 @@ def _anonymity_witness(f, m: int, n_max: int, values: dict[tuple[int, ...], int]
             if expected is _UNEVALUATED:
                 expected = outcomes[i] = class_value(keys[i])
             if actual != expected:
-                p = Profile._trusted(m, ballots)
-                return Witness(
-                    profile=p,
-                    related_profile=canonicalize(p),
-                    permutation=_sorting_permutation(p).image,
-                    actual=actual,
-                    expected=expected,
-                )
+                return _unsorted_witness(m, ballots, actual, expected)
     return None
+
+
+def _unsorted_witness(m: int, ballots: tuple[int, ...], actual, expected) -> Witness:
+    """A's witness at an ordered profile whose outcome ``actual`` differs
+    from ``expected``, its sorted member's; the scan and the replay build it
+    here."""
+    p = Profile._trusted(m, ballots)
+    return Witness(
+        profile=p,
+        related_profile=Profile._trusted(m, tuple(sorted(ballots))),
+        permutation=_sorting_permutation(p).image,
+        actual=actual,
+        expected=expected,
+    )
 
 
 def _sorted_reader(
@@ -633,11 +641,11 @@ def _pareto(value: Callable, m: int, ballots: tuple[int, ...], tie_upgrade: str)
     return None
 
 
-def _subsociety_outcomes(value: Callable, m: int, ballots: tuple[int, ...]) -> tuple[tuple[int, ...], bool]:
-    """The ballots of the reduced profile, unchecked: ballot l is f with
-    voter l removed, evaluated once per run of equal adjacent ballots.  With
-    them, whether every outcome is a ballot, tested as it comes, which never
-    raises."""
+def _reduced(value: Callable, m: int, ballots: tuple[int, ...]) -> tuple[int, ...]:
+    """The ballots of the reduced profile: ballot l is f with voter l
+    removed, evaluated once per run of equal adjacent ballots.  Each outcome
+    is tested as it comes, which never raises; if one is no ballot, not an
+    int in [0, m], the validating constructor raises for the first such."""
     reduced = []
     fits = True  # every outcome so far a ballot
     l = 0  # the run's first voter
@@ -647,15 +655,7 @@ def _subsociety_outcomes(value: Callable, m: int, ballots: tuple[int, ...]) -> t
         length = len(list(run))
         reduced += [out] * length
         l += length
-    return tuple(reduced), fits
-
-
-def _reduced(value: Callable, m: int, ballots: tuple[int, ...]) -> tuple[int, ...]:
-    """The ballots of the reduced profile (:func:`_subsociety_outcomes`); an
-    outcome that is no ballot, not an int in [0, m], raises as the
-    validating constructor does, for the first such ballot."""
-    reduced, fits = _subsociety_outcomes(value, m, ballots)
-    return reduced if fits else Profile(m, reduced).ballots
+    return tuple(reduced) if fits else Profile(m, reduced).ballots
 
 
 def reduce_profile(f, p: Profile) -> Profile:
@@ -855,118 +855,66 @@ def check_no_tied_winner(f, m: int, n_max: int) -> AxiomReport:
     return check_axioms(f, m, n_max, ["NTW"])[0]
 
 
-def _ints(values) -> bool:
-    """Whether ``values`` is a tuple of ints (not bools, floats or None)."""
-    return isinstance(values, tuple) and all(type(v) is int for v in values)
-
-
-def _is_permutation(image: tuple[int, ...] | None, size: int) -> bool:
-    """Whether ``image`` lists 1..size, each once: a permutation's image."""
-    return _ints(image) and sorted(image) == list(range(1, size + 1))
-
-
-def _names_pair(pair: tuple[int, int] | None, m: int) -> bool:
-    """Whether ``pair`` names two candidates i < j."""
-    return _ints(pair) and len(pair) == 2 and 1 <= pair[0] < pair[1] <= m
-
-
-def _is_recorded(outcome, recorded) -> bool:
-    """Whether an outcome is the one a witness records: equal and of the same
-    type, so 1.0 or True does not stand for 1 (None still matches None)."""
-    return type(outcome) is type(recorded) and outcome == recorded
+def _same(a, b) -> bool:
+    """Whether two witness fields are equal in type as well as value, tuples
+    and profiles item by item, so True or 1.0 never stands for 1."""
+    if type(a) is not type(b):
+        return False
+    if type(a) is Profile:
+        a, b = (a.m, a.ballots), (b.m, b.ballots)
+    if type(a) is tuple:
+        return len(a) == len(b) and all(map(_same, a, b))
+    return a == b
 
 
 def replay_witness(f, report: AxiomReport) -> bool:
-    """Re-derive a failing report's violation from its recorded configuration.
+    """Whether a failing report's witness is the one its axiom's scan builds
+    for f at the witness profile.
 
-    Returns True iff evaluating ``f`` reproduces the recorded outcomes and
-    they genuinely violate the axiom's definition.  A malformed witness is
-    False, not an error: a witness profile outside the report's scope, over
-    another m or with more voters than its n_max, a permutation that does
-    not list the voters or candidates each once, an RS witness on one
-    voter, a DP or NTW pair that is not two candidates i < j, or an upgrade
-    without a candidate and a voter of the profile; a permutation, pair,
-    candidate or voter must be ints, not bools, floats or None, and each
-    recorded outcome must match f's in type as well as value.  So is a
-    witness of any axiom but A at which f's outcome is no ballot, as every
-    scan but A's refuses it, and an RS witness at which f's outcome on a
-    voter-deleted subprofile is no ballot; a ballot is an int in [0, m],
-    not 1.0 or True (:func:`~scfkit.core._ballot_error`).
+    The witness is untrusted input.  Its profile must lie in the report's
+    scope: over the report's m, with 1 to n_max voters (at least 2 for RS).
+    The scan's own per-profile code then reruns at that profile, and the
+    replay is True iff it rebuilds the recorded witness field by field, each
+    field equal in type as well as value (tuples and profiles item by item).
+    A is rebuilt from f's outcomes at the profile and at its sorted member;
+    N under the recorded relabeling alone, which must list 1..m once each,
+    as ints; PR in the tie mode its note names, ``pr:win`` in any.  A
+    ``ValueError`` or ``LookupError`` while rebuilding gives False: a
+    profile or outcome that is no ballot where the scan refuses one, an
+    unassigned table entry, a profile past a table's voter bound.  Any other
+    exception from f propagates.
+
+    So a witness replays only as the scan records it at its profile: a
+    genuine violation recorded with another duel or tied pair, another
+    upgrade or another voter permutation than the scan's is False.
     """
     if report.passed or report.witness is None:
         return False
-    w = report.witness
-    p = w.profile
-    if p.m != report.m or not 1 <= p.n <= report.n_max:
+    w, axiom = report.witness, report.axiom
+    m, n_min = w.profile.m, _SCANS[axiom][1] if axiom in _SCANS else 1
+    if m != report.m or not n_min <= w.profile.n <= report.n_max:
         return False
-    if report.axiom == "A":
-        if not _is_permutation(w.permutation, p.n):
-            return False
-        sigma = VoterPermutation(p.n, w.permutation)
-        permuted = apply_voter_permutation(p, sigma)
-        return (
-            permuted == w.related_profile
-            and _is_recorded(f.evaluate(p), w.actual)
-            and _is_recorded(f.evaluate(permuted), w.expected)
-            and w.actual != w.expected
-        )
-    out = f.evaluate(p)
-    if _ballot_error(p.m, out):
+    value = _reader(f, m, False, {})
+    try:
+        ballots = Profile(m, w.profile.ballots).ballots
+        if axiom == "A":
+            actual, expected = value(ballots), value(tuple(sorted(ballots)))
+            rebuilt = _unsorted_witness(m, ballots, actual, expected) if actual != expected else None
+        elif axiom == "N":
+            if type(w.permutation) is not tuple:
+                return False
+            _check_image(m, w.permutation)
+            rebuilt = _relabeling_witness(value, m, ballots, [(0, *w.permutation)])
+        elif axiom == "PR":
+            modes = {"pr:win": "leaders", **{f"pr:tie:{mode}": mode for mode in PR_TIE_MODES}}
+            if w.note not in modes:
+                return False
+            rebuilt = _responsiveness(value, m, ballots, modes[w.note])
+        else:
+            rebuilt = _SCANS[axiom][0](value, m, ballots, "leaders")
+    except (ValueError, LookupError):
         return False
-    if report.axiom == "N":
-        if not _is_permutation(w.permutation, p.m):
-            return False
-        tau = CandidatePermutation(p.m, w.permutation)
-        permuted = apply_candidate_permutation(p, tau)
-        return (
-            permuted == w.related_profile
-            and _is_recorded(f.evaluate(permuted), w.actual)
-            and _is_recorded(tau.outcome(out), w.expected)
-            and w.actual != w.expected
-        )
-    if report.axiom == "DP":
-        if not _names_pair(w.pair, p.m):
-            return False
-        i, j = w.pair
-        support = _support(p.ballots)
-        return all(k in (i, j) for k in support) and _is_recorded(out, w.actual) and w.actual not in (0, i, j)
-    if report.axiom == "PO":
-        k = w.candidate
-        return _ints((k,)) and _support(p.ballots) == (k,) and _is_recorded(out, w.actual) and w.actual != k
-    if report.axiom == "RS":
-        if p.n < 2:
-            return False
-        ballots, fits = _subsociety_outcomes(_reader(f, p.m, False, {}), p.m, p.ballots)
-        if not fits:
-            return False
-        reduced = Profile._trusted(p.m, ballots)
-        return (
-            reduced == w.related_profile
-            and _is_recorded(out, w.actual)
-            and _is_recorded(f.evaluate(reduced), w.expected)
-            and w.actual != w.expected
-        )
-    if report.axiom == "PR":
-        k, l = w.candidate, w.voter
-        if not _ints((k, l)) or not (1 <= k <= p.m and 1 <= l <= p.n) or p.ballots[l - 1] == k:
-            return False
-        upgraded = Profile(p.m, p.ballots[: l - 1] + (k,) + p.ballots[l:])
-        if upgraded != w.related_profile or not _is_recorded(f.evaluate(upgraded), w.actual) or w.actual == k:
-            return False
-        if w.note == "pr:win":
-            return out == k
-        if w.note == "pr:tie:always":
-            return out == 0
-        if w.note == "pr:tie:leaders":
-            return out == 0 and k in _leaders(p.m, p.ballots)
-        return False
-    if report.axiom == "NTW":
-        if not _names_pair(w.pair, p.m):
-            return False
-        i, j = w.pair
-        counts = ballot_counts(p)
-        return counts[i] == counts[j] and _is_recorded(out, w.actual) and w.actual in (i, j)
-    return False
+    return rebuilt is not None and all(_same(getattr(rebuilt, k.name), getattr(w, k.name)) for k in fields(Witness))
 
 
 CHECKERS: dict[str, Callable] = {

@@ -212,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval = sub.add_parser("eval", help="evaluate a rule on one profile")
     p_eval.add_argument("--rule", required=True, choices=sorted(RULES))
     p_eval.add_argument("--profile", required=True, help="profile file, or - for stdin")
-    p_eval.set_defaults(func=cmd_eval)
+    p_eval.set_defaults(func=cmd_eval, parser=p_eval)
 
     p_check = sub.add_parser("check", help="run axiom checkers against a rule")
     p_check.add_argument("--rule", required=True, choices=sorted(RULES))
@@ -222,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--pr-strict", action=argparse.BooleanOptionalAction, default=True,
                          help="ties must upgrade to a win for a co-leading candidate "
                               "(--no-pr-strict only preserves existing wins)")
-    p_check.set_defaults(func=cmd_check)
+    p_check.set_defaults(func=cmd_check, parser=p_check)
 
     p_search = sub.add_parser("search", help="enumerate anonymous functions satisfying axioms")
     add_common(p_search, n_max_default=3)
@@ -231,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_search.add_argument("--max-nodes", type=int, default=None)
     p_search.add_argument("--max-solutions", type=int, default=None)
     p_search.add_argument("--pr-strict", action=argparse.BooleanOptionalAction, default=True)
-    p_search.set_defaults(func=cmd_search)
+    p_search.set_defaults(func=cmd_search, parser=p_search)
 
     p_thm = sub.add_parser("verify-theorem",
                            help="verify majority rule is the unique solution of the axiom set")
@@ -239,12 +239,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_thm.add_argument("--dp", action=argparse.BooleanOptionalAction, default=True,
                        help="include the duel property (drop with --no-dp for m >= 4)")
     p_thm.add_argument("--max-nodes", type=int, default=None)
-    p_thm.set_defaults(func=cmd_verify_theorem)
+    p_thm.set_defaults(func=cmd_verify_theorem, parser=p_thm)
 
     p_ind = sub.add_parser("verify-independence",
                            help="verify each axiom drop admits its documented counterexample")
     add_common(p_ind, n_max_default=3)
-    p_ind.set_defaults(func=cmd_verify_independence)
+    p_ind.set_defaults(func=cmd_verify_independence, parser=p_ind)
 
     return parser
 
@@ -255,8 +255,9 @@ _parser = functools.cache(build_parser)
 
 
 def main(argv=None) -> int:
-    parser = _parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
+    # usage errors print the subcommand's usage, as argparse's own do
+    parser = args.parser
     if getattr(args, "workers", 1) < 1:
         parser.error("--workers must be >= 1")
     if getattr(args, "m", 2) < 2:

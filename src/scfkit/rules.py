@@ -181,12 +181,6 @@ class TabledFunction:
                 _check_entry(m, n_max, key, out)
         return cls._trusted(m, n_max, table)
 
-    def is_complete(self) -> bool:
-        from .core import profile_count
-
-        want = sum(profile_count(self.m, n, canonical_only=True) for n in range(1, self.n_max + 1))
-        return len(self.table) == want
-
     def evaluate(self, p: Profile) -> Outcome:
         if p.m != self.m:
             raise ValueError(f"profile has m={p.m}, table has m={self.m}")

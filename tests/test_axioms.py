@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import functools
 import importlib
 import inspect
@@ -968,6 +969,22 @@ _FORGED = {
         "PR",
         Witness(Profile(2, (2,)), 0, 1, Profile(2, (1,)), candidate=1, voter=1, note="pr:win"),
     ),
+    # zero's PR witness at (0), under a tie mode no scan runs
+    "PR-unknown-tie-mode": (
+        ZERO,
+        "PR",
+        Witness(Profile(2, (0,)), 0, 1, Profile(2, (1,)), candidate=1, voter=1, note="pr:tie:sometimes"),
+    ),
+    # a profile no constructor admits, though zero fails PO at (1)
+    "PO-float-profile": (ZERO, "PO", Witness(Profile._trusted(2, (1.0,)), 0, 1.0, candidate=1.0)),
+    # True sorts as candidate 1, so (2, True) lists 1..2 once each; it
+    # relabels (1, 2) to (2, True), where lex's outcome is True, and this
+    # witness is what N's per-profile code builds under that lookup
+    "N-bool-permutation": (
+        LEX,
+        "N",
+        Witness(Profile(2, (1, 2)), True, 2, Profile._trusted(2, (2, True)), permutation=(2, True)),
+    ),
 }
 
 # any value a witness field may hold: ints out of range, None, floats, and
@@ -1003,6 +1020,62 @@ def untrusted_reports(draw):
         note=draw(st.sampled_from(["", "pr:win", "pr:tie:always", "pr:tie:leaders"])),
     )
     return AxiomReport(draw(st.sampled_from(AXIOM_IDS)), m, n_max, False, witness)
+
+
+@functools.cache
+def _failing_reports():
+    """A genuine failing report of each axiom, with the function it fails."""
+    return [
+        (DICTATOR, check_anonymity(DICTATOR, 2, 2)),
+        (LEX, check_neutrality(LEX, 3, 3)),
+        (THIRD_PARTY, check_duel_property(THIRD_PARTY, 3, 2)),
+        (ZERO, check_pareto(ZERO, 3, 2)),
+        (UC, check_rs(UC, 3, 3)),
+        (UC, check_positive_responsiveness(UC, 2, 3)),
+        (ZERO, check_positive_responsiveness(ZERO, 3, 2, tie_upgrade="always")),
+        (LEX, check_no_tied_winner(LEX, 2, 2)),
+    ]
+
+
+# a candidate wins only as the one voter who votes: a second vote for the
+# winner makes a tie, so it fails PR even in the wins-only mode
+LONE = Rule("lone", lambda p: max(p.ballots) if p.ballots.count(0) == p.n - 1 else 0)
+
+
+@functools.cache
+def _pr_reports():
+    """A genuine failing PR report in each tie mode."""
+    cases = [(UC, 2, 3, "leaders"), (ZERO, 3, 2, "always"), (LONE, 2, 2, "wins")]
+    return [(f, check_positive_responsiveness(f, m, n_max, mode)) for f, m, n_max, mode in cases]
+
+
+# every witness field but the profile, at which the replay reruns the scan
+_CHANGED_FIELDS = [field.name for field in dataclasses.fields(Witness) if field.name != "profile"]
+_NOTES = ["", "pr:win", "pr:tie:always", "pr:tie:leaders", "pr:tie:wins", "tied pair won", "outcome outside {0, i, j}"]
+
+
+def _retyped(value, data):
+    """``value`` with an int, or one int item of a tuple or a profile's
+    ballots, replaced by the equal float or bool."""
+    if isinstance(value, Profile):
+        return Profile._trusted(value.m, _retyped(value.ballots, data))
+    if isinstance(value, tuple):
+        i = data.draw(st.integers(0, len(value) - 1))
+        return value[:i] + (_retyped(value[i], data),) + value[i + 1 :]
+    if type(value) is int:
+        return data.draw(st.sampled_from([float(value), *([bool(value)] if value in (0, 1) else [])]))
+    return value
+
+
+def _reshaped(value, data):
+    """A tuple, or a profile's ballots, permuted or lengthened by one item."""
+    if isinstance(value, Profile):
+        return Profile._trusted(value.m, _reshaped(value.ballots, data))
+    if isinstance(value, tuple):
+        if data.draw(st.booleans()):
+            return tuple(data.draw(st.permutations(value)))
+        return value + (data.draw(st.integers(0, 3)),)
+    return value
 
 
 @functools.cache
@@ -1050,19 +1123,70 @@ class TestCheckerInfrastructure:
         assert replay_witness(LEX, AxiomReport("N", 2, 2, False, report.witness)) is False
 
     def test_every_failing_report_replays(self):
-        cases = [
-            (DICTATOR, check_anonymity(DICTATOR, 2, 2)),
-            (LEX, check_neutrality(LEX, 3, 3)),
-            (THIRD_PARTY, check_duel_property(THIRD_PARTY, 3, 2)),
-            (ZERO, check_pareto(ZERO, 3, 2)),
-            (UC, check_rs(UC, 3, 3)),
-            (UC, check_positive_responsiveness(UC, 2, 3)),
-            (ZERO, check_positive_responsiveness(ZERO, 3, 2, tie_upgrade="always")),
-            (LEX, check_no_tied_winner(LEX, 2, 2)),
-        ]
-        for f, report in cases:
+        for f, report in _failing_reports():
             assert not report.passed
             assert replay_witness(f, report), report
+
+    def test_the_pr_reports_cover_every_tie_mode(self):
+        notes = {report.witness.note for _, report in _pr_reports()}
+        assert notes == {"pr:win", "pr:tie:always", "pr:tie:leaders"}
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.data())
+    def test_a_changed_field_replays_only_unchanged(self, data):
+        # each field of a genuine witness is compared in type as well as
+        # value, so any change but to an identical value replays False
+        f, report = data.draw(st.sampled_from(_failing_reports() + _pr_reports()))
+        w = report.witness
+        name = data.draw(st.sampled_from(_CHANGED_FIELDS))
+        old = getattr(w, name)
+        kind = data.draw(st.sampled_from(["int", "retyped", "none", "reshaped", "note"]))
+        if kind == "int":
+            new = data.draw(st.integers(-2, 6))
+        elif kind == "retyped":
+            new = _retyped(old, data)
+        elif kind == "reshaped":
+            new = _reshaped(old, data)
+        elif kind == "note":
+            new = data.draw(st.sampled_from(_NOTES))
+        else:
+            new = None
+        changed = dataclasses.replace(w, **{name: new})
+        replayed = replay_witness(f, AxiomReport(report.axiom, report.m, report.n_max, False, changed))
+        # repr tells True and 1.0 from 1, in tuples and profiles too
+        genuine = repr(changed) == repr(w)
+        if report.axiom == "PR" and new in ("pr:tie:always", "pr:tie:leaders"):
+            # the other tie mode's scan may meet the same upgrade first
+            other = _profile_responsiveness(f, w.profile, new.removeprefix("pr:tie:"))
+            genuine = genuine or repr(other) == repr(changed)
+        assert replayed is genuine
+
+
+class TestReplayRerunsTheScan:
+    # a replay rebuilds the witness with the scan's per-profile code, so a
+    # genuine violation recorded otherwise than the scan records it is False
+
+    def test_a_dp_witness_under_another_pair_is_false(self):
+        three = Rule("three", lambda p: 3)
+        scans = Witness(Profile(4, (1,)), actual=3, pair=(1, 2), note="outcome outside {0, i, j}")
+        assert replay_witness(three, AxiomReport("DP", 4, 2, False, scans))
+        # (1, 4) also holds the support of (1), and 3 lies outside {0, 1, 4}
+        other = dataclasses.replace(scans, pair=(1, 4))
+        assert replay_witness(three, AxiomReport("DP", 4, 2, False, other)) is False
+
+    def test_a_pr_witness_at_an_upgrade_the_scan_meets_later_is_false(self):
+        # zero's tie at (0) fails the upgrade to 1 first, then to 2
+        scans = Witness(Profile(2, (0,)), 0, 1, Profile(2, (1,)), candidate=1, voter=1, note="pr:tie:always")
+        assert replay_witness(ZERO, AxiomReport("PR", 2, 2, False, scans))
+        later = Witness(Profile(2, (0,)), 0, 2, Profile(2, (2,)), candidate=2, voter=1, note="pr:tie:always")
+        assert replay_witness(ZERO, AxiomReport("PR", 2, 2, False, later)) is False
+
+    def test_an_a_witness_under_another_sorting_permutation_is_false(self):
+        # (3, 2, 1) sorts (2, 1, 1) too, but the stable sort's is (3, 1, 2)
+        scans = Witness(Profile(2, (2, 1, 1)), 2, 1, Profile(2, (1, 1, 2)), permutation=(3, 1, 2))
+        assert replay_witness(DICTATOR, AxiomReport("A", 2, 3, False, scans))
+        other = dataclasses.replace(scans, permutation=(3, 2, 1))
+        assert replay_witness(DICTATOR, AxiomReport("A", 2, 3, False, other)) is False
 
 
 class TestNeutralityImpliesDuels:

@@ -258,7 +258,7 @@ class TestUsage:
     def test_out_of_range_limits_exit_2(self, capsys, argv):
         assert run(argv) == 2
         last = capsys.readouterr().err.splitlines()[-1]
-        assert last.startswith("scfkit: error:") and argv[1] in last
+        assert last.startswith(f"scfkit {argv[0]}: error:") and argv[1] in last
 
     @pytest.mark.parametrize(
         "argv",
@@ -274,7 +274,26 @@ class TestUsage:
         captured = capsys.readouterr()
         assert captured.out == ""
         last = captured.err.splitlines()[-1]
-        assert last.startswith("scfkit: error:") and "--n-max" in last
+        assert last.startswith(f"scfkit {argv[0]}: error:") and "--n-max" in last
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check", "--rule", "maj", "--axioms", ","],
+            ["check", "--rule", "maj", "--axioms", "A,XX"],
+            ["check", "--rule", "maj", "--axioms", "RS", "--n-max", "1"],
+            ["check", "--rule", "maj", "--m", "1"],
+            ["verify-theorem", "--n-max", "1"],
+            ["verify-theorem", "--max-nodes", "0"],
+            ["check", "--rule", "maj", "--m", "x"],  # argparse's own error
+        ],
+    )
+    def test_usage_errors_print_the_subcommand_usage(self, capsys, argv):
+        # the top-level usage lists every subcommand, not the one at fault
+        assert run(argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err[0].startswith(f"usage: scfkit {argv[0]} ")
+        assert err[-1].startswith(f"scfkit {argv[0]}: error:")
 
     def test_infeasible_check_scope_exits_2_with_estimate(self, capsys):
         # estimated only: the anonymity scan would walk 4^11 profiles at n = 11

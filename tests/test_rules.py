@@ -210,7 +210,7 @@ class TestTabledFunction:
 
     def test_from_rule_matches_rule_on_all_profiles(self):
         t = TabledFunction.from_rule(RULES["maj"], 2, 2)
-        assert t.is_complete()
+        assert set(t.table) == {(0,), (1,), (2,), (0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)}
         assert t.evaluate(Profile(2, (1, 0))) == 1
         for n in (1, 2):
             for p in enumerate_profiles(2, n):
