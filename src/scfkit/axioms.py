@@ -44,20 +44,23 @@ ballots and to f's outcome alike.  A table over the scope's m is first
 checked in one pass with no Python frame per class
 (:func:`_table_is_neutral`): every class's entry, read with ``dict.get``,
 must be an int in [0, m], the table must hold no other key, and under
-each generator the entry at each class's relabeled, sorted ballots must
-be the class's relabeled outcome.  That is the scan's own test, and it
-passes exactly when the scan would pass without raising: reading a dict
-has no side effects, every relabeled class is in the scope, so its entry
-is type-checked in the same pass, and with no other key the scan's read
-of a relabeled profile's unsorted ballots misses and reads the sorted
-ones.  Any other result runs the scan from the first class, so witnesses,
-the rescan and every error are the scan's.  A Rule keeps the per-class
-scan.  Every scan but A's reads f's outcome at
-the profile it checks through :func:`_outcome`, which refuses one that is
-no ballot (:func:`~scfkit.core._ballot_error`).  Reducibility evaluates f
-once per distinct voter-deleted subprofile; the reduced profile's outcomes
-are tested as they come, which never raises, and only a profile with
-another outcome goes through the validating constructor.
+each generator the entry of the class each class relabels to must be the
+class's relabeled outcome.  That class is found by an integer code with
+the class's counts as its base-(n_max + 1) digits, built for every class
+at once under each generator (:func:`_class_codes`), with no sort per
+class.  That is the scan's own test, and it passes exactly when the scan
+would pass without raising: reading a dict has no side effects, every
+relabeled class is in the scope, so its entry is type-checked in the same
+pass, and with no other key the scan's read of a relabeled profile's
+ballots out of order misses and reads its class's entry.  Any other
+result runs the scan from the first class, so witnesses, the rescan and
+every error are the scan's.  A Rule keeps the per-class scan.  Every scan
+but A's reads f's outcome at the profile it checks through
+:func:`_outcome`, which refuses one that is no ballot
+(:func:`~scfkit.core._ballot_error`).  Reducibility evaluates f once per
+distinct voter-deleted subprofile; the reduced profile's outcomes are
+tested as they come, which never raises, and only a profile with another
+outcome goes through the validating constructor.
 
 Once N passes on a class scan, every DP, PO, RS, PR or NTW scan listed
 after N in the same call checks only the first class of each neutrality
@@ -86,8 +89,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from itertools import compress, groupby, islice, permutations, repeat
-from operator import eq
+from itertools import compress, groupby, islice, permutations
+from operator import eq, itemgetter
 from typing import Callable, Iterable, Iterator
 
 from .core import (
@@ -544,25 +547,56 @@ def _neutrality_witness(value: Callable, m: int, n_max: int, by_class: bool) -> 
     return None
 
 
+def _class_codes(m: int, n_max: int, lookup: Iterable[int]) -> list[int]:
+    """One int per class of 1..n_max voters, in the class stream's order:
+    the sum of ``(n_max + 1) ** lookup[b]`` over the class's ballots b.
+    With ``lookup`` the identity, range(m + 1), a class's code has its counts
+    c_0..c_m as base-(n_max + 1) digits; each c_b <= n_max, so distinct
+    classes get distinct codes.  With a relabeling's lookup tuple
+    (:func:`_lookups`), each class K gets the plain code of the class of
+    tau K, its relabeled ballots in any order.
+
+    Built level by level, with no sort: a class of n voters is a class of
+    n - 1 voters plus a largest ballot no smaller than that class's largest
+    (0 for the empty class), and in that order the classes of n voters come
+    in the stream's lexicographic order."""
+    pairs = [((n_max + 1) ** k, b) for b, k in enumerate(lookup)]
+    # the lows that levels 0..n_max - 1 hold: 0 alone at level 0, all from level 1 on
+    tails = [pairs[low:] for low in range(m + 1 if n_max > 1 else 1)]
+    first = itemgetter(0)
+    codes: list[int] = []
+    level = [(0, 0)]
+    for _ in range(n_max):
+        level = [(c + w, b) for c, low in level for w, b in tails[low]]
+        codes += map(first, level)
+    return codes
+
+
 def _table_is_neutral(table: dict, m: int, n_max: int) -> bool:
     """Whether N's scan passes a table over m without raising: every class
     of 1..n_max voters has an int outcome in [0, m] (as
     :func:`~scfkit.core._ballot_error` requires), and each generator's
-    relabeling of each class, sorted, has the relabeled outcome.  One pass
-    of ``map``, ``sorted`` and ``operator.eq`` over the classes, with no
-    Python frame per class.  The table must also hold no other key, so
-    none is unsorted and a relabeled profile's unsorted ballots miss as
-    they do in the scan: the entries read are the ones the scan reads.
-    Reading them has no side effects, so a False only sends the call on
-    to the scan."""
+    relabeling of each class has the relabeled outcome.  The table must
+    also hold no other key, so none is out of order and a relabeled
+    profile's ballots, read out of order, miss as they do in the scan: the
+    entries read are the ones the scan reads.  Reading them has no side
+    effects, so a False only sends the call on to the scan.
+
+    The relabeled classes are found by code (:func:`_class_codes`), with
+    no sort per class: a dict from each class's plain code to its entry,
+    read at the code of each class K under a generator tau, gives the entry
+    of the class of tau K, the one the scan reads, since distinct classes
+    have distinct codes and the class of tau K is in the scope.  So the
+    pass passes exactly when a pass reading each relabeled class by its
+    ballots would.  One pass of ``map`` and ``operator.eq`` per generator,
+    with no Python frame per class."""
     keys = list(_profiles(m, 1, n_max, True))
-    get = table.get
-    outs = list(map(get, keys))
+    outs = list(map(table.get, keys))
     if len(table) != len(keys) or set(map(type, outs)) != {int} or min(outs) < 0 or max(outs) > m:
         return False
+    read = dict(zip(_class_codes(m, n_max, range(m + 1)), outs)).__getitem__
     for lookup in _lookups(_generators(m)):
-        relabeled = map(tuple, map(sorted, map(map, repeat(lookup.__getitem__), keys)))
-        if not all(map(eq, map(get, relabeled), map(lookup.__getitem__, outs))):
+        if not all(map(eq, map(read, _class_codes(m, n_max, lookup)), map(lookup.__getitem__, outs))):
             return False
     return True
 

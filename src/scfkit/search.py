@@ -2,24 +2,29 @@
 
 :func:`verify_theorem` replays the solutions through the checkers of
 :mod:`scfkit.axioms`, the independent oracle, and partitions the profile
-space into the cases of :func:`scfkit.core.classify_profile` one
-neutrality orbit at a time (:func:`scfkit.core._orbit_firsts`): only the
-orbit's first class is classified, and it counts for every ordered profile
-of every class in the orbit.  The engine's public names are re-exported
-here.
+space into the cases of :func:`scfkit.core.classify_profile` one count
+shape at a time (:func:`scfkit.core._shapes`): each shape is classified
+once, and it counts for every ordered profile of every class with those
+candidate counts, whatever its number of abstentions.  The engine's public
+names are re-exported here.
 
 The partition rests on this lemma: each of the case predicates
 :func:`~scfkit.core.is_all_abstention`, :func:`~scfkit.core.is_dominating_tie`
-and :func:`~scfkit.core.is_leader_profile` takes the same value on a class
-and on every relabeling of its candidates.  Each reads only the abstention
-count c0 (all-abstention: c0 = n) and the multiset of candidate counts (the
-top count and how many candidates hold it), and a relabeling keeps c0 and
-permutes the counts.  So the case, or the error of a profile in no case or
-in several, is constant on an orbit.  An orbit with c0 abstentions and
-candidate counts c_1 >= ... >= c_k > 0 out of n voters holds
-m! / prod_v mu_v! classes, mu_v the number of candidates with count v (zero
-included), one per arrangement of the counts, and each class has
-n! / (c0! prod c_k!) orderings.
+and :func:`~scfkit.core.is_leader_profile` reads only the multiset of
+candidate counts, not the abstention count c0.  All-abstention holds iff no
+candidate gets a vote, and the other two read ``ballot_counts(p)[1:]``: the
+top count and how many candidates hold it.  So the case, or the error of a
+profile in no case or in several, depends on the count shape c_1 >= ... >=
+c_k > 0 alone, and is read off the profile of its s = sum c_k votes (off
+(0,) for the shape of no votes).  The classes with that shape and c0
+abstentions, n = s + c0 voters, form one neutrality orbit of m! / prod_v
+mu_v! classes, mu_v the number of candidates with count v (zero included),
+each with n! / (c0! prod c_k!) orderings.  So they hold C(n, s) times the
+shape's weight s! / prod c_k! * m! / prod_v mu_v! ordered profiles
+(:func:`_shape_weight`), and summed over n = s..n_max they hold
+C(n_max + 1, s + 1) times it, by the hockey-stick identity
+sum_{n=s}^{N} C(n, s) = C(N + 1, s + 1).  For s = 0 the sum starts at
+n = 1, as there is no profile of 0 voters: one less.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ from dataclasses import dataclass
 from itertools import groupby, islice
 from typing import Iterator
 
-from .core import _CASES, Profile, _orbit_firsts, classify_profile
+from .core import _CASES, Profile, _shapes, classify_profile
 from .rules import RULES, TabledFunction, _check_scope
 from .axioms import AxiomReport, check_axioms
 from .engine import SEARCH_AXIOMS, SearchInfeasibleError, SearchSpec, _Engine
@@ -148,23 +153,24 @@ def _shape_weight(m: int, shape: tuple[int, ...]) -> int:
 def _case_partition(m: int, n_max: int) -> tuple[dict[str, int], bool]:
     """How many ordered profiles of 1..n_max voters fall into each case of
     :func:`~scfkit.core.classify_profile`, and whether every profile falls
-    into exactly one.  Only each orbit's first class is classified (see the
-    module docstring); an orbit of c0 abstentions out of n voters weighs
-    C(n, c0) times its shape's weight, built once per shape per call."""
-    comb = math.comb
-    weights: dict[tuple[int, ...], int] = {}
+    into exactly one.  Each count shape is classified once, on the profile
+    of its votes alone, or on (0,) for the shape of no votes (see the module
+    docstring).  A shape of s votes weighs its shape weight times
+    C(n_max + 1, s + 1), less one for s = 0; a shape that falls into no case
+    or into several is counted nowhere."""
     case_counts = dict.fromkeys(_CASES, 0)
     partition_ok = True
-    for c0, shape, ballots in _orbit_firsts(m, 1, n_max):
-        try:
-            case = classify_profile(Profile._trusted(m, ballots))
-        except RuntimeError:  # the orbit falls into no case or into several
-            partition_ok = False
-            continue
-        weight = weights.get(shape)
-        if weight is None:
-            weight = weights[shape] = _shape_weight(m, shape)
-        case_counts[case] += comb(len(ballots), c0) * weight
+    for s in range(n_max + 1):
+        # sum of C(n, s) over n = s..n_max, less the profile of 0 voters
+        placements = math.comb(n_max + 1, s + 1) - (s == 0)
+        for shape in _shapes(s, s, m):
+            votes = tuple(k for k, c in enumerate(shape, 1) for _ in range(c)) or (0,)
+            try:
+                case = classify_profile(Profile._trusted(m, votes))
+            except RuntimeError:  # every profile of this shape falls into no case or into several
+                partition_ok = False
+                continue
+            case_counts[case] += placements * _shape_weight(m, shape)
     return case_counts, partition_ok
 
 
@@ -174,8 +180,8 @@ def verify_theorem(
     """Search the axiom set {N, DP?, PO, RS} and verify the solution set is
     exactly majority rule's table; solutions are replayed through the
     independent checkers, and every profile is classified into exactly one of
-    the leader / dominating-tie / all-abstention cases (one neutrality orbit
-    at a time, counted with its number of ordered profiles)."""
+    the leader / dominating-tie / all-abstention cases (one count shape at
+    a time, counted with its number of ordered profiles)."""
     axioms = frozenset({"N", "PO", "RS"} | ({"DP"} if include_dp else set()))
     spec = SearchSpec(m=m, n_max=n_max, axioms=axioms, max_nodes=max_nodes)
     if n_max < 2:

@@ -1900,6 +1900,25 @@ class TestOnePassNeutrality:
             assert not check_neutrality(last_wins, m, n_max).passed
 
 
+class TestClassCodes:
+    @pytest.mark.parametrize("m,n_max", [(2, 2), (2, 9), (3, 7), (5, 5), (12, 3), (40, 3), (4, 1)])
+    def test_codes_are_weight_sums_that_find_the_relabeled_class(self, m, n_max):
+        # a class's code is the sum of its ballots' weights (n_max + 1) ** b,
+        # so its counts are the code's digits and no two classes share one;
+        # under a generator each class gets its relabeled class's code.  A
+        # base of n_max would collide at (2, 2): (0, 0) and (1,)
+        def code(ballots):
+            return sum((n_max + 1) ** b for b in ballots)
+
+        classes = list(core._profiles(m, 1, n_max, True))
+        codes = axioms._class_codes(m, n_max, range(m + 1))
+        assert codes == [code(K) for K in classes]
+        assert len(set(codes)) == len(classes)
+        for lookup in axioms._lookups(axioms._generators(m)):
+            relabeled = [code(tuple(sorted(map(lookup.__getitem__, K)))) for K in classes]
+            assert axioms._class_codes(m, n_max, lookup) == relabeled
+
+
 class TestOrbitScans:
     @pytest.mark.parametrize("m,n_max", [(2, 5), (3, 4), (4, 3), (5, 3)])
     def test_orbit_firsts_are_the_brute_force_orbits_first_classes(self, m, n_max):

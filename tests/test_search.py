@@ -1012,6 +1012,22 @@ class TestClassification:
                     image = Profile(m, tuple(map(lookup.__getitem__, ballots)))
                     assert predicate(image) == value, (predicate.__name__, ballots, lookup)
 
+    @pytest.mark.parametrize("m,n_max", [(2, 6), (3, 4), (4, 3), (5, 3)])
+    def test_each_case_reads_only_the_candidate_counts(self, m, n_max):
+        # the shape lemma: each predicate takes the same value on every
+        # class with the same candidate counts, whatever its abstentions, so
+        # with the orbit lemma above, classifying one profile per count
+        # shape classifies every profile with that shape
+        predicates = (is_all_abstention, is_dominating_tie, is_leader_profile)
+        seen = {}
+        for ballots in core._profiles(m, 1, n_max, True):
+            p = Profile(m, ballots)
+            values = tuple(predicate(p) for predicate in predicates)
+            votes = tuple(core._counts(m, ballots)[1:])
+            assert seen.setdefault(votes, values) == values, ballots
+        # every vector of candidate counts with at most n_max votes is met
+        assert len(seen) == math.comb(n_max + m, m)
+
     @pytest.mark.parametrize("leader", [None, True, False])
     @pytest.mark.parametrize("m,n_max", [(2, 9), (3, 7), (4, 5), (5, 5), (12, 3), (40, 3)])
     def test_orbit_partition_equals_the_class_partition(self, monkeypatch, m, n_max, leader):
