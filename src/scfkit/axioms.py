@@ -64,11 +64,11 @@ outcome goes through the validating constructor.
 
 Once N passes on a class scan, every DP, PO, RS, PR or NTW scan listed
 after N in the same call checks only the first class of each neutrality
-orbit: 94 of the 329 classes at (3, 7).  :func:`_orbit_firsts` lists
-them once per call from the orbit stream of :mod:`scfkit.core`, which
-builds each orbit's first class from its abstentions and candidate counts
-instead of filtering the classes.  The reports stay those of the full
-class scan, by this lemma.
+orbit: 94 of the 329 classes at (3, 7).  They are listed once per call
+from the orbit stream of :mod:`scfkit.core`
+(:func:`~scfkit.core._orbit_firsts`), which builds each orbit's first
+class from its abstentions and candidate counts instead of filtering the
+classes.  The reports stay those of the full class scan, by this lemma.
 Let f be anonymous and neutral on the scope, P a class and tau a
 relabeling.  Then each of these axioms fails at P exactly when it fails at
 tau P.  tau carries P's support, duel pairs, tied pairs and plurality
@@ -96,13 +96,12 @@ from typing import Callable, Iterable, Iterator
 from .core import (
     _COST_CAP,
     PR_TIE_MODES,
-    CandidatePermutation,
     Profile,
     VoterPermutation,
     _ballot_error,
     _check_image,
     _counts,
-    _orbit_firsts as _core_orbit_firsts,
+    _orbit_firsts,
     _profiles,
     _set_ballots,
     _set_m,
@@ -459,7 +458,7 @@ def _reader(f, m: int, by_class: bool, values: dict[tuple[int, ...], int]) -> Ca
         return evaluate(p)
 
     if isinstance(f, TabledFunction):
-        return _sorted_reader(f.table, read) if f.m == m else read
+        return _sorted_reader(f._table, read) if f.m == m else read
     if not by_class:
         return read
 
@@ -471,21 +470,17 @@ def _reader(f, m: int, by_class: bool, values: dict[tuple[int, ...], int]) -> Ca
 
 
 def _relabeling_lookups(m: int) -> list[tuple[int, ...]]:
-    """The m! relabelings' lookups (:func:`_lookups`), straight from their images."""
+    """The m! relabelings' lookups (see :func:`_generators`), straight from their images."""
     return [(0, *image) for image in permutations(range(1, m + 1))]
 
 
-def _generators(m: int) -> tuple[CandidatePermutation, ...]:
-    """The transposition (1 2) and the m-cycle k -> k + 1 (m -> 1), which
-    generate every relabeling; at m = 2 they are the same swap."""
-    swap = CandidatePermutation.transposition(m, 1, 2)
-    return (swap,) if m == 2 else (swap, CandidatePermutation(m, tuple(range(2, m + 1)) + (1,)))
-
-
-def _lookups(relabelings: Iterable[CandidatePermutation]) -> list[tuple[int, ...]]:
-    """Each relabeling tau as the tuple (0, *tau.image), which maps a ballot
-    or an outcome in [0, m] to its image; built once per scan."""
-    return [(0, *tau.image) for tau in relabelings]
+def _generators(m: int) -> tuple[tuple[int, ...], ...]:
+    """The lookups of the transposition (1 2) and the m-cycle k -> k + 1
+    (m -> 1), which generate every relabeling; at m = 2 they are the same
+    swap.  A relabeling tau's lookup is the tuple (0, *tau.image), which
+    maps a ballot or an outcome in [0, m] to its image; built once per scan."""
+    swap = (0, 2, 1, *range(3, m + 1))
+    return (swap,) if m == 2 else (swap, (0, *range(2, m + 1), 1))
 
 
 def _outcome(value: Callable, m: int, ballots: tuple[int, ...]) -> int:
@@ -500,7 +495,7 @@ def _outcome(value: Callable, m: int, ballots: tuple[int, ...]) -> int:
 def _relabeling_witness(
     value: Callable, m: int, ballots: tuple[int, ...], lookups: list[tuple[int, ...]]
 ) -> Witness | None:
-    """The first relabeling tau in ``lookups`` (see :func:`_lookups`) with
+    """The first relabeling tau in ``lookups`` (see :func:`_generators`) with
     f(tau P) != tau f(P).  f(P) indexes the lookups, so it is read through
     :func:`_outcome`: -1 would wrap round, and True stand for candidate 1."""
     out = _outcome(value, m, ballots)
@@ -531,7 +526,7 @@ def _neutrality_witness(value: Callable, m: int, n_max: int, by_class: bool) -> 
     besides the identity, so the first failure is that witness and an
     unassigned entry raises as the full scan would.
     """
-    generators = _lookups(_generators(m))
+    generators = _generators(m)
     for scanned, ballots in enumerate(_profiles(m, 1, n_max, by_class), start=1):
         if m == 2:
             w = _relabeling_witness(value, m, ballots, generators)
@@ -553,7 +548,7 @@ def _class_codes(m: int, n_max: int, lookup: Iterable[int]) -> list[int]:
     With ``lookup`` the identity, range(m + 1), a class's code has its counts
     c_0..c_m as base-(n_max + 1) digits; each c_b <= n_max, so distinct
     classes get distinct codes.  With a relabeling's lookup tuple
-    (:func:`_lookups`), each class K gets the plain code of the class of
+    (:func:`_generators`), each class K gets the plain code of the class of
     tau K, its relabeled ballots in any order.
 
     Built level by level, with no sort: a class of n voters is a class of
@@ -595,7 +590,7 @@ def _table_is_neutral(table: dict, m: int, n_max: int) -> bool:
     if len(table) != len(keys) or set(map(type, outs)) != {int} or min(outs) < 0 or max(outs) > m:
         return False
     read = dict(zip(_class_codes(m, n_max, range(m + 1)), outs)).__getitem__
-    for lookup in _lookups(_generators(m)):
+    for lookup in _generators(m):
         if not all(map(eq, map(read, _class_codes(m, n_max, lookup)), map(lookup.__getitem__, outs))):
             return False
     return True
@@ -614,15 +609,6 @@ def _minimal_relabeling_witness(value: Callable, m: int, n_max: int, by_class: b
         if w is not None:
             return w
     raise RuntimeError("f fails N under a generator but under no relabeling: it is not deterministic")
-
-
-def _orbit_firsts(m: int, n_max: int) -> list[tuple[int, ...]]:
-    """The first class of each neutrality orbit, n = 1..n_max, in stream
-    order: the classes whose candidate counts do not increase from
-    candidate 1 to m, read off the orbit stream of :mod:`scfkit.core`
-    (:func:`~scfkit.core._orbit_firsts`), which builds them from count
-    shapes rather than filtering the classes."""
-    return [ballots for _, _, ballots in _core_orbit_firsts(m, 1, n_max)]
 
 
 def _duel_pairs(support: tuple[int, ...], m: int) -> Iterable[tuple[int, int]]:
@@ -829,7 +815,7 @@ def check_axioms(f, m: int, n_max: int, axioms: Iterable[str], tie_upgrade: str 
     neutral, firsts = False, None
     for ax in others:
         if ax == "N":
-            if tabled and f.m == m and _table_is_neutral(f.table, m, n_max):
+            if tabled and f.m == m and _table_is_neutral(f._table, m, n_max):
                 witnesses[ax] = None
             else:
                 witnesses[ax] = _neutrality_witness(value, m, n_max, by_class)
@@ -840,7 +826,7 @@ def check_axioms(f, m: int, n_max: int, axioms: Iterable[str], tie_upgrade: str 
             stream = _profiles(m, n_min, n_max, by_class)
         else:
             if firsts is None:
-                firsts = _orbit_firsts(m, n_max)
+                firsts = list(_orbit_firsts(m, 1, n_max))
             stream = (ballots for ballots in firsts if len(ballots) >= n_min)
         witnesses[ax] = _first_witness(witness_of, value, m, stream, tie_upgrade)
     return [AxiomReport(ax, m, n_max, witnesses[ax] is None, witnesses[ax]) for ax in axioms]

@@ -10,9 +10,10 @@ tuple, which :func:`ballot_counts` calls for a profile; the named rules of
 :mod:`scfkit.rules` count only the values present.  Every walk over the
 profile space reads its ballot tuples from one stream, :func:`_profiles`:
 one sorted tuple per anonymity class, or every ordered tuple, level by
-level.  Beside it, :func:`_orbit_firsts` walks the neutrality orbits of
-the classes, in the same order: it builds each orbit's first class from
-its abstentions and candidate counts, so no class is counted or filtered.
+level.  Beside it, :func:`_orbit_firsts` yields the sorted ballots of the
+first class of each neutrality orbit, in the same order: it builds them
+from the abstentions and the votes of each count shape
+(:func:`_shape_votes`), so no class is counted or filtered.
 
 All values here are immutable.  A :class:`Profile` has two slots and no
 instance dict; trusted construction sets the slots directly.
@@ -34,7 +35,6 @@ __all__ = [
     "ProfileParseError",
     "ballot_counts",
     "tally",
-    "apply_voter_permutation",
     "apply_candidate_permutation",
     "remove_voter",
     "canonicalize",
@@ -237,23 +237,7 @@ def ballot_counts(p: Profile) -> list[int]:
 def tally(p: Profile) -> Tally:
     """Count votes per candidate and abstentions."""
     counts = ballot_counts(p)
-    # filled through its instance dict, without the frozen __init__'s setattr calls
-    t = object.__new__(Tally)
-    fields = t.__dict__
-    fields["m"] = p.m
-    fields["counts"] = tuple(counts[1:])
-    fields["abstentions"] = counts[0]
-    return t
-
-
-def apply_voter_permutation(p: Profile, sigma: VoterPermutation) -> Profile:
-    """Reorder ballots: the result's ballot at position sigma.image[l] is p's at l."""
-    if sigma.n != p.n:
-        raise ValueError(f"permutation on {sigma.n} voters applied to {p.n}-voter profile")
-    out = [0] * p.n
-    for l in range(p.n):
-        out[sigma.image[l] - 1] = p.ballots[l]
-    return Profile._trusted(p.m, tuple(out))
+    return Tally(p.m, tuple(counts[1:]), counts[0])
 
 
 def apply_candidate_permutation(p: Profile, tau: CandidatePermutation) -> Profile:
@@ -318,12 +302,21 @@ def _shapes(total: int, top: int, room: int) -> Iterator[tuple[int, ...]]:
             yield (first, *tail)
 
 
-def _orbit_firsts(m: int, n_min: int, n_max: int) -> Iterator[tuple[int, tuple[int, ...], tuple[int, ...]]]:
-    """``(c0, shape, ballots)`` for each neutrality orbit of the classes of
-    n_min..n_max voters, in the order of its first class in the class stream
-    of :func:`_profiles`: c0 abstentions, the candidate counts ``shape``
-    (non-increasing, positive), and the first class's sorted ballots, c0
-    zeros, then shape[0] ones, shape[1] twos, and so on.
+def _shape_votes(m: int, s_max: int) -> list[list[tuple[tuple[int, ...], tuple[int, ...]]]]:
+    """For each s = 0..s_max, the count shapes of s votes over m candidates
+    (:func:`_shapes`), each paired with its votes: shape[0] ones, then
+    shape[1] twos, and so on; () for the shape of no votes."""
+    return [
+        [(shape, tuple(k for k, c in enumerate(shape, 1) for _ in range(c))) for shape in _shapes(s, s, m)]
+        for s in range(s_max + 1)
+    ]
+
+
+def _orbit_firsts(m: int, n_min: int, n_max: int) -> Iterator[tuple[int, ...]]:
+    """The sorted ballots of each neutrality orbit's first class, for the
+    classes of n_min..n_max voters, in the order of the class stream of
+    :func:`_profiles`: c0 zeros, then the votes of a count shape
+    (non-increasing, positive), shape[0] ones, shape[1] twos, and so on.
 
     A relabeling keeps a class's abstentions and permutes its candidate
     counts, so an orbit is fixed by c0 and the multiset of counts, and holds
@@ -332,17 +325,15 @@ def _orbit_firsts(m: int, n_min: int, n_max: int) -> Iterator[tuple[int, tuple[i
     ones, then more twos, and so on, come first in lexicographic order.  So
     within a level c0 falls from n to 0 and, for each, the shapes summing to
     n - c0 come in descending lexicographic order.  Each sum's shapes and
-    their ballots are built once per call.  The scope is not validated.
+    their votes are built once per call (:func:`_shape_votes`).  The scope
+    is not validated.
     """
-    votes = [
-        [(shape, tuple(k for k, c in enumerate(shape, 1) for _ in range(c))) for shape in _shapes(s, s, m)]
-        for s in range(n_max + 1)
-    ]
+    votes = _shape_votes(m, n_max)
     for n in range(n_min, n_max + 1):
         for c0 in range(n, -1, -1):
             zeros = (0,) * c0
-            for shape, ballots in votes[n - c0]:
-                yield c0, shape, zeros + ballots
+            for _, ballots in votes[n - c0]:
+                yield zeros + ballots
 
 
 def profile_count(m: int, n: int, canonical_only: bool = False) -> int:

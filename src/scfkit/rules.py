@@ -14,7 +14,8 @@ table looks its key up as given and sorts only ballots that miss.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from types import MappingProxyType
+from typing import Callable, Mapping
 
 from .core import Outcome, Profile, _ballot_error, _profiles
 
@@ -145,28 +146,36 @@ class TabledFunction:
     Keys are sorted ballot tuples, so anonymity is built into the
     representation.  Entries absent from ``table`` are unassigned; evaluating
     one raises :class:`IncompleteTableError`.
+
+    A validated table stays valid: the constructor copies the caller's
+    mapping before it validates it, and ``table`` is a read-only view of
+    that copy, which evaluation and the checkers read as ``_table``.
     """
 
     m: int
     n_max: int
-    table: dict[tuple[int, ...], int]
+    table: Mapping[tuple[int, ...], int]
 
     def __post_init__(self):
         _check_scope(self.m, self.n_max)
-        for key, out in self.table.items():
+        table = dict(self.table.items())
+        for key, out in table.items():
             _check_entry(self.m, self.n_max, key, out)
+        self.__dict__.update(table=MappingProxyType(table), _table=table)
 
     @classmethod
     def _trusted(cls, m: int, n_max: int, table: dict[tuple[int, ...], int]) -> "TabledFunction":
         """A table built without validation, for tables the library has built
         or checked itself: m >= 2, n_max >= 1, canonical keys of 1..n_max
-        ballots and ballots as outcomes."""
+        ballots and ballots as outcomes.  It keeps ``table``, a dict no
+        caller holds."""
         t = object.__new__(cls)
-        fields = t.__dict__
-        fields["m"] = m
-        fields["n_max"] = n_max
-        fields["table"] = table
+        t.__dict__.update(m=m, n_max=n_max, table=MappingProxyType(table), _table=table)
         return t
+
+    def __reduce__(self):
+        # a mappingproxy cannot be pickled: rebuild from the private dict
+        return type(self)._trusted, (self.m, self.n_max, self._table)
 
     @classmethod
     def from_rule(cls, rule, m: int, n_max: int) -> "TabledFunction":
@@ -189,10 +198,10 @@ class TabledFunction:
         # Keys are sorted ballot tuples (validated, or canonical where the
         # library builds them), so a hit on the ballots as given is their
         # class: only unsorted ballots, or a missing entry, are sorted.
-        out = self.table.get(p.ballots)
+        out = self._table.get(p.ballots)
         if out is None:
             key = tuple(sorted(p.ballots))
-            out = self.table.get(key)
+            out = self._table.get(key)
             if out is None:
                 raise IncompleteTableError(key)
         return out
@@ -200,7 +209,7 @@ class TabledFunction:
     def to_text(self) -> str:
         """Persist as text: header ``"m n_max"``, one ``"b1 .. bn -> o"`` line
         per assigned entry, sorted by (n, ballots).  Round-trips bit-exactly."""
-        table, name = self.table, _Strings().__getitem__
+        table, name = self._table, _Strings().__getitem__
         lines = [f"{self.m} {self.n_max}"]
         for key in sorted(table, key=lambda k: (len(k), k)):
             lines.append(f"{' '.join(map(name, key))} -> {name(table[key])}")

@@ -3,10 +3,11 @@
 :func:`verify_theorem` replays the solutions through the checkers of
 :mod:`scfkit.axioms`, the independent oracle, and partitions the profile
 space into the cases of :func:`scfkit.core.classify_profile` one count
-shape at a time (:func:`scfkit.core._shapes`): each shape is classified
-once, and it counts for every ordered profile of every class with those
-candidate counts, whatever its number of abstentions.  The engine's public
-names are re-exported here.
+shape at a time (:func:`scfkit.core._shape_votes`, the shapes paired with
+their votes, which the checkers' orbit stream also reads): each shape is
+classified once, and it counts for every ordered profile of every class
+with those candidate counts, whatever its number of abstentions.  The
+engine's public names are re-exported here.
 
 The partition rests on this lemma: each of the case predicates
 :func:`~scfkit.core.is_all_abstention`, :func:`~scfkit.core.is_dominating_tie`
@@ -34,7 +35,7 @@ from dataclasses import dataclass
 from itertools import groupby, islice
 from typing import Iterator
 
-from .core import _CASES, Profile, _shapes, classify_profile
+from .core import _CASES, Profile, _shape_votes, classify_profile
 from .rules import RULES, TabledFunction, _check_scope
 from .axioms import AxiomReport, check_axioms
 from .engine import SEARCH_AXIOMS, SearchInfeasibleError, SearchSpec, _Engine
@@ -160,13 +161,12 @@ def _case_partition(m: int, n_max: int) -> tuple[dict[str, int], bool]:
     or into several is counted nowhere."""
     case_counts = dict.fromkeys(_CASES, 0)
     partition_ok = True
-    for s in range(n_max + 1):
+    for s, shapes in enumerate(_shape_votes(m, n_max)):
         # sum of C(n, s) over n = s..n_max, less the profile of 0 voters
         placements = math.comb(n_max + 1, s + 1) - (s == 0)
-        for shape in _shapes(s, s, m):
-            votes = tuple(k for k, c in enumerate(shape, 1) for _ in range(c)) or (0,)
+        for shape, votes in shapes:
             try:
-                case = classify_profile(Profile._trusted(m, votes))
+                case = classify_profile(Profile._trusted(m, votes or (0,)))
             except RuntimeError:  # every profile of this shape falls into no case or into several
                 partition_ok = False
                 continue

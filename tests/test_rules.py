@@ -1,9 +1,12 @@
+import copy
+import pickle
 import tracemalloc
 
 import pytest
 from hypothesis import given, strategies as st
 
 from scfkit import rules
+from scfkit.axioms import check_axioms
 from scfkit.core import Profile, canonicalize, enumerate_profiles
 from scfkit.rules import (
     RULES,
@@ -246,6 +249,36 @@ class TestTabledFunction:
             TabledFunction(2, 2, {(1, 2): 5})  # outcome out of range
         with pytest.raises(ValueError):
             TabledFunction(2, 1, {(1, 2): 0})  # too many voters
+
+    def test_table_is_read_only(self):
+        # a table the checkers trust as anonymous cannot gain an unsorted key
+        for t in (TabledFunction.from_rule(RULES["maj"], 2, 3), TabledFunction(2, 3, {(1, 1): 1})):
+            before = dict(t.table)
+            with pytest.raises(TypeError):
+                t.table[(2, 1, 1)] = 2
+            assert t.table == before
+
+    def test_constructor_copies_the_callers_mapping(self):
+        # editing the dict a table was built from changes neither the table
+        # nor its reports: with (2, 1, 1) -> 2 in it, RS would fail there
+        maj = TabledFunction.from_rule(RULES["maj"], 2, 3)
+        d = dict(maj.table)
+        t = TabledFunction(2, 3, d)
+        reports = check_axioms(t, 2, 3, ["N", "PO", "RS"])
+        assert all(r.passed for r in reports)
+        d[(2, 1, 1)] = 2
+        d[(1,)] = 0
+        assert t.table == maj.table and t == maj
+        assert t.evaluate(Profile(2, (2, 1, 1))) == 1
+        assert check_axioms(t, 2, 3, ["N", "PO", "RS"]) == reports
+
+    def test_pickle_and_copy_round_trip(self):
+        for t in (TabledFunction.from_rule(RULES["maj"], 3, 3), TabledFunction(3, 2, {(0,): 0, (1, 2): 3})):
+            copies = [pickle.loads(pickle.dumps(t, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+            for back in copies + [copy.copy(t), copy.deepcopy(t)]:
+                assert back == t and back.to_text() == t.to_text()
+                with pytest.raises(TypeError):
+                    back.table[(1,)] = 1
 
     def test_text_round_trip_is_bit_exact(self):
         t = TabledFunction.from_rule(RULES["maj"], 2, 2)
