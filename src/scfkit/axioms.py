@@ -40,27 +40,12 @@ Neutrality is checked on two generators of the relabelings, the
 transposition (1 2) and the m-cycle; only a failure rescans with all m!
 relabelings, to report the same minimal witness.  A scan applies each
 relabeling through one lookup tuple (0, *image), built once per scan, to
-ballots and to f's outcome alike.  A table over the scope's m is first
-checked in one pass with no Python frame per class
-(:func:`_table_is_neutral`): every class's entry, read with ``dict.get``,
-must be an int in [0, m], the table must hold no other key, and under
-each generator the entry of the class each class relabels to must be the
-class's relabeled outcome.  That class is found by an integer code with
-the class's counts as its base-(n_max + 1) digits, built for every class
-at once under each generator (:func:`_class_codes`), with no sort per
-class.  That is the scan's own test, and it passes exactly when the scan
-would pass without raising: reading a dict has no side effects, every
-relabeled class is in the scope, so its entry is type-checked in the same
-pass, and with no other key the scan's read of a relabeled profile's
-ballots out of order misses and reads its class's entry.  Any other
-result runs the scan from the first class, so witnesses, the rescan and
-every error are the scan's.  A Rule keeps the per-class scan.  Every scan
-but A's reads f's outcome at the profile it checks through
-:func:`_outcome`, which refuses one that is no ballot
-(:func:`~scfkit.core._ballot_error`).  Reducibility evaluates f once per
-distinct voter-deleted subprofile; the reduced profile's outcomes are
-tested as they come, which never raises, and only a profile with another
-outcome goes through the validating constructor.
+ballots and to f's outcome alike.  Every scan but A's reads f's outcome at
+the profile it checks through :func:`_outcome`, which refuses one that is
+no ballot (:func:`~scfkit.core._ballot_error`).  Reducibility evaluates f
+once per distinct voter-deleted subprofile; the reduced profile's outcomes
+are tested as they come, which never raises, and only a profile with
+another outcome goes through the validating constructor.
 
 Once N passes on a class scan, every DP, PO, RS, PR or NTW scan listed
 after N in the same call checks only the first class of each neutrality
@@ -83,14 +68,49 @@ an orbit's first class, with the same witness.  Nor can the full scan
 raise at a class the orbit scan skips: N has read every class, so every
 table entry exists and every outcome is an int in [0, m], and RS and PR
 read f only at classes of the scope.
+
+A table's N, DP, PO and RS are first checked in one pass each, with no
+Python frame per class (:func:`_table_passes`), on the table's class
+index (:func:`_class_index`), built once per call that checks N: its
+entries in class order, and a dict from each class's code to its entry.
+A class's code has its counts c_0..c_m as base-(n_max + 1) digits, the
+sum of w(b) = (n_max + 1) ** b over its ballots b (:func:`_class_codes`),
+so distinct classes get distinct codes.  A pass may decide only when f is
+a table over the checked m and its index is valid: every class of
+1..n_max voters has an int entry in [0, m], and the table holds no other
+key.  DP, PO and RS passes need N to have passed earlier in the same
+call, and read only the orbit first classes.  A pass then passes exactly
+when the scan would pass without raising; any other result runs the scan
+from its first class, so witnesses, the rescan and every error are the
+scan's.  A Rule keeps the scans.  The passes rest on this lemma.
+
+- With a valid index no scan raises: every entry it reads, at a class of
+  the scope, is a ballot, and with no other key a read of ballots out of
+  order misses and reads its class's entry, the one a pass reads.
+- N: under each generator tau, the entry at the code of tau K equals
+  tau applied to the entry at K, for every class K.  That is the scan's
+  own test.
+- Let K be an orbit's first class: c_0 abstentions and votes for
+  candidates 1..k, where k = K[-1] (0 when nobody votes).
+- PO: every K with k = 1 has outcome 1, as K's support is {1..k}.
+- DP: at m = 2 it always passes, as every outcome lies in {0, 1, 2},
+  which holds the one duel pair.  At m >= 3, every K with k <= 2 has
+  outcome <= k: an outcome in {0..k} is 0 or in the support, and any
+  other lies outside some duel pair {i, j} that holds the support.
+- RS: for every K with at least 2 voters, the entry at code(K) equals the
+  entry at the sum over b of c_b * w(out_b), where out_b is the entry at
+  code(K) - w(b), the class of K less one ballot b.  That sum is the code
+  of K's reduced profile, whose ballots are each voter's subprofile
+  outcome.  A ballot absent from K contributes 0, because c_b = 0.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, fields
-from itertools import compress, groupby, islice, permutations
-from operator import eq, itemgetter
+from itertools import compress, groupby, islice, permutations, repeat
+from operator import add, eq, ge, itemgetter, le, mul, sub
 from typing import Callable, Iterable, Iterator
 
 from .core import (
@@ -108,7 +128,7 @@ from .core import (
     format_profile,
     profile_count,
 )
-from .rules import IncompleteTableError, Rule, TabledFunction, _check_scope
+from .rules import IncompleteTableError, TabledFunction, _check_scope, _evaluator
 
 __all__ = [
     "AXIOM_IDS",
@@ -427,12 +447,6 @@ def _sorted_reader(
     return evaluate
 
 
-def _evaluator(f) -> Callable[[Profile], int]:
-    """f's outcome at a Profile: a Rule of exactly that type through its
-    ``fn``, which is all Rule.evaluate does; anything else, subclasses too, through evaluate."""
-    return f.fn if type(f) is Rule else f.evaluate
-
-
 def _reader(f, m: int, by_class: bool, values: dict[tuple[int, ...], int]) -> Callable[[tuple[int, ...]], int]:
     """How every scan reads f in one call: ``value(ballots)``, f's outcome at
     the profile with those ballots.
@@ -567,33 +581,87 @@ def _class_codes(m: int, n_max: int, lookup: Iterable[int]) -> list[int]:
     return codes
 
 
-def _table_is_neutral(table: dict, m: int, n_max: int) -> bool:
-    """Whether N's scan passes a table over m without raising: every class
-    of 1..n_max voters has an int outcome in [0, m] (as
-    :func:`~scfkit.core._ballot_error` requires), and each generator's
-    relabeling of each class has the relabeled outcome.  The table must
-    also hold no other key, so none is out of order and a relabeled
-    profile's ballots, read out of order, miss as they do in the scan: the
-    entries read are the ones the scan reads.  Reading them has no side
-    effects, so a False only sends the call on to the scan.
-
-    The relabeled classes are found by code (:func:`_class_codes`), with
-    no sort per class: a dict from each class's plain code to its entry,
-    read at the code of each class K under a generator tau, gives the entry
-    of the class of tau K, the one the scan reads, since distinct classes
-    have distinct codes and the class of tau K is in the scope.  So the
-    pass passes exactly when a pass reading each relabeled class by its
-    ballots would.  One pass of ``map`` and ``operator.eq`` per generator,
-    with no Python frame per class."""
+def _class_index(table: dict, m: int, n_max: int) -> tuple[dict, list[int], dict[int, int]] | None:
+    """A table's class index at the scope: ``(table, outs, by_code)``, with
+    ``outs`` its entries at the classes of 1..n_max voters in the class
+    stream's order and ``by_code`` a dict from each class's code
+    (:func:`_class_codes`) to its entry.  None unless the index is valid:
+    every class has an int entry in [0, m] (as
+    :func:`~scfkit.core._ballot_error` requires) and the table holds no
+    other key.  Reading the entries has no side effects."""
     keys = list(_profiles(m, 1, n_max, True))
     outs = list(map(table.get, keys))
     if len(table) != len(keys) or set(map(type, outs)) != {int} or min(outs) < 0 or max(outs) > m:
-        return False
-    read = dict(zip(_class_codes(m, n_max, range(m + 1)), outs)).__getitem__
+        return None
+    return table, outs, dict(zip(_class_codes(m, n_max, range(m + 1)), outs))
+
+
+def _neutrality_pass(index: tuple, firsts: list | None, m: int, n_max: int) -> bool:
+    """N's pass: under each generator tau, the entry at the code of tau K,
+    built for every class K at once (:func:`_class_codes`), is tau applied
+    to K's entry.  One pass of ``map`` and ``operator.eq`` per generator."""
+    _, outs, by_code = index
+    read = by_code.__getitem__
     for lookup in _generators(m):
         if not all(map(eq, map(read, _class_codes(m, n_max, lookup)), map(lookup.__getitem__, outs))):
             return False
     return True
+
+
+def _duel_pass(index: tuple, firsts: list, m: int, n_max: int) -> bool:
+    """DP's pass: from m = 3 on, every orbit's first class with k <= 2
+    voted candidates, 1..k, has an outcome of at most k."""
+    if m == 2:
+        return True
+    lasts = list(map(itemgetter(-1), firsts))
+    duels = list(map(ge, repeat(2), lasts))
+    return all(map(le, map(index[0].__getitem__, compress(firsts, duels)), compress(lasts, duels)))
+
+
+def _pareto_pass(index: tuple, firsts: list, m: int, n_max: int) -> bool:
+    """PO's pass: every orbit's first class voting for candidate 1 alone
+    has outcome 1."""
+    alone = compress(firsts, map(eq, map(itemgetter(-1), firsts), repeat(1)))
+    return all(map(eq, map(index[0].__getitem__, alone), repeat(1)))
+
+
+def _reducibility_pass(index: tuple, firsts: list, m: int, n_max: int) -> bool:
+    """RS's pass: every orbit's first class K of two or more voters has the
+    entry at the code of its reduced profile, the sum over b of
+    c_b * w(out_b), out_b the entry at code(K) - w(b).  K votes only for
+    1..min(m, n_max), so those ballots and 0 are the only digits summed; a
+    ballot K lacks adds 0, whatever its lookup reads.  K is sorted, so c_b
+    is its ballots up to b less those up to b - 1, each found by bisection."""
+    by_code = index[2]
+    many = [K for K in firsts if len(K) > 1]
+    weights = [(n_max + 1) ** b for b in range(m + 1)]
+    counts, below = [], [0] * len(many)
+    for b in range(min(m, n_max) + 1):
+        upto = list(map(bisect_right, many, repeat(b)))
+        counts.append((weights[b], list(map(sub, upto, below))))
+        below = upto
+    codes = [0] * len(many)
+    for w, c in counts:
+        codes = list(map(add, codes, map(mul, c, repeat(w))))
+    reduced = [0] * len(many)
+    for w, c in counts:
+        outs = map(by_code.get, map(sub, codes, repeat(w)), repeat(0))
+        reduced = list(map(add, reduced, map(mul, c, map(weights.__getitem__, outs))))
+    read = by_code.__getitem__
+    return all(map(eq, map(read, codes), map(read, reduced)))
+
+
+# axiom -> its one-pass check of a table, a function of the table's class
+# index, the orbit first classes (None for N), m and n_max
+_PASSES = {"N": _neutrality_pass, "DP": _duel_pass, "PO": _pareto_pass, "RS": _reducibility_pass}
+
+
+def _table_passes(axiom: str, index: tuple, firsts: list | None, m: int, n_max: int) -> bool:
+    """Whether ``axiom``'s pass decides that its scan of a table passes,
+    given the table's valid class index and, past N, the orbit first
+    classes of a call where N has passed (see the module docstring).
+    Every pass goes through here."""
+    return _PASSES[axiom](index, firsts, m, n_max)
 
 
 def _minimal_relabeling_witness(value: Callable, m: int, n_max: int, by_class: bool, stop: int) -> Witness:
@@ -781,9 +849,10 @@ def check_axioms(f, m: int, n_max: int, axioms: Iterable[str], tie_upgrade: str 
     evaluating only the classes it never needed, or f itself when f is not
     anonymous.  In that last case the ordered fallbacks of the other axioms
     are estimated together before any of them is scanned.  A
-    :class:`Profile` is built only for f.evaluate or a witness.  N on a
-    table over m is decided by the one-pass check when it passes, and by
-    the generator scan otherwise (see the module docstring).
+    :class:`Profile` is built only for f.evaluate or a witness.  On a table
+    over m with a valid class index, N, and once N has passed DP, PO and
+    RS, are each decided by their one-pass check when it passes, and by the
+    scan otherwise (see the module docstring).
 
     Once N passes on a class scan, the DP, PO, RS, PR and NTW scans listed
     after it check only each neutrality orbit's first class: under an
@@ -812,10 +881,12 @@ def check_axioms(f, m: int, n_max: int, axioms: Iterable[str], tie_upgrade: str 
         require_feasible(others, f, m, n_max, ordered=True)
     value = _reader(f, m, by_class, values)
     witnesses = {"A": anonymity}
-    neutral, firsts = False, None
+    index, neutral, firsts = None, False, None
     for ax in others:
         if ax == "N":
-            if tabled and f.m == m and _table_is_neutral(f._table, m, n_max):
+            if index is None and tabled and f.m == m:
+                index = _class_index(f._table, m, n_max)
+            if index is not None and _table_passes(ax, index, None, m, n_max):
                 witnesses[ax] = None
             else:
                 witnesses[ax] = _neutrality_witness(value, m, n_max, by_class)
@@ -827,6 +898,9 @@ def check_axioms(f, m: int, n_max: int, axioms: Iterable[str], tie_upgrade: str 
         else:
             if firsts is None:
                 firsts = list(_orbit_firsts(m, 1, n_max))
+            if index is not None and ax in _PASSES and _table_passes(ax, index, firsts, m, n_max):
+                witnesses[ax] = None
+                continue
             stream = (ballots for ballots in firsts if len(ballots) >= n_min)
         witnesses[ax] = _first_witness(witness_of, value, m, stream, tie_upgrade)
     return [AxiomReport(ax, m, n_max, witnesses[ax] is None, witnesses[ax]) for ax in axioms]

@@ -174,6 +174,8 @@ def cmd_verify_theorem(args, parser) -> int:
         print(f"{key}: {value}")
     if args.out:
         _write_json(args.out, {"command": "verify-theorem", "version": __version__, **verdict.to_dict()})
+    if args.stats:
+        _write_json(args.stats, verdict.stats)
     if not verdict.exhausted:
         return EXIT_TRUNCATED
     return EXIT_OK if verdict.passed else EXIT_FAILURE
@@ -239,6 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_thm.add_argument("--dp", action=argparse.BooleanOptionalAction, default=True,
                        help="include the duel property (drop with --no-dp for m >= 4)")
     p_thm.add_argument("--max-nodes", type=int, default=None)
+    p_thm.add_argument("--stats", help="write each phase's time in seconds here, as JSON")
     p_thm.set_defaults(func=cmd_verify_theorem, parser=p_thm)
 
     p_ind = sub.add_parser("verify-independence",

@@ -464,10 +464,12 @@ class _Engine:
             for r, _ in comp[0]:
                 self.out[r] = None
             for v in range(start, m + 1):
-                self.nodes += 1
-                if max_nodes is not None and self.nodes > max_nodes:
+                # the limit is tested first, so a truncated run counts the
+                # nodes it tried: exactly max_nodes
+                if max_nodes is not None and self.nodes >= max_nodes:
                     self.exhausted = False
                     return
+                self.nodes += 1
                 axiom = self._try(comp, v)
                 if axiom is None:
                     break

@@ -13,11 +13,13 @@ table looks its key up as given and sorts only ballots that miss.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
+from itertools import repeat
 from types import MappingProxyType
 from typing import Callable, Mapping
 
-from .core import Outcome, Profile, _ballot_error, _profiles
+from .core import Outcome, Profile, _ballot_error, _profiles, _set_ballots, _set_m
 
 __all__ = [
     "Rule",
@@ -41,6 +43,13 @@ class Rule:
 
     def evaluate(self, p: Profile) -> Outcome:
         return self.fn(p)
+
+
+def _evaluator(f) -> Callable[[Profile], Outcome]:
+    """f's outcome at a Profile: a Rule of exactly that type through its
+    ``fn``, which is all Rule.evaluate does; anything else, subclasses too,
+    through evaluate."""
+    return f.fn if type(f) is Rule else f.evaluate
 
 
 def majority_rule(p: Profile) -> Outcome:
@@ -179,12 +188,20 @@ class TabledFunction:
 
     @classmethod
     def from_rule(cls, rule, m: int, n_max: int) -> "TabledFunction":
-        """Tabulate any social choice function over canonical profiles.  The
-        keys are canonical by construction; each outcome must be a ballot,
-        checked once every profile has been evaluated."""
+        """Tabulate any social choice function over canonical profiles, in
+        class order.  The keys are canonical by construction; each outcome
+        must be a ballot, checked once every profile has been evaluated.
+
+        Each class's Profile is built as :meth:`~scfkit.core.Profile._trusted`
+        builds one, a shell with its two slots set, but by ``map`` over all
+        classes at once, with no Python frame per class.  The rule is called
+        through :func:`_evaluator`."""
         _check_scope(m, n_max)
-        trusted, evaluate = Profile._trusted, rule.evaluate
-        table = {ballots: evaluate(trusted(m, ballots)) for ballots in _profiles(m, 1, n_max, True)}
+        keys = list(_profiles(m, 1, n_max, True))
+        profiles = list(map(object.__new__, repeat(Profile, len(keys))))
+        deque(map(_set_m, profiles, repeat(m)), maxlen=0)
+        deque(map(_set_ballots, profiles, keys), maxlen=0)
+        table = dict(zip(keys, map(_evaluator(rule), profiles)))
         for key, out in table.items():
             if _ballot_error(m, out):
                 _check_entry(m, n_max, key, out)

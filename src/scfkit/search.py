@@ -31,8 +31,9 @@ n = 1, as there is no profile of 0 voters: one less.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import groupby, islice
+from time import perf_counter
 from typing import Iterator
 
 from .core import _CASES, Profile, _shape_votes, classify_profile
@@ -105,7 +106,12 @@ def enumerate_neutral_functions(
 @dataclass(frozen=True)
 class TheoremVerdict:
     """Did the axiom set pin down majority rule, and do the proof cases
-    partition the profile space?"""
+    partition the profile space?
+
+    ``stats`` holds the seconds each phase took, by ``perf_counter``:
+    ``search_s`` (building the engine and searching), ``majority_table_s``,
+    ``replay_s`` and ``partition_s``.  It is no part of the verdict: it is
+    left out of ``to_dict()``, the repr and equality."""
 
     m: int
     n_max: int
@@ -119,6 +125,7 @@ class TheoremVerdict:
     case_counts: dict[str, int]
     nodes_explored: int
     prune_counts: dict[str, int]
+    stats: dict[str, float] = field(default_factory=dict, compare=False, repr=False)
 
     def to_dict(self) -> dict:
         return {
@@ -181,21 +188,27 @@ def verify_theorem(
     exactly majority rule's table; solutions are replayed through the
     independent checkers, and every profile is classified into exactly one of
     the leader / dominating-tie / all-abstention cases (one count shape at
-    a time, counted with its number of ordered profiles)."""
+    a time, counted with its number of ordered profiles).  Each phase's
+    time goes to the verdict's ``stats``."""
     axioms = frozenset({"N", "PO", "RS"} | ({"DP"} if include_dp else set()))
     spec = SearchSpec(m=m, n_max=n_max, axioms=axioms, max_nodes=max_nodes)
     if n_max < 2:
         raise ValueError("the theorem needs a voter bound of at least 2")
+    start = perf_counter()
     result = enumerate_functions(spec)
+    searched = perf_counter()
 
     maj_table = TabledFunction.from_rule(RULES["maj"], m, n_max)
     maj_match = len(result.solutions) == 1 and result.solutions[0] == maj_table
+    tabulated = perf_counter()
 
-    # N first, so the other scans check one class per neutrality orbit
+    # N first, so the other checks read one class per neutrality orbit
     replay = [ax for ax in ("N", "DP", "PO", "RS") if ax in axioms]
     replay_ok = all(report.passed for sol in result.solutions for report in check_axioms(sol, m, n_max, replay))
+    replayed = perf_counter()
 
     case_counts, partition_ok = _case_partition(m, n_max)
+    partitioned = perf_counter()
 
     return TheoremVerdict(
         m=m,
@@ -210,6 +223,12 @@ def verify_theorem(
         case_counts=case_counts,
         nodes_explored=result.nodes_explored,
         prune_counts=result.prune_counts,
+        stats={
+            "search_s": searched - start,
+            "majority_table_s": tabulated - searched,
+            "replay_s": replayed - tabulated,
+            "partition_s": partitioned - replayed,
+        },
     )
 
 

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import scfkit
-from scfkit import axioms, cli, core, rules
+from scfkit import axioms, cli, core, rules, search
 from scfkit.axioms import (
     AXIOM_IDS,
     CHECK_MAX_COST,
@@ -1229,10 +1229,10 @@ def _spy_stream(mp, levels: list) -> None:
 
 
 def _scan_tables(mp) -> None:
-    """Send a table's N check to the generator scan, as a table that fails
-    the one-pass check (``axioms._table_is_neutral``) goes, so a test can
-    watch that scan's reads on a passing table."""
-    mp.setattr(axioms, "_table_is_neutral", lambda table, m, n_max: False)
+    """Send a table's N, DP, PO and RS checks to their scans, as a table
+    that fails every one-pass check (``axioms._table_passes``) goes, so a
+    test can watch the scans' reads on a passing table."""
+    mp.setattr(axioms, "_table_passes", lambda axiom, index, firsts, m, n_max: False)
 
 
 def _spy_reader(mp, calls: list) -> None:
@@ -1800,11 +1800,14 @@ def one_pass_cases(draw):
     """A neutral table at m = 2..4 with at most four voters, as it is or
     with one entry changed: to another value, removed, or to True, 1.0,
     -1, m + 1 or None; or with the unsorted key (2, 1) added, which the
-    scan reads as the swap of (1, 2) and a table may not hold.  Checked at
-    its own scope, at a larger or smaller voter bound, or with a candidate
-    more; RS needs two voters, so a table of one voter is checked at two."""
+    scan reads as the swap of (1, 2) and a table may not hold.  The table
+    is drawn whole, or as majority's with at most three orbits redrawn,
+    which often keeps DP, PO or RS.  Checked at its own scope, at a larger
+    or smaller voter bound, or with a candidate more; RS needs two voters,
+    so a table of one voter is checked at two."""
     m, n_max = draw(st.integers(2, 4)), draw(st.integers(1, 4))
-    table = _neutral_table(draw, m, n_max)
+    base = dict(TabledFunction.from_rule(MAJ, m, n_max).table) if draw(st.booleans()) else None
+    table = _neutral_table(draw, m, n_max, base)
     key = draw(st.sampled_from(sorted(table)))
     change = draw(st.sampled_from(["none", "value", "remove", "unsorted", True, 1.0, -1, m + 1, None]))
     if change == "value":
@@ -1820,6 +1823,12 @@ def one_pass_cases(draw):
     return (*scope, change, TabledFunction._trusted(m, n_max, table))
 
 
+def _neutral_by_pass(table, m, n_max) -> bool:
+    """Whether N's one-pass check decides that a table is neutral."""
+    index = axioms._class_index(table, m, n_max)
+    return index is not None and axioms._table_passes("N", index, None, m, n_max)
+
+
 def _raised_or(run):
     """run()'s result, or the type and text of the error it raised."""
     try:
@@ -1828,12 +1837,24 @@ def _raised_or(run):
         return (type(exc), str(exc))
 
 
+def _spy_scans(mp, scanned: list) -> None:
+    """Record the axiom of each DP, PO, RS, PR or NTW scan a call runs."""
+    original, axiom_of = axioms._first_witness, {scan: ax for ax, (scan, _) in axioms._SCANS.items()}
+
+    def first_witness(witness_of, *args):
+        scanned.append(axiom_of[witness_of])
+        return original(witness_of, *args)
+
+    mp.setattr(axioms, "_first_witness", first_witness)
+
+
 class TestOnePassNeutrality:
     @settings(max_examples=300, deadline=None)
     @given(one_pass_cases())
     def test_equals_the_generator_scan(self, case):
-        # a table's N check gives the generator scan's report, or its error,
-        # and so leaves every later scan as it was
+        # a table's N, DP, PO and RS checks give the reports of the scans
+        # with every pass off, or their error; N's gives the generator
+        # scan's report, so it leaves every later scan as it was
         m, n_max, change, t = case
         requested = ["N", "DP", "PO", "RS"]
 
@@ -1849,12 +1870,17 @@ class TestOnePassNeutrality:
             _scan_tables(mp)
             reference = _raised_or(reports)
         alone = _raised_or(scanned)
+        scanned = []
         with pytest.MonkeyPatch.context() as mp:
+            _spy_scans(mp, scanned)
             if change == "none" and t.m == m and t.n_max == n_max:
                 # a neutral table passes without the scan
                 mp.setattr(axioms, "_neutrality_witness", lambda *args: pytest.fail("scanned"))
             got = _raised_or(reports)
         assert got == reference
+        if change == "none" and t.m == m and t.n_max == n_max:
+            # past N, a pass decides exactly the axioms that pass
+            assert scanned == [r["axiom"] for r in got[1:] if not r["pass"]]
         if isinstance(alone, tuple):
             assert got == alone
         elif isinstance(got, list):
@@ -1866,13 +1892,91 @@ class TestOnePassNeutrality:
         # winning whenever voted for, majority otherwise, passes the swap of
         # 1 and 2 and fails only under the m-cycle
         table = TabledFunction.from_rule(MAJ, m, n_max).table
-        assert axioms._table_is_neutral(table, m, n_max)
-        assert not axioms._table_is_neutral(TabledFunction.from_rule(LEX, m, n_max).table, m, n_max)
+        assert _neutral_by_pass(table, m, n_max)
+        assert not _neutral_by_pass(TabledFunction.from_rule(LEX, m, n_max).table, m, n_max)
         last = Rule("last", lambda p: m if m in p.ballots else MAJ.evaluate(p))
         last_wins = TabledFunction.from_rule(last, m, n_max)
-        assert not axioms._table_is_neutral(last_wins.table, m, n_max)
+        assert not _neutral_by_pass(last_wins.table, m, n_max)
         if m <= 5:  # the scan's witness rescan is refused at m = 40
             assert not check_neutrality(last_wins, m, n_max).passed
+
+
+def _pass_and_scan_reports(t, m, n_max, requested):
+    """The reports of a call with the passes on, which DP, PO and RS scans
+    it ran, and the reports with every pass off."""
+    scanned = []
+    with pytest.MonkeyPatch.context() as mp:
+        _spy_scans(mp, scanned)
+        got = [r.to_dict() for r in check_axioms(t, m, n_max, requested)]
+    with pytest.MonkeyPatch.context() as mp:
+        _scan_tables(mp)
+        reference = [r.to_dict() for r in check_axioms(t, m, n_max, requested)]
+    return got, scanned, reference
+
+
+class TestTablePasses:
+    @pytest.mark.parametrize(
+        "m,n_max,limit,tables_passing",
+        [
+            (2, 3, None, (2187, 2187, 3, 25)),
+            (3, 2, None, (16, 8, 2, 9)),
+            (4, 2, None, (8, 8, 1, 5)),
+            (2, 4, 4000, (4000, 4000, 0, 1)),
+            (3, 3, 4000, (1024, 192, 16, 19)),
+        ],
+    )
+    def test_every_neutral_table_gets_the_scans_reports(self, m, n_max, limit, tables_passing):
+        # every neutral table (the first 4,000 at (2, 4); (3, 3) has 1,024):
+        # the reports with the passes equal those of the scans, and past N
+        # a scan runs exactly when its axiom fails.  DP never fails at
+        # m = 2, nor from m = 4 at two voters (criterion 4 of the acceptance
+        # suite); the first tables at (2, 4) all have (1,) tie
+        requested = ["N", "DP", "PO", "RS"]
+        tables = list(islice(search.enumerate_neutral_functions(m, n_max), limit))
+        passing = dict.fromkeys(requested, 0)
+        for t in tables:
+            got, scanned, reference = _pass_and_scan_reports(t, m, n_max, requested)
+            assert got == reference, t.table
+            assert scanned == [r["axiom"] for r in got[1:] if not r["pass"]], t.table
+            for r in got:
+                passing[r["axiom"]] += r["pass"]
+        assert tuple(passing.values()) == tables_passing
+
+    @pytest.mark.parametrize("m,n_max", [(2, 9), (3, 7), (5, 5), (40, 3)])
+    def test_majority_needs_no_scan(self, m, n_max):
+        # majority's table gets all four verdicts from the passes: no scan
+        # reads f
+        calls = []
+        table = TabledFunction.from_rule(MAJ, m, n_max)
+        with pytest.MonkeyPatch.context() as mp:
+            _spy_reader(mp, calls)
+            reports = check_axioms(table, m, n_max, ["N", "DP", "PO", "RS"])
+        assert all(r.passed for r in reports)
+        assert calls == []
+
+    def test_no_pass_decides_before_neutrality_passes(self):
+        # majority's table with (2,) electing 3 at (3, 2) fails N, DP and
+        # PO at (2,), no orbit's first class: a pass reading only those
+        # would pass DP and PO
+        base = dict(TabledFunction.from_rule(MAJ, 3, 2).table)
+        t = TabledFunction(3, 2, {**base, (2,): 3})
+        requested = ["N", "DP", "PO", "RS"]
+        got, scanned, reference = _pass_and_scan_reports(t, 3, 2, requested)
+        assert got == reference
+        assert [(r["axiom"], r["pass"]) for r in got] == [("N", False), ("DP", False), ("PO", False), ("RS", False)]
+        assert [r["witness"]["profile"] for r in got[1:3]] == ["3 1\n2\n", "3 1\n2\n"]
+        assert scanned == ["DP", "PO", "RS"]
+
+    def test_two_candidates_pass_every_duel(self):
+        # at m = 2 every outcome lies in the one duel pair: a neutral table
+        # where (1,) elects 2, and (1, 1) and (1, 1, 1) tie, fails PO and RS
+        # but passes DP with no scan
+        base = dict(TabledFunction.from_rule(MAJ, 2, 3).table)
+        t = TabledFunction(2, 3, {**base, (1,): 2, (2,): 1, (1, 1): 0, (2, 2): 0, (1, 1, 1): 0, (2, 2, 2): 0})
+        got, scanned, reference = _pass_and_scan_reports(t, 2, 3, ["N", "DP", "PO", "RS"])
+        assert got == reference
+        assert [(r["axiom"], r["pass"]) for r in got] == [("N", True), ("DP", True), ("PO", False), ("RS", False)]
+        assert scanned == ["PO", "RS"]
 
 
 class TestClassCodes:
@@ -1932,14 +2036,16 @@ class TestOrbitScans:
         for c in firsts:
             if len(c) >= 2:
                 assert _profile_reducibility(recorded, Profile(3, c), "leaders") is None
+        rs_reads = len(expected)
         for c in firsts:
             assert _profile_responsiveness(recorded, Profile(3, c), "leaders") is None
         calls = []
         with pytest.MonkeyPatch.context() as mp:
             _spy_reader(mp, calls)
             reports = check_axioms(table, 3, 4, ["N", "RS", "PR"])
-            # N's one-pass check reads the table's dict through no reader
-            assert all(r.passed for r in reports) and calls == expected
+            # N's and RS's one-pass checks read the table's dict through no
+            # reader; PR has no pass
+            assert all(r.passed for r in reports) and calls == expected[rs_reads:]
             calls.clear()
             _scan_tables(mp)
             reports = check_axioms(table, 3, 4, ["N", "RS", "PR"])

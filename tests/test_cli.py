@@ -236,6 +236,11 @@ class TestSearch:
         assert run(["search", "--m", "2", "--n-max", "2", "--axioms", "N,PO",
                     "--max-nodes", "3"]) == 3
 
+    def test_node_limit_reports_the_nodes_tried(self, capsys):
+        assert run(["search", "--m", "2", "--n-max", "2", "--axioms", "N,PO",
+                    "--max-nodes", "3"]) == 3
+        assert "nodes_explored: 3" in capsys.readouterr().out.splitlines()
+
     def test_infeasible_scope_exits_2(self, capsys):
         assert run(["search", "--m", "8", "--n-max", "8", "--axioms", "N"]) == 2
         assert "infeasible" in capsys.readouterr().err
@@ -268,6 +273,19 @@ class TestVerify:
         assert code == 0
         doc = json.loads(out.read_text())
         assert doc["pass"] is True and doc["maj_match"] is True
+
+    def test_stats_sidecar_leaves_the_reports_alone(self, capsys, tmp_path):
+        # stdout and the --out bytes are the same with and without --stats
+        scope = ["verify-theorem", "--m", "3", "--n-max", "4"]
+        assert run([*scope, "--out", str(tmp_path / "plain.json")]) == 0
+        plain = capsys.readouterr().out
+        stats = tmp_path / "stats.json"
+        assert run([*scope, "--out", str(tmp_path / "timed.json"), "--stats", str(stats)]) == 0
+        assert capsys.readouterr().out == plain
+        assert (tmp_path / "timed.json").read_bytes() == (tmp_path / "plain.json").read_bytes()
+        doc = json.loads(stats.read_text())
+        assert sorted(doc) == ["majority_table_s", "partition_s", "replay_s", "search_s"]
+        assert all(isinstance(t, float) and t >= 0 for t in doc.values())
 
     def test_theorem_without_duel_property_at_m4(self):
         assert run(["verify-theorem", "--m", "4", "--n-max", "2", "--no-dp"]) == 0

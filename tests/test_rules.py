@@ -1,6 +1,7 @@
 import copy
 import pickle
 import tracemalloc
+from itertools import combinations_with_replacement
 
 import pytest
 from hypothesis import given, strategies as st
@@ -233,6 +234,51 @@ class TestTabledFunction:
             TabledFunction.from_rule(Rule("bad", fn), 3, 2)
         assert str(err.value) == f"outcome {bad} for (1, 2) outside [0, 3]"
         assert calls == [p.ballots for n in (1, 2) for p in enumerate_profiles(3, n, canonical_only=True)]
+
+    def test_from_rule_equals_the_per_class_tabulation(self):
+        # the table a dict comprehension of Profile._trusted and evaluate
+        # builds, for a Rule (called through its fn), a Rule subclass that
+        # overrides evaluate, and any object with evaluate; each is read in
+        # class order, once per class
+        class Doubled(Rule):
+            def evaluate(self, p):
+                return min(2 * self.fn(p), p.m)
+
+        class Plain:
+            def __init__(self):
+                self.seen = []
+
+            def evaluate(self, p):
+                self.seen.append(p.ballots)
+                return p.ballots[-1]
+
+        m, n_max = 3, 4
+        classes = [ballots for n in range(1, n_max + 1) for ballots in combinations_with_replacement(range(m + 1), n)]
+        for f in (RULES["maj"], Doubled("doubled", lexicographic_first), Plain()):
+            old = {ballots: f.evaluate(Profile._trusted(m, ballots)) for ballots in classes}
+            if isinstance(f, Plain):
+                f.seen.clear()
+            t = TabledFunction.from_rule(f, m, n_max)
+            assert t.table == old and list(t.table) == classes
+            if isinstance(f, Plain):
+                assert f.seen == classes
+
+    def test_from_rule_raises_at_the_same_profile(self):
+        # a function that raises stops the tabulation at the profile it
+        # raises on, as the dict comprehension did
+        calls = []
+
+        def fn(p):
+            calls.append(p)
+            if p.ballots == (1, 2):
+                raise KeyError(p.ballots)
+            return 0
+
+        with pytest.raises(KeyError) as err:
+            TabledFunction.from_rule(Rule("raises", fn), 3, 2)
+        assert err.value.args == ((1, 2),)
+        assert [p.ballots for p in calls] == [(0,), (1,), (2,), (3,), (0, 0), (0, 1), (0, 2), (0, 3), (1, 1), (1, 2)]
+        assert all(type(p) is Profile and p.m == 3 and p == Profile(3, p.ballots) for p in calls)
 
     def test_from_rule_checks_the_scope(self):
         for m, n_max, message in [

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import hashlib
 import math
@@ -543,6 +544,17 @@ class TestEnumerateFunctions:
             SearchSpec(m=2, n_max=2, axioms=frozenset(), max_nodes=10)
         )
         assert not result.exhausted
+
+    @pytest.mark.parametrize("max_nodes", [1, 3, 10])
+    def test_node_limit_reports_the_nodes_tried(self, max_nodes):
+        # the run stops before its (max_nodes + 1)-th node and counts only
+        # the nodes it tried
+        spec = SearchSpec(m=2, n_max=2, axioms=frozenset({"N", "PO"}), max_nodes=max_nodes)
+        result = enumerate_functions(spec)
+        assert not result.exhausted
+        assert result.nodes_explored == max_nodes
+        full = enumerate_functions(dataclasses.replace(spec, max_nodes=None))
+        assert full.exhausted and full.nodes_explored > max_nodes
 
     def test_solution_limit_truncates(self):
         result = enumerate_functions(SearchSpec(m=2, n_max=1, axioms=frozenset(), limit=5))
@@ -1146,6 +1158,19 @@ class TestVerdicts:
         verdict = verify_theorem(2, 3, max_nodes=5)
         assert not verdict.exhausted
         assert not verdict.passed
+
+    def test_truncated_verdict_reports_the_nodes_tried(self):
+        verdict = verify_theorem(3, 4, max_nodes=10)
+        assert not verdict.exhausted
+        assert verdict.nodes_explored == 10
+
+    def test_phase_times_stay_out_of_the_report(self):
+        verdict = verify_theorem(3, 3)
+        assert sorted(verdict.stats) == ["majority_table_s", "partition_s", "replay_s", "search_s"]
+        assert all(type(t) is float and t >= 0 for t in verdict.stats.values())
+        assert "stats" not in verdict.to_dict() and "stats" not in repr(verdict)
+        # the times never make two verdicts differ
+        assert verdict == dataclasses.replace(verdict, stats={})
 
     @pytest.mark.parametrize("m", [2, 3])
     def test_independence_patterns_and_witnesses(self, m):
