@@ -117,7 +117,6 @@ from .core import (
     _COST_CAP,
     PR_TIE_MODES,
     Profile,
-    VoterPermutation,
     _ballot_error,
     _check_image,
     _counts,
@@ -175,6 +174,8 @@ class Witness:
     or upgraded profile; ``actual``/``expected`` are the clashing outcomes
     (for the reduction axiom: left side vs. right side); ``pair`` is the
     duel or tied pair; ``candidate``/``voter`` locate a one-ballot upgrade.
+    ``permutation`` is an image tuple: for A, the position each voter moves
+    to in the sorted profile; for N, the relabeling (tau(1), ..., tau(m)).
     """
 
     profile: Profile
@@ -325,13 +326,14 @@ def _first_witness(
     return None
 
 
-def _sorting_permutation(p: Profile) -> VoterPermutation:
-    """A voter permutation sending p to its canonical form (stable sort)."""
+def _sorting_permutation(p: Profile) -> tuple[int, ...]:
+    """The image of a voter permutation sending p to its canonical form
+    (stable sort): voter l moves to position ``image[l-1]``."""
     order = sorted(range(p.n), key=lambda l: (p.ballots[l], l))
     image = [0] * p.n
     for new_pos, old_pos in enumerate(order, start=1):
         image[old_pos] = new_pos
-    return VoterPermutation(p.n, tuple(image))
+    return tuple(image)
 
 
 # a key an outcome dict lacks (f may return anything, None included)
@@ -420,7 +422,7 @@ def _unsorted_witness(m: int, ballots: tuple[int, ...], actual, expected) -> Wit
     return Witness(
         profile=p,
         related_profile=Profile._trusted(m, tuple(sorted(ballots))),
-        permutation=_sorting_permutation(p).image,
+        permutation=_sorting_permutation(p),
         actual=actual,
         expected=expected,
     )

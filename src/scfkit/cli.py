@@ -2,13 +2,15 @@
 space, and verify the characterization and independence results.
 
 Exit codes are a contract: 0 pass/complete, 1 axiom failure, 2 usage or parse
-error, 3 resource truncation.  Reports are JSON with sorted keys, so byte
-stability follows from deterministic witness selection.
+error or an output path that cannot be written, 3 resource truncation.
+Reports are JSON with sorted keys, so byte stability follows from
+deterministic witness selection.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import sys
@@ -50,8 +52,24 @@ def _to_json(value, indent: str = "") -> str:
     return json.dumps(value)
 
 
+class _WriteError(Exception):
+    """A report, stats or solution path that cannot be written; main turns
+    it into exit 2."""
+
+
+@contextlib.contextmanager
+def _writing(path: str | Path):
+    """Every file the commands write goes through here: an ``OSError``
+    becomes a :class:`_WriteError` naming ``path``."""
+    try:
+        yield Path(path)
+    except OSError as exc:
+        raise _WriteError(f"cannot write {path}: {exc}") from None
+
+
 def _write_json(path: str | Path, doc: dict) -> None:
-    Path(path).write_text(_to_json(doc) + "\n")
+    with _writing(path) as target:
+        target.write_text(_to_json(doc) + "\n")
 
 
 def _parse_axioms(raw: str, allowed: tuple[str, ...], parser: argparse.ArgumentParser) -> list[str]:
@@ -140,13 +158,13 @@ def cmd_search(args, parser) -> int:
     for ax in sorted(result.prune_counts):
         print(f"pruned[{ax}]: {result.prune_counts[ax]}")
     if args.out:
-        out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        names = []
-        for idx, solution in enumerate(result.solutions):
-            name = f"solution_{idx:03d}.table"
-            (out_dir / name).write_text(solution.to_text())
-            names.append(name)
+        with _writing(args.out) as out_dir:
+            out_dir.mkdir(parents=True, exist_ok=True)
+            names = []
+            for idx, solution in enumerate(result.solutions):
+                name = f"solution_{idx:03d}.table"
+                (out_dir / name).write_text(solution.to_text())
+                names.append(name)
         _write_json(
             out_dir / "summary.json",
             {
@@ -280,6 +298,9 @@ def main(argv=None) -> int:
     except (CheckInfeasibleError, SearchInfeasibleError) as exc:
         # a scope refused before any work started, with its estimate
         print(f"error: scope infeasible: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except _WriteError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
 

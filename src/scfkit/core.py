@@ -1,9 +1,11 @@
-"""Choose-one voting profiles with abstentions, tallies and permutation actions.
+"""Choose-one voting profiles with abstentions, tallies and relabelings.
 
 A ballot is an int in [0, m], the one test :func:`_ballot_error` makes: 0 is
 an abstention, k in [1, m] is a vote for candidate k.  Aggregation outcomes
 live in the same value space (0 means a tie / no decision), so an outcome can
 be fed back in as a ballot -- the subsociety-reduction axiom depends on that.
+A relabeling of the candidates is its image tuple (tau(1), ..., tau(m)),
+checked by :func:`_check_image`; abstention (0) is always fixed.
 
 Count lists over [0, m] come from one place, :func:`_counts` over a ballot
 tuple, which :func:`ballot_counts` calls for a profile; the named rules of
@@ -30,14 +32,11 @@ __all__ = [
     "Outcome",
     "Profile",
     "Tally",
-    "CandidatePermutation",
-    "VoterPermutation",
     "ProfileParseError",
     "ballot_counts",
     "tally",
     "apply_candidate_permutation",
     "remove_voter",
-    "canonicalize",
     "enumerate_profiles",
     "profile_count",
     "parse_profile",
@@ -103,7 +102,7 @@ class Profile:
 
     Construction validates m and every ballot, which must be an int in
     [0, m]: not a bool, a float or a string.  Profiles the library derives
-    from valid ones (enumeration, voter removal, permutations, sorting) skip
+    from valid ones (enumeration, voter removal, relabeling) skip
     that check through :meth:`_trusted`, which sets the two slots directly.
     A profile has slots, not an instance dict, so it cannot be
     weak-referenced.
@@ -172,52 +171,6 @@ class Tally:
         return tuple(k for k in range(1, self.m + 1) if self.counts[k - 1] > 0)
 
 
-@dataclass(frozen=True)
-class CandidatePermutation:
-    """A relabeling of the candidates 1..m; abstention (0) is always fixed.
-
-    ``image[k-1]`` is the new label of candidate k.
-    """
-
-    m: int
-    image: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "image", tuple(self.image))
-        _check_image(self.m, self.image)
-
-    @classmethod
-    def identity(cls, m: int) -> "CandidatePermutation":
-        return cls(m, tuple(range(1, m + 1)))
-
-    @classmethod
-    def transposition(cls, m: int, i: int, j: int) -> "CandidatePermutation":
-        """The swap of candidates i and j, fixing everyone else."""
-        image = list(range(1, m + 1))
-        image[i - 1], image[j - 1] = j, i
-        return cls(m, tuple(image))
-
-    def outcome(self, value: int) -> int:
-        """Apply to a single ballot or outcome value; 0 stays 0."""
-        return 0 if value == 0 else self.image[value - 1]
-
-
-@dataclass(frozen=True)
-class VoterPermutation:
-    """A reordering of the voters 1..n; ``image[l-1]`` is voter l's new position."""
-
-    n: int
-    image: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "image", tuple(self.image))
-        _check_image(self.n, self.image)
-
-    @classmethod
-    def identity(cls, n: int) -> "VoterPermutation":
-        return cls(n, tuple(range(1, n + 1)))
-
-
 def _counts(m: int, ballots: tuple[int, ...]) -> list[int]:
     """How many of ``ballots`` take each value in [0, m]: ``counts[0]``
     abstentions, ``counts[k]`` votes for candidate k.  A fresh list the caller
@@ -240,11 +193,11 @@ def tally(p: Profile) -> Tally:
     return Tally(p.m, tuple(counts[1:]), counts[0])
 
 
-def apply_candidate_permutation(p: Profile, tau: CandidatePermutation) -> Profile:
-    """Relabel every ballot; abstentions are unchanged."""
-    if tau.m != p.m:
-        raise ValueError(f"permutation on {tau.m} candidates applied to m={p.m} profile")
-    return Profile._trusted(p.m, tuple(map((0, *tau.image).__getitem__, p.ballots)))
+def apply_candidate_permutation(p: Profile, image: tuple[int, ...]) -> Profile:
+    """Relabel every ballot by the image tuple (tau(1), ..., tau(m)):
+    candidate k becomes ``image[k-1]``; abstentions are unchanged."""
+    _check_image(p.m, image)
+    return Profile._trusted(p.m, tuple(map((0, *image).__getitem__, p.ballots)))
 
 
 def remove_voter(p: Profile, l: int) -> Profile:
@@ -254,11 +207,6 @@ def remove_voter(p: Profile, l: int) -> Profile:
     if p.n == 1:
         raise ValueError("cannot remove the only voter")
     return Profile._trusted(p.m, p.ballots[: l - 1] + p.ballots[l:])
-
-
-def canonicalize(p: Profile) -> Profile:
-    """The sorted representative of p's anonymity class."""
-    return Profile._trusted(p.m, tuple(sorted(p.ballots)))
 
 
 def enumerate_profiles(m: int, n: int, canonical_only: bool = False) -> Iterator[Profile]:

@@ -62,6 +62,8 @@ class SearchResult:
     exhausted: bool
     nodes_explored: int
     prune_counts: dict[str, int]
+    # seconds spent building the engine, before the search; no part of the result
+    build_s: float = field(default=0.0, compare=False, repr=False)
 
 
 def enumerate_functions(spec: SearchSpec) -> SearchResult:
@@ -69,7 +71,9 @@ def enumerate_functions(spec: SearchSpec) -> SearchResult:
     requested axioms, in lexicographic order of their cell values, by the
     level-wise search; ``exhausted`` is False iff a node or solution limit cut
     the search short."""
+    start = perf_counter()
     engine = _Engine(spec)
+    build_s = perf_counter() - start
     solutions = list(islice(engine._search(), spec.limit))
     return SearchResult(
         spec=spec,
@@ -77,6 +81,7 @@ def enumerate_functions(spec: SearchSpec) -> SearchResult:
         exhausted=engine.exhausted and len(solutions) != spec.limit,
         nodes_explored=engine.nodes,
         prune_counts=engine.prunes,
+        build_s=build_s,
     )
 
 
@@ -109,9 +114,10 @@ class TheoremVerdict:
     partition the profile space?
 
     ``stats`` holds the seconds each phase took, by ``perf_counter``:
-    ``search_s`` (building the engine and searching), ``majority_table_s``,
-    ``replay_s`` and ``partition_s``.  It is no part of the verdict: it is
-    left out of ``to_dict()``, the repr and equality."""
+    ``build_s`` (building the search engine), ``search_s`` (the search
+    alone), ``majority_table_s``, ``replay_s`` and ``partition_s``.  It is
+    no part of the verdict: it is left out of ``to_dict()``, the repr and
+    equality."""
 
     m: int
     n_max: int
@@ -224,7 +230,8 @@ def verify_theorem(
         nodes_explored=result.nodes_explored,
         prune_counts=result.prune_counts,
         stats={
-            "search_s": searched - start,
+            "build_s": result.build_s,
+            "search_s": searched - start - result.build_s,
             "majority_table_s": tabulated - searched,
             "replay_s": replayed - tabulated,
             "partition_s": partitioned - replayed,

@@ -43,7 +43,6 @@ class TestPackage:
             "AxiomReport",
             "CHECKERS",
             "CHECK_MAX_COST",
-            "CandidatePermutation",
             "CheckInfeasibleError",
             "IncompleteTableError",
             "IndependenceVerdict",
@@ -61,12 +60,10 @@ class TestPackage:
             "TabledFunction",
             "Tally",
             "TheoremVerdict",
-            "VoterPermutation",
             "Witness",
             "__version__",
             "apply_candidate_permutation",
             "ballot_counts",
-            "canonicalize",
             "check_anonymity",
             "check_axioms",
             "check_cost",
@@ -284,7 +281,7 @@ class TestVerify:
         assert capsys.readouterr().out == plain
         assert (tmp_path / "timed.json").read_bytes() == (tmp_path / "plain.json").read_bytes()
         doc = json.loads(stats.read_text())
-        assert sorted(doc) == ["majority_table_s", "partition_s", "replay_s", "search_s"]
+        assert sorted(doc) == ["build_s", "majority_table_s", "partition_s", "replay_s", "search_s"]
         assert all(isinstance(t, float) and t >= 0 for t in doc.values())
 
     def test_theorem_without_duel_property_at_m4(self):
@@ -429,6 +426,37 @@ class TestUsage:
         witness = doc["results"][0]["witness"]
         assert parse_profile(witness["profile"]).ballots == (1, 1, 2)
         assert parse_profile(witness["related_profile"]).ballots == (0, 0, 1)
+
+
+class TestUnwritablePaths:
+    """A path under a regular file cannot be written: the command exits 2
+    and names the path and the reason on stderr."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check", "--rule", "maj", "--m", "2", "--n-max", "3", "--out"],
+            ["search", "--m", "2", "--n-max", "3", "--out"],
+            ["verify-theorem", "--m", "2", "--n-max", "3", "--out"],
+            ["verify-theorem", "--m", "2", "--n-max", "3", "--stats"],
+            ["verify-independence", "--m", "2", "--n-max", "3", "--out"],
+        ],
+        ids=lambda argv: f"{argv[0]} {argv[-1]}",
+    )
+    def test_exits_2_naming_the_path(self, capsys, tmp_path, argv):
+        (tmp_path / "file").write_text("")
+        path = tmp_path / "file" / "x.json"
+        assert run([*argv, str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {path}: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    def test_a_search_stops_at_the_first_unwritable_solution(self, capsys, tmp_path):
+        # the directory exists, but one solution's name is taken by a directory
+        (tmp_path / "out" / "solution_000.table").mkdir(parents=True)
+        assert run(["search", "--m", "2", "--n-max", "2", "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot write {tmp_path / 'out'}: ")
+        assert not (tmp_path / "out" / "summary.json").exists()
 
 
 json_documents = st.recursive(

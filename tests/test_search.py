@@ -1166,11 +1166,22 @@ class TestVerdicts:
 
     def test_phase_times_stay_out_of_the_report(self):
         verdict = verify_theorem(3, 3)
-        assert sorted(verdict.stats) == ["majority_table_s", "partition_s", "replay_s", "search_s"]
+        assert sorted(verdict.stats) == ["build_s", "majority_table_s", "partition_s", "replay_s", "search_s"]
         assert all(type(t) is float and t >= 0 for t in verdict.stats.values())
         assert "stats" not in verdict.to_dict() and "stats" not in repr(verdict)
         # the times never make two verdicts differ
         assert verdict == dataclasses.replace(verdict, stats={})
+
+    def test_engine_build_is_timed_apart_from_the_search(self, monkeypatch):
+        build = search._Engine
+
+        def slow_build(spec):
+            time.sleep(0.1)
+            return build(spec)
+
+        monkeypatch.setattr(search, "_Engine", slow_build)
+        stats = verify_theorem(2, 2).stats
+        assert stats["build_s"] >= 0.1 > stats["search_s"]
 
     @pytest.mark.parametrize("m", [2, 3])
     def test_independence_patterns_and_witnesses(self, m):
