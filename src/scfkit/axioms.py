@@ -119,6 +119,7 @@ from .core import (
     Profile,
     _ballot_error,
     _check_image,
+    _check_scope,
     _counts,
     _orbit_firsts,
     _profiles,
@@ -127,7 +128,7 @@ from .core import (
     format_profile,
     profile_count,
 )
-from .rules import IncompleteTableError, TabledFunction, _check_scope, _evaluator
+from .rules import IncompleteTableError, TabledFunction, _evaluator
 
 __all__ = [
     "AXIOM_IDS",
@@ -218,8 +219,7 @@ class AxiomReport:
     witness: Witness | None = None
 
     def __post_init__(self):
-        if self.axiom not in AXIOM_IDS:
-            raise ValueError(f"unknown axiom id {self.axiom!r}")
+        _check_ids((self.axiom,))
         if self.passed == (self.witness is not None):
             raise ValueError("a report fails exactly when it carries a witness")
 
@@ -233,6 +233,13 @@ class AxiomReport:
         if self.witness is not None:
             doc["witness"] = self.witness.to_dict()
         return doc
+
+
+def _check_ids(axioms: Iterable[str]) -> None:
+    """Refuse an axiom id that is not one of :data:`AXIOM_IDS`."""
+    for ax in axioms:
+        if ax not in AXIOM_IDS:
+            raise ValueError(f"unknown axiom id {ax!r}")
 
 
 def _evaluations_per_class(axiom: str, m: int, n: int, ordered: bool = False) -> int:
@@ -271,6 +278,7 @@ def check_cost(
     """
     _check_scope(m, n_max)
     axioms = [axioms] if isinstance(axioms, str) else list(axioms)
+    _check_ids(axioms)
     others = [ax for ax in axioms if ax != "A"]
     anonymity = not ordered and _scans_anonymity(axioms, tabled)
     cost = 0
@@ -682,9 +690,8 @@ def _minimal_relabeling_witness(value: Callable, m: int, n_max: int, by_class: b
 
 
 def _duel_pairs(support: tuple[int, ...], m: int) -> Iterable[tuple[int, int]]:
-    """Pairs (i, j), i < j, for which a profile with this support is a duel."""
-    if len(support) > 2:
-        return
+    """Pairs (i, j), i < j, for which a profile with this support of at
+    most two candidates is a duel."""
     for i in range(1, m + 1):
         for j in range(i + 1, m + 1):
             if all(k in (i, j) for k in support):
@@ -866,9 +873,7 @@ def check_axioms(f, m: int, n_max: int, axioms: Iterable[str], tie_upgrade: str 
     """
     axioms = list(axioms)
     _check_scope(m, n_max)
-    for ax in axioms:
-        if ax not in AXIOM_IDS:
-            raise ValueError(f"unknown axiom id {ax!r}")
+    _check_ids(axioms)
     if "RS" in axioms and n_max < 2:
         raise ValueError("the reduction axiom needs a voter bound of at least 2")
     if "PR" in axioms and tie_upgrade not in PR_TIE_MODES:

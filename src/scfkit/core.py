@@ -76,6 +76,17 @@ def _ballot_error(m: int, value) -> str | None:
     return None
 
 
+def _check_scope(m: int, n: int | None = None, voters: str = "voter bound") -> None:
+    """Refuse a candidate count m below 2 and, when given, a voter count or
+    bound n below 1.  Each must be an int, not a bool or a float, as a
+    ballot must (:func:`_ballot_error`)."""
+    for name, value, low in (("candidate count", m, 2), (voters, n, 1))[: 1 if n is None else 2]:
+        if type(value) is not int:
+            raise ValueError(f"{name} {value!r} is not an int")
+        if value < low:
+            raise ValueError(f"{name} must be >= {low}, got {value}")
+
+
 def _check_image(size: int, image: tuple) -> None:
     """Refuse an image that does not list 1..size once each, as ints."""
     if any(_ballot_error(size, k) for k in image) or sorted(image) != list(range(1, size + 1)):
@@ -100,10 +111,10 @@ class Profile:
     are distinct values, because candidate relabelings quantify over all m
     candidates, including those receiving zero votes.
 
-    Construction validates m and every ballot, which must be an int in
-    [0, m]: not a bool, a float or a string.  Profiles the library derives
-    from valid ones (enumeration, voter removal, relabeling) skip
-    that check through :meth:`_trusted`, which sets the two slots directly.
+    Construction validates m, an int of at least 2, and every ballot, which
+    must be an int in [0, m]: not a bool, a float or a string.  Profiles the
+    library derives from valid ones (enumeration, voter removal, relabeling)
+    skip that check through :meth:`_trusted`, which sets the two slots directly.
     A profile has slots, not an instance dict, so it cannot be
     weak-referenced.
     """
@@ -113,8 +124,7 @@ class Profile:
 
     def __post_init__(self):
         object.__setattr__(self, "ballots", tuple(self.ballots))
-        if self.m < 2:
-            raise ValueError(f"candidate count must be >= 2, got {self.m}")
+        _check_scope(self.m)
         if not self.ballots:
             raise ValueError("a profile needs at least one voter")
         for b in self.ballots:
@@ -216,10 +226,7 @@ def enumerate_profiles(m: int, n: int, canonical_only: bool = False) -> Iterator
     anonymity class; both orders are deterministic, so downstream witness
     selection is stable across runs.
     """
-    if m < 2:
-        raise ValueError(f"candidate count must be >= 2, got {m}")
-    if n < 1:
-        raise ValueError(f"voter count must be >= 1, got {n}")
+    _check_scope(m, n, "voter count")
     trusted = Profile._trusted
     for ballots in _profiles(m, n, n, canonical_only):
         yield trusted(m, ballots)
@@ -303,10 +310,10 @@ def parse_profile(text: str) -> Profile:
         m, n = int(header[0]), int(header[1])
     except ValueError:
         raise ProfileParseError(f"non-integer header tokens {header!r}", line=1) from None
-    if m < 2:
-        raise ProfileParseError(f"candidate count must be >= 2, got {m}", line=1)
-    if n < 1:
-        raise ProfileParseError(f"voter count must be >= 1, got {n}", line=1)
+    try:
+        _check_scope(m, n, "voter count")
+    except ValueError as exc:
+        raise ProfileParseError(str(exc), line=1) from None
     tokens = lines[1].split()
     if len(tokens) != n:
         raise ProfileParseError(f"expected {n} ballots, found {len(tokens)}", line=2)

@@ -5,7 +5,7 @@ up to a voter bound, so anonymity is structural rather than searched over.
 Inside the engine a cell is its count vector (abstentions, then each
 candidate's votes), which determines the class.  The cells come from the
 profile stream of :mod:`scfkit.core` and are counted by its one count
-function.  Outcomes and the PO, DP, RS and PR facts are kept
+function.  Outcomes and the PO, DP, N, RS and PR facts are kept
 at orbit representatives only, and no cell keeps a relabeling.  A member j
 of representative r reads r's value x through the two count vectors: 0
 stays 0, and a candidate x becomes j's one candidate with r's count of x,
@@ -43,18 +43,22 @@ composed around it fixes.  Components are assigned in order of their
 smallest cell index, trying the values 0..m there, so solutions come out
 in lexicographic order over the cell values.
 
-A value is decided at the component's representatives alone: PO, DP and
-the N stabilizer at each representative, RS through the cycle, then PR.
-A member c = tau r needs no check of its own, as tau carries r's
-PO-forced candidate to c's, r's DP set to c's and r's value to c's; so c
-breaks PO or DP iff r does (DP never constrains at m = 2, where every
-outcome lies in the one duel pair).  PR is checked on within-level upgrade
-edges, one ballot moved between two counts, at the representatives, with
-each end's outcome read through its representative.  A relabeling carries
-an edge touching a member onto an edge at its representative, with the
-same clash status: N has fixed each assigned representative's value under
-its stabilizer, so every relabeling of an assigned cell carries its value
-along.  Without N every cell is its own representative.
+A value is decided at the component's representatives alone.  PO, DP and
+N each narrow the outcomes allowed at a representative, so one table,
+``allowed[axiom][r]``, holds them for the representatives each constrains:
+PO's one voted candidate, DP's support with 0, and the values N's
+stabilizer fixes.  ``_try`` asks them in that order, then RS through the
+cycle, then PR.  A member c = tau r needs no check of its own, as tau
+carries r's PO-forced candidate to c's, r's DP set to c's and r's value to
+c's; so c breaks PO or DP iff r does (DP never constrains at m = 2, where
+every outcome lies in the one duel pair).  PR is checked on within-level
+upgrade edges, one ballot moved between two counts, at the
+representatives, with each end's outcome read through its representative.
+A relabeling carries an edge touching a member onto an edge at its
+representative, with the same clash status: N has fixed each assigned
+representative's value under its stabilizer, so every relabeling of an
+assigned cell carries its value along.  Without N every cell is its own
+representative.
 
 A *node* is one value tried at one component's smallest cell.  A rejected
 node is a *prune*, counted once against the first axiom in the order PO,
@@ -76,8 +80,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
-from .core import _COST_CAP, PR_TIE_MODES, _counts, _profiles
-from .rules import TabledFunction, _check_scope
+from .core import _COST_CAP, PR_TIE_MODES, _check_scope, _counts, _profiles
+from .rules import TabledFunction
 
 __all__ = ["SEARCH_AXIOMS", "SearchSpec", "SearchInfeasibleError"]
 
@@ -125,43 +129,30 @@ class SearchSpec:
             raise ValueError("anonymity is structural in table search; do not request it")
         if unknown:
             raise ValueError(f"unknown search axioms: {sorted(unknown)}")
-        if self.limit is not None and self.limit < 1:
-            raise ValueError("solution limit must be positive")
-        if self.max_nodes is not None and self.max_nodes < 1:
-            raise ValueError("node limit must be positive")
+        for name, limit in (("solution", self.limit), ("node", self.max_nodes)):
+            if limit is not None and type(limit) is not int:
+                raise ValueError(f"{name} limit {limit!r} is not an int")
+            if limit is not None and limit < 1:
+                raise ValueError(f"{name} limit must be positive")
         if self.pr_tie_upgrade not in PR_TIE_MODES:
             raise ValueError(
                 f"pr_tie_upgrade must be one of {PR_TIE_MODES}, got {self.pr_tie_upgrade!r}"
             )
 
 
-def _orbits(
-    counts: list[tuple[int, ...]], index: dict[tuple[int, ...], int], m: int
-) -> tuple[list[int], dict[int, tuple[int, ...]]]:
-    """Each cell's orbit representative, and each representative's fixed
-    outcomes, for the cells with count vectors ``counts`` (every canonical
-    profile of each level present) at positions ``index``.
+def _orbits(counts: list[tuple[int, ...]], index: dict[tuple[int, ...], int]) -> list[int]:
+    """Each cell's orbit representative, for the cells with count vectors
+    ``counts`` (every canonical profile of each level present) at positions
+    ``index``.
 
     A relabeling sends a class onto another iff it carries each candidate's
     count to its image, so an orbit is the cells with one abstention count and
     one sorted candidate-count vector.  Its first cell in index order puts as
     many voters as it can on candidate 1, then on 2, and so on, so the
     representative is the cell whose candidate counts are the cell's, sorted
-    largest first.  The representative's stabilizer fixes abstention and each
-    candidate whose count is unique.  No relabeling is built: a member reads
-    a fixed value x of its representative r as its one candidate with r's
-    count of x (see the module docstring), and ``_label`` builds a full map
-    only where an equation needs one.
+    largest first.
     """
-    candidates = range(1, m + 1)
-    orbit, fixed = [], {}
-    for j, c in enumerate(counts):
-        rep = index[(c[0], *sorted(c[1:], reverse=True))]
-        if rep == j:
-            votes = c[1:]
-            fixed[j] = (0, *(k for k in candidates if votes.count(c[k]) == 1))
-        orbit.append(rep)
-    return orbit, fixed
+    return [index[(c[0], *sorted(c[1:], reverse=True))] for c in counts]
 
 
 def _label(c: tuple[int, ...], m: int) -> tuple[int, ...]:
@@ -295,26 +286,28 @@ class _Engine:
         # Each cell's orbit representative, whose value ``_value`` reads
         # through the two cells' counts.  Without N every cell is its own
         # orbit and reads its own value.
-        self.orbit = list(range(len(cells)))
-        self.fixed: dict[int, tuple[int, ...]] | None = None
-        if "N" in spec.axioms:
-            self.orbit, self.fixed = _orbits(counts, index, m)
+        self.orbit = _orbits(counts, index) if "N" in spec.axioms else list(range(len(cells)))
         reps = [j for j, r in enumerate(self.orbit) if r == j]
         self.reps: dict[int, list[int]] = {n: [] for n in range(1, n_max + 1)}
         for r in reps:
             self.reps[len(cells[r])].append(r)
 
-        # The engine reads the facts below at representatives only (see the
-        # module docstring), so only representatives get them.
-        # PO forces the one candidate that gets votes.  DP: a class whose votes
-        # go to at most two candidates is a duel of every pair holding them, so
-        # its outcome is 0 or in its support; at m = 2 the one pair holds every
-        # outcome and DP never constrains.
-        po, dp = "PO" in spec.axioms, "DP" in spec.axioms and m > 2
+        # allowed[axiom][r]: the outcomes the axiom allows at representative
+        # r, for the representatives it constrains, keyed in the order PO, DP,
+        # N that ``_try`` asks them in.  Only representatives get them (see
+        # the module docstring).  PO forces the one candidate that gets votes.
+        # DP: a class whose votes go to at most two candidates is a duel of
+        # every pair holding them, so its outcome is 0 or in its support; at
+        # m = 2 the one pair holds every outcome and DP never constrains.
+        # N: the representative's stabilizer fixes abstention and each
+        # candidate whose count is unique.  No relabeling is built: a member
+        # reads a fixed value x of its representative r as its one candidate
+        # with r's count of x, and ``_label`` builds a full map only where an
+        # equation needs one.
+        asked = [ax for ax in ("PO", "DP", "N") if ax in spec.axioms and (ax != "DP" or m > 2)]
+        self.allowed: dict[str, dict[int, tuple[int, ...]]] = {ax: {} for ax in asked}
+        po, dp, fixed = map(self.allowed.get, ("PO", "DP", "N"))
         candidates = range(1, m + 1)
-        supports = {r: [k for k in candidates if counts[r][k]] for r in reps} if po or dp else {}
-        self.po_forced = {r: s[0] if len(s) == 1 else None for r, s in supports.items()} if po else None
-        self.dp_allowed = {r: frozenset((0, *s)) if len(s) <= 2 else None for r, s in supports.items()} if dp else None
 
         # RS: deleting one of c[b] voters with ballot b leaves c with b's count
         # one lower, so each representative of two or more voters keeps
@@ -334,6 +327,15 @@ class _Engine:
 
         for r in reps:
             c = counts[r]
+            if po is not None or dp is not None:
+                support = [k for k in candidates if c[k]]
+                if po is not None and len(support) == 1:
+                    po[r] = (support[0],)
+                if dp is not None and len(support) <= 2:
+                    dp[r] = (0, *support)
+            if fixed is not None:
+                votes = c[1:]
+                fixed[r] = (0, *(k for k in candidates if votes.count(c[k]) == 1))
             deletes = rs and len(cells[r]) > 1
             if deletes:
                 self.subcells[r] = []
@@ -427,19 +429,10 @@ class _Engine:
         group, rs_allowed, to_root = comp
         x = to_root[v]
         values = [(r, label[x]) for r, label in group]
-        po, dp, fixed = self.po_forced, self.dp_allowed, self.fixed
-        if po is not None:
+        for axiom, allowed in self.allowed.items():
             for r, w in values:
-                if po[r] is not None and po[r] != w:
-                    return "PO"
-        if dp is not None:
-            for r, w in values:
-                if dp[r] is not None and w not in dp[r]:
-                    return "DP"
-        if fixed is not None:
-            for r, w in values:
-                if w not in fixed[r]:
-                    return "N"
+                if r in allowed and w not in allowed[r]:
+                    return axiom
         if x not in rs_allowed:
             return "RS"
         out = self.out

@@ -19,7 +19,7 @@ from itertools import repeat
 from types import MappingProxyType
 from typing import Callable, Mapping
 
-from .core import Outcome, Profile, _ballot_error, _profiles, _set_ballots, _set_m
+from .core import Outcome, Profile, _ballot_error, _check_scope, _profiles, _set_ballots, _set_m
 
 __all__ = [
     "Rule",
@@ -118,13 +118,6 @@ class TableParseError(ValueError):
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)
-
-
-def _check_scope(m: int, n_max: int) -> None:
-    if m < 2:
-        raise ValueError(f"candidate count must be >= 2, got {m}")
-    if n_max < 1:
-        raise ValueError(f"voter bound must be >= 1, got {n_max}")
 
 
 def _check_entry(m: int, n_max: int, key: tuple[int, ...], out: int) -> None:

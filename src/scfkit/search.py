@@ -36,8 +36,8 @@ from itertools import groupby, islice
 from time import perf_counter
 from typing import Iterator
 
-from .core import _CASES, Profile, _shape_votes, classify_profile
-from .rules import RULES, TabledFunction, _check_scope
+from .core import _CASES, Profile, _check_scope, _shape_votes, classify_profile
+from .rules import RULES, TabledFunction
 from .axioms import AxiomReport, check_axioms
 from .engine import SEARCH_AXIOMS, SearchInfeasibleError, SearchSpec, _Engine
 
@@ -85,24 +85,14 @@ def enumerate_functions(spec: SearchSpec) -> SearchResult:
     )
 
 
-def enumerate_neutral_functions(
-    m: int, n_max: int, max_functions: int | None = None
-) -> Iterator[TabledFunction]:
+def enumerate_neutral_functions(m: int, n_max: int) -> Iterator[TabledFunction]:
     """Every anonymous + neutral function on the bounded space, exactly once.
 
     This is the search with N alone, streamed in its lexicographic order: one
     outcome is chosen per orbit from its stabilizer-consistent set and
     propagated to the whole orbit, so no two yielded tables are equal.
     """
-    engine = _Engine(SearchSpec(m=m, n_max=n_max, axioms=frozenset({"N"})))
-    total = math.prod(len(allowed) for allowed in engine.fixed.values())
-    if max_functions is not None and total > max_functions:
-        raise SearchInfeasibleError(
-            f"{total} neutral functions exceed the cap of {max_functions}",
-            cells=len(engine.cells),
-            tables=total,
-        )
-    yield from engine._search()
+    yield from _Engine(SearchSpec(m=m, n_max=n_max, axioms=frozenset({"N"})))._search()
 
 
 # -- verdicts ------------------------------------------------------------------

@@ -1065,6 +1065,22 @@ class TestCheckerInfrastructure:
         with pytest.raises(ValueError):
             check_rs(MAJ, 2, 1)
 
+    def test_scope_must_be_ints(self):
+        # 3.0 reached range() and raised a bare TypeError
+        with pytest.raises(ValueError) as err:
+            check_axioms(MAJ, 3.0, 3, ["N"])
+        assert str(err.value) == "candidate count 3.0 is not an int"
+
+    def test_a_report_refuses_an_unknown_axiom_and_a_witness_that_disagrees(self):
+        witness = check_rs(UC, 2, 3).witness
+        with pytest.raises(ValueError) as err:
+            AxiomReport("X", 2, 3, True)
+        assert str(err.value) == "unknown axiom id 'X'"
+        for passed, w in [(True, witness), (False, None)]:
+            with pytest.raises(ValueError) as err:
+                AxiomReport("RS", 2, 3, passed, w)
+            assert str(err.value) == "a report fails exactly when it carries a witness"
+
     def test_reports_serialize_with_profiles_in_text_format(self):
         report = check_rs(UC, 2, 3)
         doc = report.to_dict()
@@ -1289,6 +1305,17 @@ class TestFeasibility:
             f"checking N at m=3, n_max=11 needs about {cost} evaluations (> {CHECK_MAX_COST})"
         )
         assert calls == []
+
+    @pytest.mark.parametrize(
+        "price",
+        [check_cost, lambda axioms, m, n_max: require_feasible(axioms, MAJ, m, n_max)],
+        ids=["check_cost", "require_feasible"],
+    )
+    def test_an_unknown_axiom_is_refused_not_priced(self, price):
+        # check_cost(["X"], 3, 3) returned 118, the cost of the A pre-scan
+        with pytest.raises(ValueError) as err:
+            price(["N", "X"], 3, 3)
+        assert str(err.value) == "unknown axiom id 'X'"
 
     @pytest.mark.parametrize("m", range(2, 9))
     def test_neutrality_costs_the_profile_and_each_generator(self, m):
@@ -2203,11 +2230,6 @@ def _profile_first_witness(witness_of, f, profiles, tie_upgrade):
         if w is not None:
             return w
     return None
-
-
-def _relabel(image, value):
-    """The relabeling with this image applied to one ballot or outcome; 0 stays 0."""
-    return 0 if value == 0 else image[value - 1]
 
 
 def _profile_relabeling_witness(f, p, relabelings):

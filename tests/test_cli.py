@@ -320,6 +320,10 @@ class TestUsage:
     def test_bad_m_exits_2(self):
         assert run(["check", "--rule", "maj", "--m", "1"]) == 2
 
+    def test_bad_n_max_exits_2(self, capsys):
+        assert run(["check", "--rule", "maj", "--n-max", "0"]) == 2
+        assert capsys.readouterr().err.splitlines()[-1] == "scfkit check: error: --n-max must be >= 1"
+
     @pytest.mark.parametrize(
         "argv",
         [

@@ -71,6 +71,14 @@ class TestTypes:
             Profile(2, (0, bad))
         assert str(err.value) == f"ballot {bad!r} is not an int"
 
+    @pytest.mark.parametrize("bad", [2.0, True, "2"])
+    def test_candidate_count_must_be_an_int(self, bad):
+        # Profile(2.0, ...) passed the range check, and format_profile wrote
+        # a "2.0 2" header that parse_profile refuses
+        with pytest.raises(ValueError) as err:
+            Profile(bad, (1, 2))
+        assert str(err.value) == f"candidate count {bad!r} is not an int"
+
     def test_profiles_with_different_m_are_distinct(self):
         assert Profile(2, (1, 2)) != Profile(3, (1, 2))
 
@@ -222,6 +230,19 @@ class TestEnumeration:
         with pytest.raises(ValueError):
             list(enumerate_profiles(2, 0))
 
+    @pytest.mark.parametrize(
+        "m,n,message",
+        [
+            (2.0, 2, "candidate count 2.0 is not an int"),
+            (2, 2.0, "voter count 2.0 is not an int"),
+            (2, True, "voter count True is not an int"),
+        ],
+    )
+    def test_scope_must_be_ints(self, m, n, message):
+        with pytest.raises(ValueError) as err:
+            list(enumerate_profiles(m, n))
+        assert str(err.value) == message
+
 
 class TestProfileStream:
     @pytest.mark.parametrize("n_max", range(1, 6))
@@ -366,6 +387,15 @@ class TestTextFormat:
         with pytest.raises(ProfileParseError) as err:
             parse_profile(text)
         assert err.value.line == line
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [("1 1\n0\n", "candidate count must be >= 2, got 1"), ("2 0\n1\n", "voter count must be >= 1, got 0")],
+    )
+    def test_header_range_errors(self, text, message):
+        with pytest.raises(ProfileParseError) as err:
+            parse_profile(text)
+        assert str(err.value) == f"line 1: {message}"
 
     @given(st.one_of(st.text(), profile_texts()))
     def test_any_text_round_trips_or_reports_a_line(self, text):

@@ -288,6 +288,16 @@ class TestTabledFunction:
             with pytest.raises(ValueError, match=message):
                 TabledFunction.from_rule(RULES["maj"], m, n_max)
 
+    @pytest.mark.parametrize(
+        "m,n_max,message",
+        [(2.0, 2, "candidate count 2.0 is not an int"), (2, True, "voter bound True is not an int")],
+    )
+    def test_scope_must_be_ints(self, m, n_max, message):
+        # a table of m = 2.0 wrote the header "2.0 2", which from_text refuses
+        with pytest.raises(ValueError) as err:
+            TabledFunction(m, n_max, {(1,): 1})
+        assert str(err.value) == message
+
     def test_validation(self):
         with pytest.raises(ValueError):
             TabledFunction(2, 2, {(2, 1): 0})  # not canonical
@@ -362,6 +372,22 @@ class TestTabledFunction:
     def test_parse_errors(self, text):
         with pytest.raises(TableParseError):
             TabledFunction.from_text(text)
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("2 x\n", "line 1: non-integer header tokens ['2', 'x']"),
+            ("2 2\n -> 1\n", "line 2: entry has no ballots"),
+        ],
+    )
+    def test_parse_error_messages(self, text, message):
+        with pytest.raises(TableParseError) as err:
+            TabledFunction.from_text(text)
+        assert str(err.value) == message
+
+    def test_trailing_blank_lines_are_ignored(self):
+        t = TabledFunction(2, 1, {(1,): 1})
+        assert TabledFunction.from_text(t.to_text() + "\n  \n\n") == t
 
     @pytest.mark.parametrize(
         "text,line",

@@ -121,8 +121,9 @@ def _orbits_by_permutations(cells, m):
 def _as_cell_orbits(orbits, size):
     """Per-orbit ``(rep, labels, allowed)`` triples per cell: each cell's
     representative and label (an outcome map), and each representative's
-    fixed outcomes.  ``engine._orbits`` returns the first and the last;
-    the labels are the reference for its count read (``_labels``)."""
+    fixed outcomes.  ``engine._orbits`` returns the first, and the engine's
+    ``allowed["N"]`` holds the last; the labels are the reference for its
+    count read (``_labels``)."""
     orbit, label, fixed = [None] * size, [None] * size, {}
     for rep, labels, allowed in orbits:
         fixed[rep] = allowed
@@ -143,7 +144,7 @@ def _labels(engine):
     """Each cell's label as the engine kept one per cell before it read
     members through their counts: the stable-sort label under N, the
     identity without, where every cell is its own representative."""
-    if engine.fixed is None:
+    if "N" not in engine.allowed:
         return [tuple(range(engine.m + 1))] * len(engine.cells)
     return [_stable_label(c, engine.m) for c in engine.counts]
 
@@ -252,10 +253,9 @@ class _MemberCellEngine(_Engine):
         counts = list(index)
         candidates = range(1, m + 1)
         supports = [[k for k in candidates if c[k]] for c in counts]
-        if self.po_forced is not None:
-            self.po_forced = [s[0] if len(s) == 1 else None for s in supports]
-        if self.dp_allowed is not None:
-            self.dp_allowed = [frozenset((0, *s)) if len(s) <= 2 else None for s in supports]
+        po, dp = "PO" in self.allowed, "DP" in self.allowed
+        self.po_forced = [s[0] if len(s) == 1 else None for s in supports] if po else None
+        self.dp_allowed = [frozenset((0, *s)) if len(s) <= 2 else None for s in supports] if dp else None
         rs, pr = self.subcells is not None, self.pr_edges is not None
         self.subcells = [[] for _ in counts] if rs else None
         self.pr_edges = [[] for _ in counts] if pr else None
@@ -296,7 +296,8 @@ class _MemberCellEngine(_Engine):
             return "PO"
         if dp is not None and any(dp[c] is not None and w not in dp[c] for c, w in values):
             return "DP"
-        if self.fixed is not None and any(label[x] not in self.fixed[r] for r, label in group):
+        fixed = self.allowed.get("N")
+        if fixed is not None and any(label[x] not in fixed[r] for r, label in group):
             return "N"
         if x not in rs_allowed:
             return "RS"
@@ -456,6 +457,25 @@ class TestSearchSpec:
             SearchSpec(m=2, n_max=2, axioms=frozenset(), limit=0)
         with pytest.raises(ValueError):
             SearchSpec(m=2, n_max=2, axioms=frozenset({"PR"}), pr_tie_upgrade="maybe")
+
+    @pytest.mark.parametrize(
+        "limits,message",
+        [
+            ({"max_nodes": 2.5}, "node limit 2.5 is not an int"),
+            ({"limit": 1.5}, "solution limit 1.5 is not an int"),
+            ({"limit": True}, "solution limit True is not an int"),
+            ({"max_nodes": 0}, "node limit must be positive"),
+            ({"m": 2.0}, "candidate count 2.0 is not an int"),
+        ],
+        ids=["max_nodes-float", "limit-float", "limit-bool", "max_nodes-zero", "m-float"],
+    )
+    def test_limits_and_scope_must_be_ints(self, limits, message):
+        # max_nodes=2.5 explored and reported 3 nodes; limit=1.5 raised
+        # islice's error
+        spec = {"m": 2, "n_max": 2, "axioms": frozenset({"N"})} | limits
+        with pytest.raises(ValueError) as err:
+            SearchSpec(**spec)
+        assert str(err.value) == message
 
     def test_infeasible_scope_is_refused_with_estimate(self):
         with pytest.raises(SearchInfeasibleError) as err:
@@ -742,22 +762,28 @@ class TestCountVectorEngine:
 
     @pytest.mark.parametrize("m,n_max", _ENGINE_SCOPES)
     def test_pareto_and_duel_sets_equal_the_support_builds(self, m, n_max):
+        # each axiom's entries, in the order PO, DP, N, hold only the
+        # representatives it constrains: PO's one voted candidate, DP's
+        # support and 0 where it has at most two candidates
         for engine in _fact_engines(m, n_max):
             reps = _reps(engine)
-            assert list(engine.po_forced) == reps
-            if engine.dp_allowed is not None:
-                assert list(engine.dp_allowed) == reps
+            n = ["N"] if "N" in engine.spec.axioms else []
+            assert list(engine.allowed) == (["PO", "DP"] if m > 2 else ["PO"]) + n
+            po, dp = engine.allowed["PO"], engine.allowed.get("DP")
+            assert list(po) == [r for r in reps if len(_support(engine.cells[r])) == 1]
+            if dp is not None:
+                assert list(dp) == [r for r in reps if len(_support(engine.cells[r])) <= 2]
             for r in reps:
                 c = engine.cells[r]
-                assert engine.po_forced[r] == _po_forced_by_support(c), c
-                dp = None if engine.dp_allowed is None else engine.dp_allowed[r]
-                assert (set(range(m + 1)) if dp is None else dp) == _dp_allowed_by_pairs(c, m), c
+                assert po.get(r, (None,)) == (_po_forced_by_support(c),), c
+                allowed = dp[r] if dp is not None and r in dp else range(m + 1)
+                assert set(allowed) == _dp_allowed_by_pairs(c, m), c
 
     def test_duel_property_never_constrains_two_candidates(self):
         # every outcome lies in {0, 1, 2}, the only duel pair's allowed set
         tables, passes = _brute_force_passes(2, 2)
         assert passes["DP"] == set(range(len(tables)))
-        assert _engine(2, 4).dp_allowed is None
+        assert "DP" not in _engine(2, 4).allowed
 
     @settings(max_examples=20, deadline=None)
     @given(data=st.data())
@@ -769,7 +795,7 @@ class TestCountVectorEngine:
             # without N every cell keeps its drawn outcome.  Each value is
             # drawn from those its representative's stabilizer fixes, the
             # only values the search stores there (every value without N)
-            allowed = engine.fixed or dict.fromkeys(range(len(cells)), range(m + 1))
+            allowed = engine.allowed.get("N") or dict.fromkeys(range(len(cells)), range(m + 1))
             engine.out = [
                 data.draw(st.sampled_from(allowed[r])) if r == j else None for j, r in enumerate(engine.orbit)
             ]
@@ -828,7 +854,7 @@ class TestOrbitConstruction:
             orbit, label, fixed = _as_cell_orbits(_grouped_orbits(counts, m), len(counts))
             assert engine.orbit == orbit, n_max
             assert _labels(engine) == label, n_max
-            assert list(engine.fixed.items()) == list(fixed.items()), n_max
+            assert list(engine.allowed["N"].items()) == list(fixed.items()), n_max
             for r in _reps(engine):
                 votes = counts[r][1:]
                 assert list(votes) == sorted(votes, reverse=True), engine.cells[r]
@@ -863,7 +889,7 @@ class TestCountRead:
             expected = _as_cell_orbits(_orbits_by_permutations(engine.cells, m), len(engine.cells))
             assert (engine.orbit, label) == expected[:2]
         for j, r in enumerate(engine.orbit):
-            for x in engine.fixed[r]:
+            for x in engine.allowed["N"][r]:
                 engine.out[r] = x
                 assert engine._value(j) == label[j][x], (engine.cells[j], x)
             engine.out[r] = None
@@ -885,7 +911,7 @@ class TestCountRead:
                 list(islice(engine._search(), spec.limit))
                 assert engine.stored, (axioms, tie)
                 for r, x in engine.stored:
-                    assert x in engine.fixed[r], (axioms, tie, engine.cells[r], x)
+                    assert x in engine.allowed["N"][r], (axioms, tie, engine.cells[r], x)
 
 
 class TestNeutralOrbits:
@@ -926,19 +952,16 @@ class TestNeutralOrbits:
         assert err.value.cells == 24309
         assert str(err.value) == "table would need 24309 cells (> 20000); raw space 9^24309 tables"
 
-    def test_function_cap_is_enforced(self):
-        with pytest.raises(SearchInfeasibleError):
-            list(enumerate_neutral_functions(3, 2, max_functions=5))
-
     @pytest.mark.parametrize("n_max", [2, 4])
     @pytest.mark.parametrize("m", range(2, 7))
     def test_count_signature_orbits_equal_permutation_orbits(self, m, n_max):
         cells = _table_cells(m, n_max)
         counts = [_count_vector(c, m) for c in cells]
-        orbit, fixed = _orbits(counts, {c: i for i, c in enumerate(counts)}, m)
+        orbit = _orbits(counts, {c: i for i, c in enumerate(counts)})
         expected = _as_cell_orbits(_orbits_by_permutations(cells, m), len(cells))
         assert orbit == expected[0]
         assert [_stable_label(c, m) for c in counts] == expected[1]
+        fixed = _Engine(SearchSpec(m=m, n_max=n_max, axioms=frozenset({"N"}))).allowed["N"]
         assert list(fixed.items()) == list(expected[2].items())
 
     @pytest.mark.parametrize(
@@ -1198,6 +1221,37 @@ class TestVerdicts:
     def test_independence_scope_validation(self):
         with pytest.raises(ValueError):
             verify_independence(2, 2)
+
+    @pytest.mark.parametrize(
+        "verify,message",
+        [
+            (lambda: verify_theorem(2, 3.0), "voter bound 3.0 is not an int"),
+            (lambda: verify_independence(3.0, 3), "candidate count 3.0 is not an int"),
+        ],
+        ids=["theorem", "independence"],
+    )
+    def test_scope_must_be_ints(self, verify, message):
+        # each raised a bare TypeError from range()
+        with pytest.raises(ValueError) as err:
+            verify()
+        assert str(err.value) == message
+
+    def test_independence_reports_each_mismatch(self, monkeypatch):
+        # each rule fails the next one's axiom: the failure patterns and
+        # all three witnesses are wrong
+        rules = {"lex": RULES["zero"], "zero": RULES["uc"], "uc": RULES["lex"]}
+        monkeypatch.setattr(search, "RULES", rules)
+        verdict = verify_independence(3, 3)
+        assert not verdict.passed
+        assert verdict.failures == {"lex": ("PO",), "zero": ("RS",), "uc": ("N",)}
+        assert verdict.mismatches == (
+            "lex: expected failures ('N',), got ('PO',)",
+            "zero: expected failures ('PO',), got ('RS',)",
+            "uc: expected failures ('RS',), got ('N',)",
+            "lex: neutrality witness is not profile (1, 2) under the 1<->2 swap",
+            "zero: consensus witness is not the single-vote profile (1)",
+            "uc: reduction witness is not (1, 1, 2) -> reduced (0, 0, 1) -> 1",
+        )
 
     def test_theorem_needs_two_voters_before_searching(self, monkeypatch):
         # the replay checks RS, which compares n voters with n - 1 of them
