@@ -15,6 +15,7 @@ import functools
 import json
 import sys
 from pathlib import Path
+from time import perf_counter
 
 from . import __version__
 from .core import ProfileParseError, parse_profile
@@ -151,7 +152,9 @@ def cmd_search(args, parser) -> int:
         max_nodes=args.max_nodes,
         pr_tie_upgrade=_tie_mode(args),
     )
+    start = perf_counter()
     result = enumerate_functions(spec)
+    elapsed = perf_counter() - start
     print(f"solutions: {len(result.solutions)}")
     print(f"exhausted: {result.exhausted}")
     print(f"nodes_explored: {result.nodes_explored}")
@@ -183,6 +186,8 @@ def cmd_search(args, parser) -> int:
                 "solutions": names,
             },
         )
+    if args.stats:
+        _write_json(args.stats, {"build_s": result.build_s, "search_s": elapsed - result.build_s})
     return EXIT_OK if result.exhausted else EXIT_TRUNCATED
 
 
@@ -251,6 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_search.add_argument("--max-nodes", type=int, default=None)
     p_search.add_argument("--max-solutions", type=int, default=None)
     p_search.add_argument("--pr-strict", action=argparse.BooleanOptionalAction, default=True)
+    p_search.add_argument("--stats", help="write the engine build and search times in seconds here, as JSON")
     p_search.set_defaults(func=cmd_search, parser=p_search)
 
     p_thm = sub.add_parser("verify-theorem",

@@ -292,7 +292,9 @@ def _orbit_firsts(m: int, n_min: int, n_max: int) -> Iterator[tuple[int, ...]]:
 
 
 def profile_count(m: int, n: int, canonical_only: bool = False) -> int:
-    """Size of the profile space: (m+1)^n, or C(n+m, m) canonical classes."""
+    """Size of the profile space: (m+1)^n, or C(n+m, m) canonical classes.
+    The scope is validated as :func:`enumerate_profiles` validates it."""
+    _check_scope(m, n, "voter count")
     return math.comb(n + m, m) if canonical_only else (m + 1) ** n
 
 

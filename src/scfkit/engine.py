@@ -2,11 +2,12 @@
 
 Functions are represented as outcome tables over canonical (sorted) profiles
 up to a voter bound, so anonymity is structural rather than searched over.
-Inside the engine a cell is its count vector (abstentions, then each
-candidate's votes), which determines the class.  The cells come from the
-profile stream of :mod:`scfkit.core` and are counted by its one count
-function.  Outcomes and the PO, DP, N, RS and PR facts are kept
-at orbit representatives only, and no cell keeps a relabeling.  A member j
+Inside the engine a cell is its count vector c (abstentions, then each
+candidate's votes), which determines the class, and is found by its code
+sum_b c_b (n_max + 1)^b.  Each class is built from the class one voter
+smaller, in the class order of :mod:`scfkit.core`, so no class is counted
+or sorted.  Outcomes and the PO, DP, N, RS and PR facts are kept at orbit
+representatives only, and no cell keeps a relabeling.  A member j
 of representative r reads r's value x through the two count vectors: 0
 stays 0, and a candidate x becomes j's one candidate with r's count of x,
 ``counts[j].index(counts[r][x], 1)``.  That read is exact because the
@@ -22,26 +23,27 @@ level-n cells:
 - N: with neutrality, each cell is a relabeling of its orbit's
   representative, f(tau c) = tau f(c), and the representative may only take
   outcomes its stabilizer fixes.  Two classes share an orbit iff they share
-  the voter count and the sorted candidate counts; each cell's orbit is
-  read off its sorted count vector (see ``_orbits``).  Without N every cell
-  is its own orbit.
+  c_0 and the multiset of candidate counts, which the int key c_0 + (n_max
+  + 1) sum_k (m + 1)^(c_k) encodes (its digit v counts the candidates with
+  v votes).  An orbit's representative is its first cell, which puts as
+  many voters as it can on candidate 1, then on 2, and so on: its candidate
+  counts do not increase.  Without N every cell is its own orbit.
 - RS: f(c) = f(reduce(c)), where reduce(c) collects the (fixed) outcomes
   of c's voter-deleted subprofiles, is a plain equality between two level-n
   cells.  Deleting any of the c_b voters with ballot b leaves one subcell,
   so reduce(c) is a count sum: c_b copies of that subcell's outcome per
-  ballot value b present, at most m + 1 lookups per cell.
+  ballot value b present, at most m + 1 lookups per cell, summed as a code.
 
 So each orbit representative r has one equation, x_r = rho[x_s] with s
 the representative of reduce(r)'s orbit and rho the relabeling of s onto
 reduce(r)'s cell d: a successor map.  rho is the identity when d is a
 representative, as every d is under {N, DP, PO, RS} at (2, 9), (3, 7),
 (3, 20) and (40, 3), and otherwise one stable sort of d's candidates
-(``_label``).  A walk along
-successors joins the first resolved representative's component or closes
-a cycle, which restricts its new root to the outcomes the relabeling
-composed around it fixes.  Components are assigned in order of their
-smallest cell index, trying the values 0..m there, so solutions come out
-in lexicographic order over the cell values.
+(``_label``).  A walk along successors joins the first resolved
+representative's component or closes a cycle, which restricts its new root
+to the outcomes the relabeling composed around it fixes.  Components are
+assigned in order of their smallest cell index, trying the values 0..m
+there, so solutions come out in lexicographic order over the cell values.
 
 A value is decided at the component's representatives alone.  PO, DP and
 N each narrow the outcomes allowed at a representative, so one table,
@@ -80,7 +82,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
-from .core import _COST_CAP, PR_TIE_MODES, _check_scope, _counts, _profiles
+from .core import _COST_CAP, PR_TIE_MODES, _check_scope, _profiles
 from .rules import TabledFunction
 
 __all__ = ["SEARCH_AXIOMS", "SearchSpec", "SearchInfeasibleError"]
@@ -140,21 +142,6 @@ class SearchSpec:
             )
 
 
-def _orbits(counts: list[tuple[int, ...]], index: dict[tuple[int, ...], int]) -> list[int]:
-    """Each cell's orbit representative, for the cells with count vectors
-    ``counts`` (every canonical profile of each level present) at positions
-    ``index``.
-
-    A relabeling sends a class onto another iff it carries each candidate's
-    count to its image, so an orbit is the cells with one abstention count and
-    one sorted candidate-count vector.  Its first cell in index order puts as
-    many voters as it can on candidate 1, then on 2, and so on, so the
-    representative is the cell whose candidate counts are the cell's, sorted
-    largest first.
-    """
-    return [index[(c[0], *sorted(c[1:], reverse=True))] for c in counts]
-
-
 def _label(c: tuple[int, ...], m: int) -> tuple[int, ...]:
     """The outcome map of the lexicographically first relabeling sending the
     representative of the cell with count vector c onto it: 0, then c's
@@ -182,11 +169,13 @@ def _inverse(p: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def _merge(
-    nodes: list[int], successor: dict[int, tuple[int, tuple[int, ...]]] | None, m: int
+    nodes: list[int], successor: dict[int, tuple[int, tuple[int, ...]]] | None, identity: tuple[int, ...]
 ) -> list[tuple[list[tuple[int, tuple[int, ...]]], frozenset[int]]]:
     """Components of the equations x_a = rho[x_b], ``successor[a] = (b,
     rho)`` for each of ``nodes`` (ascending), in order of their smallest
-    node; without ``successor`` every node is its own component.
+    node; without ``successor`` every node is its own component.  Every
+    root takes ``identity``, and a relabeling that is that tuple is not
+    composed.
 
     Each component is its (node, L) pairs, ascending, x_node = L[x_root],
     and the root values in 0..m its one cycle allows: the fixed points of
@@ -194,7 +183,6 @@ def _merge(
     the smallest left, follows successors to a resolved node, whose
     component it joins, or around a cycle, rooted at its largest node.
     """
-    identity = tuple(range(m + 1))
     if successor is None:
         return [([(a, identity)], frozenset(identity)) for a in nodes]
     component: dict[int, int | None] = {}  # None while on the current walk
@@ -218,7 +206,7 @@ def _merge(
             roots.append(a)
         for b in reversed(walk):
             succ, rho = successor[b]
-            component[b], label[b] = component[a], _compose(rho, label[succ])
+            component[b], label[b] = component[a], label[succ] if rho is identity else _compose(rho, label[succ])
     groups: list[list[tuple[int, tuple[int, ...]]]] = [[] for _ in roots]
     for a in nodes:
         groups[component[a]].append((a, label[a]))
@@ -276,47 +264,62 @@ class _Engine:
         m, n_max = spec.m, spec.n_max
         _refuse_cells(m, n_max)
         self.m = m
-        # a cell's count vector determines its class, so the engine works on
-        # it throughout; the sorted ballots key the solution tables
+        self.identity = tuple(range(m + 1))  # shared, so the merge can skip composing it
+        # The classes in class order, each a class one voter smaller plus a
+        # ballot b at least its largest: its counts one higher at b, its code
+        # plus w[b], its orbit key plus 1 for an abstention or lift[v] for a
+        # vote to a candidate with v votes.  Position 0 is the empty class.
         self.cells = cells = list(_profiles(m, 1, n_max, True))
-        self.counts = counts = [tuple(_counts(m, c)) for c in cells]
-        self.index = index = {c: i for i, c in enumerate(counts)}
+        self.w = w = [(n_max + 1) ** b for b in range(m + 1)]
+        lift = [(n_max + 1) * m * (m + 1) ** v for v in range(n_max)]
+        counts, codes, keys, lasts = [(0,) * (m + 1)], [0], [(n_max + 1) * m], [0]
+        end = 0
+        for _ in range(n_max):
+            start, end = end, len(counts)
+            for p in range(start, end):
+                c, code, key = counts[p], codes[p], keys[p]
+                for b in range(lasts[p], m + 1):
+                    moved = list(c)
+                    moved[b] += 1
+                    counts.append(tuple(moved))
+                    codes.append(code + w[b])
+                    keys.append(key + (lift[c[b]] if b else 1))
+                    lasts.append(b)
+        del counts[0], codes[0], keys[0]
+        self.counts = counts
+        self.index = index = dict(zip(codes, range(len(cells))))
         self.out: list[int | None] = [None] * len(cells)  # set at representatives only
 
-        # Each cell's orbit representative, whose value ``_value`` reads
-        # through the two cells' counts.  Without N every cell is its own
-        # orbit and reads its own value.
-        self.orbit = _orbits(counts, index) if "N" in spec.axioms else list(range(len(cells)))
+        # Each cell's orbit representative, the first cell with its orbit key,
+        # read through the two cells' counts; without N every cell is its own.
+        first = {}.setdefault
+        self.orbit = [first(key, i) for i, key in enumerate(keys)] if "N" in spec.axioms else list(range(len(cells)))
         reps = [j for j, r in enumerate(self.orbit) if r == j]
         self.reps: dict[int, list[int]] = {n: [] for n in range(1, n_max + 1)}
         for r in reps:
             self.reps[len(cells[r])].append(r)
 
         # allowed[axiom][r]: the outcomes the axiom allows at representative
-        # r, for the representatives it constrains, keyed in the order PO, DP,
-        # N that ``_try`` asks them in.  Only representatives get them (see
-        # the module docstring).  PO forces the one candidate that gets votes.
-        # DP: a class whose votes go to at most two candidates is a duel of
-        # every pair holding them, so its outcome is 0 or in its support; at
-        # m = 2 the one pair holds every outcome and DP never constrains.
-        # N: the representative's stabilizer fixes abstention and each
-        # candidate whose count is unique.  No relabeling is built: a member
-        # reads a fixed value x of its representative r as its one candidate
-        # with r's count of x, and ``_label`` builds a full map only where an
-        # equation needs one.
+        # r, for the representatives it constrains, in the order PO, DP, N
+        # that ``_try`` asks them in (see the module docstring).  PO forces
+        # the one voted candidate.  DP: votes on at most two candidates make a
+        # duel of every pair holding them, so the outcome is 0 or in the
+        # support; at m = 2 DP never constrains.  N: the stabilizer fixes 0
+        # and each candidate whose count is unique, and a member reads such a
+        # value x of r as its one candidate with r's count of x.
         asked = [ax for ax in ("PO", "DP", "N") if ax in spec.axioms and (ax != "DP" or m > 2)]
         self.allowed: dict[str, dict[int, tuple[int, ...]]] = {ax: {} for ax in asked}
         po, dp, fixed = map(self.allowed.get, ("PO", "DP", "N"))
         candidates = range(1, m + 1)
 
-        # RS: deleting one of c[b] voters with ballot b leaves c with b's count
-        # one lower, so each representative of two or more voters keeps
-        # (subcell, multiplicity) per ballot value present.  PR: an upgrade
-        # moves one ballot to a candidate; each representative r keeps every
-        # edge (source, target, k, whether a tie at source must become k) it
-        # is an end of.  Moving one of r's ballots x to y != x reaches the
-        # target of r's upgrade to y, and the source, not always a
-        # representative, of an upgrade of y to x onto r.
+        # RS: deleting one of c[b] voters with ballot b leaves the cell of code
+        # - w[b], so each representative of two or more voters keeps (subcell,
+        # multiplicity) per ballot value present.  PR: an upgrade moves one
+        # ballot to a candidate; each representative r keeps every edge
+        # (source, target, k, whether a tie at source must become k) it is an
+        # end of.  Moving one of r's ballots x to y != x reaches the cell of
+        # code - w[x] + w[y]: the target of r's upgrade to y, and the source,
+        # not always a representative, of an upgrade of y to x onto r.
         rs, pr = "RS" in spec.axioms, "PR" in spec.axioms
         self.subcells: dict[int, list[tuple[int, int]]] | None = {} if rs else None
         self.pr_edges: dict[int, list[tuple[int, int, int, bool]]] | None = {} if pr else None
@@ -341,26 +344,21 @@ class _Engine:
                 self.subcells[r] = []
             if pr:
                 self.pr_edges[r] = []
-            moved = list(c)
             for x in range(m + 1):
                 if not c[x]:
                     continue
-                moved[x] -= 1
+                code = codes[r] - w[x]
                 if deletes:
-                    self.subcells[r].append((index[tuple(moved)], c[x]))
+                    self.subcells[r].append((index[code], c[x]))
                 if pr:
                     for y in range(m + 1):
                         if y == x:
                             continue
-                        moved[y] += 1
-                        other = tuple(moved)
-                        j = index[other]
-                        moved[y] -= 1
+                        j = index[code + w[y]]
                         if y:
                             self.pr_edges[r].append((r, j, y, binds(c, y)))
                         if x:
-                            self.pr_edges[r].append((j, r, x, binds(other, x)))
-                moved[x] += 1
+                            self.pr_edges[r].append((j, r, x, binds(counts[j], x)))
 
         self.nodes = 0
         self.prunes: dict[str, int] = {ax: 0 for ax in sorted(spec.axioms)}
@@ -371,11 +369,11 @@ class _Engine:
     def _components(self, n: int) -> list[_Component]:
         """Level n's components, given the fixed levels below, in order of
         their smallest cell."""
-        reps, m = self.reps[n], self.m
+        reps, m, identity = self.reps[n], self.m, self.identity
         successor = None
         if self.subcells is not None and n >= 2:
             successor = {}
-            orbit, counts, identity = self.orbit, self.counts, tuple(range(m + 1))
+            orbit, counts = self.orbit, self.counts
             for r in reps:
                 d = self._reduced(r)
                 # f(r) = x_r and f(d) = L[x_orbit(d)], L the relabeling of
@@ -384,8 +382,8 @@ class _Engine:
                 # r's other members are relabelings of this one.
                 s = orbit[d]
                 successor[r] = (s, identity if s == d else _label(counts[d], m))
-        merged = _merge(reps, successor, m)
-        return [(group, rs_allowed, _inverse(group[0][1])) for group, rs_allowed in merged]
+        merged = _merge(reps, successor, identity)
+        return [(g, allowed, g[0][1] if g[0][1] is identity else _inverse(g[0][1])) for g, allowed in merged]
 
     def _value(self, j: int) -> int | None:
         """Cell j's outcome, or None while its representative r is
@@ -396,19 +394,19 @@ class _Engine:
         x = self.out[r]
         if not x or r == j:
             return x
-        counts = self.counts
-        return counts[j].index(counts[r][x], 1)
+        return self.counts[j].index(self.counts[r][x], 1)
 
     def _reduced(self, i: int) -> int:
         """The cell of reduce(i), once the level below is fixed: a count sum,
-        each subcell's outcome, read as in ``_value``, as often as a deletion gives it."""
-        out, orbit, counts = self.out, self.orbit, self.counts
-        reduced = [0] * (self.m + 1)
+        each subcell's outcome, read as in ``_value``, as often as a deletion
+        gives it, summed as a code."""
+        out, orbit, counts, w = self.out, self.orbit, self.counts, self.w
+        code = 0
         for j, times in self.subcells[i]:
             r = orbit[j]
             x = out[r]
-            reduced[x if not x or r == j else counts[j].index(counts[r][x], 1)] += times
-        return self.index[tuple(reduced)]
+            code += times * w[x if not x or r == j else counts[j].index(counts[r][x], 1)]
+        return self.index[code]
 
     def _pr_clash(self, i: int) -> bool:
         """An upgrade edge at cell i with both ends assigned breaks PR."""
@@ -478,5 +476,7 @@ class _Engine:
             else:
                 # canonical keys, values in 0..m: nothing to validate; every
                 # representative is assigned, so each cell reads as in _value
-                value = self._value
-                yield TabledFunction._trusted(m, n_max, {c: value(j) for j, c in enumerate(self.cells)})
+                out, counts = self.out, self.counts
+                reads = zip(range(len(out)), self.orbit, map(out.__getitem__, self.orbit))
+                values = [x if not x or r == j else counts[j].index(counts[r][x], 1) for j, r, x in reads]
+                yield TabledFunction._trusted(m, n_max, dict(zip(self.cells, values)))

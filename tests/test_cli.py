@@ -224,6 +224,22 @@ class TestSearch:
         ]
         assert TabledFunction.from_rule(RULES["uc"], 2, 3) in tables
 
+    def test_stats_sidecar_leaves_the_reports_alone(self, capsys, tmp_path):
+        # stdout and every --out file are the same with and without --stats
+        scope = ["search", "--m", "3", "--n-max", "4", "--axioms", "N,PO,RS"]
+        assert run([*scope, "--out", str(tmp_path / "plain")]) == 0
+        plain = capsys.readouterr().out
+        stats = tmp_path / "stats.json"
+        assert run([*scope, "--out", str(tmp_path / "timed"), "--stats", str(stats)]) == 0
+        assert capsys.readouterr().out == plain
+        names = sorted(p.name for p in (tmp_path / "plain").iterdir())
+        assert len(names) == 9 and sorted(p.name for p in (tmp_path / "timed").iterdir()) == names
+        for name in names:
+            assert (tmp_path / "timed" / name).read_bytes() == (tmp_path / "plain" / name).read_bytes(), name
+        doc = json.loads(stats.read_text())
+        assert sorted(doc) == ["build_s", "search_s"]
+        assert all(isinstance(t, float) and t >= 0 for t in doc.values())
+
     def test_single_voter_search(self, capsys):
         assert run(["search", "--m", "2", "--n-max", "1", "--axioms", "N,PO"]) == 0
         out = capsys.readouterr().out
@@ -443,6 +459,7 @@ class TestUnwritablePaths:
             ["search", "--m", "2", "--n-max", "3", "--out"],
             ["verify-theorem", "--m", "2", "--n-max", "3", "--out"],
             ["verify-theorem", "--m", "2", "--n-max", "3", "--stats"],
+            ["search", "--m", "2", "--n-max", "3", "--stats"],
             ["verify-independence", "--m", "2", "--n-max", "3", "--out"],
         ],
         ids=lambda argv: f"{argv[0]} {argv[-1]}",

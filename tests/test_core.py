@@ -243,6 +243,27 @@ class TestEnumeration:
             list(enumerate_profiles(m, n))
         assert str(err.value) == message
 
+    @pytest.mark.parametrize(
+        "m,n,message",
+        [
+            (2.0, 3, "candidate count 2.0 is not an int"),
+            (2, 3.5, "voter count 3.5 is not an int"),
+            (2, -1, "voter count must be >= 1, got -1"),
+            (True, 3, "candidate count True is not an int"),
+            (1, 3, "candidate count must be >= 2, got 1"),
+        ],
+    )
+    @pytest.mark.parametrize("canonical_only", [False, True])
+    def test_profile_count_refuses_what_enumeration_refuses(self, m, n, message, canonical_only):
+        # the same scope check and message as enumerate_profiles, not a
+        # float, a fraction or a count of a scope with no profiles
+        with pytest.raises(ValueError) as err:
+            profile_count(m, n, canonical_only)
+        assert str(err.value) == message
+        with pytest.raises(ValueError) as err:
+            list(enumerate_profiles(m, n, canonical_only))
+        assert str(err.value) == message
+
 
 class TestProfileStream:
     @pytest.mark.parametrize("n_max", range(1, 6))

@@ -27,7 +27,7 @@ from scfkit.core import (
     is_leader_profile,
     profile_count,
 )
-from scfkit.engine import _COST_CAP, _Engine, _cell_count, _compose, _inverse, _merge, _orbits
+from scfkit.engine import _COST_CAP, _Engine, _cell_count, _compose, _inverse, _merge
 from scfkit.rules import RULES, TabledFunction
 from scfkit.search import (
     SEARCH_AXIOMS,
@@ -118,10 +118,31 @@ def _orbits_by_permutations(cells, m):
     return orbits
 
 
+def _orbits_by_transpositions(cells, m):
+    """Each cell's orbit representative, the first cell its orbit holds,
+    found by closing each cell under the swaps of candidates k and k + 1,
+    which generate every relabeling: no m! walk, so it reaches large m."""
+    index = {c: i for i, c in enumerate(cells)}
+    orbit = [None] * len(cells)
+    for i, c in enumerate(cells):
+        if orbit[i] is not None:
+            continue
+        orbit[i], todo = i, [c]
+        while todo:
+            c = todo.pop()
+            for k in range(1, m):
+                swap = {k: k + 1, k + 1: k}
+                j = index[tuple(sorted(swap.get(b, b) for b in c))]
+                if orbit[j] is None:
+                    orbit[j] = i
+                    todo.append(cells[j])
+    return orbit
+
+
 def _as_cell_orbits(orbits, size):
     """Per-orbit ``(rep, labels, allowed)`` triples per cell: each cell's
     representative and label (an outcome map), and each representative's
-    fixed outcomes.  ``engine._orbits`` returns the first, and the engine's
+    fixed outcomes.  The engine's ``orbit`` holds the first, and its
     ``allowed["N"]`` holds the last; the labels are the reference for its
     count read (``_labels``)."""
     orbit, label, fixed = [None] * size, [None] * size, {}
@@ -249,8 +270,8 @@ class _MemberCellEngine(_Engine):
         self.members = {}
         for j, r in enumerate(self.orbit):
             self.members.setdefault(r, []).append(j)
-        m, index = self.m, self.index
-        counts = list(index)
+        m, counts = self.m, self.counts
+        index = {c: i for i, c in enumerate(counts)}
         candidates = range(1, m + 1)
         supports = [[k for k in candidates if c[k]] for c in counts]
         po, dp = "PO" in self.allowed, "DP" in self.allowed
@@ -652,7 +673,7 @@ class TestEnumerateFunctions:
             for xs in product(range(m + 1), repeat=k)
             if all(xs[a] == rho[xs[b]] for a, (b, rho) in enumerate(successors))
         }
-        components = _merge(list(range(k)), dict(enumerate(successors)), m)
+        components = _merge(list(range(k)), dict(enumerate(successors)), tuple(range(m + 1)))
         assert sorted(a for group, _ in components for a, _ in group) == list(range(k))
         firsts = [group[0][0] for group, _ in components]
         assert firsts == sorted(firsts)
@@ -861,6 +882,34 @@ class TestOrbitConstruction:
             n_max += 1
 
 
+_CODE_SCOPES = _ENGINE_SCOPES + [(12, 3), (2, 30)]
+
+
+class TestCellCodes:
+    """The engine builds each level's cells from the level below, each with
+    an integer code and an orbit key, instead of counting each class's
+    ballots and sorting its counts."""
+
+    @pytest.mark.parametrize("m,n_max", _CODE_SCOPES)
+    def test_orbits_equal_the_relabeling_closure(self, m, n_max):
+        engine = _Engine(SearchSpec(m=m, n_max=n_max, axioms=frozenset({"N"})))
+        assert engine.orbit == _orbits_by_transpositions(engine.cells, m)
+
+    @pytest.mark.parametrize("m,n_max", _CODE_SCOPES)
+    def test_codes_decode_to_the_counts(self, m, n_max):
+        # each code's digits in base n_max + 1 are its cell's counts, and
+        # every cell has one code
+        engine = _Engine(SearchSpec(m=m, n_max=n_max, axioms=frozenset()))
+        assert engine.counts == [_count_vector(c, m) for c in engine.cells]
+        assert sorted(engine.index.values()) == list(range(len(engine.cells)))
+        for code, i in engine.index.items():
+            digits = []
+            for _ in range(m + 1):
+                code, digit = divmod(code, n_max + 1)
+                digits.append(digit)
+            assert code == 0 and tuple(digits) == engine.counts[i], engine.cells[i]
+
+
 class _FixedStoreEngine(_Engine):
     """The engine, recording every value its ``_try`` stores at a
     representative, with the representative."""
@@ -957,12 +1006,11 @@ class TestNeutralOrbits:
     def test_count_signature_orbits_equal_permutation_orbits(self, m, n_max):
         cells = _table_cells(m, n_max)
         counts = [_count_vector(c, m) for c in cells]
-        orbit = _orbits(counts, {c: i for i, c in enumerate(counts)})
+        engine = _Engine(SearchSpec(m=m, n_max=n_max, axioms=frozenset({"N"})))
         expected = _as_cell_orbits(_orbits_by_permutations(cells, m), len(cells))
-        assert orbit == expected[0]
+        assert engine.orbit == expected[0]
         assert [_stable_label(c, m) for c in counts] == expected[1]
-        fixed = _Engine(SearchSpec(m=m, n_max=n_max, axioms=frozenset({"N"}))).allowed["N"]
-        assert list(fixed.items()) == list(expected[2].items())
+        assert list(engine.allowed["N"].items()) == list(expected[2].items())
 
     @pytest.mark.parametrize(
         "m,n_max,message",
