@@ -117,6 +117,7 @@ from .core import (
     _COST_CAP,
     PR_TIE_MODES,
     Profile,
+    _axiom_list,
     _ballot_error,
     _check_image,
     _check_scope,
@@ -277,7 +278,7 @@ def check_cost(
     where it passes ``_COST_CAP``; past that, the estimate is a lower bound.
     """
     _check_scope(m, n_max)
-    axioms = [axioms] if isinstance(axioms, str) else list(axioms)
+    axioms = _axiom_list(axioms)
     _check_ids(axioms)
     others = [ax for ax in axioms if ax != "A"]
     anonymity = not ordered and _scans_anonymity(axioms, tabled)
@@ -310,7 +311,7 @@ def require_feasible(axioms: str | Iterable[str], f, m: int, n_max: int, ordered
     """Raise :class:`CheckInfeasibleError` when checking ``axioms`` (one id
     or a list) for f at the scope, or with ``ordered`` their ordered fallback
     scans, is estimated to exceed :data:`CHECK_MAX_COST`."""
-    axioms = [axioms] if isinstance(axioms, str) else list(axioms)
+    axioms = _axiom_list(axioms)
     cost = check_cost(axioms, m, n_max, tabled=isinstance(f, TabledFunction), ordered=ordered)
     _refuse_above(cost, f"checking {','.join(axioms)} at m={m}, n_max={n_max}")
 
@@ -355,34 +356,31 @@ def _class_ids(m: int, n_max: int) -> Iterator[tuple[list[tuple[int, ...]], list
     profile of ``_profiles(m, n, n, False)``, and ``unsorted[t]`` is 0 where
     that profile is sorted and 1 elsewhere.
 
-    Nothing is sorted per ordered profile.  The ordered stream is
-    prefix-major: each profile of n - 1 voters, in order, followed by each
-    ballot.  So a level's ids are its predecessor's, each expanded through
-    the successor table ``child[i][b]``, the class of
-    ``keys_{n-1}[i] + (b,)``.  Only the table's entries, one per (class,
-    ballot) pair, are sorted.  For the same reason the sorted profile k sits
-    at position pos(k[:-1]) * (m + 1) + k[-1], where pos(k[:-1]) is the
-    sorted position one level down: the mask is built in O(classes).
+    Nothing is sorted.  The ordered stream is prefix-major: each profile of
+    n - 1 voters, in order, followed by each ballot.  So a level's ids are
+    its predecessor's, each expanded through the successor table
+    ``child[i][b]``, the class of ``keys_{n-1}[i] + (b,)``: the level-n
+    class whose code (:func:`_class_code_levels`) is that class's code plus
+    (n_max + 1) ** b.  For the same reason the sorted profile k sits at
+    position pos(k[:-1]) * (m + 1) + k[-1], where pos(k[:-1]) is the sorted
+    position one level down: the mask is built in O(classes).
     """
-    ballots = range(m + 1)
-    keys: list[tuple[int, ...]] = [()]
+    steps = [(n_max + 1) ** b for b in range(m + 1)]
     ids = [0]
+    parents = [(0, 0)]  # the empty class: code 0, and 0 as its largest ballot
     positions = [0]  # where each class's sorted member sits in the ordered stream
-    for n in range(1, n_max + 1):
-        level = list(_profiles(m, n, n, True))
-        index = {key: i for i, key in enumerate(level)}
-        child = [[index[tuple(sorted(key + (b,)))] for b in ballots] for key in keys]
+    for n, level in enumerate(_class_code_levels(m, n_max, range(m + 1)), start=1):
+        index = {code: i for i, (code, _) in enumerate(level)}
+        child = [[index[code + step] for step in steps] for code, _ in parents]
         ids = [c for i in ids for c in child[i]]
-        # keys and positions are in lexicographic order, so this lists the
-        # sorted extensions of each class in the order of ``level``
-        positions = [
-            pos * (m + 1) + b for key, pos in zip(keys, positions) for b in range(key[-1] if key else 0, m + 1)
-        ]
+        # parents and positions are in lexicographic order, so this lists
+        # the sorted extensions of each class in the order of ``level``
+        positions = [pos * (m + 1) + b for (_, last), pos in zip(parents, positions) for b in range(last, m + 1)]
         unsorted = bytearray(b"\x01") * len(ids)
         for pos in positions:
             unsorted[pos] = 0
-        keys = level
-        yield keys, ids, unsorted
+        parents = level
+        yield list(_profiles(m, n, n, True)), ids, unsorted
 
 
 def _anonymity_witness(f, m: int, n_max: int, values: dict[tuple[int, ...], int]) -> Witness | None:
@@ -566,9 +564,10 @@ def _neutrality_witness(value: Callable, m: int, n_max: int, by_class: bool) -> 
     return None
 
 
-def _class_codes(m: int, n_max: int, lookup: Iterable[int]) -> list[int]:
-    """One int per class of 1..n_max voters, in the class stream's order:
-    the sum of ``(n_max + 1) ** lookup[b]`` over the class's ballots b.
+def _class_code_levels(m: int, n_max: int, lookup: Iterable[int]) -> Iterator[list[tuple[int, int]]]:
+    """Per level n = 1..n_max, one (code, last) pair per class of n voters,
+    in the class stream's order: the code is the sum of ``(n_max + 1) **
+    lookup[b]`` over the class's ballots b, and ``last`` its largest ballot.
     With ``lookup`` the identity, range(m + 1), a class's code has its counts
     c_0..c_m as base-(n_max + 1) digits; each c_b <= n_max, so distinct
     classes get distinct codes.  With a relabeling's lookup tuple
@@ -582,11 +581,18 @@ def _class_codes(m: int, n_max: int, lookup: Iterable[int]) -> list[int]:
     pairs = [((n_max + 1) ** k, b) for b, k in enumerate(lookup)]
     # the lows that levels 0..n_max - 1 hold: 0 alone at level 0, all from level 1 on
     tails = [pairs[low:] for low in range(m + 1 if n_max > 1 else 1)]
-    first = itemgetter(0)
-    codes: list[int] = []
     level = [(0, 0)]
     for _ in range(n_max):
         level = [(c + w, b) for c, low in level for w, b in tails[low]]
+        yield level
+
+
+def _class_codes(m: int, n_max: int, lookup: Iterable[int]) -> list[int]:
+    """One code per class of 1..n_max voters, in the class stream's order
+    (:func:`_class_code_levels`)."""
+    first = itemgetter(0)
+    codes: list[int] = []
+    for level in _class_code_levels(m, n_max, lookup):
         codes += map(first, level)
     return codes
 
@@ -846,9 +852,11 @@ _SCANS = {
 }
 
 
-def check_axioms(f, m: int, n_max: int, axioms: Iterable[str], tie_upgrade: str = "leaders") -> list[AxiomReport]:
-    """One report per axiom in ``axioms``, in that order; ``tie_upgrade`` is
-    PR's tie mode.
+def check_axioms(
+    f, m: int, n_max: int, axioms: str | Iterable[str], tie_upgrade: str = "leaders"
+) -> list[AxiomReport]:
+    """One report per axiom in ``axioms``, one id or a list of them, in that
+    order; ``tie_upgrade`` is PR's tie mode.
 
     The scope is validated and the whole call estimated before f is
     evaluated.  Anonymity is established once: by the A scan, which is also
@@ -871,7 +879,7 @@ def check_axioms(f, m: int, n_max: int, axioms: Iterable[str], tie_upgrade: str 
     module docstring).  Scans listed before N, and the ordered fallbacks,
     check every class or profile.
     """
-    axioms = list(axioms)
+    axioms = _axiom_list(axioms)
     _check_scope(m, n_max)
     _check_ids(axioms)
     if "RS" in axioms and n_max < 2:

@@ -2,7 +2,8 @@
 space, and verify the characterization and independence results.
 
 Exit codes are a contract: 0 pass/complete, 1 axiom failure, 2 usage or parse
-error or an output path that cannot be written, 3 resource truncation.
+error or an output that cannot be written (a path, or a closed stdout), 3
+resource truncation.
 Reports are JSON with sorted keys, so byte stability follows from
 deterministic witness selection.
 """
@@ -13,6 +14,7 @@ import argparse
 import contextlib
 import functools
 import json
+import os
 import sys
 from pathlib import Path
 from time import perf_counter
@@ -311,7 +313,16 @@ def main(argv=None) -> int:
 
 
 def entry_point() -> None:
-    sys.exit(main())
+    try:
+        status = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # stdout's reader went away: send what is left to devnull, so the
+        # flush at exit does not fail again, and exit as for any output
+        # that cannot be written
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        status = EXIT_USAGE
+    sys.exit(status)
 
 
 if __name__ == "__main__":

@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import chain, combinations_with_replacement, compress, product
-from typing import Iterator
+from typing import Iterable, Iterator
 
 __all__ = [
     "Outcome",
@@ -85,6 +85,12 @@ def _check_scope(m: int, n: int | None = None, voters: str = "voter bound") -> N
             raise ValueError(f"{name} {value!r} is not an int")
         if value < low:
             raise ValueError(f"{name} must be >= {low}, got {value}")
+
+
+def _axiom_list(axioms: str | Iterable[str]) -> list[str]:
+    """The ids of an axiom list: a str is one id, such as ``"PO"``, and
+    anything else is iterated."""
+    return [axioms] if isinstance(axioms, str) else list(axioms)
 
 
 def _check_image(size: int, image: tuple) -> None:

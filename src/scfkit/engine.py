@@ -3,12 +3,14 @@
 Functions are represented as outcome tables over canonical (sorted) profiles
 up to a voter bound, so anonymity is structural rather than searched over.
 Inside the engine a cell is its count vector c (abstentions, then each
-candidate's votes), which determines the class, and is found by its code
-sum_b c_b (n_max + 1)^b.  Each class is built from the class one voter
-smaller, in the class order of :mod:`scfkit.core`, so no class is counted
-or sorted.  Outcomes and the PO, DP, N, RS and PR facts are kept at orbit
-representatives only, and no cell keeps a relabeling.  A member j
-of representative r reads r's value x through the two count vectors: 0
+candidate's votes), which determines the class and its level sum_b c_b,
+and is found by its code sum_b c_b (n_max + 1)^b.  Each class is built from
+the class one voter smaller, in the class order of :mod:`scfkit.core`, so
+no class is counted or sorted.  The build and the search read no ballot
+tuple: a cell's sorted ballots only key the tables the search yields.
+Outcomes and the PO, DP, N, RS and PR facts are kept at orbit
+representatives only, and no cell keeps a relabeling.  A member j of
+representative r reads r's value x through the two count vectors: 0
 stays 0, and a candidate x becomes j's one candidate with r's count of x,
 ``counts[j].index(counts[r][x], 1)``.  That read is exact because the
 search stores at r only values r's stabilizer fixes: 0, or a candidate
@@ -40,10 +42,11 @@ reduce(r)'s cell d: a successor map.  rho is the identity when d is a
 representative, as every d is under {N, DP, PO, RS} at (2, 9), (3, 7),
 (3, 20) and (40, 3), and otherwise one stable sort of d's candidates
 (``_label``).  A walk along successors joins the first resolved
-representative's component or closes a cycle, which restricts its new root
-to the outcomes the relabeling composed around it fixes.  Components are
-assigned in order of their smallest cell index, trying the values 0..m
-there, so solutions come out in lexicographic order over the cell values.
+representative's component or closes a cycle.  The new component keeps the
+relabeling composed around that cycle, and RS allows its root only the
+outcomes that relabeling fixes.  Components are assigned in order of their
+smallest cell index, trying the values 0..m there, so solutions come out in
+lexicographic order over the cell values.
 
 A value is decided at the component's representatives alone.  PO, DP and
 N each narrow the outcomes allowed at a representative, so one table,
@@ -82,7 +85,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
-from .core import _COST_CAP, PR_TIE_MODES, _check_scope, _profiles
+from .core import _COST_CAP, PR_TIE_MODES, _axiom_list, _check_scope, _profiles
 from .rules import TabledFunction
 
 __all__ = ["SEARCH_AXIOMS", "SearchSpec", "SearchInfeasibleError"]
@@ -114,7 +117,8 @@ class SearchInfeasibleError(RuntimeError):
 
 @dataclass(frozen=True)
 class SearchSpec:
-    """What to search: scope, axiom subset and resource limits."""
+    """What to search: scope, axiom subset (one id or a list of them) and
+    resource limits."""
 
     m: int
     n_max: int
@@ -124,7 +128,7 @@ class SearchSpec:
     pr_tie_upgrade: str = "leaders"
 
     def __post_init__(self):
-        object.__setattr__(self, "axioms", frozenset(self.axioms))
+        object.__setattr__(self, "axioms", frozenset(_axiom_list(self.axioms)))
         _check_scope(self.m, self.n_max)
         unknown = self.axioms - set(SEARCH_AXIOMS)
         if "A" in unknown:
@@ -170,7 +174,7 @@ def _inverse(p: tuple[int, ...]) -> tuple[int, ...]:
 
 def _merge(
     nodes: list[int], successor: dict[int, tuple[int, tuple[int, ...]]] | None, identity: tuple[int, ...]
-) -> list[tuple[list[tuple[int, tuple[int, ...]]], frozenset[int]]]:
+) -> list[tuple[list[tuple[int, tuple[int, ...]]], tuple[int, ...]]]:
     """Components of the equations x_a = rho[x_b], ``successor[a] = (b,
     rho)`` for each of ``nodes`` (ascending), in order of their smallest
     node; without ``successor`` every node is its own component.  Every
@@ -178,13 +182,16 @@ def _merge(
     composed.
 
     Each component is its (node, L) pairs, ascending, x_node = L[x_root],
-    and the root values in 0..m its one cycle allows: the fixed points of
-    the relabeling composed around it.  A walk from each unresolved node,
-    the smallest left, follows successors to a resolved node, whose
-    component it joins, or around a cycle, rooted at its largest node.
+    and its one cycle's relabeling: the relabelings composed around the
+    cycle, from the root back to it, so x_root = around[x_root], and the
+    root values in 0..m the cycle allows are its fixed points.  Without
+    ``successor`` the relabeling is ``identity``.  A walk from each
+    unresolved node, the smallest left, follows successors to a resolved
+    node, whose component it joins, or around a cycle, rooted at its
+    largest node.
     """
     if successor is None:
-        return [([(a, identity)], frozenset(identity)) for a in nodes]
+        return [([(a, identity)], identity) for a in nodes]
     component: dict[int, int | None] = {}  # None while on the current walk
     label: dict[int, tuple[int, ...]] = {}
     roots: list[int] = []
@@ -210,12 +217,10 @@ def _merge(
     groups: list[list[tuple[int, tuple[int, ...]]]] = [[] for _ in roots]
     for a in nodes:
         groups[component[a]].append((a, label[a]))
-    allowed = []
-    for root in roots:
-        succ, rho = successor[root]
-        around = _compose(rho, label[succ])  # x_root = around[x_root]
-        allowed.append(frozenset(x for x in identity if around[x] == x))
-    return list(zip(groups, allowed))
+    # around each cycle: its root's own equation, composed as a label is, so
+    # x_root = around[x_root]
+    cycles = map(successor.__getitem__, roots)
+    return [(g, label[s] if rho is identity else _compose(rho, label[s])) for g, (s, rho) in zip(groups, cycles)]
 
 
 def _cell_count(m: int, n_max: int) -> int:
@@ -250,9 +255,10 @@ def _refuse_cells(m: int, n_max: int) -> None:
 
 
 # A component: its representatives r, ascending, each with L, x_r =
-# L[x_root]; the root values its reduction cycles allow; and the map from
-# the value at its smallest cell, the first representative, to x_root.
-_Component = tuple[list[tuple[int, tuple[int, ...]]], frozenset[int], tuple[int, ...]]
+# L[x_root]; the relabeling composed around its reduction cycle, which must
+# fix x_root; and the map from the value at its smallest cell, the first
+# representative, to x_root.
+_Component = tuple[list[tuple[int, tuple[int, ...]]], tuple[int, ...], tuple[int, ...]]
 
 
 class _Engine:
@@ -269,6 +275,8 @@ class _Engine:
         # ballot b at least its largest: its counts one higher at b, its code
         # plus w[b], its orbit key plus 1 for an abstention or lift[v] for a
         # vote to a candidate with v votes.  Position 0 is the empty class.
+        # Their ballot tuples, ``cells``, key the tables the read-out in
+        # ``_search`` yields; nothing else reads them.
         self.cells = cells = list(_profiles(m, 1, n_max, True))
         self.w = w = [(n_max + 1) ** b for b in range(m + 1)]
         lift = [(n_max + 1) * m * (m + 1) ** v for v in range(n_max)]
@@ -295,9 +303,7 @@ class _Engine:
         first = {}.setdefault
         self.orbit = [first(key, i) for i, key in enumerate(keys)] if "N" in spec.axioms else list(range(len(cells)))
         reps = [j for j, r in enumerate(self.orbit) if r == j]
-        self.reps: dict[int, list[int]] = {n: [] for n in range(1, n_max + 1)}
-        for r in reps:
-            self.reps[len(cells[r])].append(r)
+        self.reps: dict[int, list[int]] = {n: [] for n in range(1, n_max + 1)}  # by level
 
         # allowed[axiom][r]: the outcomes the axiom allows at representative
         # r, for the representatives it constrains, in the order PO, DP, N
@@ -330,6 +336,8 @@ class _Engine:
 
         for r in reps:
             c = counts[r]
+            n = sum(c)
+            self.reps[n].append(r)
             if po is not None or dp is not None:
                 support = [k for k in candidates if c[k]]
                 if po is not None and len(support) == 1:
@@ -339,7 +347,7 @@ class _Engine:
             if fixed is not None:
                 votes = c[1:]
                 fixed[r] = (0, *(k for k in candidates if votes.count(c[k]) == 1))
-            deletes = rs and len(cells[r]) > 1
+            deletes = rs and n > 1
             if deletes:
                 self.subcells[r] = []
             if pr:
@@ -383,7 +391,7 @@ class _Engine:
                 s = orbit[d]
                 successor[r] = (s, identity if s == d else _label(counts[d], m))
         merged = _merge(reps, successor, identity)
-        return [(g, allowed, g[0][1] if g[0][1] is identity else _inverse(g[0][1])) for g, allowed in merged]
+        return [(g, around, g[0][1] if g[0][1] is identity else _inverse(g[0][1])) for g, around in merged]
 
     def _value(self, j: int) -> int | None:
         """Cell j's outcome, or None while its representative r is
@@ -424,14 +432,14 @@ class _Engine:
         first axiom, in the order PO, DP, N, RS, PR, that excludes it
         (leaving the component unassigned).  Every axiom is decided at the
         representatives (see the module docstring)."""
-        group, rs_allowed, to_root = comp
+        group, around, to_root = comp
         x = to_root[v]
         values = [(r, label[x]) for r, label in group]
         for axiom, allowed in self.allowed.items():
             for r, w in values:
                 if r in allowed and w not in allowed[r]:
                     return axiom
-        if x not in rs_allowed:
+        if around[x] != x:
             return "RS"
         out = self.out
         for r, w in values:

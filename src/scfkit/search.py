@@ -186,6 +186,8 @@ def verify_theorem(
     the leader / dominating-tie / all-abstention cases (one count shape at
     a time, counted with its number of ordered profiles).  Each phase's
     time goes to the verdict's ``stats``."""
+    if type(include_dp) is not bool:
+        raise ValueError(f"include_dp {include_dp!r} is not a bool")
     axioms = frozenset({"N", "PO", "RS"} | ({"DP"} if include_dp else set()))
     spec = SearchSpec(m=m, n_max=n_max, axioms=axioms, max_nodes=max_nodes)
     if n_max < 2:

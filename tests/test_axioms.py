@@ -448,9 +448,10 @@ class TestClassIdScan:
         got = _scan_outcome(axioms._anonymity_witness, f, m, n_max)
         assert got == _scan_outcome(_sorting_anonymity_witness, f, m, n_max)
 
-    @pytest.mark.parametrize("m", [2, 3, 4, 5])
+    @pytest.mark.parametrize("m", [2, 3, 4, 5, 12, 40])
     def test_ids_are_the_sorted_classes(self, m):
-        # every level with at most 5,000 ordered profiles
+        # every level with at most 5,000 ordered profiles: at m = 12 and 40,
+        # (12, 3) and (40, 2), each class code has m + 1 digits
         n_max = max(n for n in range(1, 10) if (m + 1) ** n <= 5_000)
         levels = list(axioms._class_ids(m, n_max))
         assert len(levels) == n_max
@@ -1317,6 +1318,15 @@ class TestFeasibility:
             price(["N", "X"], 3, 3)
         assert str(err.value) == "unknown axiom id 'X'"
 
+    def test_check_cost_reads_a_str_as_one_axiom_id(self):
+        assert check_cost("PO", 3, 3) == check_cost(["PO"], 3, 3) == 118
+
+    def test_require_feasible_reads_a_str_as_one_axiom_id(self):
+        with pytest.raises(CheckInfeasibleError) as err:
+            require_feasible("PO", MAJ, 3, 11)
+        assert str(err.value).startswith("checking PO at m=3, n_max=11 needs about ")
+        assert err.value.cost == check_cost(["PO"], 3, 11)
+
     @pytest.mark.parametrize("m", range(2, 9))
     def test_neutrality_costs_the_profile_and_each_generator(self, m):
         # counted without building the generators, whose m-cycle has m entries
@@ -1415,6 +1425,11 @@ class TestCheckAxioms:
         assert together == [_alone(f, m, n_max, ax, mode).to_dict() for ax in ALL_AXIOMS]
         backwards = check_axioms(f, m, n_max, reversed(ALL_AXIOMS), mode)
         assert [r.to_dict() for r in backwards] == together[::-1]
+
+    def test_a_str_is_one_axiom_id(self):
+        # "PO" was read as the ids P and O, and refused
+        assert check_axioms(MAJ, 3, 3, "PO") == check_axioms(MAJ, 3, 3, ["PO"])
+        assert [(r.axiom, r.passed) for r in check_axioms(ZERO, 3, 3, "PO")] == [("PO", False)]
 
     def test_anonymity_is_scanned_once_per_call(self, monkeypatch):
         levels = []

@@ -432,6 +432,27 @@ class TestUsage:
         assert done.stderr.startswith("error: scope infeasible: table would need over 1000000000 cells (> 20000)")
         assert "Traceback" not in done.stderr
 
+    def test_a_closed_stdout_exits_2_without_a_traceback(self):
+        # the reader is gone before the child writes, so its report cannot
+        # be written; that printed a BrokenPipeError traceback and exited 1,
+        # the code of a failed verification
+        env = {**os.environ, "PYTHONPATH": str(Path(scfkit.__file__).parents[1])}
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "scfkit", *"search --m 3 --n-max 4 --axioms N,PO,RS".split()],
+                stdout=write,
+                stderr=subprocess.PIPE,
+                text=True,
+                env=env,
+                timeout=30,
+            )
+        finally:
+            os.close(write)
+        assert done.returncode == 2
+        assert "Traceback" not in done.stderr and "Exception ignored" not in done.stderr
+
     def test_many_candidates_are_checked_on_generators(self, capsys):
         # neutrality costs two relabelings per class, not 10!
         assert run(["check", "--rule", "maj", "--m", "10", "--n-max", "3"]) == 0

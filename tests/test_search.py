@@ -237,6 +237,11 @@ def _uf_merge(nodes, equations, m):
     return [(group, frozenset(allowed[root])) for root, group in groups.items()]
 
 
+def _fixed_points(p):
+    """The values a relabeling p maps to themselves, ascending."""
+    return [x for x, y in enumerate(p) if x == y]
+
+
 def _uf_components(engine, n):
     """``engine._components(n)`` with the level's equations merged by the
     union-find."""
@@ -305,7 +310,7 @@ class _MemberCellEngine(_Engine):
         return None if self.out[self.orbit[j]] is None else self.out[j]
 
     def _try(self, comp, v):
-        group, rs_allowed, to_root = comp
+        group, around, to_root = comp
         maps = [(c, _compose(self.label[c], label)) for r, label in group for c in self.members[r]]
         # the value at the smallest member cell, the first, maps back to the root
         assert maps[0][0] == min(c for c, _ in maps)
@@ -320,7 +325,7 @@ class _MemberCellEngine(_Engine):
         fixed = self.allowed.get("N")
         if fixed is not None and any(label[x] not in fixed[r] for r, label in group):
             return "N"
-        if x not in rs_allowed:
+        if x not in _fixed_points(around):
             return "RS"
         for c, w in values:
             self.out[c] = w
@@ -497,6 +502,11 @@ class TestSearchSpec:
         with pytest.raises(ValueError) as err:
             SearchSpec(**spec)
         assert str(err.value) == message
+
+    def test_a_str_is_one_axiom_id(self):
+        # "PO" was read as the ids P and O, and refused
+        assert SearchSpec(m=2, n_max=3, axioms="PO").axioms == frozenset({"PO"})
+        assert SearchSpec(m=2, n_max=3, axioms="N").axioms == frozenset({"N"})
 
     def test_infeasible_scope_is_refused_with_estimate(self):
         with pytest.raises(SearchInfeasibleError) as err:
@@ -678,8 +688,9 @@ class TestEnumerateFunctions:
         firsts = [group[0][0] for group, _ in components]
         assert firsts == sorted(firsts)
         assert all(group[0][0] == min(a for a, _ in group) for group, _ in components)
+        # each root takes the fixed points of its cycle's relabeling
         merged = set()
-        for roots in product(*(sorted(allowed) for _, allowed in components)):
+        for roots in product(*(_fixed_points(around) for _, around in components)):
             xs = [0] * k
             for (group, _), x in zip(components, roots):
                 for a, label in group:
@@ -704,8 +715,10 @@ class TestEnumerateFunctions:
         # is one
         engine.out = [rnd.randint(0, m) if r == j else None for j, r in enumerate(engine.orbit)]
         for n in range(1, n_max + 1):
-            # each component's cells, and per value its reason and assignment
-            assert engine._components(n) == _uf_components(engine, n)
+            # each component's cells, the root values its cycle's relabeling
+            # fixes, and the map from its smallest cell to its root
+            components = [(g, frozenset(_fixed_points(around)), to_root) for g, around, to_root in engine._components(n)]
+            assert components == _uf_components(engine, n)
 
     def test_search_leaves_no_cyclic_garbage(self):
         spec = SearchSpec(m=2, n_max=9, axioms=frozenset({"N", "DP", "PO", "RS"}))
@@ -1224,6 +1237,14 @@ class TestVerdicts:
         verdict = verify_theorem(3, 2, include_dp=False)
         assert not verdict.passed
         assert verdict.solution_count > 1
+
+    @pytest.mark.parametrize("include_dp", ["no", 0, 1, None])
+    def test_include_dp_must_be_a_bool(self, include_dp):
+        # "no" searched with DP and 0 without it, and the verdict reported
+        # either value as it was given
+        with pytest.raises(ValueError) as err:
+            verify_theorem(3, 3, include_dp=include_dp)
+        assert str(err.value) == f"include_dp {include_dp!r} is not a bool"
 
     def test_truncated_search_cannot_pass(self):
         verdict = verify_theorem(2, 3, max_nodes=5)
