@@ -108,7 +108,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields, is_dataclass
 from itertools import compress, groupby, islice, permutations, repeat
 from operator import add, eq, ge, itemgetter, le, mul, sub
 from typing import Callable, Iterable, Iterator
@@ -168,9 +168,35 @@ class CheckInfeasibleError(RuntimeError):
         super().__init__(message)
 
 
+def _document(value):
+    """The document of a report value, by the one rule every report's
+    ``to_dict()`` follows: a dataclass is its ``compare=True`` fields in
+    declared order, less each field with a default while it is None or that
+    default, and ``passed`` is written ``pass``; a Profile is its
+    :func:`~scfkit.core.format_profile` text, a dict has its keys sorted, a
+    tuple or list becomes a list, and anything else is written as it is."""
+    if value is None or type(value) in (int, bool, str):  # most values, so tested first
+        return value
+    if isinstance(value, Profile):
+        return format_profile(value)
+    if isinstance(value, dict):
+        return {key: _document(value[key]) for key in sorted(value)}
+    if isinstance(value, (tuple, list)):
+        return list(map(_document, value))
+    if not is_dataclass(type(value)):
+        return value
+    doc = {}
+    for f in fields(value):
+        v = getattr(value, f.name)
+        if f.compare and (f.default is MISSING or not (v is None or v == f.default)):
+            doc["pass" if f.name == "passed" else f.name] = _document(v)
+    return doc
+
+
 @dataclass(frozen=True)
 class Witness:
-    """A violating configuration, with enough context to replay it.
+    """A violating configuration, with enough context to replay it; its
+    ``to_dict()`` is :func:`_document`'s.
 
     Field use varies by axiom: ``related_profile`` is the permuted, reduced
     or upgraded profile; ``actual``/``expected`` are the clashing outcomes
@@ -191,27 +217,13 @@ class Witness:
     note: str = ""
 
     def to_dict(self) -> dict:
-        doc: dict = {"profile": format_profile(self.profile), "actual": self.actual}
-        if self.expected is not None:
-            doc["expected"] = self.expected
-        if self.related_profile is not None:
-            doc["related_profile"] = format_profile(self.related_profile)
-        if self.permutation is not None:
-            doc["permutation"] = list(self.permutation)
-        if self.pair is not None:
-            doc["pair"] = list(self.pair)
-        if self.candidate is not None:
-            doc["candidate"] = self.candidate
-        if self.voter is not None:
-            doc["voter"] = self.voter
-        if self.note:
-            doc["note"] = self.note
-        return doc
+        return _document(self)
 
 
 @dataclass(frozen=True)
 class AxiomReport:
-    """Outcome of one bounded-exhaustive check at scope (m, n_max)."""
+    """Outcome of one bounded-exhaustive check at scope (m, n_max); its
+    ``to_dict()`` is :func:`_document`'s."""
 
     axiom: str
     m: int
@@ -225,15 +237,7 @@ class AxiomReport:
             raise ValueError("a report fails exactly when it carries a witness")
 
     def to_dict(self) -> dict:
-        doc: dict = {
-            "axiom": self.axiom,
-            "m": self.m,
-            "n_max": self.n_max,
-            "pass": self.passed,
-        }
-        if self.witness is not None:
-            doc["witness"] = self.witness.to_dict()
-        return doc
+        return _document(self)
 
 
 def _check_ids(axioms: Iterable[str]) -> None:
@@ -980,7 +984,8 @@ def replay_witness(f, report: AxiomReport) -> bool:
     """Whether a failing report's witness is the one its axiom's scan builds
     for f at the witness profile.
 
-    The witness is untrusted input.  Its profile must lie in the report's
+    The witness is untrusted input: a :class:`Witness`, exact type, whose
+    profile is a :class:`~scfkit.core.Profile`, exact type, in the report's
     scope: over the report's m, with 1 to n_max voters (at least 2 for RS).
     The scan's own per-profile code then reruns at that profile, and the
     replay is True iff it rebuilds the recorded witness field by field, each
@@ -997,9 +1002,9 @@ def replay_witness(f, report: AxiomReport) -> bool:
     genuine violation recorded with another duel or tied pair, another
     upgrade or another voter permutation than the scan's is False.
     """
-    if report.passed or report.witness is None:
-        return False
     w, axiom = report.witness, report.axiom
+    if report.passed or type(w) is not Witness or type(w.profile) is not Profile:
+        return False
     m, n_min = w.profile.m, _SCANS[axiom][1] if axiom in _SCANS else 1
     if m != report.m or not n_min <= w.profile.n <= report.n_max:
         return False

@@ -89,15 +89,16 @@ def _tie_mode(args: argparse.Namespace) -> str:
 
 
 def _read_profile(path: str):
-    text = sys.stdin.read() if path == "-" else Path(path).read_text()
-    return parse_profile(text)
+    """The profile at ``path``, or on stdin for ``-``, read as UTF-8 in any locale."""
+    data = sys.stdin.buffer.read() if path == "-" else Path(path).read_bytes()
+    return parse_profile(data.decode("utf-8"))
 
 
 def cmd_eval(args, parser) -> int:
     rule = RULES[args.rule]
     try:
         profile = _read_profile(args.profile)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read {args.profile}: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ProfileParseError as exc:
@@ -195,10 +196,11 @@ def cmd_search(args, parser) -> int:
 
 def cmd_verify_theorem(args, parser) -> int:
     verdict = verify_theorem(args.m, args.n_max, include_dp=args.dp, max_nodes=args.max_nodes)
-    for key, value in verdict.to_dict().items():
+    doc = verdict.to_dict()
+    for key, value in doc.items():
         print(f"{key}: {value}")
     if args.out:
-        _write_json(args.out, {"command": "verify-theorem", "version": __version__, **verdict.to_dict()})
+        _write_json(args.out, {"command": "verify-theorem", "version": __version__, **doc})
     if args.stats:
         _write_json(args.stats, verdict.stats)
     if not verdict.exhausted:

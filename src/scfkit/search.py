@@ -38,7 +38,7 @@ from typing import Iterator
 
 from .core import _CASES, Profile, _check_scope, _shape_votes, classify_profile
 from .rules import RULES, TabledFunction
-from .axioms import AxiomReport, check_axioms
+from .axioms import AxiomReport, _document, check_axioms
 from .engine import SEARCH_AXIOMS, SearchInfeasibleError, SearchSpec, _Engine
 
 __all__ = [
@@ -101,13 +101,14 @@ def enumerate_neutral_functions(m: int, n_max: int) -> Iterator[TabledFunction]:
 @dataclass(frozen=True)
 class TheoremVerdict:
     """Did the axiom set pin down majority rule, and do the proof cases
-    partition the profile space?
+    partition the profile space?  Its ``to_dict()`` is
+    :func:`~scfkit.axioms._document`'s.
 
     ``stats`` holds the seconds each phase took, by ``perf_counter``:
     ``build_s`` (building the search engine), ``search_s`` (the search
     alone), ``majority_table_s``, ``replay_s`` and ``partition_s``.  It is
-    no part of the verdict: it is left out of ``to_dict()``, the repr and
-    equality."""
+    no part of the verdict: a ``compare=False`` field, it is left out of
+    ``to_dict()``, the repr and equality."""
 
     m: int
     n_max: int
@@ -124,20 +125,7 @@ class TheoremVerdict:
     stats: dict[str, float] = field(default_factory=dict, compare=False, repr=False)
 
     def to_dict(self) -> dict:
-        return {
-            "m": self.m,
-            "n_max": self.n_max,
-            "include_dp": self.include_dp,
-            "pass": self.passed,
-            "exhausted": self.exhausted,
-            "solution_count": self.solution_count,
-            "maj_match": self.maj_match,
-            "replay_ok": self.replay_ok,
-            "partition_ok": self.partition_ok,
-            "case_counts": dict(sorted(self.case_counts.items())),
-            "nodes_explored": self.nodes_explored,
-            "prune_counts": dict(sorted(self.prune_counts.items())),
-        }
+        return _document(self)
 
 
 def _shape_weight(m: int, shape: tuple[int, ...]) -> int:
@@ -238,7 +226,8 @@ _EXPECTED_FAILURES = {"lex": ("N",), "zero": ("PO",), "uc": ("RS",)}
 @dataclass(frozen=True)
 class IndependenceVerdict:
     """Each of three rules drops exactly one axiom, with the documented
-    minimal witnesses."""
+    minimal witnesses; its ``to_dict()`` is
+    :func:`~scfkit.axioms._document`'s."""
 
     m: int
     n_max: int
@@ -248,17 +237,7 @@ class IndependenceVerdict:
     mismatches: tuple[str, ...]
 
     def to_dict(self) -> dict:
-        return {
-            "m": self.m,
-            "n_max": self.n_max,
-            "pass": self.passed,
-            "failures": {rule: list(axs) for rule, axs in sorted(self.failures.items())},
-            "mismatches": list(self.mismatches),
-            "reports": {
-                rule: {ax: rep.to_dict() for ax, rep in sorted(by_axiom.items())}
-                for rule, by_axiom in sorted(self.reports.items())
-            },
-        }
+        return _document(self)
 
 
 def verify_independence(m: int, n_max: int) -> IndependenceVerdict:

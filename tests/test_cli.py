@@ -132,6 +132,28 @@ class TestEval:
     def test_missing_file_exits_2(self, capsys):
         assert run(["eval", "--rule", "maj", "--profile", "/nonexistent/p.txt"]) == 2
 
+    def test_an_undecodable_file_exits_2(self, capsys, tmp_path):
+        # a UnicodeDecodeError traceback exited 1, the code of a failed axiom
+        path = tmp_path / "p.txt"
+        path.write_bytes(b"\xff\xfe 2\n")
+        assert run(["eval", "--rule", "maj", "--profile", str(path)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot read {path}: 'utf-8' codec can't decode byte 0xff")
+
+    def test_undecodable_stdin_exits_2(self):
+        # read as UTF-8 whatever the locale, not as a parse error where
+        # stdin decodes with surrogateescape
+        env = {**os.environ, "PYTHONPATH": str(Path(scfkit.__file__).parents[1])}
+        done = subprocess.run(
+            [sys.executable, "-m", "scfkit", "eval", "--rule", "maj", "--profile", "-"],
+            input=b"\xff\xfe 2\n",
+            capture_output=True,
+            env=env,
+            timeout=30,
+        )
+        assert done.returncode == 2
+        assert done.stdout == b""
+        assert done.stderr.startswith(b"error: cannot read -: 'utf-8' codec can't decode byte 0xff")
+
 
 class TestCheck:
     def test_majority_passes_everything(self, capsys):
@@ -315,6 +337,16 @@ class TestVerify:
         assert code == 0
         doc = json.loads(out.read_text())
         assert doc["failures"] == {"lex": ["N"], "uc": ["RS"], "zero": ["PO"]}
+
+    def test_an_unexpected_failure_set_is_a_mismatch(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setitem(search._EXPECTED_FAILURES, "lex", ("PO",))
+        out = tmp_path / "ind.json"
+        assert run(["verify-independence", "--m", "2", "--n-max", "3", "--out", str(out)]) == 1
+        note = "lex: expected failures ('PO',), got ('N',)"
+        lines = capsys.readouterr().out.splitlines()
+        assert f"mismatch: {note}" in lines and lines[-1] == "result: FAIL"
+        doc = json.loads(out.read_text())
+        assert doc["pass"] is False and doc["mismatches"] == [note]
 
     def test_independence_workers_do_not_change_reports(self, tmp_path):
         blobs = []
