@@ -15,26 +15,27 @@ axioms and establishes anonymity once per call.  A call estimated above
 :data:`CHECK_MAX_COST` (:func:`check_cost`) is refused with a
 :class:`CheckInfeasibleError` before f is evaluated, rather than running for
 hours.  An anonymous f is scanned one sorted profile per anonymity class,
-anything else over every ordered profile.  The A scan finds each ordered
-profile's class without sorting its ballots: a per-level successor table
-maps a class of n - 1 voters and one more ballot to a class of n
-(:func:`_class_ids`), and a per-level byte mask, built per class, drops the
-sorted profiles from the ordered stream, so f is read once at each other
-profile with no per-profile test.  It keeps each class's outcome for the
-call; when it passes, every later scan reads f's values from those, so f
-is evaluated at most once per ordered profile per call.
+anything else over every ordered profile.  The A scan reads f exactly once
+at every ordered profile, in stream order, and finds each profile's class
+without sorting its ballots: a per-level successor table maps a class of
+n - 1 voters and one more ballot to a class of n (:func:`_class_ids`).  A
+class's first profile in that order is its sorted one, whose outcome
+becomes the class's; every later member is compared with it.  So a scan
+that passes leaves f's complete class table, and every later scan of the
+call reads f from it: f is evaluated exactly once per ordered profile per
+call, all within A.
 
 Every scan walks ballot tuples from the profile stream of
 :mod:`scfkit.core`, not :class:`~scfkit.core.Profile` objects: the scanned
 profiles, their relabelings, subprofiles, reductions and upgrades are
 tuples, and their supports, leaders and counts are read off the tuple.  f
 is read through :func:`_reader`, and every lookup by class goes through one
-sorted-key reader over an outcome dict (:func:`_sorted_reader`): a table's
-dict, whose misses evaluate the table, or the class values, whose misses
-evaluate f on the sorted member and keep the outcome.  A Profile is built
-only where f.evaluate needs one, or for a witness.  A Rule of exactly that
-type is called through its ``fn`` (:func:`_evaluator`), so a class-level
-patch of Rule.evaluate misses the scans' reads; a subclass's override sees them.
+sorted-key reader over one outcome dict (:func:`_sorted_reader`): a
+table's, whose misses evaluate the table, or the class table of an f that
+passed A, which no scan misses.  A Profile is built only where f.evaluate
+needs one, or for a witness.  A Rule of exactly that type is called
+through its ``fn`` (:func:`_evaluator`), so a class-level patch of
+Rule.evaluate misses the scans' reads; a subclass's override sees them.
 
 Neutrality is checked on two generators of the relabelings, the
 transposition (1 2) and the m-cycle; only a failure rescans with all m!
@@ -69,24 +70,27 @@ raise at a class the orbit scan skips: N has read every class, so every
 table entry exists and every outcome is an int in [0, m], and RS and PR
 read f only at classes of the scope.
 
-A table's N, DP, PO and RS are first checked in one pass each, with no
-Python frame per class (:func:`_table_passes`), on the table's class
-index (:func:`_class_index`), built once per call that checks N: its
-entries in class order, and a dict from each class's code to its entry.
-A class's code has its counts c_0..c_m as base-(n_max + 1) digits, the
-sum of w(b) = (n_max + 1) ** b over its ballots b (:func:`_class_codes`),
-so distinct classes get distinct codes.  A pass may decide only when f is
-a table over the checked m and its index is valid: every class of
-1..n_max voters has an int entry in [0, m], and the table holds no other
-key.  DP, PO and RS passes need N to have passed earlier in the same
+An anonymous f's N, DP, PO and RS are first checked in one pass each,
+with no Python frame per class (:func:`_table_passes`), on the class index
+(:func:`_class_index`) of the outcome dict its scans read
+(:func:`_outcome_table`): a table's over the checked m, or the class
+table a passing A scan leaves for any other f.  The index is built once
+per call that checks N: the dict's entries in class order, and a dict
+from each class's code to its entry.  A class's code has its counts
+c_0..c_m as base-(n_max + 1) digits, the sum of w(b) = (n_max + 1) ** b
+over its ballots b (:func:`_class_codes`), so distinct classes get
+distinct codes.  A pass may decide only when the index is valid: every
+class of 1..n_max voters has an int entry in [0, m], and the dict holds no
+other key.  DP, PO and RS passes need N to have passed earlier in the same
 call, and read only the orbit first classes.  A pass then passes exactly
 when the scan would pass without raising; any other result runs the scan
 from its first class, so witnesses, the rescan and every error are the
-scan's.  A Rule keeps the scans.  The passes rest on this lemma.
+scan's.  The passes rest on this lemma.
 
 - With a valid index no scan raises: every entry it reads, at a class of
   the scope, is a ballot, and with no other key a read of ballots out of
-  order misses and reads its class's entry, the one a pass reads.
+  order misses and reads its class's entry, the one a pass reads.  A
+  scan reads f only from that dict, so it sees nothing a pass does not.
 - N: under each generator tau, the entry at the code of tau K equals
   tau applied to the entry at K, for every class K.  That is the scan's
   own test.
@@ -353,62 +357,48 @@ def _sorting_permutation(p: Profile) -> tuple[int, ...]:
 _UNEVALUATED = object()
 
 
-def _class_ids(m: int, n_max: int) -> Iterator[tuple[list[tuple[int, ...]], list[int], bytearray]]:
-    """Per level n = 1..n_max, ``(keys, ids, unsorted)``: ``keys`` lists the
-    classes' sorted ballots in the order of ``_profiles(m, n, n, True)``,
+def _class_ids(m: int, n_max: int) -> Iterator[tuple[list[tuple[int, ...]], list[int]]]:
+    """Per level n = 1..n_max, ``(keys, ids)``: ``keys`` lists the classes'
+    sorted ballots in the order of ``_profiles(m, n, n, True)``, and
     ``ids[t]`` is the index in ``keys`` of the class of the t-th ordered
-    profile of ``_profiles(m, n, n, False)``, and ``unsorted[t]`` is 0 where
-    that profile is sorted and 1 elsewhere.
+    profile of ``_profiles(m, n, n, False)``.
 
     Nothing is sorted.  The ordered stream is prefix-major: each profile of
     n - 1 voters, in order, followed by each ballot.  So a level's ids are
     its predecessor's, each expanded through the successor table
     ``child[i][b]``, the class of ``keys_{n-1}[i] + (b,)``: the level-n
     class whose code (:func:`_class_code_levels`) is that class's code plus
-    (n_max + 1) ** b.  For the same reason the sorted profile k sits at
-    position pos(k[:-1]) * (m + 1) + k[-1], where pos(k[:-1]) is the sorted
-    position one level down: the mask is built in O(classes).
+    (n_max + 1) ** b.
     """
     steps = [(n_max + 1) ** b for b in range(m + 1)]
     ids = [0]
-    parents = [(0, 0)]  # the empty class: code 0, and 0 as its largest ballot
-    positions = [0]  # where each class's sorted member sits in the ordered stream
+    codes = [0]  # the empty class's
     for n, level in enumerate(_class_code_levels(m, n_max, range(m + 1)), start=1):
         index = {code: i for i, (code, _) in enumerate(level)}
-        child = [[index[code + step] for step in steps] for code, _ in parents]
+        child = [[index[code + step] for step in steps] for code in codes]
         ids = [c for i in ids for c in child[i]]
-        # parents and positions are in lexicographic order, so this lists
-        # the sorted extensions of each class in the order of ``level``
-        positions = [pos * (m + 1) + b for (_, last), pos in zip(parents, positions) for b in range(last, m + 1)]
-        unsorted = bytearray(b"\x01") * len(ids)
-        for pos in positions:
-            unsorted[pos] = 0
-        parents = level
-        yield list(_profiles(m, n, n, True)), ids, unsorted
+        codes = [code for code, _ in level]
+        yield list(_profiles(m, n, n, True)), ids
 
 
 def _anonymity_witness(f, m: int, n_max: int, values: dict[tuple[int, ...], int]) -> Witness | None:
-    """The A scan: f must be constant on each anonymity class, so every
-    ordered profile is compared against its class's sorted member.
+    """The A scan: f must be constant on each anonymity class.
 
-    Each profile's class is read off :func:`_class_ids`, not found by
-    sorting, and the sorted profiles, each the lexicographic minimum of its
-    class's orderings, are dropped from the stream by that level's mask.  f
-    is read once at every other profile, as it is: a table through
-    ``_reader`` without classes, any other f through :func:`_evaluator`
-    here, on a Profile built inline.  The sorted member's outcome is read
-    through the class values (``_reader`` by class) the first time its
-    class needs it, after that profile's own, which keeps it in ``values``
-    for the rest of the call, and in a per-level list by class for the rest
-    of the scan.  A class with one ordering, one ballot value repeated, is
-    never read here.
+    f is read exactly once at every ordered profile of 1..n_max voters, in
+    stream order, and each profile's class is read off :func:`_class_ids`,
+    not found by sorting.  A class's first profile in that order is its
+    sorted one, the lexicographic minimum of its orderings: its outcome
+    becomes the class's, kept in ``values`` under the sorted ballots, and
+    every later member of the class is compared with it.  So a scan that
+    passes leaves the complete class table in ``values``.  f is read as it
+    is: a table through ``_reader``, any other f through :func:`_evaluator`
+    here, on a Profile built inline.
     """
     read = _reader(f, m, False, values) if isinstance(f, TabledFunction) else None
-    class_value = _reader(f, m, True, values)
     new, set_m, set_ballots, evaluate = object.__new__, _set_m, _set_ballots, _evaluator(f)
-    for n, (keys, ids, unsorted) in enumerate(_class_ids(m, n_max), start=1):
+    for n, (keys, ids) in enumerate(_class_ids(m, n_max), start=1):
         outcomes = [_UNEVALUATED] * len(keys)
-        for ballots, i in zip(compress(_profiles(m, n, n, False), unsorted), compress(ids, unsorted)):
+        for ballots, i in zip(_profiles(m, n, n, False), ids):
             if read is None:
                 p = new(Profile)
                 set_m(p, m)
@@ -418,8 +408,8 @@ def _anonymity_witness(f, m: int, n_max: int, values: dict[tuple[int, ...], int]
                 actual = read(ballots)
             expected = outcomes[i]
             if expected is _UNEVALUATED:
-                expected = outcomes[i] = class_value(keys[i])
-            if actual != expected:
+                outcomes[i] = values[keys[i]] = actual
+            elif actual != expected:
                 return _unsorted_witness(m, ballots, actual, expected)
     return None
 
@@ -459,17 +449,27 @@ def _sorted_reader(
     return evaluate
 
 
+def _outcome_table(f, m: int, by_class: bool, values: dict[tuple[int, ...], int]) -> dict | None:
+    """The one outcome dict, keyed by sorted ballots, that every scan of a
+    call reads f from: a table's own over the scope's m, or, with
+    ``by_class``, the class table ``values`` of any other f that passed the
+    A scan.  None when f is read by evaluation alone."""
+    if isinstance(f, TabledFunction):
+        return f._table if f.m == m else None
+    return values if by_class else None
+
+
 def _reader(f, m: int, by_class: bool, values: dict[tuple[int, ...], int]) -> Callable[[tuple[int, ...]], int]:
     """How every scan reads f in one call: ``value(ballots)``, f's outcome at
     the profile with those ballots.
 
-    A table over the scope's m is read from its dict (:func:`_sorted_reader`);
-    a miss, a class with no entry or ballots past the table's voter bound,
-    evaluates the table, which raises as it always does.  A table over
-    another m is evaluated, and raises at once.  With ``by_class`` any other
-    f is read through its class values ``values``: a miss evaluates f on the
-    class's sorted member and keeps the outcome there for the rest of the
-    call.  Without, f is evaluated at every profile.  A
+    f is read from its one outcome dict (:func:`_outcome_table`) through
+    :func:`_sorted_reader`: a table's, whose misses, a class with no entry or
+    ballots past the table's voter bound, evaluate the table, which raises
+    as it always does; or the class table of a passing A scan, which no scan
+    misses, as every class of the scope is in it.  A table over another m,
+    and without ``by_class`` any other f, is evaluated at every profile; a
+    table over another m raises at once.  A
     :class:`~scfkit.core.Profile` is built only for f.evaluate, inline
     through the slot setters :meth:`~scfkit.core.Profile._trusted` uses.  f
     is called through :func:`_evaluator`, so a class-level patch of
@@ -483,16 +483,8 @@ def _reader(f, m: int, by_class: bool, values: dict[tuple[int, ...], int]) -> Ca
         set_ballots(p, ballots)
         return evaluate(p)
 
-    if isinstance(f, TabledFunction):
-        return _sorted_reader(f._table, read) if f.m == m else read
-    if not by_class:
-        return read
-
-    def keep(key: tuple[int, ...]) -> int:
-        out = values[key] = read(key)
-        return out
-
-    return _sorted_reader(values, keep)
+    table = _outcome_table(f, m, by_class, values)
+    return read if table is None else _sorted_reader(table, read)
 
 
 def _relabeling_lookups(m: int) -> list[tuple[int, ...]]:
@@ -602,12 +594,13 @@ def _class_codes(m: int, n_max: int, lookup: Iterable[int]) -> list[int]:
 
 
 def _class_index(table: dict, m: int, n_max: int) -> tuple[dict, list[int], dict[int, int]] | None:
-    """A table's class index at the scope: ``(table, outs, by_code)``, with
-    ``outs`` its entries at the classes of 1..n_max voters in the class
-    stream's order and ``by_code`` a dict from each class's code
-    (:func:`_class_codes`) to its entry.  None unless the index is valid:
-    every class has an int entry in [0, m] (as
-    :func:`~scfkit.core._ballot_error` requires) and the table holds no
+    """The class index at the scope of an outcome dict keyed by sorted
+    ballots, a table's or a class table (:func:`_outcome_table`):
+    ``(table, outs, by_code)``, with ``outs`` its entries at the classes of
+    1..n_max voters in the class stream's order and ``by_code`` a dict from
+    each class's code (:func:`_class_codes`) to its entry.  None unless the
+    index is valid: every class has an int entry in [0, m] (as
+    :func:`~scfkit.core._ballot_error` requires) and the dict holds no
     other key.  Reading the entries has no side effects."""
     keys = list(_profiles(m, 1, n_max, True))
     outs = list(map(table.get, keys))
@@ -671,16 +664,16 @@ def _reducibility_pass(index: tuple, firsts: list, m: int, n_max: int) -> bool:
     return all(map(eq, map(read, codes), map(read, reduced)))
 
 
-# axiom -> its one-pass check of a table, a function of the table's class
-# index, the orbit first classes (None for N), m and n_max
+# axiom -> its one-pass check of an outcome dict, a function of the dict's
+# class index, the orbit first classes (None for N), m and n_max
 _PASSES = {"N": _neutrality_pass, "DP": _duel_pass, "PO": _pareto_pass, "RS": _reducibility_pass}
 
 
 def _table_passes(axiom: str, index: tuple, firsts: list | None, m: int, n_max: int) -> bool:
-    """Whether ``axiom``'s pass decides that its scan of a table passes,
-    given the table's valid class index and, past N, the orbit first
-    classes of a call where N has passed (see the module docstring).
-    Every pass goes through here."""
+    """Whether ``axiom``'s pass decides that its scan passes, given the
+    valid class index of the outcome dict the scans read and, past N, the
+    orbit first classes of a call where N has passed (see the module
+    docstring).  Every pass goes through here."""
     return _PASSES[axiom](index, firsts, m, n_max)
 
 
@@ -866,13 +859,13 @@ def check_axioms(
     evaluated.  Anonymity is established once: by the A scan, which is also
     the A report, or by construction for a :class:`TabledFunction`.  Every
     scan walks ballot tuples and reads f through :func:`_reader`: a table's
-    entries directly, the class outcomes the A scan kept when it passed,
-    evaluating only the classes it never needed, or f itself when f is not
-    anonymous.  In that last case the ordered fallbacks of the other axioms
-    are estimated together before any of them is scanned.  A
-    :class:`Profile` is built only for f.evaluate or a witness.  On a table
-    over m with a valid class index, N, and once N has passed DP, PO and
-    RS, are each decided by their one-pass check when it passes, and by the
+    entries directly, the complete class table the A scan leaves when it
+    passes, or f itself when f is not anonymous.  In that last case the
+    ordered fallbacks of the other axioms are estimated together before any
+    of them is scanned.  A :class:`Profile` is built only for f.evaluate or
+    a witness.  When the dict the scans read, a table's over m or the class
+    table, has a valid class index, N, and once N has passed DP, PO and RS,
+    are each decided by their one-pass check when it passes, and by the
     scan otherwise (see the module docstring).
 
     Once N passes on a class scan, the DP, PO, RS, PR and NTW scans listed
@@ -898,13 +891,14 @@ def check_axioms(
     by_class = _scans_classes(f, anonymity)
     if not by_class:
         require_feasible(others, f, m, n_max, ordered=True)
+    table = _outcome_table(f, m, by_class, values)
     value = _reader(f, m, by_class, values)
     witnesses = {"A": anonymity}
     index, neutral, firsts = None, False, None
     for ax in others:
         if ax == "N":
-            if index is None and tabled and f.m == m:
-                index = _class_index(f._table, m, n_max)
+            if index is None and table is not None:
+                index = _class_index(table, m, n_max)
             if index is not None and _table_passes(ax, index, None, m, n_max):
                 witnesses[ax] = None
             else:

@@ -306,35 +306,38 @@ class TestAnonymityScan:
         counted = Rule("maj", lambda p: calls.append(p.ballots) or MAJ.evaluate(p))
         m, n_max = 3, 4
         check_anonymity(counted, m, n_max)
-        # every unsorted profile once, plus the sorted member of each class
-        # with more than one member
-        ordered = sum((m + 1) ** n for n in range(1, n_max + 1))
-        classes = sum(math.comb(n + m, m) for n in range(1, n_max + 1))
-        want = (ordered - classes) + (classes - (m + 1) * n_max)
-        assert len(calls) == want
-        unsorted = [b for b in calls if list(b) != sorted(b)]
-        assert len(unsorted) == len(set(unsorted)) == ordered - classes
+        # every ordered profile once, in stream order: each sorted member at
+        # its own position, the classes with one ordering included
+        ordered = [b for n in range(1, n_max + 1) for b in product(range(m + 1), repeat=n)]
+        assert len(ordered) == 340
+        assert calls == ordered
         # nothing is carried over to the next call
         check_anonymity(counted, m, n_max)
-        assert len(calls) == 2 * want
+        assert calls == ordered * 2
 
     def test_incomplete_table_raises_for_the_same_entry(self):
         maj = TabledFunction.from_rule(MAJ, 2, 3)
-        # (1, 1) comes first among the classes, but its only member is sorted
-        # and never evaluated; (1, 2) is first needed by the profile (2, 1)
+        # the scan reads every ordered profile in stream order, so (1, 1),
+        # the first missing class, is named at its only member; the
+        # two-evaluation scan skips sorted profiles and first needs (1, 2)
+        # at the profile (2, 1)
         table = {k: v for k, v in maj.table.items() if k not in ((1, 1), (1, 2))}
         t = TabledFunction(2, 3, table)
         with pytest.raises(IncompleteTableError) as reference:
             _two_evaluation_anonymity(t, 2, 3)
         with pytest.raises(IncompleteTableError) as err:
             check_anonymity(t, 2, 3)
-        assert err.value.ballots == reference.value.ballots == (1, 2)
-        # f(p) is evaluated before f(sorted p): with both missing, p is named
-        partial = OrderedFunction({b: 0 for b in product(range(3), repeat=2) if b not in ((0, 1), (1, 0))})
-        for scan in (_two_evaluation_anonymity, check_anonymity):
+        assert err.value.ballots == (1, 1)
+        assert reference.value.ballots == (1, 2)
+        # a sorted profile is read at its own position, before any other
+        # member of its class: with (0, 1) and (1, 0) missing, (0, 1) is
+        # named; the two-evaluation scan reads f(p) before f(sorted p)
+        given = [b for n in (1, 2) for b in product(range(3), repeat=n)]
+        partial = OrderedFunction({b: 0 for b in given if b not in ((0, 1), (1, 0))})
+        for scan, named in ((_two_evaluation_anonymity, (1, 0)), (check_anonymity, (0, 1))):
             with pytest.raises(KeyError) as err:
                 scan(partial, 2, 2)
-            assert err.value.args == ((1, 0),)
+            assert err.value.args == (named,)
 
     def test_a_table_is_read_from_its_dict(self, monkeypatch):
         # as in every other scan, a complete table is read, never evaluated;
@@ -353,14 +356,19 @@ class TestAnonymityScan:
             check_anonymity(TabledFunction.from_rule(MAJ, 2, 3), 3, 3)
         assert str(err.value) == "profile has m=3, table has m=2"
 
-    def test_table_missing_only_single_member_classes_passes(self):
+    def test_table_missing_only_single_member_classes_raises(self):
+        # a class with one ordering is read too, at its only member
         maj = TabledFunction.from_rule(MAJ, 2, 2)
         t = TabledFunction(2, 2, {k: v for k, v in maj.table.items() if k != (1, 1)})
-        assert check_anonymity(t, 2, 2).passed
+        with pytest.raises(IncompleteTableError) as err:
+            check_anonymity(t, 2, 2)
+        assert err.value.ballots == (1, 1)
 
 
 # The A scan that found each profile's class by sorting its ballots, before
-# the successor table replaced the sort, kept as the table's reference.
+# the successor table replaced the sort, kept as the table's reference: f is
+# read once at every ordered profile in stream order, a sorted profile's
+# outcome is its class's, and every other profile is compared with it.
 
 
 def _sorting_anonymity_witness(f, m, n_max, values):
@@ -368,13 +376,11 @@ def _sorting_anonymity_witness(f, m, n_max, values):
     for n in range(1, n_max + 1):
         for p in enumerate_profiles(m, n):
             key = tuple(sorted(p.ballots))
-            if key == p.ballots:
-                continue
             actual = evaluate(p)
-            if key in values:
-                expected = values[key]
-            else:
-                expected = values[key] = evaluate(Profile._trusted(m, key))
+            if key == p.ballots:
+                values[key] = actual
+                continue
+            expected = values[key]
             if actual != expected:
                 return Witness(
                     profile=p,
@@ -457,7 +463,7 @@ class TestClassIdScan:
         n_max = max(n for n in range(1, 10) if (m + 1) ** n <= 5_000)
         levels = list(axioms._class_ids(m, n_max))
         assert len(levels) == n_max
-        for n, (keys, ids, unsorted) in enumerate(levels, start=1):
+        for n, (keys, ids) in enumerate(levels, start=1):
             assert keys == list(combinations_with_replacement(range(m + 1), n))
             index = {key: i for i, key in enumerate(keys)}
             ordered = list(product(range(m + 1), repeat=n))
@@ -467,9 +473,6 @@ class TestClassIdScan:
             for t, i in zip(ordered, ids):
                 first.setdefault(i, t)
             assert first == dict(enumerate(keys))
-            # the mask drops exactly the sorted profiles, each class's first
-            assert type(unsorted) is bytearray
-            assert list(unsorted) == [int(list(t) != sorted(t)) for t in ordered]
 
 
 def _drawn_ordered(m, n_max, flip_last):
@@ -497,9 +500,10 @@ def _mask_rule(name, m, n_max):
     return _drawn_ordered(m, n_max, flip_last=name == "flipped")
 
 
-# The masked A scan against the sorting scan, which finds each class by
-# sorting and reads f without the scan's readers.  The test names keep the
-# seen-test scan's name, the reference they were written against.
+# The A scan against the sorting scan, which finds each class by sorting
+# and reads f without the scan's readers.  The class name keeps the masked
+# scan's name, and the test names the seen-test scan's, the references they
+# were written against.
 
 
 class TestMaskedAnonymityScan:
@@ -516,8 +520,8 @@ class TestMaskedAnonymityScan:
     @pytest.mark.parametrize("m,n_max", _MASK_SCOPES)
     @pytest.mark.parametrize("name", _MASK_RULES)
     def test_raises_where_the_seen_scan_does(self, name, m, n_max):
-        # f raises partway: at an unsorted profile of the top level, read as
-        # it is, and at a sorted one, read as its class's value
+        # f raises partway: at an unsorted profile of the top level, and at
+        # a sorted one, each read at its own position
         f = _mask_rule(name, m, n_max)
         unsorted = [t for t in product(range(m + 1), repeat=n_max) if list(t) != sorted(t)]
         middle = unsorted[len(unsorted) // 2]
@@ -1377,7 +1381,7 @@ class TestFeasibility:
         ],
     )
     def test_ordered_fallback_is_refused_before_scanning(self, checker, axiom, n_max, class_cost, ordered_cost):
-        # accepted as a class scan, but "last" fails A at n = 2, and every
+        # accepted as a class scan, but "last" fails A at (1, 0), and every
         # ordered profile would then cost the per-class evaluations
         assert check_cost(axiom, 3, n_max) == class_cost <= CHECK_MAX_COST
         assert check_cost(axiom, 3, n_max, ordered=True) == ordered_cost > CHECK_MAX_COST
@@ -1387,8 +1391,8 @@ class TestFeasibility:
             checker(last, 3, n_max)
         assert err.value.cost == ordered_cost
         assert str(ordered_cost) in str(err.value)
-        # only the anonymity pre-scan ran: (1, 0) against (0, 1)
-        assert len(calls) == 2
+        # only the anonymity pre-scan ran, up to (1, 0) against (0, 1)
+        assert [p.ballots for p in calls] == [(0,), (1,), (2,), (3,), (0, 0), (0, 1), (0, 2), (0, 3), (1, 0)]
 
     @pytest.mark.parametrize("m,n_max", [(2, 5), (3, 4), (4, 3), (3, 6), (3, 7)])
     def test_acceptance_and_benchmark_scopes_are_accepted(self, m, n_max):
@@ -1490,13 +1494,14 @@ class TestCheckAxioms:
 
     def test_every_ordered_fallback_is_refused_before_any_scan(self):
         # PO's ordered fallback at (3, 10) is cheap, N's is not: PO is not
-        # scanned either, only the anonymity scan ran, (1, 0) against (0, 1)
+        # scanned either, only the anonymity scan ran, up to (1, 0) against
+        # (0, 1)
         f, calls = _counting(LAST)
         with pytest.raises(CheckInfeasibleError) as err:
             check_axioms(f, 3, 10, ["PO", "N"])
         assert check_cost("PO", 3, 10, ordered=True) <= CHECK_MAX_COST
         assert err.value.cost == check_cost(["PO", "N"], 3, 10, ordered=True)
-        assert calls == [(1, 0), (0, 1)]
+        assert calls == [(0,), (1,), (2,), (3,), (0, 0), (0, 1), (0, 2), (0, 3), (1, 0)]
 
 
 class Plain:
@@ -1617,15 +1622,14 @@ class TestClassValues:
 
     def test_a_class_valued_none_is_evaluated_once(self):
         # majority with None for 0: a stored None is a class value, not a
-        # miss, so no ordered profile is evaluated twice.  A and PO read
-        # every ordered profile but the four all-abstention classes, each
-        # with one ordering, which A never reads and PO skips
+        # miss, so no ordered profile is evaluated twice.  A reads every
+        # ordered profile once, and PO reads the class table it leaves
         f, calls = _counting(Rule("maj_or_none", lambda p: MAJ.evaluate(p) or None))
         reports = check_axioms(f, 3, 4, ["A", "PO"])
         assert [r.to_dict() for r in reports] == [
             {"axiom": ax, "m": 3, "n_max": 4, "pass": True} for ax in ("A", "PO")
         ]
-        assert len(calls) == len(set(calls)) == 340 - 4
+        assert len(calls) == len(set(calls)) == 340
         # NTW reads f at every class, and None there is no ballot
         with pytest.raises(ValueError, match="^outcome None is not an int$"):
             check_axioms(f, 3, 4, ["A", "PO", "NTW"])
@@ -1781,14 +1785,15 @@ class TestGeneratorScans:
 
     def test_an_f_that_changes_between_the_scan_and_the_rescan_raises(self):
         # voter 1's ballot, so f fails A and N reads f at every ordered
-        # profile, but (1,) elects nobody until f is read at (2,): the swap
-        # fails at (1,), then the rescan, reading (1,) again, finds no
-        # relabeling that fails
-        seen = set()
+        # profile, but (1,) elects nobody until f is read at (2,) a second
+        # time: A reads (2,) once, N's swap fails at (1,) as it reads (2,)
+        # again, then the rescan, reading (1,) again, finds no relabeling
+        # that fails
+        reads = []
 
         def fickle(p):
-            seen.add(p.ballots)
-            return 0 if p.ballots == (1,) and (2,) not in seen else p.ballots[0]
+            reads.append(p.ballots)
+            return 0 if p.ballots == (1,) and reads.count((2,)) < 2 else p.ballots[0]
 
         with pytest.raises(RuntimeError) as err:
             check_neutrality(Rule("fickle", fickle), 3, 2)
@@ -2051,6 +2056,83 @@ class TestTablePasses:
         assert scanned == ["PO", "RS"]
 
 
+@st.composite
+def anonymous_rules(draw):
+    """An anonymous f that is no table, at m = 2..4 and n_max = 2..4: a
+    random table, a random neutral one, or majority's with up to two
+    classes changed, behind a Rule; perhaps with one class's outcome set to
+    None, True, 1.0, -1 or m + 1, and perhaps raising on a drawn profile."""
+    m, n_max = draw(st.integers(2, 4)), draw(st.integers(2, 4))
+    rnd = draw(st.randoms(use_true_random=False))
+    classes = [c for n in range(1, n_max + 1) for c in combinations_with_replacement(range(m + 1), n)]
+    kind = draw(st.sampled_from(["random", "neutral", "majority"]))
+    if kind == "random":
+        by_class = {c: rnd.randint(0, m) for c in classes}
+    elif kind == "neutral":
+        by_class = _neutral_table(draw, m, n_max)
+    else:
+        by_class = dict(TabledFunction.from_rule(MAJ, m, n_max).table)
+        for c in rnd.sample(classes, draw(st.integers(0, 2))):
+            by_class[c] = (by_class[c] + rnd.randint(1, m)) % (m + 1)
+    if draw(st.booleans()):
+        by_class[rnd.choice(classes)] = draw(st.sampled_from([None, True, 1.0, -1, m + 1]))
+    f = Rule("drawn", lambda p: by_class[tuple(sorted(p.ballots))])
+    if draw(st.booleans()):
+        f = Raising(f, tuple(rnd.randint(0, m) for _ in range(rnd.randint(1, n_max))))
+    return m, n_max, f
+
+
+class TestClassTablePasses:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        anonymous_rules(),
+        st.permutations(ALL_AXIOMS).flatmap(lambda order: st.integers(1, len(order)).map(lambda k: order[:k])),
+        st.sampled_from(PR_TIE_MODES),
+    )
+    def test_equal_the_scans(self, case, requested, mode):
+        # an anonymous f read from the class table A leaves: the passes on
+        # give the reports or error of the scans with every pass off, and f
+        # is evaluated at the same ballots, all within A
+        m, n_max, f = case
+        got = _check_outcome(check_axioms, f, m, n_max, requested, mode)
+        with pytest.MonkeyPatch.context() as mp:
+            _scan_tables(mp)
+            assert got == _check_outcome(check_axioms, f, m, n_max, requested, mode)
+
+    @pytest.mark.parametrize("m,n_max", [(3, 4), (40, 2)])
+    @pytest.mark.parametrize("rule", [MAJ, UC], ids=["maj", "uc"])
+    def test_rules_need_no_scan_of_a_passing_axiom(self, rule, m, n_max):
+        # no N scan runs, and past N a scan runs exactly when its axiom
+        # fails; the class table A leaves is the rule's table
+        scanned, tables = [], []
+        anonymity = axioms._anonymity_witness
+
+        def keeping(f, m, n_max, values):
+            tables.append(values)
+            return anonymity(f, m, n_max, values)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(axioms, "_anonymity_witness", keeping)
+            mp.setattr(axioms, "_neutrality_witness", lambda *args: pytest.fail("scanned"))
+            _spy_scans(mp, scanned)
+            reports = [r.to_dict() for r in check_axioms(rule, m, n_max, ["A", "N", "DP", "PO", "RS"])]
+        assert [r["pass"] for r in reports[:2]] == [True, True]
+        assert scanned == [r["axiom"] for r in reports[2:] if not r["pass"]]
+        (table,) = tables
+        assert table == TabledFunction.from_rule(rule, m, n_max).table
+        assert rule is not MAJ or all(r["pass"] for r in reports)
+
+    def test_lex_gets_its_neutrality_witness_from_the_scan(self):
+        witnesses = []
+        scan = axioms._neutrality_witness
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(axioms, "_neutrality_witness", lambda *args: witnesses.append(scan(*args)) or witnesses[-1])
+            report = check_axioms(LEX, 3, 4, ["A", "N"])[1]
+        assert witnesses == [report.witness]
+        w = report.witness
+        assert (w.profile.ballots, w.permutation, w.actual, w.expected) == ((1, 2), (2, 1, 3), 1, 2)
+
+
 class TestClassCodes:
     @pytest.mark.parametrize("m,n_max", [(2, 2), (2, 9), (3, 7), (5, 5), (12, 3), (40, 3), (4, 1)])
     def test_codes_are_weight_sums_that_find_the_relabeled_class(self, m, n_max):
@@ -2148,7 +2230,7 @@ class TestCallEstimate:
         assert str(err.value) == (
             f"checking N,DP,PO,RS,PR at m=2, n_max=10 needs about {cost} evaluations (> {CHECK_MAX_COST})"
         )
-        assert calls == [(1, 0), (0, 1)]
+        assert calls == [(0,), (1,), (2,), (0, 0), (0, 1), (0, 2), (1, 0)]
 
     @given(
         st.one_of(
