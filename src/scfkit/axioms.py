@@ -70,19 +70,19 @@ raise at a class the orbit scan skips: N has read every class, so every
 table entry exists and every outcome is an int in [0, m], and RS and PR
 read f only at classes of the scope.
 
-An anonymous f's N, DP, PO and RS are first checked in one pass each,
-with no Python frame per class (:func:`_table_passes`), on the class index
-(:func:`_class_index`) of the outcome dict its scans read
-(:func:`_outcome_table`): a table's over the checked m, or the class
-table a passing A scan leaves for any other f.  The index is built once
-per call that checks N: the dict's entries in class order, and a dict
-from each class's code to its entry.  A class's code has its counts
+An anonymous f's N, DP, PO, RS and PR are first checked in one pass each
+(:func:`_table_passes`), with no Python frame per class but PR's loop over
+the orbit first classes, on the class index (:func:`_class_index`) of the
+outcome dict its scans read (:func:`_outcome_table`): a table's over the
+checked m, or the class table a passing A scan leaves for any other f.
+The index is built once per call that checks N: the dict's entries in
+class order, and a dict from each class's code to its entry.  A class's code has its counts
 c_0..c_m as base-(n_max + 1) digits, the sum of w(b) = (n_max + 1) ** b
 over its ballots b (:func:`_class_codes`), so distinct classes get
 distinct codes.  A pass may decide only when the index is valid: every
 class of 1..n_max voters has an int entry in [0, m], and the dict holds no
-other key.  DP, PO and RS passes need N to have passed earlier in the same
-call, and read only the orbit first classes.  A pass then passes exactly
+other key.  DP, PO, RS and PR passes need N to have passed earlier in the
+same call, and read only the orbit first classes.  A pass then passes exactly
 when the scan would pass without raising; any other result runs the scan
 from its first class, so witnesses, the rescan and every error are the
 scan's.  The passes rest on this lemma.
@@ -106,6 +106,12 @@ scan's.  The passes rest on this lemma.
   code(K) - w(b), the class of K less one ballot b.  That sum is the code
   of K's reduced profile, whose ballots are each voter's subprofile
   outcome.  A ballot absent from K contributes 0, because c_b = 0.
+- PR: for every K and target k, the entry at code(K) - w(b) + w(k) is k
+  for every ballot b != k present in K.  The targets are K's outcome when
+  it is a win, and when it ties the tie mode's candidates
+  (:func:`_tie_candidates`).  That code is the class of K with one voter's
+  ballot b moved to k, the upgrade the scan reads at each such voter; two
+  voters with one ballot give one class.
 """
 
 from __future__ import annotations
@@ -601,15 +607,19 @@ def _class_index(table: dict, m: int, n_max: int) -> tuple[dict, list[int], dict
     each class's code (:func:`_class_codes`) to its entry.  None unless the
     index is valid: every class has an int entry in [0, m] (as
     :func:`~scfkit.core._ballot_error` requires) and the dict holds no
-    other key.  Reading the entries has no side effects."""
+    other key.  Reading the entries has no side effects: a dict whose keys
+    are the classes in that order, as the class table, the engine's and
+    ``from_rule``'s tables are, is read in order, any other by its keys."""
     keys = list(_profiles(m, 1, n_max, True))
-    outs = list(map(table.get, keys))
-    if len(table) != len(keys) or set(map(type, outs)) != {int} or min(outs) < 0 or max(outs) > m:
+    if len(table) != len(keys):
+        return None
+    outs = list(table.values()) if list(table) == keys else list(map(table.get, keys))
+    if set(map(type, outs)) != {int} or min(outs) < 0 or max(outs) > m:
         return None
     return table, outs, dict(zip(_class_codes(m, n_max, range(m + 1)), outs))
 
 
-def _neutrality_pass(index: tuple, firsts: list | None, m: int, n_max: int) -> bool:
+def _neutrality_pass(index: tuple, firsts: list | None, m: int, n_max: int, tie_upgrade: str) -> bool:
     """N's pass: under each generator tau, the entry at the code of tau K,
     built for every class K at once (:func:`_class_codes`), is tau applied
     to K's entry.  One pass of ``map`` and ``operator.eq`` per generator."""
@@ -621,7 +631,7 @@ def _neutrality_pass(index: tuple, firsts: list | None, m: int, n_max: int) -> b
     return True
 
 
-def _duel_pass(index: tuple, firsts: list, m: int, n_max: int) -> bool:
+def _duel_pass(index: tuple, firsts: list, m: int, n_max: int, tie_upgrade: str) -> bool:
     """DP's pass: from m = 3 on, every orbit's first class with k <= 2
     voted candidates, 1..k, has an outcome of at most k."""
     if m == 2:
@@ -631,14 +641,14 @@ def _duel_pass(index: tuple, firsts: list, m: int, n_max: int) -> bool:
     return all(map(le, map(index[0].__getitem__, compress(firsts, duels)), compress(lasts, duels)))
 
 
-def _pareto_pass(index: tuple, firsts: list, m: int, n_max: int) -> bool:
+def _pareto_pass(index: tuple, firsts: list, m: int, n_max: int, tie_upgrade: str) -> bool:
     """PO's pass: every orbit's first class voting for candidate 1 alone
     has outcome 1."""
     alone = compress(firsts, map(eq, map(itemgetter(-1), firsts), repeat(1)))
     return all(map(eq, map(index[0].__getitem__, alone), repeat(1)))
 
 
-def _reducibility_pass(index: tuple, firsts: list, m: int, n_max: int) -> bool:
+def _reducibility_pass(index: tuple, firsts: list, m: int, n_max: int, tie_upgrade: str) -> bool:
     """RS's pass: every orbit's first class K of two or more voters has the
     entry at the code of its reduced profile, the sum over b of
     c_b * w(out_b), out_b the entry at code(K) - w(b).  K votes only for
@@ -664,17 +674,40 @@ def _reducibility_pass(index: tuple, firsts: list, m: int, n_max: int) -> bool:
     return all(map(eq, map(read, codes), map(read, reduced)))
 
 
+def _responsiveness_pass(index: tuple, firsts: list, m: int, n_max: int, tie_upgrade: str) -> bool:
+    """PR's pass (see the module docstring): one read per target k and
+    distinct ballot b != k of every orbit's first class K, the entry at
+    code(K) - w(b) + w(k)."""
+    table, _, by_code = index
+    w = [(n_max + 1) ** b for b in range(m + 1)]
+    for K in firsts:
+        out = table[K]
+        code, ballots = sum(map(w.__getitem__, K)), set(K)
+        for k in (out,) if out else _tie_candidates(m, K, tie_upgrade):
+            lifted = code + w[k]
+            for b in ballots:
+                if b != k and by_code[lifted - w[b]] != k:
+                    return False
+    return True
+
+
 # axiom -> its one-pass check of an outcome dict, a function of the dict's
-# class index, the orbit first classes (None for N), m and n_max
-_PASSES = {"N": _neutrality_pass, "DP": _duel_pass, "PO": _pareto_pass, "RS": _reducibility_pass}
+# class index, the orbit first classes (None for N), m, n_max and PR's tie mode
+_PASSES = {
+    "N": _neutrality_pass,
+    "DP": _duel_pass,
+    "PO": _pareto_pass,
+    "RS": _reducibility_pass,
+    "PR": _responsiveness_pass,
+}
 
 
-def _table_passes(axiom: str, index: tuple, firsts: list | None, m: int, n_max: int) -> bool:
+def _table_passes(axiom: str, index: tuple, firsts: list | None, m: int, n_max: int, tie_upgrade: str) -> bool:
     """Whether ``axiom``'s pass decides that its scan passes, given the
-    valid class index of the outcome dict the scans read and, past N, the
-    orbit first classes of a call where N has passed (see the module
-    docstring).  Every pass goes through here."""
-    return _PASSES[axiom](index, firsts, m, n_max)
+    valid class index of the outcome dict the scans read, past N the orbit
+    first classes of a call where N has passed, and PR's tie mode (see the
+    module docstring).  Every pass goes through here."""
+    return _PASSES[axiom](index, firsts, m, n_max, tie_upgrade)
 
 
 def _minimal_relabeling_witness(value: Callable, m: int, n_max: int, by_class: bool, stop: int) -> Witness:
@@ -864,8 +897,8 @@ def check_axioms(
     ordered fallbacks of the other axioms are estimated together before any
     of them is scanned.  A :class:`Profile` is built only for f.evaluate or
     a witness.  When the dict the scans read, a table's over m or the class
-    table, has a valid class index, N, and once N has passed DP, PO and RS,
-    are each decided by their one-pass check when it passes, and by the
+    table, has a valid class index, N, and once N has passed DP, PO, RS and
+    PR, are each decided by their one-pass check when it passes, and by the
     scan otherwise (see the module docstring).
 
     Once N passes on a class scan, the DP, PO, RS, PR and NTW scans listed
@@ -899,7 +932,7 @@ def check_axioms(
         if ax == "N":
             if index is None and table is not None:
                 index = _class_index(table, m, n_max)
-            if index is not None and _table_passes(ax, index, None, m, n_max):
+            if index is not None and _table_passes(ax, index, None, m, n_max, tie_upgrade):
                 witnesses[ax] = None
             else:
                 witnesses[ax] = _neutrality_witness(value, m, n_max, by_class)
@@ -911,7 +944,7 @@ def check_axioms(
         else:
             if firsts is None:
                 firsts = list(_orbit_firsts(m, 1, n_max))
-            if index is not None and ax in _PASSES and _table_passes(ax, index, firsts, m, n_max):
+            if index is not None and ax in _PASSES and _table_passes(ax, index, firsts, m, n_max, tie_upgrade):
                 witnesses[ax] = None
                 continue
             stream = (ballots for ballots in firsts if len(ballots) >= n_min)

@@ -334,39 +334,47 @@ class _Engine:
         def binds(c: tuple[int, ...], k: int) -> bool:
             return tie == "always" or (tie == "leaders" and c[k] == max(c[1:]))
 
+        # PO's, DP's and N's entries depend on the candidate counts c[1:]
+        # alone, so each count shape's are built once, at its first
+        # representative
+        shapes: dict[tuple[int, ...], tuple[tuple[int, ...] | None, ...]] = {}
         for r in reps:
             c = counts[r]
             n = sum(c)
             self.reps[n].append(r)
-            if po is not None or dp is not None:
+            votes = c[1:]
+            entries = shapes.get(votes)
+            if entries is None:
                 support = [k for k in candidates if c[k]]
-                if po is not None and len(support) == 1:
-                    po[r] = (support[0],)
-                if dp is not None and len(support) <= 2:
-                    dp[r] = (0, *support)
+                entries = shapes[votes] = (
+                    (support[0],) if len(support) == 1 else None,
+                    (0, *support) if len(support) <= 2 else None,
+                    None if fixed is None else (0, *(k for k in candidates if votes.count(c[k]) == 1)),
+                )
+            forced, duel, stable = entries
+            if po is not None and forced is not None:
+                po[r] = forced
+            if dp is not None and duel is not None:
+                dp[r] = duel
             if fixed is not None:
-                votes = c[1:]
-                fixed[r] = (0, *(k for k in candidates if votes.count(c[k]) == 1))
-            deletes = rs and n > 1
-            if deletes:
-                self.subcells[r] = []
-            if pr:
-                self.pr_edges[r] = []
+                fixed[r] = stable
+            if rs and n > 1:
+                self.subcells[r] = [(index[codes[r] - w[x]], c[x]) for x in range(m + 1) if c[x]]
+            if not pr:
+                continue
+            edges = self.pr_edges[r] = []
             for x in range(m + 1):
                 if not c[x]:
                     continue
                 code = codes[r] - w[x]
-                if deletes:
-                    self.subcells[r].append((index[code], c[x]))
-                if pr:
-                    for y in range(m + 1):
-                        if y == x:
-                            continue
-                        j = index[code + w[y]]
-                        if y:
-                            self.pr_edges[r].append((r, j, y, binds(c, y)))
-                        if x:
-                            self.pr_edges[r].append((j, r, x, binds(counts[j], x)))
+                for y in range(m + 1):
+                    if y == x:
+                        continue
+                    j = index[code + w[y]]
+                    if y:
+                        edges.append((r, j, y, binds(c, y)))
+                    if x:
+                        edges.append((j, r, x, binds(counts[j], x)))
 
         self.nodes = 0
         self.prunes: dict[str, int] = {ax: 0 for ax in sorted(spec.axioms)}

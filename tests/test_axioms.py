@@ -1265,10 +1265,10 @@ def _spy_stream(mp, levels: list) -> None:
 
 
 def _scan_tables(mp) -> None:
-    """Send a table's N, DP, PO and RS checks to their scans, as a table
+    """Send a table's N, DP, PO, RS and PR checks to their scans, as a table
     that fails every one-pass check (``axioms._table_passes``) goes, so a
     test can watch the scans' reads on a passing table."""
-    mp.setattr(axioms, "_table_passes", lambda axiom, index, firsts, m, n_max: False)
+    mp.setattr(axioms, "_table_passes", lambda axiom, index, firsts, m, n_max, tie_upgrade: False)
 
 
 def _spy_reader(mp, calls: list) -> None:
@@ -1903,7 +1903,7 @@ def one_pass_cases(draw):
 def _neutral_by_pass(table, m, n_max) -> bool:
     """Whether N's one-pass check decides that a table is neutral."""
     index = axioms._class_index(table, m, n_max)
-    return index is not None and axioms._table_passes("N", index, None, m, n_max)
+    return index is not None and axioms._table_passes("N", index, None, m, n_max, "leaders")
 
 
 def _raised_or(run):
@@ -1978,56 +1978,59 @@ class TestOnePassNeutrality:
             assert not check_neutrality(last_wins, m, n_max).passed
 
 
-def _pass_and_scan_reports(t, m, n_max, requested):
-    """The reports of a call with the passes on, which DP, PO and RS scans
-    it ran, and the reports with every pass off."""
+def _pass_and_scan_reports(t, m, n_max, requested, mode="leaders"):
+    """The reports of a call with the passes on, in PR's tie mode ``mode``,
+    which DP, PO, RS and PR scans it ran, and the reports with every pass
+    off."""
     scanned = []
     with pytest.MonkeyPatch.context() as mp:
         _spy_scans(mp, scanned)
-        got = [r.to_dict() for r in check_axioms(t, m, n_max, requested)]
+        got = [r.to_dict() for r in check_axioms(t, m, n_max, requested, mode)]
     with pytest.MonkeyPatch.context() as mp:
         _scan_tables(mp)
-        reference = [r.to_dict() for r in check_axioms(t, m, n_max, requested)]
+        reference = [r.to_dict() for r in check_axioms(t, m, n_max, requested, mode)]
     return got, scanned, reference
 
 
 class TestTablePasses:
+    @pytest.mark.parametrize("mode", PR_TIE_MODES)
     @pytest.mark.parametrize(
-        "m,n_max,limit,tables_passing",
+        "m,n_max,limit,tables_passing,pr_passing",
         [
-            (2, 3, None, (2187, 2187, 3, 25)),
-            (3, 2, None, (16, 8, 2, 9)),
-            (4, 2, None, (8, 8, 1, 5)),
-            (2, 4, 4000, (4000, 4000, 0, 1)),
-            (3, 3, 4000, (1024, 192, 16, 19)),
+            (2, 3, None, (2187, 2187, 3, 25), {"leaders": 1, "always": 1, "wins": 42}),
+            (3, 2, None, (16, 8, 2, 9), {"leaders": 1, "always": 0, "wins": 6}),
+            (4, 2, None, (8, 8, 1, 5), {"leaders": 1, "always": 0, "wins": 6}),
+            (2, 4, 4000, (4000, 4000, 0, 1), {"leaders": 0, "always": 0, "wins": 36}),
+            (3, 3, 4000, (1024, 192, 16, 19), {"leaders": 1, "always": 0, "wins": 42}),
         ],
     )
-    def test_every_neutral_table_gets_the_scans_reports(self, m, n_max, limit, tables_passing):
-        # every neutral table (the first 4,000 at (2, 4); (3, 3) has 1,024):
-        # the reports with the passes equal those of the scans, and past N
-        # a scan runs exactly when its axiom fails.  DP never fails at
-        # m = 2, nor from m = 4 at two voters (criterion 4 of the acceptance
-        # suite); the first tables at (2, 4) all have (1,) tie
-        requested = ["N", "DP", "PO", "RS"]
+    def test_every_neutral_table_gets_the_scans_reports(self, m, n_max, limit, tables_passing, pr_passing, mode):
+        # every neutral table (the first 4,000 at (2, 4); (3, 3) has 1,024),
+        # in each of PR's tie modes: the reports with the passes equal those
+        # of the scans, and past N a scan runs exactly when its axiom fails.
+        # DP never fails at m = 2, nor from m = 4 at two voters (criterion 4
+        # of the acceptance suite); the first tables at (2, 4) all have (1,)
+        # tie
+        requested = ["N", "DP", "PO", "RS", "PR"]
         tables = list(islice(search.enumerate_neutral_functions(m, n_max), limit))
         passing = dict.fromkeys(requested, 0)
         for t in tables:
-            got, scanned, reference = _pass_and_scan_reports(t, m, n_max, requested)
+            got, scanned, reference = _pass_and_scan_reports(t, m, n_max, requested, mode)
             assert got == reference, t.table
             assert scanned == [r["axiom"] for r in got[1:] if not r["pass"]], t.table
             for r in got:
                 passing[r["axiom"]] += r["pass"]
-        assert tuple(passing.values()) == tables_passing
+        assert tuple(passing.values()) == (*tables_passing, pr_passing[mode])
 
     @pytest.mark.parametrize("m,n_max", [(2, 9), (3, 7), (5, 5), (40, 3)])
     def test_majority_needs_no_scan(self, m, n_max):
-        # majority's table gets all four verdicts from the passes: no scan
+        # majority's table gets all five verdicts from the passes: no scan
         # reads f
         calls = []
         table = TabledFunction.from_rule(MAJ, m, n_max)
         with pytest.MonkeyPatch.context() as mp:
             _spy_reader(mp, calls)
-            reports = check_axioms(table, m, n_max, ["N", "DP", "PO", "RS"])
+            reports = check_axioms(table, m, n_max, ["N", "DP", "PO", "RS", "PR"])
         assert all(r.passed for r in reports)
         assert calls == []
 
@@ -2115,7 +2118,7 @@ class TestClassTablePasses:
             mp.setattr(axioms, "_anonymity_witness", keeping)
             mp.setattr(axioms, "_neutrality_witness", lambda *args: pytest.fail("scanned"))
             _spy_scans(mp, scanned)
-            reports = [r.to_dict() for r in check_axioms(rule, m, n_max, ["A", "N", "DP", "PO", "RS"])]
+            reports = [r.to_dict() for r in check_axioms(rule, m, n_max, ["A", "N", "DP", "PO", "RS", "PR"])]
         assert [r["pass"] for r in reports[:2]] == [True, True]
         assert scanned == [r["axiom"] for r in reports[2:] if not r["pass"]]
         (table,) = tables
@@ -2190,17 +2193,15 @@ class TestOrbitScans:
         for c in firsts:
             if len(c) >= 2:
                 assert _profile_reducibility(recorded, Profile(3, c), "leaders") is None
-        rs_reads = len(expected)
         for c in firsts:
             assert _profile_responsiveness(recorded, Profile(3, c), "leaders") is None
         calls = []
         with pytest.MonkeyPatch.context() as mp:
             _spy_reader(mp, calls)
             reports = check_axioms(table, 3, 4, ["N", "RS", "PR"])
-            # N's and RS's one-pass checks read the table's dict through no
-            # reader; PR has no pass
-            assert all(r.passed for r in reports) and calls == expected[rs_reads:]
-            calls.clear()
+            # the one-pass checks of N, RS and PR read the table's dict
+            # through no reader
+            assert all(r.passed for r in reports) and calls == []
             _scan_tables(mp)
             reports = check_axioms(table, 3, 4, ["N", "RS", "PR"])
         assert all(r.passed for r in reports)
