@@ -50,39 +50,39 @@ another outcome goes through the validating constructor.
 
 Once N passes on a class scan, every DP, PO, RS, PR or NTW scan listed
 after N in the same call checks only the first class of each neutrality
-orbit: 94 of the 329 classes at (3, 7).  They are listed once per call
-from the orbit stream of :mod:`scfkit.core`
+orbit: 94 of the 329 classes at (3, 7).  They are listed once per call from
+the orbit stream of :mod:`scfkit.core`
 (:func:`~scfkit.core._orbit_firsts`), which builds each orbit's first
-class from its abstentions and candidate counts instead of filtering the
-classes.  The reports stay those of the full class scan, by this lemma.
-Let f be anonymous and neutral on the scope, P a class and tau a
-relabeling.  Then each of these axioms fails at P exactly when it fails at
-tau P.  tau carries P's support, duel pairs, tied pairs and plurality
-leaders to those of tau P, each one-ballot upgrade of P to one of tau P,
-and each voter-deleted subprofile of P to one of tau P; f(tau Q) =
-tau f(Q) at every class Q, and tau is one-to-one on [0, m].  So PR fails
-at P in any tie mode exactly when it fails at tau P, and RS exactly when
-it does, since reduce(tau P) is a reordering of tau reduce(P).  An orbit's
-classes share a voter count, and its first class comes before every other
-member in the class stream.  So the first failing class in the stream is
-an orbit's first class, with the same witness.  Nor can the full scan
-raise at a class the orbit scan skips: N has read every class, so every
-table entry exists and every outcome is an int in [0, m], and RS and PR
-read f only at classes of the scope.
+class, its ballots and its counts, from its abstentions and candidate
+counts instead of filtering the classes.  The reports stay those of the
+full class scan, by this lemma.  Let f be anonymous and neutral on the
+scope, P a class and tau a relabeling.  Then each of these axioms fails at
+P exactly when it fails at tau P.  tau carries P's support, duel pairs,
+tied pairs and plurality leaders to those of tau P, each one-ballot
+upgrade of P to one of tau P, and each voter-deleted subprofile of P to
+one of tau P; f(tau Q) = tau f(Q) at every class Q, and tau is one-to-one
+on [0, m].  So PR fails at P in any tie mode exactly when it fails at tau
+P, and RS exactly when it does, since reduce(tau P) is a reordering of tau
+reduce(P).  An orbit's classes share a voter count, and its first class
+comes before every other member in the class stream.  So the first failing
+class in the stream is an orbit's first class, with the same witness.  Nor
+can the full scan raise at a class the orbit scan skips: N has read every
+class, so every table entry exists and every outcome is an int in [0, m],
+and RS and PR read f only at classes of the scope.
 
 An anonymous f's N, DP, PO, RS and PR are first checked in one pass each
-(:func:`_table_passes`), with no Python frame per class but PR's loop over
-the orbit first classes, on the class index (:func:`_class_index`) of the
+(:func:`_table_passes`) on the class index (:func:`_class_index`) of the
 outcome dict its scans read (:func:`_outcome_table`): a table's over the
 checked m, or the class table a passing A scan leaves for any other f.
 The index is built once per call that checks N: the dict's entries in
-class order, and a dict from each class's code to its entry.  A class's code has its counts
-c_0..c_m as base-(n_max + 1) digits, the sum of w(b) = (n_max + 1) ** b
-over its ballots b (:func:`_class_codes`), so distinct classes get
-distinct codes.  A pass may decide only when the index is valid: every
-class of 1..n_max voters has an int entry in [0, m], and the dict holds no
-other key.  DP, PO, RS and PR passes need N to have passed earlier in the
-same call, and read only the orbit first classes.  A pass then passes exactly
+class order, and a dict from each class's code to its entry.  A class's
+code has its counts c_0..c_m as base-(n_max + 1) digits, the sum of
+c_b * w(b), w(b) = (n_max + 1) ** b (:func:`_class_codes`), so distinct
+classes get distinct codes.  A pass may decide only when the index is
+valid: every class of 1..n_max voters has an int entry in [0, m], and the
+dict holds no other key.  DP, PO, RS and PR passes need N to have passed
+earlier in the same call, and read only the counts of the orbit first
+classes, never their ballots, and the index.  A pass then passes exactly
 when the scan would pass without raising; any other result runs the scan
 from its first class, so witnesses, the rescan and every error are the
 scan's.  The passes rest on this lemma.
@@ -94,34 +94,33 @@ scan's.  The passes rest on this lemma.
 - N: under each generator tau, the entry at the code of tau K equals
   tau applied to the entry at K, for every class K.  That is the scan's
   own test.
-- Let K be an orbit's first class: c_0 abstentions and votes for
-  candidates 1..k, where k = K[-1] (0 when nobody votes).
+- Let K be an orbit's first class, with its record's k + 1 counts
+  c_0..c_k: c_0 abstentions and votes for candidates 1..k (k = 0 if none).
 - PO: every K with k = 1 has outcome 1, as K's support is {1..k}.
 - DP: at m = 2 it always passes, as every outcome lies in {0, 1, 2},
   which holds the one duel pair.  At m >= 3, every K with k <= 2 has
   outcome <= k: an outcome in {0..k} is 0 or in the support, and any
   other lies outside some duel pair {i, j} that holds the support.
 - RS: for every K with at least 2 voters, the entry at code(K) equals the
-  entry at the sum over b of c_b * w(out_b), where out_b is the entry at
-  code(K) - w(b), the class of K less one ballot b.  That sum is the code
-  of K's reduced profile, whose ballots are each voter's subprofile
-  outcome.  A ballot absent from K contributes 0, because c_b = 0.
+  entry at the sum over the b with c_b > 0 of c_b * w(out_b), where out_b
+  is the entry at code(K) - w(b), the class of K less one ballot b.  That
+  sum is the code of K's reduced profile, whose ballots are each voter's
+  subprofile outcome; a ballot absent from K would contribute 0.
 - PR: for every K and target k, the entry at code(K) - w(b) + w(k) is k
-  for every ballot b != k present in K.  The targets are K's outcome when
-  it is a win, and when it ties the tie mode's candidates
-  (:func:`_tie_candidates`).  That code is the class of K with one voter's
-  ballot b moved to k, the upgrade the scan reads at each such voter; two
-  voters with one ballot give one class.
+  for every b != k with c_b > 0.  The targets are K's outcome when it is
+  a win, and when it ties the tie mode's candidates
+  (:func:`_tie_candidates`), read off K's counts.  That code is the class
+  of K with one voter's ballot b moved to k, the upgrade the scan reads at
+  each such voter; two voters with one ballot give one class.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import MISSING, dataclass, fields, is_dataclass
-from itertools import compress, groupby, islice, permutations, repeat
-from operator import add, eq, ge, itemgetter, le, mul, sub
-from typing import Callable, Iterable, Iterator
+from itertools import groupby, islice, permutations
+from operator import eq, itemgetter, mul
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .core import (
     _COST_CAP,
@@ -376,7 +375,7 @@ def _class_ids(m: int, n_max: int) -> Iterator[tuple[list[tuple[int, ...]], list
     class whose code (:func:`_class_code_levels`) is that class's code plus
     (n_max + 1) ** b.
     """
-    steps = [(n_max + 1) ** b for b in range(m + 1)]
+    steps = _weights(m, n_max)
     ids = [0]
     codes = [0]  # the empty class's
     for n, level in enumerate(_class_code_levels(m, n_max, range(m + 1)), start=1):
@@ -599,31 +598,37 @@ def _class_codes(m: int, n_max: int, lookup: Iterable[int]) -> list[int]:
     return codes
 
 
-def _class_index(table: dict, m: int, n_max: int) -> tuple[dict, list[int], dict[int, int]] | None:
+def _weights(m: int, n_max: int) -> list[int]:
+    """w(b) = (n_max + 1) ** b for each ballot b: a class's code is the sum
+    of c_b * w(b) (:func:`_class_codes`)."""
+    return [(n_max + 1) ** b for b in range(m + 1)]
+
+
+def _class_index(table: dict, m: int, n_max: int) -> tuple[list[int], dict[int, int]] | None:
     """The class index at the scope of an outcome dict keyed by sorted
     ballots, a table's or a class table (:func:`_outcome_table`):
-    ``(table, outs, by_code)``, with ``outs`` its entries at the classes of
-    1..n_max voters in the class stream's order and ``by_code`` a dict from
-    each class's code (:func:`_class_codes`) to its entry.  None unless the
-    index is valid: every class has an int entry in [0, m] (as
+    ``(outs, by_code)``, with ``outs`` its entries at the classes of 1..n_max
+    voters in the class stream's order and ``by_code`` a dict from each
+    class's code (:func:`_class_codes`) to its entry.  None unless the index
+    is valid: every class has an int entry in [0, m] (as
     :func:`~scfkit.core._ballot_error` requires) and the dict holds no
     other key.  Reading the entries has no side effects: a dict whose keys
     are the classes in that order, as the class table, the engine's and
     ``from_rule``'s tables are, is read in order, any other by its keys."""
-    keys = list(_profiles(m, 1, n_max, True))
-    if len(table) != len(keys):
+    if len(table) != math.comb(n_max + m + 1, m + 1) - 1:  # classes of 0..n_max voters, less the empty one
         return None
-    outs = list(table.values()) if list(table) == keys else list(map(table.get, keys))
+    in_order = all(map(eq, table, _profiles(m, 1, n_max, True)))
+    outs = list(table.values()) if in_order else list(map(table.get, _profiles(m, 1, n_max, True)))
     if set(map(type, outs)) != {int} or min(outs) < 0 or max(outs) > m:
         return None
-    return table, outs, dict(zip(_class_codes(m, n_max, range(m + 1)), outs))
+    return outs, dict(zip(_class_codes(m, n_max, range(m + 1)), outs))
 
 
 def _neutrality_pass(index: tuple, firsts: list | None, m: int, n_max: int, tie_upgrade: str) -> bool:
     """N's pass: under each generator tau, the entry at the code of tau K,
     built for every class K at once (:func:`_class_codes`), is tau applied
     to K's entry.  One pass of ``map`` and ``operator.eq`` per generator."""
-    _, outs, by_code = index
+    outs, by_code = index
     read = by_code.__getitem__
     for lookup in _generators(m):
         if not all(map(eq, map(read, _class_codes(m, n_max, lookup)), map(lookup.__getitem__, outs))):
@@ -636,63 +641,50 @@ def _duel_pass(index: tuple, firsts: list, m: int, n_max: int, tie_upgrade: str)
     voted candidates, 1..k, has an outcome of at most k."""
     if m == 2:
         return True
-    lasts = list(map(itemgetter(-1), firsts))
-    duels = list(map(ge, repeat(2), lasts))
-    return all(map(le, map(index[0].__getitem__, compress(firsts, duels)), compress(lasts, duels)))
+    w, by_code = _weights(m, n_max), index[1]
+    return all(by_code[sum(map(mul, counts, w))] < len(counts) for _, counts in firsts if len(counts) <= 3)
 
 
 def _pareto_pass(index: tuple, firsts: list, m: int, n_max: int, tie_upgrade: str) -> bool:
     """PO's pass: every orbit's first class voting for candidate 1 alone
     has outcome 1."""
-    alone = compress(firsts, map(eq, map(itemgetter(-1), firsts), repeat(1)))
-    return all(map(eq, map(index[0].__getitem__, alone), repeat(1)))
+    w1, by_code = n_max + 1, index[1]
+    return all(by_code[counts[0] + counts[1] * w1] == 1 for _, counts in firsts if len(counts) == 2)
 
 
 def _reducibility_pass(index: tuple, firsts: list, m: int, n_max: int, tie_upgrade: str) -> bool:
     """RS's pass: every orbit's first class K of two or more voters has the
-    entry at the code of its reduced profile, the sum over b of
-    c_b * w(out_b), out_b the entry at code(K) - w(b).  K votes only for
-    1..min(m, n_max), so those ballots and 0 are the only digits summed; a
-    ballot K lacks adds 0, whatever its lookup reads.  K is sorted, so c_b
-    is its ballots up to b less those up to b - 1, each found by bisection."""
-    by_code = index[2]
-    many = [K for K in firsts if len(K) > 1]
-    weights = [(n_max + 1) ** b for b in range(m + 1)]
-    counts, below = [], [0] * len(many)
-    for b in range(min(m, n_max) + 1):
-        upto = list(map(bisect_right, many, repeat(b)))
-        counts.append((weights[b], list(map(sub, upto, below))))
-        below = upto
-    codes = [0] * len(many)
-    for w, c in counts:
-        codes = list(map(add, codes, map(mul, c, repeat(w))))
-    reduced = [0] * len(many)
-    for w, c in counts:
-        outs = map(by_code.get, map(sub, codes, repeat(w)), repeat(0))
-        reduced = list(map(add, reduced, map(mul, c, map(weights.__getitem__, outs))))
-    read = by_code.__getitem__
-    return all(map(eq, map(read, codes), map(read, reduced)))
+    entry at the code of its reduced profile, the sum over the b with
+    c_b > 0 of c_b * w(out_b), out_b the entry at code(K) - w(b)."""
+    w, by_code = _weights(m, n_max), index[1]
+    for _, counts in firsts:
+        if sum(counts) > 1:
+            code = sum(map(mul, counts, w))
+            reduced = sum(c * w[by_code[code - w[b]]] for b, c in enumerate(counts) if c)
+            if by_code[code] != by_code[reduced]:
+                return False
+    return True
 
 
 def _responsiveness_pass(index: tuple, firsts: list, m: int, n_max: int, tie_upgrade: str) -> bool:
     """PR's pass (see the module docstring): one read per target k and
-    distinct ballot b != k of every orbit's first class K, the entry at
+    b != k with c_b > 0 of every orbit's first class K, the entry at
     code(K) - w(b) + w(k)."""
-    table, _, by_code = index
-    w = [(n_max + 1) ** b for b in range(m + 1)]
-    for K in firsts:
-        out = table[K]
-        code, ballots = sum(map(w.__getitem__, K)), set(K)
-        for k in (out,) if out else _tie_candidates(m, K, tie_upgrade):
+    w, by_code = _weights(m, n_max), index[1]
+    for _, counts in firsts:
+        code = sum(map(mul, counts, w))
+        out = by_code[code]
+        for k in (out,) if out else _tie_candidates(m, counts, tie_upgrade):
             lifted = code + w[k]
-            for b in ballots:
-                if b != k and by_code[lifted - w[b]] != k:
+            for b, c in enumerate(counts):
+                if c and b != k and by_code[lifted - w[b]] != k:
                     return False
     return True
 
 
 # axiom -> its one-pass check of an outcome dict, a function of the dict's
-# class index, the orbit first classes (None for N), m, n_max and PR's tie mode
+# class index, the orbit first classes' records (None for N), m, n_max and
+# PR's tie mode
 _PASSES = {
     "N": _neutrality_pass,
     "DP": _duel_pass,
@@ -705,8 +697,9 @@ _PASSES = {
 def _table_passes(axiom: str, index: tuple, firsts: list | None, m: int, n_max: int, tie_upgrade: str) -> bool:
     """Whether ``axiom``'s pass decides that its scan passes, given the
     valid class index of the outcome dict the scans read, past N the orbit
-    first classes of a call where N has passed, and PR's tie mode (see the
-    module docstring).  Every pass goes through here."""
+    first classes' records (:func:`~scfkit.core._orbit_firsts`) of a call
+    where N has passed, and PR's tie mode (see the module docstring).
+    Every pass goes through here."""
     return _PASSES[axiom](index, firsts, m, n_max, tie_upgrade)
 
 
@@ -741,12 +734,14 @@ def _support(ballots: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(sorted(support))
 
 
-def _leaders(m: int, ballots: tuple[int, ...]) -> tuple[int, ...]:
-    """Candidates sharing the top vote count: every candidate when nobody
-    votes."""
-    counts = _counts(m, ballots)
-    top = max(counts[1:])
-    return tuple(k for k in range(1, m + 1) if counts[k] == top)
+def _leaders(m: int, counts: Sequence[int]) -> tuple[int, ...]:
+    """Candidates sharing the top vote count, given a profile's counts
+    c_0..c_j for some j <= m (every later count 0): every candidate when
+    the top count is 0, as nobody votes."""
+    top = max(counts[1:], default=0)
+    if not top:
+        return tuple(range(1, m + 1))
+    return tuple(k for k in range(1, len(counts)) if counts[k] == top)
 
 
 def _duel_property(value: Callable, m: int, ballots: tuple[int, ...], tie_upgrade: str) -> Witness | None:
@@ -823,18 +818,19 @@ def _reducibility(value: Callable, m: int, ballots: tuple[int, ...], tie_upgrade
     return None
 
 
-def _tie_candidates(m: int, ballots: tuple[int, ...], mode: str) -> tuple[int, ...]:
+def _tie_candidates(m: int, counts: Sequence[int], mode: str) -> tuple[int, ...]:
+    """The candidates one upgrade must turn a tie into a win for (counts as :func:`_leaders` reads them)."""
     if mode == "always":
         return tuple(range(1, m + 1))
     if mode == "leaders":
-        return _leaders(m, ballots)
+        return _leaders(m, counts)
     return ()
 
 
 def _responsiveness(value: Callable, m: int, ballots: tuple[int, ...], tie_upgrade: str) -> Witness | None:
     out = _outcome(value, m, ballots)  # a win becomes an upgrade's ballot
     if out == 0:
-        targets = _tie_candidates(m, ballots, tie_upgrade)
+        targets = _tie_candidates(m, _counts(m, ballots), tie_upgrade)
         note = f"pr:tie:{tie_upgrade}"
     else:
         targets = (out,)
@@ -947,7 +943,7 @@ def check_axioms(
             if index is not None and ax in _PASSES and _table_passes(ax, index, firsts, m, n_max, tie_upgrade):
                 witnesses[ax] = None
                 continue
-            stream = (ballots for ballots in firsts if len(ballots) >= n_min)
+            stream = (ballots for ballots, _ in firsts if len(ballots) >= n_min)
         witnesses[ax] = _first_witness(witness_of, value, m, stream, tie_upgrade)
     return [AxiomReport(ax, m, n_max, witnesses[ax] is None, witnesses[ax]) for ax in axioms]
 

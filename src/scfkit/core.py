@@ -12,9 +12,9 @@ tuple, which :func:`ballot_counts` calls for a profile; the named rules of
 :mod:`scfkit.rules` count only the values present.  Every walk over the
 profile space reads its ballot tuples from one stream, :func:`_profiles`:
 one sorted tuple per anonymity class, or every ordered tuple, level by
-level.  Beside it, :func:`_orbit_firsts` yields the sorted ballots of the
-first class of each neutrality orbit, in the same order: it builds them
-from the abstentions and the votes of each count shape
+level.  Beside it, :func:`_orbit_firsts` yields the first class of each
+neutrality orbit, in the same order, as its sorted ballots and its counts:
+it builds both from the abstentions and each count shape
 (:func:`_shape_votes`), so no class is counted or filtered.
 
 All values here are immutable.  A :class:`Profile` has two slots and no
@@ -273,11 +273,13 @@ def _shape_votes(m: int, s_max: int) -> list[list[tuple[tuple[int, ...], tuple[i
     ]
 
 
-def _orbit_firsts(m: int, n_min: int, n_max: int) -> Iterator[tuple[int, ...]]:
-    """The sorted ballots of each neutrality orbit's first class, for the
-    classes of n_min..n_max voters, in the order of the class stream of
-    :func:`_profiles`: c0 zeros, then the votes of a count shape
-    (non-increasing, positive), shape[0] ones, shape[1] twos, and so on.
+def _orbit_firsts(m: int, n_min: int, n_max: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """One record ``(ballots, counts)`` per neutrality orbit's first class,
+    for the classes of n_min..n_max voters, in the order of the class stream
+    of :func:`_profiles`.  ``counts`` is ``(c0, *shape)``: c0 abstentions and
+    a count shape (non-increasing, positive), the class's counts up to its
+    last voted candidate.  ``ballots`` is the class's sorted ballots built
+    from them: c0 zeros, then shape[0] ones, shape[1] twos, and so on.
 
     A relabeling keeps a class's abstentions and permutes its candidate
     counts, so an orbit is fixed by c0 and the multiset of counts, and holds
@@ -293,8 +295,8 @@ def _orbit_firsts(m: int, n_min: int, n_max: int) -> Iterator[tuple[int, ...]]:
     for n in range(n_min, n_max + 1):
         for c0 in range(n, -1, -1):
             zeros = (0,) * c0
-            for _, ballots in votes[n - c0]:
-                yield zeros + ballots
+            for shape, ballots in votes[n - c0]:
+                yield zeros + ballots, (c0, *shape)
 
 
 def profile_count(m: int, n: int, canonical_only: bool = False) -> int:

@@ -2058,6 +2058,53 @@ class TestTablePasses:
         assert [(r["axiom"], r["pass"]) for r in got] == [("N", True), ("DP", True), ("PO", False), ("RS", False)]
         assert scanned == ["PO", "RS"]
 
+    @pytest.mark.parametrize("mode", ["leaders", "wins"])
+    @pytest.mark.parametrize("m,n_max", [(3, 20), (2, 40), (40, 3), (5, 5)])
+    def test_changed_majority_orbits_at_the_verdicts_scopes(self, m, n_max, mode):
+        # the passes against the scans where the verdicts replay tables,
+        # far past the drawn tables' m <= 4 and n_max <= 4: majority's table
+        # with whole orbits changed stays neutral, and past N a scan runs
+        # exactly when its axiom fails
+        rnd = random.Random(f"{m} {n_max} {mode}")
+        t = _changed_majority(m, n_max, rnd)
+        requested = ["N", *(ax for ax in ["DP", "PO", "RS", "PR"] if rnd.random() < 0.6)]
+        got, scanned, reference = _pass_and_scan_reports(t, m, n_max, requested, mode)
+        assert got == reference
+        assert got[0]["pass"]
+        assert scanned == [r["axiom"] for r in got[1:] if not r["pass"]]
+
+
+def _changed_majority(m, n_max, rnd) -> TabledFunction:
+    """Majority's table with one or two whole neutrality orbits, drawn with
+    ``rnd``, changed to elect nobody or the candidate with the smallest or
+    largest count no other candidate has, which every relabeling fixing the
+    class fixes; so the table stays neutral.  At m = 3 a two-candidate orbit
+    also elects its third candidate, the one with no vote, which fails DP."""
+    table = dict(_majority_table(m, n_max).table)
+
+    def orbit(ballots):
+        return ballots.count(0), tuple(sorted(core._counts(m, ballots)[1:]))
+
+    def elected(ballots, count):
+        return 0 if count is None else core._counts(m, ballots).index(count, 1)
+
+    records = list(core._orbit_firsts(m, 1, n_max))
+    changes = {}
+    for K, _ in rnd.sample(records, len(records)):
+        votes = core._counts(m, K)[1:]
+        unique = [c for c in votes if votes.count(c) == 1]
+        choices = [c for c in (None, *(f(unique) for f in (min, max) if unique)) if elected(K, c) != table[K]]
+        if choices:
+            changes[orbit(K)] = rnd.choice(choices)
+        if len(changes) == 2 or changes and rnd.random() < 0.5:
+            break
+    if m == 3:
+        changes[orbit(rnd.choice([K for K, counts in records if len(counts) == 3]))] = 0
+    for ballots in table:
+        if orbit(ballots) in changes:
+            table[ballots] = elected(ballots, changes[orbit(ballots)])
+    return TabledFunction(m, n_max, table)
+
 
 @st.composite
 def anonymous_rules(draw):
@@ -2155,16 +2202,26 @@ class TestClassCodes:
             assert axioms._class_codes(m, n_max, lookup) == relabeled
 
 
+def _orbit_ballots(m, n_min, n_max):
+    """The ballots of the records of ``core._orbit_firsts``, once each
+    record's counts are checked: the ballots' counts up to the last voted
+    candidate, as ``core._counts`` counts them."""
+    stream = list(core._orbit_firsts(m, n_min, n_max))
+    for ballots, counts in stream:
+        assert counts == tuple(core._counts(m, ballots)[: ballots[-1] + 1]), ballots
+    return [ballots for ballots, _ in stream]
+
+
 class TestOrbitScans:
     @pytest.mark.parametrize("m,n_max", [(2, 5), (3, 4), (4, 3), (5, 3)])
     def test_orbit_firsts_are_the_brute_force_orbits_first_classes(self, m, n_max):
-        assert list(core._orbit_firsts(m, 1, n_max)) == [first for first, _, _ in _brute_force_orbits(m, n_max)]
+        assert _orbit_ballots(m, 1, n_max) == [first for first, _, _ in _brute_force_orbits(m, n_max)]
 
     @pytest.mark.parametrize("m,n_min,n_max", [(2, 3, 6), (3, 2, 4), (4, 3, 3), (5, 2, 3)])
     def test_the_core_stream_from_n_min_is_the_brute_force_orbits(self, m, n_min, n_max):
         # each orbit's first class, built from the shapes, against the
         # brute force's first classes of n_min or more voters
-        stream = list(core._orbit_firsts(m, n_min, n_max))
+        stream = _orbit_ballots(m, n_min, n_max)
         firsts = [first for first, _, _ in _brute_force_orbits(m, n_max) if len(first) >= n_min]
         assert stream == firsts
 
@@ -2176,7 +2233,7 @@ class TestOrbitScans:
     def test_the_core_stream_at_twelve_candidates(self):
         # the brute force's 12! relabelings per orbit are out of reach, so
         # its first classes come from the voted candidates' relabelings
-        stream = list(core._orbit_firsts(12, 1, 3))
+        stream = _orbit_ballots(12, 1, 3)
         assert stream == _firsts_by_voted_relabelings(12, 3)
         assert len(stream) == 13
 
